@@ -20,7 +20,6 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .invariants import (
     ConjectureEvidence,
@@ -89,43 +88,29 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def cmd_dims(args) -> int:
     columns = TABLE_COLUMNS[args.table]
-    levels = list(range(1, args.max_level + 1))
     spaces = InvariantSpaces(args.d)
-
-    def job(n: int):
-        if args.budget_secs is not None or args.budget_bits is not None:
-            spaces.set_budget(Budget(args.budget_secs, args.budget_bits))
-        else:
-            spaces.set_budget(None)
-        try:
-            return "ok", spaces.report(n)
-        except BudgetExceeded as exc:
-            return "skipped", str(exc)
-
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(job, levels))
-    else:
-        results = [job(n) for n in levels]
-
+    budgeted = args.budget_secs is not None or args.budget_bits is not None
     rows = []
     any_skipped = False
-    for n, (status, payload) in zip(levels, results):
-        if status == "ok":
-            rows.append(
-                {
-                    "level": n,
-                    "status": "ok",
-                    "dims": {col: payload.dims[col] for col in columns},
-                    "new_columns": _new_columns(args.d, n, columns),
-                }
-            )
-        else:
+    for n in range(1, args.max_level + 1):
+        spaces.budget = Budget(args.budget_secs, args.budget_bits) if budgeted else None
+        try:
+            report = spaces.report(n)
+        except BudgetExceeded as exc:
             any_skipped = True
             rows.append(
                 {"level": n, "status": "skipped", "dims": {}, "new_columns": [],
-                 "reason": payload}
+                 "reason": str(exc)}
             )
+            continue
+        rows.append(
+            {
+                "level": n,
+                "status": "ok",
+                "dims": {col: report.dims[col] for col in columns},
+                "new_columns": _new_columns(args.d, n, columns),
+            }
+        )
 
     if args.format == "json":
         text = json.dumps(
@@ -341,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=_d_type, default=2)
     p.add_argument("--max-level", type=int, default=None)
     p.add_argument("--table", choices=sorted(TABLE_COLUMNS), default="all")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; levels are computed serially")
     p.add_argument("--budget-secs", type=float, default=None,
                    help="wall-clock budget per (d, level) cell")
     p.add_argument("--budget-bits", type=int, default=None,
@@ -358,7 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuzz", help="seeded exact fuzzing against path signatures")
     p.add_argument("--d", type=_d_type, default=2)
     p.add_argument("--level", type=int, default=None)
-    p.add_argument("--trials", type=int, default=25)
+    p.add_argument("--trials", type=int, default=25,
+                   help="random trials per suite; the conjugation suite runs "
+                   "the canonical axis pair in addition")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--format", choices=["pretty", "json"], default="pretty")
     p.add_argument("--out")

@@ -22,7 +22,6 @@ untouched for the completed cells.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -128,42 +127,31 @@ class InvariantReport:
 class InvariantSpaces:
     """Memoized per-alphabet pipeline of all invariant subspaces.
 
-    Values are immutable once computed; the memo is guarded so independent
-    levels may be computed from several threads.  A per-thread budget can
-    be installed with :meth:`set_budget`.
+    Values are immutable once computed.  The memo is single-threaded.  An
+    optional :class:`~loopinv.linalg.Budget` in :attr:`budget` bounds the
+    heavy loops; a build it interrupts stores nothing.
     """
 
     def __init__(self, d: int):
         if d < 1:
             raise ValueError("alphabet size must be at least 1")
         self.d = d
+        self.budget: Budget | None = None
         self._memo: dict = {}
-        self._locks: dict = {}
-        self._guard = threading.Lock()
-        self._local = threading.local()
 
     # -- plumbing -------------------------------------------------------
 
     def set_budget(self, budget: Budget | None) -> None:
-        self._local.budget = budget
+        self.budget = budget
 
-    @property
-    def budget(self) -> Budget | None:
-        return getattr(self._local, "budget", None)
+    def _check_budget(self) -> None:
+        if self.budget is not None:
+            self.budget.check()
 
     def _cached(self, key, fn: Callable):
-        with self._guard:
-            if key in self._memo:
-                return self._memo[key]
-            lock = self._locks.setdefault(key, threading.Lock())
-        with lock:
-            with self._guard:
-                if key in self._memo:
-                    return self._memo[key]
-            value = fn()
-            with self._guard:
-                self._memo[key] = value
-            return value
+        if key not in self._memo:
+            self._memo[key] = fn()
+        return self._memo[key]
 
     def _full_space(self, n: int) -> Subspace:
         return kernel(self.d, n, [], self.budget)
@@ -273,6 +261,7 @@ class InvariantSpaces:
         out: list[TensorElement] = []
 
         def extend(start: int, remaining: int, acc: TensorElement | None):
+            self._check_budget()
             if remaining == 0:
                 out.append(acc)
                 return
@@ -335,6 +324,7 @@ class InvariantSpaces:
         d = self.d
         by_output: dict[tuple[int, ...], dict[int, object]] = {}
         for w in all_words(d, n):
+            self._check_budget()
             col = word_index(w, d)
             rcl_w = _tensor._rcl_word(w)
             lcl_rev = _tensor._rcl_word(w[::-1])
@@ -362,6 +352,7 @@ class InvariantSpaces:
             d = self.d
             vectors = []
             for w in all_words(d, n):
+                self._check_budget()
                 entries = {
                     word_index(out_w, d): c for out_w, c in _tensor._rcl_word(w).items()
                 }
@@ -464,7 +455,9 @@ class InvariantSpaces:
                     pairs = itertools.product(left, right)
                 else:
                     pairs = itertools.combinations_with_replacement(left, 2)
-                products.extend(shuffle(a, b) for a, b in pairs)
+                for a, b in pairs:
+                    self._check_budget()
+                    products.append(shuffle(a, b))
             rank = span_tensors(self.d, n, products, self.budget).dim
             total = len(basis_of(n))
             assert rank <= total, "decomposables escaped the family"
@@ -777,46 +770,12 @@ def conjecture_evidence(spaces: InvariantSpaces, n: int) -> ConjectureEvidence:
 # ---------------------------------------------------------------------------
 
 _PIPELINES: dict[int, InvariantSpaces] = {}
-_PIPELINES_LOCK = threading.Lock()
 
 
 def spaces_for(d: int) -> InvariantSpaces:
-    with _PIPELINES_LOCK:
-        if d not in _PIPELINES:
-            _PIPELINES[d] = InvariantSpaces(d)
-        return _PIPELINES[d]
-
-
-def conj_invariants(d: int, n: int) -> Subspace:
-    return spaces_for(d).conjugation_invariants(n)
-
-
-def space_s(d: int, n: int) -> Subspace:
-    return spaces_for(d).letter_shuffle_ideal(n)
-
-
-def space_v(d: int, n: int) -> Subspace:
-    return spaces_for(d).zero_increment_space(n)
-
-
-def loop_invariants(d: int, n: int) -> Subspace:
-    return spaces_for(d).loop_invariants(n)
-
-
-def closure_invariants(d: int, n: int) -> Subspace:
-    return spaces_for(d).closure_invariants(n)
-
-
-def letter_reduced_loop_dim(d: int, n: int) -> int:
-    return spaces_for(d).letter_reduced_loop_dim(n)
-
-
-def letter_reduced_conj_dim(d: int, n: int) -> int:
-    return spaces_for(d).letter_reduced_conj_dim(n)
-
-
-def min_generator_count(d: int, n: int, family: str = "conj") -> int:
-    return spaces_for(d).min_generator_count(n, family)
+    if d not in _PIPELINES:
+        _PIPELINES[d] = InvariantSpaces(d)
+    return _PIPELINES[d]
 
 
 def invariant_report(d: int, n: int) -> InvariantReport:

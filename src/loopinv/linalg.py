@@ -16,7 +16,7 @@ import time
 from math import gcd
 from typing import Iterable, Sequence
 
-from ._rat import Q
+from ._rat import Q, exact
 from .tensor import TensorElement
 
 
@@ -27,17 +27,13 @@ class BudgetExceeded(Exception):
 class Budget:
     """Optional guard threaded through the heavy loops.
 
-    ``seconds`` bounds wall-clock time from construction (or the last
-    :meth:`restart`), ``max_bits`` bounds the bit size of any integer
-    produced during elimination.
+    ``seconds`` bounds wall-clock time from construction, ``max_bits``
+    bounds the bit size of any integer produced during elimination.
     """
 
     def __init__(self, seconds: float | None = None, max_bits: int | None = None):
         self.seconds = seconds
         self.max_bits = max_bits
-        self._start = time.monotonic()
-
-    def restart(self) -> None:
         self._start = time.monotonic()
 
     def check(self, bits: int = 0) -> None:
@@ -76,7 +72,7 @@ class LevelVector:
         for idx, value in entries.items() if hasattr(entries, "items") else entries:
             if not 0 <= idx < size:
                 raise ValueError("word index %d outside level of size %d" % (idx, size))
-            value = Q(value)
+            value = exact(value)
             if value:
                 data[idx] = value
         self.entries = data
@@ -244,14 +240,27 @@ def _normalize(done) -> tuple[tuple[int, ...], tuple[dict, ...]]:
     return pivots, rows
 
 
-def span(d: int, n: int, vectors: Iterable[LevelVector], budget: Budget | None = None) -> Subspace:
-    """Canonical RREF basis of the span of the given vectors."""
+def _int_rows(
+    d: int, n: int, vectors: Iterable[LevelVector], budget: Budget | None, where: str
+) -> list[dict[int, int]]:
+    """Integer rows of the nonzero vectors; the budget is checked per vector,
+    so lazily generated input is bounded too."""
     rows = []
     for v in vectors:
+        if budget is not None:
+            budget.check()
         if (v.d, v.n) != (d, n):
-            raise ValueError("vector of shape (%d, %d) in span of (%d, %d)" % (v.d, v.n, d, n))
+            raise ValueError(
+                "vector of shape (%d, %d) in %s of (%d, %d)" % (v.d, v.n, where, d, n)
+            )
         if v.entries:
             rows.append(_int_row(v.entries))
+    return rows
+
+
+def span(d: int, n: int, vectors: Iterable[LevelVector], budget: Budget | None = None) -> Subspace:
+    """Canonical RREF basis of the span of the given vectors."""
+    rows = _int_rows(d, n, vectors, budget, "span")
     pivots, out = _normalize(_eliminate(rows, budget))
     return Subspace(d, n, pivots, out)
 
@@ -264,12 +273,7 @@ def kernel(
     d: int, n: int, constraint_rows: Iterable[LevelVector], budget: Budget | None = None
 ) -> Subspace:
     """Basis of the joint kernel {x : <row, x> = 0 for every row}."""
-    rows = []
-    for v in constraint_rows:
-        if (v.d, v.n) != (d, n):
-            raise ValueError("constraint of shape (%d, %d) in kernel of (%d, %d)" % (v.d, v.n, d, n))
-        if v.entries:
-            rows.append(_int_row(v.entries))
+    rows = _int_rows(d, n, constraint_rows, budget, "kernel")
     reduced = _eliminate(rows, budget)
     size = d**n
     rank = len(reduced)
@@ -289,13 +293,9 @@ def kernel(
     return out
 
 
-def kernel_of_subspace_rows(s: Subspace, budget: Budget | None = None) -> Subspace:
-    return kernel(s.d, s.n, s.basis_vectors(), budget)
-
-
 def orthogonal_complement(s: Subspace, budget: Budget | None = None) -> Subspace:
     """Complement with respect to the word-basis inner product."""
-    out = kernel_of_subspace_rows(s, budget)
+    out = kernel(s.d, s.n, s.basis_vectors(), budget)
     assert s.dim + out.dim == s.d**s.n
     return out
 

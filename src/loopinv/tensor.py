@@ -24,7 +24,7 @@ import itertools
 from math import factorial
 from typing import Iterable, Mapping
 
-from ._rat import Q, rational_to_string
+from ._rat import Q, exact, rational_to_string
 from .words import Word, rotations, standard_factorization
 
 # caches shared across alphabet sizes: expansions depend on letters only
@@ -46,7 +46,7 @@ class TensorElement:
         items = terms.items() if isinstance(terms, Mapping) else terms
         for key, value in items:
             letters = self._as_letters(key)
-            value = Q(value)
+            value = exact(value)
             if value:
                 new = data.get(letters, 0) + value
                 if new:
@@ -148,7 +148,7 @@ class TensorElement:
         return TensorElement._raw(self.d, {t: -c for t, c in self._terms.items()})
 
     def __mul__(self, scalar) -> "TensorElement":
-        scalar = Q(scalar)
+        scalar = exact(scalar)
         if not scalar:
             return TensorElement.zero(self.d)
         return TensorElement._raw(self.d, {t: c * scalar for t, c in self._terms.items()})
@@ -156,7 +156,7 @@ class TensorElement:
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "TensorElement":
-        return self * (Q(1) / Q(scalar))
+        return self * (Q(1) / exact(scalar))
 
     def __eq__(self, other) -> bool:
         return (

@@ -12,7 +12,8 @@ from loopinv.invariants import (
     verify_relations,
     zero_increment_series_dim,
 )
-from loopinv.linalg import contains, intersect, member_tensor, subspace_sum
+from loopinv import invariants, tensor
+from loopinv.linalg import Budget, BudgetExceeded, contains, intersect, member_tensor, subspace_sum
 from loopinv.tensor import TensorElement, right_closure, shuffle
 
 W = TensorElement.word
@@ -252,3 +253,52 @@ class TestReportValidation:
             sp.report(4)
         sp.set_budget(None)
         assert sp.report(4).dims["conjugation"] == 6
+
+
+class TestBudgetInHeavyLoops:
+    """An expired budget stops each row-building loop before elimination."""
+
+    @staticmethod
+    def count_calls(monkeypatch, owner, name):
+        calls = []
+        real = getattr(owner, name)
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("build", ["closure_invariants", "_closure_difference_rows"])
+    def test_closure_table(self, monkeypatch, build):
+        calls = self.count_calls(monkeypatch, tensor, "_rcl_word")
+        sp = InvariantSpaces(2)
+        sp.set_budget(Budget(seconds=-1))
+        with pytest.raises(BudgetExceeded):
+            getattr(sp, build)(5)
+        assert len(calls) <= 1
+
+    def test_lazy_span_input(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, invariants, "right_closure")
+        sp = InvariantSpaces(2)
+        sp.set_budget(Budget(seconds=-1))
+        with pytest.raises(BudgetExceeded):
+            sp.closed_rotation_span(6)
+        assert len(calls) <= 1
+
+    def test_pbw_products(self):
+        sp = InvariantSpaces(2)
+        sp.set_budget(Budget(seconds=-1))
+        with pytest.raises(BudgetExceeded):
+            sp._pbw_products(6)
+
+    def test_min_generator_shuffles(self, monkeypatch):
+        sp = InvariantSpaces(2)
+        for k in range(1, 6):
+            sp.conjugation_invariants(k)
+        calls = self.count_calls(monkeypatch, invariants, "shuffle")
+        sp.set_budget(Budget(seconds=-1))
+        with pytest.raises(BudgetExceeded):
+            sp.min_generator_count(6)
+        assert calls == []

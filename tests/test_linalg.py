@@ -58,6 +58,11 @@ class TestLevelVector:
         with pytest.raises(ValueError):
             LevelVector(2, 2, {4: Q(1)})
 
+    def test_rejects_floats(self):
+        with pytest.raises(TypeError):
+            LevelVector(2, 1, {0: 0.1})
+        assert LevelVector(2, 1, {0: "1/3", 1: 2}).entries == {0: Q(1, 3), 1: Q(2)}
+
 
 class TestSpan:
     def test_independent_pair(self):

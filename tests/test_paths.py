@@ -34,6 +34,12 @@ class TestPath:
         with pytest.raises(ValueError):
             PiecewiseLinearPath(0, [])
 
+    def test_rejects_floats(self):
+        with pytest.raises(TypeError):
+            PiecewiseLinearPath(2, [[0.1, 0.2]])
+        p = PiecewiseLinearPath(2, [["1/10", 1], [Q(1, 3), 0]])
+        assert p.segments == ((Q(1, 10), Q(1)), (Q(1, 3), Q(0)))
+
     def test_closing_segment(self):
         p = PiecewiseLinearPath(2, [(1, 0), (0, 1)])
         assert closing_segment(p) == (Q(-1), Q(-1))
@@ -56,6 +62,11 @@ class TestPath:
 
 
 class TestSegmentSignature:
+    def test_rejects_floats(self):
+        with pytest.raises(TypeError):
+            segment_signature(2, (0.5, 0), 2)
+        assert segment_signature(2, ("1/2", 0), 2).coefficient("11") == Q(1, 8)
+
     def test_axis_segment(self):
         sig = segment_signature(2, (1, 0), 2)
         assert sig.pair(W(2, "11")) == Q(1, 2)
@@ -214,6 +225,12 @@ class TestFuzzers:
         assert report.ok
         assert report.witness_found
         assert report.checks > 0
+
+    def test_conjugation_fuzz_runs_every_trial(self):
+        # the canonical axis pair runs in addition to the random trials
+        report = fuzz_conjugation(2, 1, 1000, seed=5)
+        assert report.trials == 1000
+        assert report.checks == 1001 * 2
 
     def test_loop_fuzz(self):
         report = fuzz_loop(2, 4, 8, seed=11)

@@ -87,6 +87,16 @@ class TestElement:
         with pytest.raises(ValueError):
             shuffle(W(2, "1"), W(3, "1"))
 
+    def test_rejects_floats(self):
+        with pytest.raises(TypeError):
+            TensorElement(2, {(1,): 0.1})
+        for scale in (lambda x: x * 0.5, lambda x: 0.5 * x, lambda x: x / 0.5):
+            with pytest.raises(TypeError):
+                scale(W(2, "1"))
+        x = TensorElement(2, {(1,): "1/10", (2,): Q(1, 3), (1, 2): 2})
+        assert x.coefficient("1") == Q(1, 10)
+        assert (x * "3/2").coefficient("2") == Q(1, 2)
+
     def test_arithmetic(self):
         x = W(2, "12") + 2 * W(2, "21")
         assert x.coefficient("21") == 2
