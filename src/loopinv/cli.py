@@ -314,6 +314,17 @@ def _d_type(value: str) -> int:
     return d
 
 
+def _int_at_least(low: int):
+    def parse(value: str) -> int:
+        number = int(value)
+        if number < low:
+            raise argparse.ArgumentTypeError("must be at least %d" % low)
+        return number
+
+    parse.__name__ = "int"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="loopinv",
@@ -343,8 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", help="seeded exact fuzzing against path signatures")
     p.add_argument("--d", type=_d_type, default=2)
-    p.add_argument("--level", type=int, default=None)
-    p.add_argument("--trials", type=int, default=25,
+    p.add_argument("--level", type=_int_at_least(1), default=None)
+    p.add_argument("--trials", type=_int_at_least(0), default=25,
                    help="random trials per suite; the conjugation suite runs "
                    "the canonical axis pair in addition")
     p.add_argument("--seed", type=int, default=7)
@@ -355,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("basis", help="export the exact basis of a space")
     p.add_argument("--space", choices=["conj", "loop", "closure", "V", "S"], required=True)
     p.add_argument("--d", type=_d_type, default=2)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_basis)
 

@@ -25,10 +25,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from ._rat import Q
 from .linalg import (
     Budget,
-    LevelVector,
+    BudgetExceeded,
     Subspace,
     contains,
     intersect,
@@ -48,7 +47,7 @@ from .tensor import (
     rotation_sum,
     shuffle,
 )
-from .words import Word, all_words, lyndon_count, lyndon_words, necklaces
+from .words import Word, all_words, lyndon_count, lyndon_words, necklaces, rotations
 from . import tensor as _tensor
 
 
@@ -150,7 +149,13 @@ class InvariantSpaces:
 
     def _cached(self, key, fn: Callable):
         if key not in self._memo:
-            self._memo[key] = fn()
+            try:
+                self._memo[key] = fn()
+            except BudgetExceeded as exc:
+                if exc.space is None:
+                    exc.space = key
+                    exc.args = ("%s in %r" % (exc, key),)
+                raise
         return self._memo[key]
 
     def _full_space(self, n: int) -> Subspace:
@@ -158,8 +163,8 @@ class InvariantSpaces:
 
     # -- constraint-row generators ---------------------------------------
 
-    def _letter_bracket_rows(self, n: int) -> list[LevelVector]:
-        """Coordinate vectors of [i, q] for letters i and words q of length n-1."""
+    def _letter_bracket_rows(self, n: int) -> list[dict[int, int]]:
+        """Integer rows of [i, q] for letters i and words q of length n-1."""
         d = self.d
         rows = []
         dm = d ** (n - 1)
@@ -168,22 +173,18 @@ class InvariantSpaces:
                 left = i * dm + q  # index of i q
                 right = q * d + i  # index of q i
                 if left != right:
-                    rows.append(LevelVector(d, n, {left: Q(1), right: Q(-1)}))
+                    rows.append({left: 1, right: -1})
         return rows
 
-    def _letter_shuffle_rows(self, n: int) -> list[LevelVector]:
-        """Coordinate vectors of i shuffled with u, |u| = n - 1."""
+    def _letter_shuffle_rows(self, n: int) -> list[dict[int, int]]:
+        """Integer rows of i shuffled with u, |u| = n - 1."""
         d = self.d
         rows = []
         for i in range(1, d + 1):
             for u in all_words(d, n - 1):
-                data: dict[tuple[int, ...], object] = {}
-                _tensor._shuffle_words_into(data, (i,), u, Q(1))
-                rows.append(
-                    LevelVector(
-                        d, n, {word_index(w, d): c for w, c in data.items()}
-                    )
-                )
+                data: dict[tuple[int, ...], int] = {}
+                _tensor._shuffle_words_into(data, (i,), u, 1)
+                rows.append({word_index(w, d): c for w, c in data.items()})
         return rows
 
     # -- spaces -----------------------------------------------------------
@@ -283,15 +284,11 @@ class InvariantSpaces:
         rows = []
         for row in s.rows:
             for i in range(d):
-                entries: dict[int, object] = {}
+                entries: dict[int, int] = {}
                 for idx, c in row.items():
-                    for j, sgn in ((idx * d + i, 1), (i * dm + idx, -1)):
-                        new = entries.get(j, 0) + sgn * c
-                        if new:
-                            entries[j] = new
-                        else:
-                            del entries[j]
-                rows.append(LevelVector(d, n, entries))
+                    entries[idx * d + i] = entries.get(idx * d + i, 0) + c
+                    entries[i * dm + idx] = entries.get(i * dm + idx, 0) - c
+                rows.append(entries)
         return span(d, n, rows, self.budget)
 
     def bracket_zero_increment(self, n: int) -> Subspace:
@@ -319,26 +316,21 @@ class InvariantSpaces:
 
         return self._cached(("loop", n), build)
 
-    def _closure_difference_rows(self, n: int) -> list[LevelVector]:
-        """Rows of the matrix of (right closure - left closure) on level n."""
+    def _closure_difference_rows(self, n: int) -> list[dict[int, int]]:
+        """Integer rows of the matrix of n! (right closure - left closure)
+        on level n."""
         d = self.d
-        by_output: dict[tuple[int, ...], dict[int, object]] = {}
+        by_output: dict[tuple[int, ...], dict[int, int]] = {}
         for w in all_words(d, n):
             self._check_budget()
             col = word_index(w, d)
-            rcl_w = _tensor._rcl_word(w)
-            lcl_rev = _tensor._rcl_word(w[::-1])
-            diff: dict[tuple[int, ...], object] = dict(rcl_w)
-            for out_w, c in lcl_rev.items():
-                key = out_w[::-1]
-                new = diff.get(key, 0) - c
-                if new:
-                    diff[key] = new
-                else:
-                    diff.pop(key, None)
+            diff = dict(_tensor._rcl_word(w))
+            for out_w, c in _tensor._rcl_word(w[::-1]).items():
+                diff[out_w[::-1]] = diff.get(out_w[::-1], 0) - c
             for out_w, c in diff.items():
-                by_output.setdefault(out_w, {})[col] = c
-        return [LevelVector(d, n, entries) for entries in by_output.values()]
+                if c:
+                    by_output.setdefault(out_w, {})[col] = c
+        return list(by_output.values())
 
     def closure_invariants(self, n: int) -> Subspace:
         """Image of the right closure on level n.
@@ -350,15 +342,13 @@ class InvariantSpaces:
 
         def build():
             d = self.d
-            vectors = []
+            rows = []
             for w in all_words(d, n):
                 self._check_budget()
-                entries = {
-                    word_index(out_w, d): c for out_w, c in _tensor._rcl_word(w).items()
-                }
-                if entries:
-                    vectors.append(LevelVector(d, n, entries))
-            image = span(d, n, vectors, self.budget)
+                rows.append(
+                    {word_index(out_w, d): c for out_w, c in _tensor._rcl_word(w).items()}
+                )
+            image = span(d, n, rows, self.budget)
             if image.dim != self.zero_increment_space(n).dim:
                 raise CrossCheckError(
                     "closure-invariant dimension differs from dim V at d=%d, n=%d"
@@ -378,12 +368,17 @@ class InvariantSpaces:
         """Span of right-closed rotation sums over necklaces of length n."""
 
         def build():
-            return span_tensors(
-                self.d,
-                n,
-                (right_closure(rotation_sum(w)) for w in necklaces(self.d, n)),
-                self.budget,
-            )
+            d = self.d
+            rows = []
+            for w in necklaces(d, n):
+                self._check_budget()
+                row: dict[int, int] = {}
+                for rot in rotations(w.letters):
+                    for out_w, c in _tensor._rcl_word(rot).items():
+                        j = word_index(out_w, d)
+                        row[j] = row.get(j, 0) + c
+                rows.append(row)
+            return span(d, n, rows, self.budget)
 
         return self._cached(("rclrot", n), build)
 
@@ -541,23 +536,15 @@ def inverse_euler_transform(dims: Sequence[int]) -> list[int]:
 
 
 def _multiply_free_factor(series: list[int], degree: int, count: int, top: int) -> list[int]:
-    """Multiply a coefficient list by (1 - q^degree)^(-count), truncated."""
-    if count > 0:
-        factor = [0] * (top + 1)
-        j = 0
-        binom = 1
-        while degree * j <= top:
-            factor[degree * j] = binom
-            binom = binom * (count + j) // (j + 1)
-            j += 1
-    else:
-        factor = [0] * (top + 1)
-        j = 0
-        binom = 1
-        while degree * j <= top and j <= -count:
-            factor[degree * j] = binom if j % 2 == 0 else -binom
-            binom = binom * (-count - j) // (j + 1)
-            j += 1
+    """Multiply a coefficient list by (1 - q^degree)^(-count), truncated.
+    The factor's coefficients are the binomials C(count + j - 1, j)."""
+    factor = [0] * (top + 1)
+    j = 0
+    binom = 1
+    while degree * j <= top:
+        factor[degree * j] = binom
+        binom = binom * (count + j) // (j + 1)
+        j += 1
     out = [0] * (top + 1)
     for i, a in enumerate(series):
         if a:

@@ -1,19 +1,19 @@
 """Exact sparse linear algebra over the word basis of one level.
 
-Vectors are sparse maps from word indices (base-d encoding of the letter
-sequence) to rationals.  Subspaces are kept in reduced row echelon form,
-which is canonical: two subspaces are equal exactly when their stored
-rows are identical, and re-reducing a basis reproduces it verbatim.
-
-Elimination runs on content-stripped integer rows (cross-multiply then
-divide by the gcd) so coefficient growth stays tame; rows are only
-converted back to rationals when pivots are normalized to 1 at the end.
+Rows are sparse maps from word indices (base-d encoding of the letter
+sequence) to coefficients.  Internally every row is a content-stripped
+integer row ``{index: int}``: elimination cross-multiplies and divides by
+the gcd, so no rational is formed.  Subspaces store their reduced row
+echelon form scaled to coprime integer rows with positive pivots, which is
+canonical: two subspaces are equal exactly when their stored rows are
+identical.  Rationals appear only at the boundary: :class:`LevelVector`
+input, and the exported bases, which divide each row by its pivot.
 """
 
 from __future__ import annotations
 
 import time
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from ._rat import Q, exact
@@ -21,14 +21,20 @@ from .tensor import TensorElement
 
 
 class BudgetExceeded(Exception):
-    """A wall-clock or coefficient-size budget was hit mid-computation."""
+    """A wall-clock or coefficient-size budget was hit mid-computation.
+
+    ``space`` is the memo key of the innermost invariant space being built.
+    """
+
+    space = None
 
 
 class Budget:
     """Optional guard threaded through the heavy loops.
 
     ``seconds`` bounds wall-clock time from construction, ``max_bits``
-    bounds the bit size of any integer produced during elimination.
+    bounds the bit size of any integer produced during elimination (every
+    combined row is checked when a budget is set).
     """
 
     def __init__(self, seconds: float | None = None, max_bits: int | None = None):
@@ -109,7 +115,9 @@ class LevelVector:
 
 
 class Subspace:
-    """A linear subspace of one level, stored as a canonical RREF basis."""
+    """A linear subspace of one level, stored as a canonical RREF basis:
+    ``rows[i]`` has coprime integer coefficients and a positive entry in
+    column ``pivots[i]``, where no other row has a nonzero."""
 
     __slots__ = ("d", "n", "pivots", "rows")
 
@@ -124,7 +132,11 @@ class Subspace:
         return len(self.rows)
 
     def basis_vectors(self) -> list[LevelVector]:
-        return [LevelVector(self.d, self.n, dict(row)) for row in self.rows]
+        """The stored rows divided by their pivots (pivot entries 1)."""
+        return [
+            LevelVector(self.d, self.n, {k: Q(v, row[p]) for k, v in row.items()})
+            for p, row in zip(self.pivots, self.rows)
+        ]
 
     def basis_tensors(self) -> list[TensorElement]:
         return [v.to_tensor() for v in self.basis_vectors()]
@@ -158,12 +170,11 @@ def _strip_content(row: dict[int, int]) -> None:
 
 
 def _int_row(entries: dict[int, object]) -> dict[int, int]:
-    """Clear denominators and strip the content of a rational sparse row."""
-    lcm = 1
-    for v in entries.values():
-        den = v.denominator
-        lcm = lcm // gcd(lcm, den) * den
-    row = {k: int(v.numerator) * (lcm // int(v.denominator)) for k, v in entries.items()}
+    """Clear denominators and strip the content of a nonzero sparse row."""
+    if any(isinstance(v, float) for v in entries.values()):
+        raise TypeError("exact coefficients expected, got a float")
+    scale = lcm(*(int(v.denominator) for v in entries.values()))
+    row = {k: int(v.numerator) * (scale // int(v.denominator)) for k, v in entries.items()}
     _strip_content(row)
     return row
 
@@ -189,14 +200,19 @@ def _combine(r: dict[int, int], pivot_row: dict[int, int], col: int) -> None:
     _strip_content(r)
 
 
+def _check_bits(row: dict[int, int], budget: Budget) -> None:
+    budget.check(max((abs(v).bit_length() for v in row.values()), default=0))
+
+
 def _eliminate(rows: list[dict[int, int]], budget: Budget | None = None):
     """Gauss-Jordan on integer rows; returns [(pivot_col, row), ...].
 
     Pivot choice per the module contract: globally smallest leading
     column first, then the candidate row whose leading entry has smallest
     magnitude, ties broken by insertion order.  A forward pass produces
-    the echelon rows, a backward sweep clears pivot columns above, so the
-    output is the canonical reduced form sorted by pivot column.
+    the echelon rows, a backward sweep clears pivot columns above and
+    makes each pivot positive, so the output is the canonical reduced form
+    sorted by pivot column.  The input rows are consumed.
     """
     buckets: dict[int, list[dict[int, int]]] = {}
     for r in rows:
@@ -218,92 +234,101 @@ def _eliminate(rows: list[dict[int, int]], budget: Budget | None = None):
         for r in group:
             _combine(r, pivot_row, col)
             if r:
+                if budget is not None:
+                    _check_bits(r, budget)
                 buckets.setdefault(min(r), []).append(r)
         echelon.append((col, pivot_row))
     # Backward sweep.  Finished rows contain no pivot columns besides
     # their own, so eliminating the hits found up front is complete.
     pivot_cols = {col for col, _ in echelon}
     by_col = dict(echelon)
-    for i in range(len(echelon) - 2, -1, -1):
+    for i in range(len(echelon) - 1, -1, -1):
         col_i, row_i = echelon[i]
         hits = [c for c in row_i if c != col_i and c in pivot_cols]
         for c in sorted(hits, reverse=True):
             _combine(row_i, by_col[c], c)
+            if budget is not None:
+                _check_bits(row_i, budget)
+        if row_i[col_i] < 0:
+            for k in row_i:
+                row_i[k] = -row_i[k]
     return echelon
 
 
-def _normalize(done) -> tuple[tuple[int, ...], tuple[dict, ...]]:
-    pivots = tuple(col for col, _ in done)
-    rows = tuple(
-        {k: Q(v, row[col]) for k, v in row.items()} for col, row in done
-    )
-    return pivots, rows
+def _subspace(d: int, n: int, echelon) -> Subspace:
+    return Subspace(d, n, [col for col, _ in echelon], [row for _, row in echelon])
 
 
-def _int_rows(
-    d: int, n: int, vectors: Iterable[LevelVector], budget: Budget | None, where: str
-) -> list[dict[int, int]]:
-    """Integer rows of the nonzero vectors; the budget is checked per vector,
-    so lazily generated input is bounded too."""
+def _int_rows(d: int, n: int, vectors: Iterable, budget: Budget | None, where: str):
+    """Integer rows of the nonzero inputs: LevelVectors of shape (d, n) or
+    raw rows ``{index: int or rational}``, whose indices are range-checked
+    and zeros dropped.  The budget is checked per input, so lazily
+    generated input is bounded too."""
+    size = d**n
     rows = []
     for v in vectors:
         if budget is not None:
             budget.check()
-        if (v.d, v.n) != (d, n):
-            raise ValueError(
-                "vector of shape (%d, %d) in %s of (%d, %d)" % (v.d, v.n, where, d, n)
-            )
-        if v.entries:
-            rows.append(_int_row(v.entries))
+        if isinstance(v, LevelVector):
+            if (v.d, v.n) != (d, n):
+                raise ValueError(
+                    "vector of shape (%d, %d) in %s of (%d, %d)" % (v.d, v.n, where, d, n)
+                )
+            entries = v.entries
+        elif v and (min(v) < 0 or max(v) >= size):
+            raise ValueError("row index outside level of size %d in %s" % (size, where))
+        else:
+            entries = {k: c for k, c in v.items() if c}
+        if entries:
+            rows.append(_int_row(entries))
     return rows
 
 
-def span(d: int, n: int, vectors: Iterable[LevelVector], budget: Budget | None = None) -> Subspace:
-    """Canonical RREF basis of the span of the given vectors."""
-    rows = _int_rows(d, n, vectors, budget, "span")
-    pivots, out = _normalize(_eliminate(rows, budget))
-    return Subspace(d, n, pivots, out)
+def span(d: int, n: int, vectors: Iterable, budget: Budget | None = None) -> Subspace:
+    """Canonical RREF basis of the span of the given vectors or raw rows."""
+    return _subspace(d, n, _eliminate(_int_rows(d, n, vectors, budget, "span"), budget))
 
 
 def span_tensors(d: int, n: int, elements: Iterable[TensorElement], budget: Budget | None = None) -> Subspace:
     return span(d, n, (LevelVector.from_tensor(x, n) for x in elements), budget)
 
 
-def kernel(
-    d: int, n: int, constraint_rows: Iterable[LevelVector], budget: Budget | None = None
-) -> Subspace:
+def _null_space(d: int, n: int, reduced, budget: Budget | None) -> Subspace:
+    """Joint kernel of rows in reduced echelon form: one null vector per
+    free column f, scaled by the lcm of the pivots of the rows hitting f."""
+    reduced = list(reduced)
+    pivot_set = {col for col, _ in reduced}
+    null_rows = []
+    for f in range(d**n):
+        if f not in pivot_set:
+            hits = [(col, row) for col, row in reduced if f in row]
+            scale = lcm(*(row[col] for col, row in hits))
+            vec = {col: -row[f] * (scale // row[col]) for col, row in hits}
+            vec[f] = scale
+            _strip_content(vec)
+            null_rows.append(vec)
+    free = len(null_rows)
+    assert len(reduced) + free == d**n, "rank-nullity violated"
+    out = _subspace(d, n, _eliminate(null_rows, budget))
+    assert out.dim == free
+    return out
+
+
+def kernel(d: int, n: int, constraint_rows: Iterable, budget: Budget | None = None) -> Subspace:
     """Basis of the joint kernel {x : <row, x> = 0 for every row}."""
     rows = _int_rows(d, n, constraint_rows, budget, "kernel")
-    reduced = _eliminate(rows, budget)
-    size = d**n
-    rank = len(reduced)
-    pivot_set = {col for col, _ in reduced}
-    free_cols = [c for c in range(size) if c not in pivot_set]
-    assert rank + len(free_cols) == size, "rank-nullity violated"
-    kernel_rows = []
-    for f in free_cols:
-        vec = {f: Q(1)}
-        for col, row in reduced:
-            v = row.get(f)
-            if v is not None:
-                vec[col] = Q(-v, row[col])
-        kernel_rows.append(LevelVector(d, n, vec))
-    out = span(d, n, kernel_rows, budget)
-    assert out.dim == len(free_cols)
-    return out
+    return _null_space(d, n, _eliminate(rows, budget), budget)
 
 
 def orthogonal_complement(s: Subspace, budget: Budget | None = None) -> Subspace:
     """Complement with respect to the word-basis inner product."""
-    out = kernel(s.d, s.n, s.basis_vectors(), budget)
-    assert s.dim + out.dim == s.d**s.n
-    return out
+    return _null_space(s.d, s.n, zip(s.pivots, s.rows), budget)
 
 
 def subspace_sum(a: Subspace, b: Subspace, budget: Budget | None = None) -> Subspace:
     if (a.d, a.n) != (b.d, b.n):
         raise ValueError("subspace shape mismatch")
-    return span(a.d, a.n, list(a.basis_vectors()) + list(b.basis_vectors()), budget)
+    return _subspace(a.d, a.n, _eliminate([dict(r) for r in a.rows + b.rows], budget))
 
 
 def intersect(a: Subspace, b: Subspace, budget: Budget | None = None) -> Subspace:
@@ -327,12 +352,9 @@ def reduce_vector(x: LevelVector, s: Subspace) -> LevelVector:
         f = entries.get(pivot)
         if not f:
             continue
+        f = f / row[pivot]
         for k, v in row.items():
-            new = entries.get(k, 0) - f * v
-            if new:
-                entries[k] = new
-            else:
-                entries.pop(k, None)
+            entries[k] = entries.get(k, 0) - f * v
     return LevelVector(x.d, x.n, entries)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from math import factorial
 from typing import Sequence
 
 from ._rat import Q, exact, rational_from_string, rational_to_string
@@ -460,16 +461,10 @@ def staircase_eval(n: int, m: int, xs: Sequence) -> object:
     for x in xs:
         product *= x
     power_sum = sum((x**m for x in xs), Q(0))
-    expected = product * power_sum / _factorial_q(m + 1)
+    expected = product * power_sum / factorial(m + 1)
     if value != expected:
         raise AssertionError(
             "staircase evaluation mismatch: %s != %s" % (value, expected)
         )
     return value
 
-
-def _factorial_q(n: int):
-    out = Q(1)
-    for k in range(2, n + 1):
-        out *= k
-    return out

@@ -28,8 +28,8 @@ from ._rat import Q, exact, rational_to_string
 from .words import Word, rotations, standard_factorization
 
 # caches shared across alphabet sizes: expansions depend on letters only
-_RCL_CACHE: dict[tuple[int, ...], dict[tuple[int, ...], object]] = {}
-_H_CACHE: dict[tuple[int, ...], tuple[object, list[tuple[int, ...]]]] = {}
+_RCL_CACHE: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+_H_CACHE: dict[tuple[int, ...], tuple[int, list[tuple[int, ...]]]] = {}
 _LYNDON_POLY_CACHE: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
 
 
@@ -202,17 +202,7 @@ def _check_same_alphabet(a: TensorElement, b: TensorElement) -> None:
 
 def concat(a: TensorElement, b: TensorElement) -> TensorElement:
     """Concatenation (tensor) product, extended bilinearly."""
-    _check_same_alphabet(a, b)
-    data: dict[tuple[int, ...], object] = {}
-    for u, cu in a._terms.items():
-        for v, cv in b._terms.items():
-            w = u + v
-            new = data.get(w, 0) + cu * cv
-            if new:
-                data[w] = new
-            else:
-                del data[w]
-    return TensorElement._raw(a.d, data)
+    return concat_truncated(a, b, a.max_level + b.max_level)
 
 
 def concat_truncated(a: TensorElement, b: TensorElement, n: int) -> TensorElement:
@@ -346,12 +336,13 @@ def cyclic_shift(x: TensorElement, level: int | None = None) -> TensorElement:
 
 
 def _h_expansion(letters: tuple[int, ...]):
-    """Common coefficient and support of the signed letter shuffle.
+    """Scaled coefficient and support of the signed letter shuffle.
 
     For a word with letter multiplicities m_1, ..., m_k and length n the
     shuffle of its letters is (prod m_i!) times the sum of its distinct
     anagrams, so the normalized expansion has the single coefficient
-    (-1)^n * prod(m_i!) / n! on every anagram.
+    (-1)^n * prod(m_i!) / n! on every anagram.  Returns that coefficient
+    times n!, an integer, with the anagrams.
     """
     key = tuple(sorted(letters))
     hit = _H_CACHE.get(key)
@@ -363,10 +354,9 @@ def _h_expansion(letters: tuple[int, ...]):
     for i in range(1, n):
         run = run + 1 if key[i] == key[i - 1] else 1
         mult *= run
-    coeff = Q((-1) ** n * mult, factorial(n))
     anagrams = _multiset_permutations(key)
-    _H_CACHE[key] = (coeff, anagrams)
-    return coeff, anagrams
+    _H_CACHE[key] = ((-1) ** n * mult, anagrams)
+    return _H_CACHE[key]
 
 
 def _multiset_permutations(sorted_letters: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -390,8 +380,8 @@ def closing_segment_dual(x: TensorElement) -> TensorElement:
     against the original word."""
     data: dict[tuple[int, ...], object] = {}
     for t, c in x._terms.items():
-        coeff, anagrams = _h_expansion(t)
-        value = c * coeff
+        scaled, anagrams = _h_expansion(t)
+        value = c * Q(scaled, factorial(len(t)))
         for w in anagrams:
             new = data.get(w, 0) + value
             if new:
@@ -401,19 +391,24 @@ def closing_segment_dual(x: TensorElement) -> TensorElement:
     return TensorElement._raw(x.d, data)
 
 
-def _rcl_word(letters: tuple[int, ...]) -> dict[tuple[int, ...], object]:
-    """Right closure of a single word as a coefficient dict (cached).
+def _rcl_word(letters: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """n! times the right closure of a single word of length n (cached).
 
-    Sum over all splits w = u v of the shuffle of u with the signed
-    normalized letter shuffle of v.
+    The right closure is the sum over all splits w = u v of the shuffle of
+    u with the signed normalized letter shuffle of v.  Every coefficient
+    has a denominator dividing n!, so the scaled expansion is integer; the
+    split with |v| = k contributes (n! / k!) times the scaled letter
+    shuffle of v.
     """
     hit = _RCL_CACHE.get(letters)
     if hit is not None:
         return hit
-    data: dict[tuple[int, ...], object] = {}
-    for i in range(len(letters) + 1):
+    n = len(letters)
+    data: dict[tuple[int, ...], int] = {}
+    for i in range(n + 1):
         u, v = letters[:i], letters[i:]
-        coeff, anagrams = _h_expansion(v)
+        scaled, anagrams = _h_expansion(v)
+        coeff = scaled * (factorial(n) // factorial(n - i))
         for hw in anagrams:
             _shuffle_words_into(data, u, hw, coeff)
     _RCL_CACHE[letters] = data
@@ -426,31 +421,24 @@ def right_closure(x: TensorElement) -> TensorElement:
     data: dict[tuple[int, ...], object] = {}
     for t, c in x._terms.items():
         for w, v in _rcl_word(t).items():
-            new = data.get(w, 0) + c * v
-            if new:
-                data[w] = new
-            else:
-                del data[w]
-    return TensorElement._raw(x.d, data)
+            data[w] = data.get(w, 0) + c * v
+    return TensorElement._raw(
+        x.d, {w: c / factorial(len(w)) for w, c in data.items() if c}
+    )
+
+
+def _reversed(x: TensorElement) -> TensorElement:
+    return TensorElement._raw(x.d, {t[::-1]: c for t, c in x._terms.items()})
 
 
 def left_closure(x: TensorElement) -> TensorElement:
     """Mirror image of :func:`right_closure` (closing segment prepended).
 
-    Computed from the right closure of the reversed word: reversal is a
-    shuffle automorphism and fixes the signed letter shuffles, so the
-    split sum for one is the reversed split sum of the other.
+    Reversal is a shuffle automorphism and fixes the signed letter
+    shuffles, so the left closure is the reversed right closure of the
+    reversed element.
     """
-    data: dict[tuple[int, ...], object] = {}
-    for t, c in x._terms.items():
-        for w, v in _rcl_word(t[::-1]).items():
-            rw = w[::-1]
-            new = data.get(rw, 0) + c * v
-            if new:
-                data[rw] = new
-            else:
-                del data[rw]
-    return TensorElement._raw(x.d, data)
+    return _reversed(right_closure(_reversed(x)))
 
 
 # ---------------------------------------------------------------------------

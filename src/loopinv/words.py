@@ -68,10 +68,6 @@ class Word:
         return not self.letters
 
 
-def empty_word(d: int) -> Word:
-    return Word((), d)
-
-
 def all_words(d: int, n: int) -> Iterator[tuple[int, ...]]:
     """All letter tuples of length n over 1..d, in lexicographic order."""
     if n == 0:

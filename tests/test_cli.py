@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -56,6 +57,10 @@ class TestDims:
         assert code == EXIT_BUDGET_OR_CONFIG
         rows = list(csv.DictReader(io.StringIO(out)))
         assert all(r["status"] == "skipped" for r in rows)
+        _, text = run(capsys, ["dims", "--d", "2", "--max-level", "2", "--budget-secs", "-1",
+                               "--format", "json"])
+        reasons = [row["reason"] for row in json.loads(text)["rows"]]
+        assert reasons == ["time budget of -1s exceeded in ('conj', %d)" % n for n in (1, 2)]
 
     def test_table_selection(self, capsys):
         _, out = run(capsys, ["dims", "--d", "2", "--max-level", "3", "--table", "conj", "--format", "csv"])
@@ -135,6 +140,53 @@ class TestBasis:
         with pytest.raises(SystemExit) as err:
             main(["basis", "--space", "bogus", "--d", "2", "--n", "2"])
         assert err.value.code == EXIT_BUDGET_OR_CONFIG
+
+
+class TestBadNumbers:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fuzz", "--level", "0"],
+            ["fuzz", "--level", "-1"],
+            ["fuzz", "--trials", "-5"],
+            ["basis", "--space", "conj", "--n", "-1"],
+            ["basis", "--space", "loop", "--n", "0"],
+        ],
+    )
+    def test_rejected_with_exit_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == EXIT_BUDGET_OR_CONFIG
+        assert "must be at least" in capsys.readouterr().err
+
+
+# sha256 of exported bases and evidence, recorded before elimination moved
+# to integer rows; the exported rationals must not change
+GOLDEN = {
+    ("basis", "conj", 2, 6): "e3142b938f699bd2838e94cc3250a6ba0205fa1e13e5bf28309760b7be591e07",
+    ("basis", "loop", 2, 6): "6d24f73fe3e659267e0be17e28a57da2e0aef9ad29c042900dc4e31e0fbd8303",
+    ("basis", "closure", 2, 6): "7bdc7f5a715cc4987ed925125caee2b6683fdbe75e9271e249b94601eb011fa8",
+    ("basis", "V", 2, 6): "ff818566c89a46e3f2cb5f619027287ee95fcd224c6c5e894af8bc1d33efb12c",
+    ("basis", "S", 2, 6): "4567037ed089fad562fe4c3a2ea026b6df4f687a9ff77685ff4c1f55f0d35170",
+    ("basis", "conj", 3, 4): "487c580ca60dd331a400f6d92bb6830af2895762a5c0aa82a0439a1f2fe26a88",
+    ("basis", "loop", 3, 4): "976af7b8ee81a40d055b352de293d1dd74173247d5f0f726961668c1ba60c8f3",
+    ("basis", "closure", 3, 4): "c6f7e3c6f500255116c90513547a7e36a92b07273d0bccd3c0de46a29ba698d7",
+    ("basis", "V", 3, 4): "268286e507a030ea68283d7b4cb219926d7f8618104eaf29c5c95d67dcc8a132",
+    ("basis", "S", 3, 4): "dd886ff98518dea140ce30f4168016c78b75908c8ca45776a2179467e6f23cf5",
+    ("evidence", None, 2, 6): "a851d15a8205b332e222e7fc7e619cfba6aa77befdad14d603934146d6ea71b1",
+}
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("command, space, d, n", sorted(GOLDEN, key=str))
+    def test_digest(self, command, space, d, n, capsys):
+        if command == "basis":
+            argv = ["basis", "--space", space, "--d", str(d), "--n", str(n)]
+        else:
+            argv = ["evidence", "--d", str(d), "--max-level", str(n), "--format", "json"]
+        code, out = run(capsys, argv)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command, space, d, n]
 
 
 class TestEvidence:

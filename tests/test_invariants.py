@@ -280,12 +280,27 @@ class TestBudgetInHeavyLoops:
         assert len(calls) <= 1
 
     def test_lazy_span_input(self, monkeypatch):
-        calls = self.count_calls(monkeypatch, invariants, "right_closure")
+        calls = self.count_calls(monkeypatch, tensor, "_rcl_word")
         sp = InvariantSpaces(2)
         sp.set_budget(Budget(seconds=-1))
         with pytest.raises(BudgetExceeded):
             sp.closed_rotation_span(6)
         assert len(calls) <= 1
+
+    def test_names_the_space(self):
+        sp = InvariantSpaces(2)
+        sp.set_budget(Budget(seconds=-1))
+        with pytest.raises(BudgetExceeded) as err:
+            sp.report(4)
+        assert err.value.space == ("conj", 4)
+        assert str(err.value).endswith("in ('conj', 4)")
+        # the memo of a completed space is kept; the next one is named
+        sp.set_budget(None)
+        sp.conjugation_invariants(4)
+        sp.set_budget(Budget(seconds=-1))
+        with pytest.raises(BudgetExceeded) as err:
+            sp.report(4)
+        assert err.value.space == ("S", 4)
 
     def test_pbw_products(self):
         sp = InvariantSpaces(2)

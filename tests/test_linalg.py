@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 from conftest import random_homogeneous
@@ -80,6 +82,24 @@ class TestSpan:
         with pytest.raises(ValueError):
             span(2, 2, [vec(W(2, "121"))])
 
+    def test_raw_rows(self):
+        s = span(2, 2, [{0: 2, 3: 0, 1: Q(2, 3)}, {1: 0}])
+        assert s == span(2, 2, [LevelVector(2, 2, {0: 3, 1: 1})])
+        assert s.rows == ({0: 3, 1: 1},)
+        assert kernel(2, 2, [{0: 1, 1: -1}]) == kernel(2, 2, [vec(W(2, "11") - W(2, "12"))])
+
+    @pytest.mark.parametrize("build", [span, kernel])
+    @pytest.mark.parametrize("index", [4, -1])
+    def test_raw_row_index_outside_level(self, build, index):
+        with pytest.raises(ValueError):
+            build(2, 2, [{0: 1}, {index: 1}])
+        with pytest.raises(ValueError):
+            build(2, 2, [{index: 0}])
+
+    def test_raw_row_rejects_floats(self):
+        with pytest.raises(TypeError):
+            span(2, 2, [{0: 0.5}])
+
     def test_rref_is_canonical(self, rng):
         # re-reducing a reduced basis reproduces it identically, and the
         # result does not depend on the order of the generators
@@ -92,12 +112,21 @@ class TestSpan:
             assert span(2, 3, shuffled) == s
 
     def test_pivots_normalized(self, rng):
-        s = random_subspace(rng, 2, 3, 3)
-        for pivot, row in zip(s.pivots, s.rows):
-            assert row[pivot] == 1
-            for other in s.rows:
-                if other is not row:
-                    assert pivot not in other
+        # stored rows are coprime integers with a positive pivot that no
+        # other row touches; the exported basis has the same shape with
+        # pivot entries 1
+        for _ in range(10):
+            s = random_subspace(rng, 2, 3, rng.randint(1, 5))
+            assert s.dim > 0
+            for pivot, row in zip(s.pivots, s.rows):
+                assert all(type(v) is int for v in row.values())
+                assert gcd(*row.values()) == 1
+                assert row[pivot] > 0 and min(row) == pivot
+                assert all(pivot not in other for other in s.rows if other is not row)
+            basis = s.basis_vectors()
+            for pivot, v in zip(s.pivots, basis):
+                assert v.entries[pivot] == 1 and min(v.entries) == pivot
+                assert all(pivot not in w.entries for w in basis if w is not v)
 
 
 class TestKernel:
@@ -206,6 +235,13 @@ class TestBudget:
         with pytest.raises(BudgetExceeded):
             Budget(max_bits=8).check(bits=9)
         Budget(max_bits=8).check(bits=8)
+
+    def test_bits_of_combined_rows(self):
+        # the pivots are small, but cancelling column 0 leaves a 20-bit entry
+        rows = [LevelVector(2, 2, {0: 1, 1: 3}), LevelVector(2, 2, {0: 2, 2: 2**20})]
+        with pytest.raises(BudgetExceeded):
+            span(2, 2, rows, Budget(max_bits=8))
+        assert span(2, 2, rows, Budget(max_bits=20)).dim == 2
 
     def test_threaded_through_span(self, rng):
         vectors = [vec(random_homogeneous(rng, 2, 4), 4) for _ in range(8)]

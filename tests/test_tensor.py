@@ -8,6 +8,7 @@ from conftest import random_element, random_homogeneous
 from loopinv._rat import Q
 from loopinv.tensor import (
     TensorElement,
+    _rcl_word,
     bracket,
     closing_segment_dual,
     concat,
@@ -339,6 +340,16 @@ class TestClosures:
             x = W(2, w) if w else E(2)
             assert right_closure(x) == rcl_oracle(x)
             assert left_closure(x) == lcl_oracle(x)
+
+    @pytest.mark.parametrize("d, top", [(2, 6), (3, 4)])
+    def test_scaled_word_table(self, d, top):
+        # the cached table holds n! rcl(w) with integer coefficients
+        for n in range(top + 1):
+            for w in all_words(d, n):
+                table = _rcl_word(w)
+                assert all(type(c) is int for c in table.values())
+                expected = math.factorial(n) * rcl_oracle(W(d, w) if w else E(d))
+                assert TensorElement(d, table) == expected
 
     def test_linear_inputs(self, rng):
         for _ in range(10):
