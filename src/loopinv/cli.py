@@ -19,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 from .invariants import (
@@ -66,11 +67,7 @@ FUZZ_DEFAULT_LEVEL = {2: 6, 3: 5}
 
 def _new_columns(d: int, level: int, columns) -> list[str]:
     extent = PUBLISHED_MAX_LEVEL.get(d, {})
-    out = []
-    for col in columns:
-        if col in extent and level > extent[col]:
-            out.append(col)
-    return out
+    return [col for col in columns if level > extent.get(col, level)]
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -299,14 +296,6 @@ def cmd_evidence(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser, with_format=True):
-    parser.add_argument("--out", help="write output to this file instead of stdout")
-    if with_format:
-        parser.add_argument(
-            "--format", choices=["pretty", "csv", "json"], default="pretty"
-        )
-
-
 def _d_type(value: str) -> int:
     d = int(value)
     if not 2 <= d <= 9:
@@ -343,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="wall-clock budget per (d, level) cell")
     p.add_argument("--budget-bits", type=int, default=None,
                    help="largest allowed coefficient bit size during elimination")
-    _add_common(p)
+    p.add_argument("--out", help="write output to this file instead of stdout")
+    p.add_argument("--format", choices=["pretty", "csv", "json"], default="pretty")
     p.set_defaults(func=cmd_dims)
 
     p = sub.add_parser("check", help="verify the explicit shuffle identities")
@@ -390,6 +380,8 @@ def main(argv=None) -> int:
         )
     if getattr(args, "max_level", 1) < 1:
         parser.error("--max-level must be at least 1")
+    if math.isnan(getattr(args, "budget_secs", None) or 0):
+        parser.error("--budget-secs must be a number, not nan")
     try:
         return args.func(args)
     except CrossCheckError as exc:
@@ -397,6 +389,9 @@ def main(argv=None) -> int:
         return EXIT_MATH_FAILURE
     except BudgetExceeded as exc:
         sys.stderr.write("budget exceeded: %s\n" % exc)
+        return EXIT_BUDGET_OR_CONFIG
+    except OSError as exc:
+        sys.stderr.write("cannot write output: %s\n" % exc)
         return EXIT_BUDGET_OR_CONFIG
 
 

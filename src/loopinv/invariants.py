@@ -4,15 +4,21 @@ Each space is computed by two independent routes whenever the theory
 provides them, and the routes are asserted equal:
 
 * conjugation invariants: span of rotation sums over necklaces, and the
-  kernel of all letter-bracket constraints ``<[i, q], x> = 0``;
+  kernel of all letter-bracket constraints ``<[q, i], x> = 0``;
 * the zero-increment space V: orthogonal complement of the letter
   shuffle ideal S, and the span of products of non-letter Lyndon
   bracketings (a PBW spanning set), with the dimension checked against
   the generating-series coefficient of (1-q)^d / (1-dq);
 * loop invariants: orthogonal complement of [V, letters], and the kernel
   of (right closure - left closure);
-* letter-reduced conjugation invariants: a quotient-dimension formula
-  and the rank of right-closed rotation sums.
+* letter-reduced conjugation invariants: the quotient dimension
+  dim(conj + S) - dim S, and the rank of right-closed rotation sums.
+
+Every spanning set is a stream of integer rows ``{word index: int}``
+made by four row operators (rotation sums, letter brackets, shuffles and
+the n!-scaled right closure), so building a table forms no rational.
+Rationals appear only where a basis leaves as a tensor element, in
+:func:`verify_relations` and in the conjecture-evidence memberships.
 
 A failed cross-check raises :class:`CrossCheckError`; budget overruns
 raise :class:`~loopinv.linalg.BudgetExceeded` and leave the caches
@@ -21,6 +27,7 @@ untouched for the completed cells.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -30,18 +37,19 @@ from .linalg import (
     BudgetExceeded,
     Subspace,
     contains,
+    index_word,
     intersect,
     kernel,
     member_tensor,
     orthogonal_complement,
     span,
-    span_tensors,
+    span_tensors,  # noqa: F401  (unused here; bench/tracing.py wraps this name)
     subspace_sum,
     word_index,
 )
 from .tensor import (
     TensorElement,
-    concat,
+    concat,  # noqa: F401  (unused here; bench/tracing.py wraps this name)
     lyndon_bracketing,
     right_closure,
     rotation_sum,
@@ -100,16 +108,8 @@ class InvariantReport:
     dims: dict[str, int]
 
     COLUMNS = (
-        "conjugation",
-        "logsignature",
-        "V_n",
-        "bracket_VR",
-        "letter_reduced_conj",
-        "letter_reduced_loop",
-        "closure",
-        "loop",
-        "S_n",
-        "min_generators",
+        "conjugation", "logsignature", "V_n", "bracket_VR", "letter_reduced_conj",
+        "letter_reduced_loop", "closure", "loop", "S_n", "min_generators",
     )
 
     def __post_init__(self):
@@ -158,34 +158,59 @@ class InvariantSpaces:
                 raise
         return self._memo[key]
 
-    def _full_space(self, n: int) -> Subspace:
-        return kernel(self.d, n, [], self.budget)
+    # -- integer row operators (shuffle and closure check the budget) ------
 
-    # -- constraint-row generators ---------------------------------------
+    def _rotation_row(self, w: Word) -> dict[int, int]:
+        """Rotation sum of a word, with multiplicity (see rotation_sum)."""
+        row: dict[int, int] = {}
+        for rot in rotations(w.letters):
+            j = word_index(rot, self.d)
+            row[j] = row.get(j, 0) + 1
+        return row
 
-    def _letter_bracket_rows(self, n: int) -> list[dict[int, int]]:
-        """Integer rows of [i, q] for letters i and words q of length n-1."""
+    def _bracket_row(self, row: dict[int, int], n: int, i: int) -> dict[int, int]:
+        """[row, letter i + 1] on level n + 1, for a row on level n."""
+        d, dm = self.d, self.d**n
+        out: dict[int, int] = {}
+        for idx, c in row.items():
+            out[idx * d + i] = out.get(idx * d + i, 0) + c
+            out[i * dm + idx] = out.get(i * dm + idx, 0) - c
+        return out
+
+    def _shuffle_row(self, a: dict[int, int], na: int, b: dict[int, int], nb: int) -> dict[int, int]:
+        """Shuffle product of rows a on level na and b on level nb."""
+        self._check_budget()
         d = self.d
-        rows = []
-        dm = d ** (n - 1)
-        for i in range(d):
-            for q in range(dm):
-                left = i * dm + q  # index of i q
-                right = q * d + i  # index of q i
-                if left != right:
-                    rows.append({left: 1, right: -1})
-        return rows
+        data: dict[tuple[int, ...], int] = {}
+        right = [(index_word(j, d, nb), cb) for j, cb in b.items()]
+        for i, ca in a.items():
+            u = index_word(i, d, na)
+            for v, cb in right:
+                _tensor._shuffle_words_into(data, u, v, ca * cb)
+        return {word_index(w, d): c for w, c in data.items()}
 
-    def _letter_shuffle_rows(self, n: int) -> list[dict[int, int]]:
-        """Integer rows of i shuffled with u, |u| = n - 1."""
+    def _closure_row(self, row: dict[int, int], n: int) -> dict[int, int]:
+        """n! times the right closure of a row on level n."""
+        self._check_budget()
         d = self.d
-        rows = []
-        for i in range(1, d + 1):
-            for u in all_words(d, n - 1):
-                data: dict[tuple[int, ...], int] = {}
-                _tensor._shuffle_words_into(data, (i,), u, 1)
-                rows.append({word_index(w, d): c for w, c in data.items()})
-        return rows
+        out: dict[int, int] = {}
+        for i, c in row.items():
+            for w, v in _tensor._rcl_word(index_word(i, d, n)).items():
+                j = word_index(w, d)
+                out[j] = out.get(j, 0) + c * v
+        return out
+
+    def _letter_bracket_rows(self, n: int):
+        """[q, i] for words q of length n-1 and letters i."""
+        d = self.d
+        return (self._bracket_row({q: 1}, n - 1, i) for i in range(d) for q in range(d ** (n - 1)))
+
+    def _letter_shuffle_rows(self, n: int):
+        """i shuffled with u for letters i and words u of length n-1."""
+        d = self.d
+        return (
+            self._shuffle_row({i: 1}, 1, {u: 1}, n - 1) for i in range(d) for u in range(d ** (n - 1))
+        )
 
     # -- spaces -----------------------------------------------------------
 
@@ -193,17 +218,13 @@ class InvariantSpaces:
         """Span of rotation sums over necklaces == bracket-constraint kernel."""
 
         def build():
-            via_rotations = span_tensors(
-                self.d,
-                n,
-                (rotation_sum(w) for w in necklaces(self.d, n)),
-                self.budget,
-            )
-            via_kernel = kernel(self.d, n, self._letter_bracket_rows(n), self.budget)
+            d = self.d
+            via_rotations = span(d, n, map(self._rotation_row, necklaces(d, n)), self.budget)
+            via_kernel = kernel(d, n, self._letter_bracket_rows(n), self.budget)
             if via_rotations != via_kernel:
                 raise CrossCheckError(
                     "conjugation invariants disagree between rotation span and "
-                    "bracket kernel at d=%d, n=%d" % (self.d, n)
+                    "bracket kernel at d=%d, n=%d" % (d, n)
                 )
             return via_rotations
 
@@ -227,9 +248,9 @@ class InvariantSpaces:
 
         def build():
             if n == 0:
-                return self._full_space(0)
+                return kernel(self.d, 0, [], self.budget)
             complement = orthogonal_complement(self.letter_shuffle_ideal(n), self.budget)
-            products = span_tensors(self.d, n, self._pbw_products(n), self.budget)
+            products = span(self.d, n, self._pbw_products(n), self.budget)
             if complement != products:
                 raise CrossCheckError(
                     "zero-increment space disagrees between shuffle-ideal "
@@ -245,23 +266,23 @@ class InvariantSpaces:
 
         return self._cached(("V", n), build)
 
-    def _pbw_products(self, n: int) -> list[TensorElement]:
-        """Concatenation products of non-letter Lyndon bracketings.
+    def _pbw_products(self, n: int) -> list[dict[int, int]]:
+        """Integer rows of the concatenation products of non-letter Lyndon
+        bracketings.
 
         One product per weakly increasing (in lexicographic order) tuple of
-        non-letter Lyndon words with lengths summing to n.
+        non-letter Lyndon words with lengths summing to n.  The factors are
+        the integer Lyndon polynomials; concatenating words u and v of
+        lengths |u| and |v| maps their indices to index(u) * d**|v| + index(v).
         """
-        elements = [
-            LieBasisElement.for_word(w)
-            for k in range(2, n + 1)
-            for w in lyndon_words(self.d, k)
-        ]
-        elements.sort(key=lambda e: e.lyndon.letters)
-        basis = [e.lyndon.letters for e in elements]
-        polys = {e.lyndon.letters: e.expansion for e in elements}
-        out: list[TensorElement] = []
+        d = self.d
+        basis = sorted(w.letters for k in range(2, n + 1) for w in lyndon_words(d, k))
+        polys = {
+            w: {word_index(u, d): c for u, c in _tensor._lyndon_poly(w).items()} for w in basis
+        }
+        out: list[dict[int, int]] = []
 
-        def extend(start: int, remaining: int, acc: TensorElement | None):
+        def extend(start: int, remaining: int, acc: dict[int, int] | None):
             self._check_budget()
             if remaining == 0:
                 out.append(acc)
@@ -270,7 +291,10 @@ class InvariantSpaces:
                 w = basis[i]
                 if len(w) > remaining:
                     continue
-                nxt = polys[w] if acc is None else concat(acc, polys[w])
+                poly, shift = polys[w], d ** len(w)
+                nxt = poly if acc is None else {
+                    a * shift + b: ca * cb for a, ca in acc.items() for b, cb in poly.items()
+                }
                 extend(i, remaining - len(w), nxt)
 
         extend(0, n, None)
@@ -278,18 +302,8 @@ class InvariantSpaces:
 
     def bracket_with_letters(self, s: Subspace) -> Subspace:
         """Span of [b, letter] over basis rows b; lives one level up."""
-        d = self.d
-        n = s.n + 1
-        dm = d**s.n
-        rows = []
-        for row in s.rows:
-            for i in range(d):
-                entries: dict[int, int] = {}
-                for idx, c in row.items():
-                    entries[idx * d + i] = entries.get(idx * d + i, 0) + c
-                    entries[i * dm + idx] = entries.get(i * dm + idx, 0) - c
-                rows.append(entries)
-        return span(d, n, rows, self.budget)
+        rows = (self._bracket_row(row, s.n, i) for row in s.rows for i in range(self.d))
+        return span(self.d, s.n + 1, rows, self.budget)
 
     def bracket_zero_increment(self, n: int) -> Subspace:
         """[V at level n-1, letters], the loop-invariant constraint space."""
@@ -304,9 +318,7 @@ class InvariantSpaces:
 
         def build():
             via_bracket = orthogonal_complement(self.bracket_zero_increment(n), self.budget)
-            via_closures = kernel(
-                self.d, n, self._closure_difference_rows(n), self.budget
-            )
+            via_closures = kernel(self.d, n, self._closure_difference_rows(n), self.budget)
             if via_bracket != via_closures:
                 raise CrossCheckError(
                     "loop invariants disagree between bracket complement and "
@@ -342,12 +354,7 @@ class InvariantSpaces:
 
         def build():
             d = self.d
-            rows = []
-            for w in all_words(d, n):
-                self._check_budget()
-                rows.append(
-                    {word_index(out_w, d): c for out_w, c in _tensor._rcl_word(w).items()}
-                )
+            rows = (self._closure_row({i: 1}, n) for i in range(d**n))
             image = span(d, n, rows, self.budget)
             if image.dim != self.zero_increment_space(n).dim:
                 raise CrossCheckError(
@@ -369,15 +376,7 @@ class InvariantSpaces:
 
         def build():
             d = self.d
-            rows = []
-            for w in necklaces(d, n):
-                self._check_budget()
-                row: dict[int, int] = {}
-                for rot in rotations(w.letters):
-                    for out_w, c in _tensor._rcl_word(rot).items():
-                        j = word_index(out_w, d)
-                        row[j] = row.get(j, 0) + c
-                rows.append(row)
+            rows = (self._closure_row(self._rotation_row(w), n) for w in necklaces(d, n))
             return span(d, n, rows, self.budget)
 
         return self._cached(("rclrot", n), build)
@@ -385,17 +384,19 @@ class InvariantSpaces:
     # -- dimensions -------------------------------------------------------
 
     def letter_reduced_loop_dim(self, n: int) -> int:
-        return (
-            self.zero_increment_space(n).dim - self.bracket_zero_increment(n).dim
-        )
+        return self.zero_increment_space(n).dim - self.bracket_zero_increment(n).dim
 
     def letter_reduced_conj_dim(self, n: int) -> int:
-        """dim of V modulo [T, letters], cross-checked as a closed-rotation rank."""
+        """dim of V modulo [T, letters], cross-checked as a closed-rotation rank.
+
+        The bracket rows span conj^perp and V = S^perp, so the meet of V
+        with the brackets is (conj + S)^perp and the quotient has dimension
+        dim(conj + S) - dim S.
+        """
 
         def build():
-            bracket_full = span(self.d, n, self._letter_bracket_rows(n), self.budget)
-            meet = intersect(bracket_full, self.zero_increment_space(n), self.budget)
-            via_quotient = self.zero_increment_space(n).dim - meet.dim
+            s = self.letter_shuffle_ideal(n)
+            via_quotient = subspace_sum(self.conjugation_invariants(n), s, self.budget).dim - s.dim
             via_rank = self.closed_rotation_span(n).dim
             if via_quotient != via_rank:
                 raise CrossCheckError(
@@ -410,12 +411,8 @@ class InvariantSpaces:
         """Right closure of the loop invariants (the loop-and-closure space)."""
 
         def build():
-            space = span_tensors(
-                self.d,
-                n,
-                (right_closure(b) for b in self.loop_invariants(n).basis_tensors()),
-                self.budget,
-            )
+            rows = (self._closure_row(r, n) for r in self.loop_invariants(n).rows)
+            space = span(self.d, n, rows, self.budget)
             if space.dim != self.letter_reduced_loop_dim(n):
                 raise CrossCheckError(
                     "closed loop invariants do not match the letter-reduced "
@@ -429,32 +426,31 @@ class InvariantSpaces:
         """Dimension of level n of a graded shuffle family modulo products.
 
         The decomposable part is the span of all shuffle products of two
-        lower-level basis elements (the families are shuffle subalgebras, so
+        lower-level basis rows (the families are shuffle subalgebras, so
         pairs span every longer product).  family is "conj" or
         "loop_closure".
         """
 
-        def basis_of(k: int) -> list[TensorElement]:
+        def space_of(k: int) -> Subspace:
             if family == "conj":
-                return self.conjugation_invariants(k).basis_tensors()
+                return self.conjugation_invariants(k)
             if family == "loop_closure":
-                return self.closed_loop_span(k).basis_tensors()
+                return self.closed_loop_span(k)
             raise ValueError("unknown family %r" % family)
 
-        def build():
-            products: list[TensorElement] = []
+        def products():
             for j in range(1, n // 2 + 1):
-                left = basis_of(j)
-                right = basis_of(n - j)
+                left, right = space_of(j).rows, space_of(n - j).rows
                 if j < n - j:
                     pairs = itertools.product(left, right)
                 else:
                     pairs = itertools.combinations_with_replacement(left, 2)
                 for a, b in pairs:
-                    self._check_budget()
-                    products.append(shuffle(a, b))
-            rank = span_tensors(self.d, n, products, self.budget).dim
-            total = len(basis_of(n))
+                    yield self._shuffle_row(a, j, b, n - j)
+
+        def build():
+            rank = span(self.d, n, products(), self.budget).dim
+            total = space_of(n).dim
             assert rank <= total, "decomposables escaped the family"
             return total - rank
 
@@ -565,8 +561,7 @@ class RelationCheck:
     holds: bool
 
 
-def _word(d: int, text: str) -> TensorElement:
-    return TensorElement.word(d, text)
+_word = TensorElement.word
 
 
 def _rot(d: int, text: str) -> TensorElement:
@@ -578,10 +573,7 @@ def _area(d: int, i: int, j: int) -> TensorElement:
 
 
 def _shuffle_all(parts: Sequence[TensorElement]) -> TensorElement:
-    out = parts[0]
-    for p in parts[1:]:
-        out = shuffle(out, p)
-    return out
+    return functools.reduce(shuffle, parts)
 
 
 def signed_volume(d: int, a: int, b: int, c: int) -> TensorElement:
@@ -694,20 +686,17 @@ def area_conjugation_algebra(spaces: InvariantSpaces, n: int) -> Subspace:
     """Level-n part of the shuffle algebra generated by the two-letter
     areas together with all conjugation invariants."""
     d = spaces.d
-    areas = [_area(d, i, j) for i in range(1, d + 1) for j in range(i + 1, d + 1)]
-    gens: dict[int, list[TensorElement]] = {}
-    for k in range(1, n + 1):
-        gens[k] = spaces.conjugation_invariants(k).basis_tensors()
+    gens = {k: list(spaces.conjugation_invariants(k).rows) for k in range(1, n + 1)}
     if n >= 2:
-        gens[2] = gens[2] + areas
+        # the area ij - ji is the bracket [i, j] of two letters
+        gens[2] += [spaces._bracket_row({i: 1}, 1, j) for i in range(d) for j in range(i + 1, d)]
     parts: dict[int, Subspace] = {}
     for k in range(1, n + 1):
         elements = list(gens[k])
         for j in range(1, k):
-            lower = parts[k - j]
             for g in gens[j]:
-                elements.extend(shuffle(g, b) for b in lower.basis_tensors())
-        parts[k] = span_tensors(d, k, elements, spaces.budget)
+                elements.extend(spaces._shuffle_row(g, j, b, k - j) for b in parts[k - j].rows)
+        parts[k] = span(d, k, elements, spaces.budget)
     return parts[n]
 
 

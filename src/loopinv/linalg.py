@@ -368,4 +368,18 @@ def member_tensor(x: TensorElement, s: Subspace) -> bool:
 
 
 def contains(outer: Subspace, inner: Subspace) -> bool:
-    return all(member(v, outer) for v in inner.basis_vectors())
+    """True iff every stored row of inner reduces to zero against outer.
+
+    Reducing against a reduced echelon form clears each pivot column the
+    row hits once, and no step brings in another pivot column.
+    """
+    if (outer.d, outer.n) != (inner.d, inner.n):
+        raise ValueError("subspace shape mismatch")
+    by_col = dict(zip(outer.pivots, outer.rows))
+    for row in inner.rows:
+        r = dict(row)
+        for c in [c for c in r if c in by_col]:
+            _combine(r, by_col[c], c)
+        if r:
+            return False
+    return True

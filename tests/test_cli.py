@@ -73,6 +73,14 @@ class TestDims:
         assert code == EXIT_OK and out == ""
         assert "conjugation" in target.read_text()
 
+    def test_unwritable_out(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "dims.csv"
+        code = main(["dims", "--d", "2", "--max-level", "2", "--out", str(target)])
+        captured = capsys.readouterr()
+        assert code == EXIT_BUDGET_OR_CONFIG and captured.out == ""
+        assert captured.err.startswith("cannot write output: ")
+        assert captured.err.count("\n") == 1
+
     def test_rejects_bad_d(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["dims", "--d", "10"])
@@ -100,6 +108,14 @@ class TestCheck:
         assert code == EXIT_OK
         payload = json.loads(out)
         assert all(item["holds"] for item in payload["results"])
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "check.txt"
+        code = main(["check", "--d", "2", "--out", str(target)])
+        captured = capsys.readouterr()
+        assert code == EXIT_BUDGET_OR_CONFIG and captured.out == ""
+        assert captured.err.startswith("cannot write output: ")
+        assert captured.err.count("\n") == 1
 
 
 class TestFuzz:
@@ -158,6 +174,13 @@ class TestBadNumbers:
             main(argv)
         assert err.value.code == EXIT_BUDGET_OR_CONFIG
         assert "must be at least" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "NaN", "+nan"])
+    def test_nan_budget_rejected(self, value, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["dims", "--max-level", "2", "--budget-secs", value])
+        assert err.value.code == EXIT_BUDGET_OR_CONFIG
+        assert "--budget-secs must be a number, not nan" in capsys.readouterr().err
 
 
 # sha256 of exported bases and evidence, recorded before elimination moved

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import factorial
+
 import pytest
 
 from loopinv.invariants import (
@@ -13,8 +16,26 @@ from loopinv.invariants import (
     zero_increment_series_dim,
 )
 from loopinv import invariants, tensor
-from loopinv.linalg import Budget, BudgetExceeded, contains, intersect, member_tensor, subspace_sum
-from loopinv.tensor import TensorElement, right_closure, shuffle
+from loopinv.linalg import (
+    Budget,
+    BudgetExceeded,
+    LevelVector,
+    contains,
+    intersect,
+    member_tensor,
+    span,
+    subspace_sum,
+)
+from loopinv.tensor import (
+    TensorElement,
+    bracket,
+    concat,
+    lyndon_bracketing,
+    right_closure,
+    rotation_sum,
+    shuffle,
+)
+from loopinv.words import lyndon_words, necklaces
 
 W = TensorElement.word
 
@@ -312,8 +333,83 @@ class TestBudgetInHeavyLoops:
         sp = InvariantSpaces(2)
         for k in range(1, 6):
             sp.conjugation_invariants(k)
-        calls = self.count_calls(monkeypatch, invariants, "shuffle")
+        calls = self.count_calls(monkeypatch, tensor, "_shuffle_words_into")
         sp.set_budget(Budget(seconds=-1))
         with pytest.raises(BudgetExceeded):
             sp.min_generator_count(6)
         assert calls == []
+
+
+def _random_row(rng, d, n):
+    return {rng.randrange(d**n): rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(3)}
+
+
+def _pbw_products_oracle(d, n):
+    """Concatenated Lyndon bracketings as tensor elements, in the order of
+    InvariantSpaces._pbw_products."""
+    basis = sorted((w for k in range(2, n + 1) for w in lyndon_words(d, k)), key=lambda w: w.letters)
+    out = []
+
+    def extend(start, remaining, acc):
+        if remaining == 0:
+            out.append(acc)
+            return
+        for i in range(start, len(basis)):
+            w = basis[i]
+            if len(w.letters) <= remaining:
+                poly = lyndon_bracketing(w)
+                extend(i, remaining - len(w.letters), poly if acc is None else concat(acc, poly))
+
+    extend(0, n, None)
+    return out
+
+
+class TestRowOperators:
+    """The integer row operators against the tensor operations they replace."""
+
+    @staticmethod
+    def tensor(d, n, row):
+        return LevelVector(d, n, row).to_tensor()
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_against_tensor_operations(self, d, rng):
+        sp = InvariantSpaces(d)
+        for _ in range(15):
+            na, nb = rng.randint(1, 3), rng.randint(1, 3)
+            a, b = _random_row(rng, d, na), _random_row(rng, d, nb)
+            ta, tb = self.tensor(d, na, a), self.tensor(d, nb, b)
+            assert self.tensor(d, na + nb, sp._shuffle_row(a, na, b, nb)) == shuffle(ta, tb)
+            assert self.tensor(d, na, sp._closure_row(a, na)) == factorial(na) * right_closure(ta)
+            i = rng.randrange(d)
+            letter = TensorElement.word(d, (i + 1,))
+            assert self.tensor(d, na + 1, sp._bracket_row(a, na, i)) == bracket(ta, letter)
+        for n in range(1, 5):
+            for w in necklaces(d, n):
+                assert self.tensor(d, n, sp._rotation_row(w)) == rotation_sum(w)
+
+    @pytest.mark.parametrize("d, n", [(2, 6), (3, 4)])
+    def test_pbw_products(self, d, n):
+        rows = InvariantSpaces(d)._pbw_products(n)
+        assert [self.tensor(d, n, r) for r in rows] == _pbw_products_oracle(d, n)
+
+    @pytest.mark.parametrize("d, top", [(2, 8), (3, 5)])
+    def test_letter_reduced_conj_against_intersection(self, d, top):
+        # the route the quotient formula replaced: dim V - dim(V meet brackets)
+        sp = spaces_for(d)
+        for n in range(1, top + 1):
+            v = sp.zero_increment_space(n)
+            brackets = span(d, n, sp._letter_bracket_rows(n))
+            assert v.dim - intersect(brackets, v).dim == sp.letter_reduced_conj_dim(n)
+
+
+class TestIntegerPipeline:
+    def test_report_forms_no_rational(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a rational object was formed while building a report")
+
+        monkeypatch.setattr(TensorElement, "__init__", refuse)
+        monkeypatch.setattr(TensorElement, "_raw", refuse)
+        monkeypatch.setattr(LevelVector, "__init__", refuse)
+        monkeypatch.setattr(Fraction, "__new__", refuse)
+        assert InvariantSpaces(2).report(7).dims["conjugation"] == 20
+        assert InvariantSpaces(3).report(5).dims["conjugation"] == 51

@@ -216,6 +216,29 @@ class TestMembership:
         sub = span(2, 3, s.basis_vectors()[:2])
         assert contains(s, sub)
 
+    def test_contains_agrees_with_sum_dimension(self, rng):
+        seen = set()
+        for _ in range(40):
+            d, n = rng.choice([(2, 2), (2, 3), (3, 2)])
+            outer = random_subspace(rng, d, n, rng.randint(0, 5))
+            # half the inner spaces are spanned by outer rows, some plus a
+            # random vector, so both answers occur
+            inner_rows = list(outer.rows[: rng.randint(0, outer.dim)])
+            if rng.random() < 0.5:
+                inner_rows.append(vec(random_homogeneous(rng, d, n), n))
+            inner = span(d, n, inner_rows)
+            expected = subspace_sum(outer, inner).dim == outer.dim
+            assert contains(outer, inner) == expected
+            seen.add(expected)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("inner_shape", [(2, 2), (3, 3)])
+    def test_contains_shape_mismatch(self, rng, inner_shape):
+        outer = random_subspace(rng, 2, 3, 3)
+        for rows in ([], [{0: 1}]):
+            with pytest.raises(ValueError):
+                contains(outer, span(*inner_shape, rows))
+
     def test_reduce_vector(self):
         s = span_tensors(2, 2, [W(2, "11")])
         x = vec(W(2, "11") + W(2, "12"), 2)
