@@ -383,6 +383,9 @@ def main(argv=None) -> int:
     if math.isnan(getattr(args, "budget_secs", None) or 0):
         parser.error("--budget-secs must be a number, not nan")
     try:
+        if args.out:
+            # fail before any computation; append mode truncates nothing
+            open(args.out, "a").close()
         return args.func(args)
     except CrossCheckError as exc:
         sys.stderr.write("cross-check failed: %s\n" % exc)

@@ -227,6 +227,8 @@ def concat_truncated(a: TensorElement, b: TensorElement, n: int) -> TensorElemen
 
 def _shuffle_words_into(data: dict, u: tuple, v: tuple, coeff) -> None:
     """Accumulate coeff * (u shuffle v) into data."""
+    if not coeff:
+        return
     n = len(u) + len(v)
     if not u or not v:
         w = u + v
@@ -394,23 +396,44 @@ def closing_segment_dual(x: TensorElement) -> TensorElement:
 def _rcl_word(letters: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     """n! times the right closure of a single word of length n (cached).
 
-    The right closure is the sum over all splits w = u v of the shuffle of
-    u with the signed normalized letter shuffle of v.  Every coefficient
-    has a denominator dividing n!, so the scaled expansion is integer; the
-    split with |v| = k contributes (n! / k!) times the scaled letter
-    shuffle of v.
+    The right closure is the sum over all splits w = u v (u = w[:i]) of
+    the shuffle of u with h(v), the signed normalized letter shuffle of v:
+    h(v) = c(v) * (sum of the anagrams y of v), c(v) = (-1)^|v| prod m_a!
+    / |v|! over the letter multiplicities m_a of v.  Every shuffle u ⧢ y
+    has the letter content of w, so rcl(w) lives on the anagrams x of w.
+    For such an x, the coefficient of x in the sum over y of u ⧢ y is
+    occ(u, x), the number of embeddings of u as a subsequence of x: the
+    letters of x left over by an embedding form exactly one anagram y.
+    Hence
+
+        n! rcl(w)[x] = sum_i s_i occ(w[:i], x),
+        s_i = (-1)^(n-i) prod_a m_a(w[i:])! * n! / (n-i)!,
+
+    all integers.  One pass over x counts the embeddings of every prefix
+    of w at once: dp[i] = occ(w[:i], x[:j]) after j letters of x.
     """
     hit = _RCL_CACHE.get(letters)
     if hit is not None:
         return hit
     n = len(letters)
+    fact = factorial(n)
+    weights = [
+        _h_expansion(letters[i:])[0] * (fact // factorial(n - i)) for i in range(n + 1)
+    ]
+    # positions of each letter in w, descending, so that one letter of x
+    # extends each prefix embedding by at most one step
+    positions: dict[int, list[int]] = {}
+    for i in range(n, 0, -1):
+        positions.setdefault(letters[i - 1], []).append(i)
     data: dict[tuple[int, ...], int] = {}
-    for i in range(n + 1):
-        u, v = letters[:i], letters[i:]
-        scaled, anagrams = _h_expansion(v)
-        coeff = scaled * (factorial(n) // factorial(n - i))
-        for hw in anagrams:
-            _shuffle_words_into(data, u, hw, coeff)
+    for x in _h_expansion(letters)[1]:
+        dp = [1] + [0] * n
+        for a in x:
+            for i in positions[a]:
+                dp[i] += dp[i - 1]
+        total = sum(s * c for s, c in zip(weights, dp))
+        if total:
+            data[x] = total
     _RCL_CACHE[letters] = data
     return data
 

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from loopinv.cli import EXIT_BUDGET_OR_CONFIG, EXIT_OK, main
+from loopinv.invariants import InvariantSpaces
 
 
 def run(capsys, argv):
@@ -80,6 +81,17 @@ class TestDims:
         assert code == EXIT_BUDGET_OR_CONFIG and captured.out == ""
         assert captured.err.startswith("cannot write output: ")
         assert captured.err.count("\n") == 1
+
+    def test_unwritable_out_fails_before_any_cell(self, tmp_path, capsys, monkeypatch):
+        def refuse(self, n):
+            raise AssertionError("a cell ran before the output was probed")
+
+        monkeypatch.setattr(InvariantSpaces, "report", refuse)
+        target = tmp_path / "missing" / "dims.csv"
+        code = main(["dims", "--d", "2", "--max-level", "9", "--out", str(target)])
+        captured = capsys.readouterr()
+        assert code == EXIT_BUDGET_OR_CONFIG and captured.out == ""
+        assert captured.err.startswith("cannot write output: ")
 
     def test_rejects_bad_d(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -387,6 +387,10 @@ class TestRowOperators:
             for w in necklaces(d, n):
                 assert self.tensor(d, n, sp._rotation_row(w)) == rotation_sum(w)
 
+    def test_shuffle_row_with_zero_entry(self):
+        # a zero coefficient adds nothing: 0 shuffled with 0 is 2 * 00
+        assert InvariantSpaces(2)._shuffle_row({0: 1, 1: 0}, 1, {0: 1}, 1) == {0: 2}
+
     @pytest.mark.parametrize("d, n", [(2, 6), (3, 4)])
     def test_pbw_products(self, d, n):
         rows = InvariantSpaces(d)._pbw_products(n)

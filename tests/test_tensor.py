@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_element, random_homogeneous
+from loopinv import tensor
 from loopinv._rat import Q
 from loopinv.tensor import (
     TensorElement,
@@ -156,6 +157,12 @@ class TestProducts:
     @given(elements, elements, elements)
     def test_shuffle_associative(self, a, b, c):
         assert shuffle(shuffle(a, b), c) == shuffle(a, shuffle(b, c))
+
+    def test_shuffle_zero_coefficient(self):
+        data = {}
+        tensor._shuffle_words_into(data, (1,), (), 0)
+        tensor._shuffle_words_into(data, (0,), (1,), 0)
+        assert data == {}
 
     def test_shuffle_unit(self, rng):
         x = random_element(rng)
@@ -341,7 +348,7 @@ class TestClosures:
             assert right_closure(x) == rcl_oracle(x)
             assert left_closure(x) == lcl_oracle(x)
 
-    @pytest.mark.parametrize("d, top", [(2, 6), (3, 4)])
+    @pytest.mark.parametrize("d, top", [(2, 6), (3, 4), (2, 8), (3, 5), (4, 4)])
     def test_scaled_word_table(self, d, top):
         # the cached table holds n! rcl(w) with integer coefficients
         for n in range(top + 1):
@@ -350,6 +357,18 @@ class TestClosures:
                 assert all(type(c) is int for c in table.values())
                 expected = math.factorial(n) * rcl_oracle(W(d, w) if w else E(d))
                 assert TensorElement(d, table) == expected
+
+    def test_word_table_enumerates_no_shuffle(self, monkeypatch):
+        # the table counts subsequence embeddings; it never lists shuffles
+        def refuse(*args):
+            raise AssertionError("shuffle enumeration in the closure table")
+
+        monkeypatch.setattr(tensor, "_RCL_CACHE", {})
+        monkeypatch.setattr(tensor, "_shuffle_words_into", refuse)
+        words = list(all_words(2, 7))
+        for w in words:
+            assert all(type(c) is int for c in _rcl_word(w).values())
+        assert set(words) <= set(tensor._RCL_CACHE)
 
     def test_linear_inputs(self, rng):
         for _ in range(10):
