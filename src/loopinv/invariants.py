@@ -14,6 +14,13 @@ provides them, and the routes are asserted equal:
 * letter-reduced conjugation invariants: the quotient dimension
   dim(conj + S) - dim S, and the rank of right-closed rotation sums.
 
+Both closures vanish on S, and the pipeline proves it at each level (the
+closure of every letter shuffle generator is zero).  Only a complement
+of S then carries information: the unit vectors of the free (non-pivot)
+columns of the stored basis of S.  The closure image is spanned by the
+closures of those unit vectors, and the closure-difference kernel is S
+plus the kernel of the closure-difference rows restricted to them.
+
 Every spanning set is a stream of integer rows ``{word index: int}``
 made by four row operators (rotation sums, letter brackets, shuffles and
 the n!-scaled right closure), so building a table forms no rational.
@@ -55,7 +62,7 @@ from .tensor import (
     rotation_sum,
     shuffle,
 )
-from .words import Word, all_words, lyndon_count, lyndon_words, necklaces, rotations
+from .words import Word, lyndon_count, lyndon_words, necklaces, rotations
 from . import tensor as _tensor
 
 
@@ -193,12 +200,11 @@ class InvariantSpaces:
         """n! times the right closure of a row on level n."""
         self._check_budget()
         d = self.d
-        out: dict[int, int] = {}
+        out: dict[tuple[int, ...], int] = {}
         for i, c in row.items():
             for w, v in _tensor._rcl_word(index_word(i, d, n)).items():
-                j = word_index(w, d)
-                out[j] = out.get(j, 0) + c * v
-        return out
+                out[w] = out.get(w, 0) + c * v
+        return {word_index(w, d): c for w, c in out.items() if c}
 
     def _letter_bracket_rows(self, n: int):
         """[q, i] for words q of length n-1 and letters i."""
@@ -313,12 +319,48 @@ class InvariantSpaces:
 
         return self._cached(("bracketV", n), build)
 
-    def loop_invariants(self, n: int) -> Subspace:
-        """Orthogonal complement of [V, letters] == kernel of (rcl - lcl)."""
+    def closures_vanish_on_shuffle_ideal(self, n: int) -> bool:
+        """Prove that the right and left closures vanish on S at level n.
+
+        The closure row of every letter shuffle generator ``i ⧢ u`` must be
+        zero.  S is closed under reversal (the reverse of ``i ⧢ u`` is
+        ``i ⧢ reverse(u)``) and the left closure is the right closure
+        conjugated by reversal, so the left closure vanishes on S too.
+        """
 
         def build():
+            for row in self._letter_shuffle_rows(n):
+                if self._closure_row(row, n):
+                    raise CrossCheckError(
+                        "the right closure does not vanish on the letter shuffle "
+                        "ideal at d=%d, n=%d" % (self.d, n)
+                    )
+            return True
+
+        return self._cached(("Sclosed", n), build)
+
+    def _free_columns(self, n: int) -> list[int]:
+        """Non-pivot columns of the stored basis of S; their unit vectors
+        span a complement of S.  Proves first that the closures vanish on S,
+        which every use of the free columns rests on."""
+        self.closures_vanish_on_shuffle_ideal(n)
+        pivots = set(self.letter_shuffle_ideal(n).pivots)
+        return [f for f in range(self.d**n) if f not in pivots]
+
+    def loop_invariants(self, n: int) -> Subspace:
+        """Kernel of (rcl - lcl) == orthogonal complement of [V, letters].
+
+        Both closures vanish on S, so the kernel is S plus the kernel of
+        the closure-difference rows restricted to the free columns of S.
+        """
+
+        def build():
+            free = self._free_columns(n)
+            on_free = kernel(
+                self.d, n, self._closure_difference_rows(n, free), self.budget, free
+            )
+            via_closures = subspace_sum(on_free, self.letter_shuffle_ideal(n), self.budget)
             via_bracket = orthogonal_complement(self.bracket_zero_increment(n), self.budget)
-            via_closures = kernel(self.d, n, self._closure_difference_rows(n), self.budget)
             if via_bracket != via_closures:
                 raise CrossCheckError(
                     "loop invariants disagree between bracket complement and "
@@ -328,14 +370,14 @@ class InvariantSpaces:
 
         return self._cached(("loop", n), build)
 
-    def _closure_difference_rows(self, n: int) -> list[dict[int, int]]:
+    def _closure_difference_rows(self, n: int, columns: Sequence[int]) -> list[dict[int, int]]:
         """Integer rows of the matrix of n! (right closure - left closure)
-        on level n."""
+        on level n, restricted to the given word-index columns."""
         d = self.d
         by_output: dict[tuple[int, ...], dict[int, int]] = {}
-        for w in all_words(d, n):
+        for col in columns:
             self._check_budget()
-            col = word_index(w, d)
+            w = index_word(col, d, n)
             diff = dict(_tensor._rcl_word(w))
             for out_w, c in _tensor._rcl_word(w[::-1]).items():
                 diff[out_w[::-1]] = diff.get(out_w[::-1], 0) - c
@@ -347,14 +389,15 @@ class InvariantSpaces:
     def closure_invariants(self, n: int) -> Subspace:
         """Image of the right closure on level n.
 
-        The dimension must match dim V, and together with the letter
-        shuffle ideal the image must fill the level (the closure is a
-        projection along S).
+        The closure vanishes on S, so the image is spanned by the closures
+        of the unit vectors of the free columns of S.  The dimension must
+        match dim V, and together with S the image must fill the level
+        (the closure is a projection along S).
         """
 
         def build():
             d = self.d
-            rows = (self._closure_row({i: 1}, n) for i in range(d**n))
+            rows = (self._closure_row({f: 1}, n) for f in self._free_columns(n))
             image = span(d, n, rows, self.budget)
             if image.dim != self.zero_increment_space(n).dim:
                 raise CrossCheckError(

@@ -293,31 +293,51 @@ def span_tensors(d: int, n: int, elements: Iterable[TensorElement], budget: Budg
     return span(d, n, (LevelVector.from_tensor(x, n) for x in elements), budget)
 
 
-def _null_space(d: int, n: int, reduced, budget: Budget | None) -> Subspace:
-    """Joint kernel of rows in reduced echelon form: one null vector per
-    free column f, scaled by the lcm of the pivots of the rows hitting f."""
+def _null_space(
+    d: int, n: int, reduced, budget: Budget | None, columns: Sequence[int] | None = None
+) -> Subspace:
+    """Joint kernel of rows in reduced echelon form, among the vectors
+    supported on ``columns`` (every word by default; the rows may have no
+    entry outside them): one null vector per free column f, scaled by the
+    lcm of the pivots of the rows hitting f."""
     reduced = list(reduced)
     pivot_set = {col for col, _ in reduced}
+    hits_at: dict[int, list[tuple[int, dict[int, int]]]] = {}
+    for col, row in reduced:
+        for k in row:
+            if k != col:
+                hits_at.setdefault(k, []).append((col, row))
+    if columns is None:
+        columns = range(d**n)
+    elif not pivot_set.union(hits_at) <= set(columns):
+        raise ValueError("kernel row with an entry outside the given columns")
     null_rows = []
-    for f in range(d**n):
+    for f in columns:
         if f not in pivot_set:
-            hits = [(col, row) for col, row in reduced if f in row]
+            hits = hits_at.get(f, ())
             scale = lcm(*(row[col] for col, row in hits))
             vec = {col: -row[f] * (scale // row[col]) for col, row in hits}
             vec[f] = scale
             _strip_content(vec)
             null_rows.append(vec)
     free = len(null_rows)
-    assert len(reduced) + free == d**n, "rank-nullity violated"
+    assert len(reduced) + free == len(columns), "rank-nullity violated"
     out = _subspace(d, n, _eliminate(null_rows, budget))
     assert out.dim == free
     return out
 
 
-def kernel(d: int, n: int, constraint_rows: Iterable, budget: Budget | None = None) -> Subspace:
-    """Basis of the joint kernel {x : <row, x> = 0 for every row}."""
+def kernel(
+    d: int, n: int, constraint_rows: Iterable, budget: Budget | None = None,
+    columns: Sequence[int] | None = None,
+) -> Subspace:
+    """Basis of the joint kernel {x : <row, x> = 0 for every row}.
+
+    With ``columns``, the kernel among vectors supported on those word
+    indices; every row must then lie on them too.
+    """
     rows = _int_rows(d, n, constraint_rows, budget, "kernel")
-    return _null_space(d, n, _eliminate(rows, budget), budget)
+    return _null_space(d, n, _eliminate(rows, budget), budget, columns)
 
 
 def orthogonal_complement(s: Subspace, budget: Budget | None = None) -> Subspace:

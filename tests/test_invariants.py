@@ -22,6 +22,7 @@ from loopinv.linalg import (
     LevelVector,
     contains,
     intersect,
+    kernel,
     member_tensor,
     span,
     subspace_sum,
@@ -177,6 +178,40 @@ class TestClosureSpaces:
                 assert sp.closed_loop_span(n).dim == sp.letter_reduced_loop_dim(n)
 
 
+class TestFreeColumnRoutes:
+    """The closure image and loop route B work on the free columns of S."""
+
+    @pytest.mark.parametrize("d, top", [(2, 8), (3, 5)])
+    def test_against_all_words(self, d, top):
+        # the replaced routes: the closure of every word, and the kernel of
+        # the closure-difference rows over every column
+        sp = spaces_for(d)
+        for n in range(1, top + 1):
+            words = range(d**n)
+            image = span(d, n, (sp._closure_row({i: 1}, n) for i in words))
+            assert sp.closure_invariants(n) == image
+            full = kernel(d, n, sp._closure_difference_rows(n, words))
+            assert sp.loop_invariants(n) == full
+
+    @pytest.mark.parametrize("build", ["closure_invariants", "loop_invariants"])
+    def test_premise_failure_raises(self, monkeypatch, build):
+        real = tensor._rcl_word
+        target = (1, 2, 1, 2)
+
+        def perturbed(letters):
+            out = real(letters)
+            if letters == target:
+                out = dict(out)
+                out[(2, 2, 1, 1)] = out.get((2, 2, 1, 1), 0) + 1
+            return out
+
+        monkeypatch.setattr(tensor, "_rcl_word", perturbed)
+        sp = InvariantSpaces(2)
+        with pytest.raises(CrossCheckError, match="does not vanish"):
+            getattr(sp, build)(4)
+        assert ("Sclosed", 4) not in sp._memo
+
+
 class TestMinGenerators:
     def test_conjugation_family(self):
         assert spaces_for(2).min_generator_count(4) == 1
@@ -291,13 +326,24 @@ class TestBudgetInHeavyLoops:
         monkeypatch.setattr(owner, name, counted)
         return calls
 
-    @pytest.mark.parametrize("build", ["closure_invariants", "_closure_difference_rows"])
+    CLOSURE_LOOPS = {
+        "closures_vanish_on_shuffle_ideal": "Sclosed",
+        "closure_invariants": "closure",
+        "loop_invariants": "loop",
+    }
+
+    @pytest.mark.parametrize("build", list(CLOSURE_LOOPS))
     def test_closure_table(self, monkeypatch, build):
-        calls = self.count_calls(monkeypatch, tensor, "_rcl_word")
+        # every input but the closure rows of the space itself is built
         sp = InvariantSpaces(2)
+        sp.zero_increment_space(5)
+        if build != "closures_vanish_on_shuffle_ideal":
+            sp.closures_vanish_on_shuffle_ideal(5)
+        calls = self.count_calls(monkeypatch, tensor, "_rcl_word")
         sp.set_budget(Budget(seconds=-1))
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded) as err:
             getattr(sp, build)(5)
+        assert err.value.space == (self.CLOSURE_LOOPS[build], 5)
         assert len(calls) <= 1
 
     def test_lazy_span_input(self, monkeypatch):

@@ -150,6 +150,22 @@ class TestKernel:
             for r in rows:
                 assert pair(r.to_tensor(), b) == 0
 
+    def test_on_a_subset_of_columns(self, rng):
+        # the kernel among vectors supported on the columns is the full
+        # kernel with the unit constraints x_k = 0 off the columns added
+        for _ in range(8):
+            columns = sorted(rng.sample(range(16), rng.randint(1, 16)))
+            rows = [
+                {k: rng.randint(-3, 3) for k in rng.sample(columns, min(3, len(columns)))}
+                for _ in range(rng.randint(0, 5))
+            ]
+            off = [{k: 1} for k in range(16) if k not in columns]
+            assert kernel(2, 4, rows, columns=columns) == kernel(2, 4, rows + off)
+
+    def test_row_outside_the_columns(self):
+        with pytest.raises(ValueError, match="outside the given columns"):
+            kernel(2, 2, [{0: 1, 3: 2}], columns=[0, 1, 2])
+
 
 class TestComplement:
     def test_example(self):
