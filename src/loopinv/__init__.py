@@ -33,11 +33,9 @@ from .tensor import (
 from .linalg import (
     Budget,
     BudgetExceeded,
-    LevelVector,
     Subspace,
     intersect,
     kernel,
-    member,
     member_tensor,
     orthogonal_complement,
     span,

@@ -337,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dims)
 
     p = sub.add_parser("check", help="verify the explicit shuffle identities")
-    p.add_argument("--d", type=_d_type, nargs="*", default=[2, 3, 4])
+    p.add_argument("--d", type=_d_type, nargs="+", default=[2, 3, 4])
     p.add_argument("--format", choices=["pretty", "json"], default="pretty")
     p.add_argument("--out")
     p.set_defaults(func=cmd_check)

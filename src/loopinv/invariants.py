@@ -147,9 +147,6 @@ class InvariantSpaces:
 
     # -- plumbing -------------------------------------------------------
 
-    def set_budget(self, budget: Budget | None) -> None:
-        self.budget = budget
-
     def _check_budget(self) -> None:
         if self.budget is not None:
             self.budget.check()

@@ -6,8 +6,13 @@ integer row ``{index: int}``: elimination cross-multiplies and divides by
 the gcd, so no rational is formed.  Subspaces store their reduced row
 echelon form scaled to coprime integer rows with positive pivots, which is
 canonical: two subspaces are equal exactly when their stored rows are
-identical.  Rationals appear only at the boundary: :class:`LevelVector`
-input, and the exported bases, which divide each row by its pivot.
+identical.
+
+Raw input rows ``{index: int or rational}`` are cleared of denominators
+on entry.  :class:`~loopinv.tensor.TensorElement` is the one rational
+boundary form: :func:`span_tensors` and :func:`member_tensor` take
+homogeneous elements, and :meth:`Subspace.basis_tensors` exports each
+stored row divided by its pivot.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import time
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from ._rat import Q, exact
+from ._rat import Q
 from .tensor import TensorElement
 
 
@@ -65,55 +70,6 @@ def index_word(idx: int, d: int, n: int) -> tuple[int, ...]:
     return tuple(letters)
 
 
-class LevelVector:
-    """Sparse coordinate vector of a homogeneous tensor element."""
-
-    __slots__ = ("d", "n", "entries")
-
-    def __init__(self, d: int, n: int, entries):
-        self.d = d
-        self.n = n
-        size = d**n
-        data = {}
-        for idx, value in entries.items() if hasattr(entries, "items") else entries:
-            if not 0 <= idx < size:
-                raise ValueError("word index %d outside level of size %d" % (idx, size))
-            value = exact(value)
-            if value:
-                data[idx] = value
-        self.entries = data
-
-    @classmethod
-    def from_tensor(cls, x: TensorElement, n: int | None = None) -> "LevelVector":
-        if n is None:
-            n = x.max_level
-            if n < 0:
-                raise ValueError("cannot infer the level of the zero element")
-        if not x.is_homogeneous(n):
-            raise ValueError("element is not homogeneous of level %d" % n)
-        return cls(
-            x.d, n, {word_index(w.letters, x.d): c for w, c in x.items()}
-        )
-
-    def to_tensor(self) -> TensorElement:
-        return TensorElement(
-            self.d, {index_word(i, self.d, self.n): c for i, c in self.entries.items()}
-        )
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LevelVector)
-            and (self.d, self.n) == (other.d, other.n)
-            and self.entries == other.entries
-        )
-
-    def __repr__(self) -> str:
-        return "LevelVector(d=%d, n=%d, %d nonzeros)" % (self.d, self.n, len(self.entries))
-
-
 class Subspace:
     """A linear subspace of one level, stored as a canonical RREF basis:
     ``rows[i]`` has coprime integer coefficients and a positive entry in
@@ -131,15 +87,13 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    def basis_vectors(self) -> list[LevelVector]:
+    def basis_tensors(self) -> list[TensorElement]:
         """The stored rows divided by their pivots (pivot entries 1)."""
+        d, n = self.d, self.n
         return [
-            LevelVector(self.d, self.n, {k: Q(v, row[p]) for k, v in row.items()})
+            TensorElement(d, {index_word(k, d, n): Q(v, row[p]) for k, v in row.items()})
             for p, row in zip(self.pivots, self.rows)
         ]
-
-    def basis_tensors(self) -> list[TensorElement]:
-        return [v.to_tensor() for v in self.basis_vectors()]
 
     def __eq__(self, other) -> bool:
         return (
@@ -259,38 +213,40 @@ def _subspace(d: int, n: int, echelon) -> Subspace:
     return Subspace(d, n, [col for col, _ in echelon], [row for _, row in echelon])
 
 
-def _int_rows(d: int, n: int, vectors: Iterable, budget: Budget | None, where: str):
-    """Integer rows of the nonzero inputs: LevelVectors of shape (d, n) or
-    raw rows ``{index: int or rational}``, whose indices are range-checked
-    and zeros dropped.  The budget is checked per input, so lazily
-    generated input is bounded too."""
+def _int_rows(d: int, n: int, rows: Iterable[dict], budget: Budget | None, where: str):
+    """Integer rows of the nonzero raw rows ``{index: int or rational}``,
+    whose indices are range-checked and zeros dropped.  The budget is
+    checked per input, so lazily generated input is bounded too."""
     size = d**n
-    rows = []
-    for v in vectors:
+    out = []
+    for v in rows:
         if budget is not None:
             budget.check()
-        if isinstance(v, LevelVector):
-            if (v.d, v.n) != (d, n):
-                raise ValueError(
-                    "vector of shape (%d, %d) in %s of (%d, %d)" % (v.d, v.n, where, d, n)
-                )
-            entries = v.entries
-        elif v and (min(v) < 0 or max(v) >= size):
+        if v and (min(v) < 0 or max(v) >= size):
             raise ValueError("row index outside level of size %d in %s" % (size, where))
-        else:
-            entries = {k: c for k, c in v.items() if c}
+        entries = {k: c for k, c in v.items() if c}
         if entries:
-            rows.append(_int_row(entries))
-    return rows
+            out.append(_int_row(entries))
+    return out
 
 
-def span(d: int, n: int, vectors: Iterable, budget: Budget | None = None) -> Subspace:
-    """Canonical RREF basis of the span of the given vectors or raw rows."""
-    return _subspace(d, n, _eliminate(_int_rows(d, n, vectors, budget, "span"), budget))
+def _tensor_row(x: TensorElement, d: int, n: int) -> dict[int, int]:
+    """Integer row of an element of level n over d letters."""
+    if x.d != d:
+        raise ValueError("element over %d letters in a level over %d" % (x.d, d))
+    if not x.is_homogeneous(n):
+        raise ValueError("element is not homogeneous of level %d" % n)
+    return _int_row({word_index(w.letters, d): c for w, c in x.items()})
+
+
+def span(d: int, n: int, rows: Iterable[dict], budget: Budget | None = None) -> Subspace:
+    """Canonical RREF basis of the span of the given raw rows."""
+    return _subspace(d, n, _eliminate(_int_rows(d, n, rows, budget, "span"), budget))
 
 
 def span_tensors(d: int, n: int, elements: Iterable[TensorElement], budget: Budget | None = None) -> Subspace:
-    return span(d, n, (LevelVector.from_tensor(x, n) for x in elements), budget)
+    """Canonical RREF basis of the span of elements of level n."""
+    return span(d, n, (_tensor_row(x, d, n) for x in elements), budget)
 
 
 def _null_space(
@@ -328,7 +284,7 @@ def _null_space(
 
 
 def kernel(
-    d: int, n: int, constraint_rows: Iterable, budget: Budget | None = None,
+    d: int, n: int, constraint_rows: Iterable[dict], budget: Budget | None = None,
     columns: Sequence[int] | None = None,
 ) -> Subspace:
     """Basis of the joint kernel {x : <row, x> = 0 for every row}.
@@ -363,43 +319,26 @@ def intersect(a: Subspace, b: Subspace, budget: Budget | None = None) -> Subspac
     return out
 
 
-def reduce_vector(x: LevelVector, s: Subspace) -> LevelVector:
-    """Remainder of x after elimination against the subspace rows."""
-    if (x.d, x.n) != (s.d, s.n):
-        raise ValueError("vector/subspace shape mismatch")
-    entries = dict(x.entries)
-    for pivot, row in zip(s.pivots, s.rows):
-        f = entries.get(pivot)
-        if not f:
-            continue
-        f = f / row[pivot]
-        for k, v in row.items():
-            entries[k] = entries.get(k, 0) - f * v
-    return LevelVector(x.d, x.n, entries)
-
-
-def member(x: LevelVector, s: Subspace) -> bool:
-    """True iff x reduces to zero against the subspace rows."""
-    return reduce_vector(x, s).is_zero()
-
-
-def member_tensor(x: TensorElement, s: Subspace) -> bool:
-    return member(LevelVector.from_tensor(x, s.n), s)
-
-
-def contains(outer: Subspace, inner: Subspace) -> bool:
-    """True iff every stored row of inner reduces to zero against outer.
+def _reduces_to_zero(r: dict[int, int], by_col: dict[int, dict[int, int]]) -> bool:
+    """Reduce the integer row r in place against reduced echelon rows keyed
+    by pivot column; True iff nothing remains.
 
     Reducing against a reduced echelon form clears each pivot column the
     row hits once, and no step brings in another pivot column.
     """
+    for c in [c for c in r if c in by_col]:
+        _combine(r, by_col[c], c)
+    return not r
+
+
+def member_tensor(x: TensorElement, s: Subspace) -> bool:
+    """True iff the element x of level s.n lies in s."""
+    return _reduces_to_zero(_tensor_row(x, s.d, s.n), dict(zip(s.pivots, s.rows)))
+
+
+def contains(outer: Subspace, inner: Subspace) -> bool:
+    """True iff every stored row of inner reduces to zero against outer."""
     if (outer.d, outer.n) != (inner.d, inner.n):
         raise ValueError("subspace shape mismatch")
     by_col = dict(zip(outer.pivots, outer.rows))
-    for row in inner.rows:
-        r = dict(row)
-        for c in [c for c in r if c in by_col]:
-            _combine(r, by_col[c], c)
-        if r:
-            return False
-    return True
+    return all(_reduces_to_zero(dict(row), by_col) for row in inner.rows)

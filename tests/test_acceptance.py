@@ -10,6 +10,7 @@ on current hardware the whole suite runs in well under two minutes.
 import random
 import time
 
+from conftest import tensor_row
 from loopinv._rat import Q
 from loopinv.invariants import (
     conjecture_evidence,
@@ -17,11 +18,11 @@ from loopinv.invariants import (
     verify_relations,
 )
 from loopinv.linalg import (
-    LevelVector,
     contains,
     intersect,
     kernel,
     orthogonal_complement,
+    span,
     span_tensors,
     subspace_sum,
 )
@@ -176,7 +177,7 @@ def test_criterion_3_two_route_equalities():
                 for q in all_words(d, n - 1):
                     elt = bracket(W(d, (i,)), W(d, q) if q else TensorElement.unit(d))
                     if not elt.is_zero():
-                        rows.append(LevelVector.from_tensor(elt, n))
+                        rows.append(tensor_row(elt, n))
             via_kernel = kernel(d, n, rows)
             via_rot = span_tensors(d, n, (rotation_sum(w) for w in necklaces(d, n)))
             if via_kernel != via_rot or via_rot != sp.conjugation_invariants(n):
@@ -198,16 +199,13 @@ def test_criterion_3_two_route_equalities():
                 for word, c in delta.items():
                     diff_rows.setdefault(word.letters, {})[w] = c
             constraints = [
-                LevelVector.from_tensor(TensorElement(d, row.items()), n)
-                for row in diff_rows.values()
+                tensor_row(TensorElement(d, row.items()), n) for row in diff_rows.values()
             ]
             via_closure_kernel = kernel(d, n, constraints)
             if via_closure_kernel != sp.loop_invariants(n):
                 failures.append("loop routes differ at d=%d n=%d" % (d, n))
             # letter-reduced conjugation invariants: quotient == rank
-            bracket_full = span_tensors(
-                d, n, (r.to_tensor() for r in rows), None
-            ) if rows else span_tensors(d, n, [])
+            bracket_full = span(d, n, rows)
             quotient = sp.zero_increment_space(n).dim - intersect(
                 bracket_full, sp.zero_increment_space(n)
             ).dim

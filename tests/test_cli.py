@@ -121,6 +121,13 @@ class TestCheck:
         payload = json.loads(out)
         assert all(item["holds"] for item in payload["results"])
 
+    def test_no_alphabet_is_refused(self, capsys):
+        # a check over no alphabet would pass having checked nothing
+        with pytest.raises(SystemExit) as err:
+            main(["check", "--d"])
+        assert err.value.code == EXIT_BUDGET_OR_CONFIG
+        assert "--d" in capsys.readouterr().err
+
     def test_unwritable_out(self, tmp_path, capsys):
         target = tmp_path / "missing" / "check.txt"
         code = main(["check", "--d", "2", "--out", str(target)])

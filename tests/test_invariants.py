@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from conftest import row_tensor
 from loopinv.invariants import (
     CrossCheckError,
     InvariantReport,
@@ -19,7 +20,6 @@ from loopinv import invariants, tensor
 from loopinv.linalg import (
     Budget,
     BudgetExceeded,
-    LevelVector,
     contains,
     intersect,
     kernel,
@@ -304,10 +304,10 @@ class TestReportValidation:
         from loopinv.linalg import Budget, BudgetExceeded
 
         sp = InvariantSpaces(2)
-        sp.set_budget(Budget(seconds=-1.0))
+        sp.budget = Budget(seconds=-1.0)
         with pytest.raises(BudgetExceeded):
             sp.report(4)
-        sp.set_budget(None)
+        sp.budget = None
         assert sp.report(4).dims["conjugation"] == 6
 
 
@@ -340,7 +340,7 @@ class TestBudgetInHeavyLoops:
         if build != "closures_vanish_on_shuffle_ideal":
             sp.closures_vanish_on_shuffle_ideal(5)
         calls = self.count_calls(monkeypatch, tensor, "_rcl_word")
-        sp.set_budget(Budget(seconds=-1))
+        sp.budget = Budget(seconds=-1)
         with pytest.raises(BudgetExceeded) as err:
             getattr(sp, build)(5)
         assert err.value.space == (self.CLOSURE_LOOPS[build], 5)
@@ -349,29 +349,29 @@ class TestBudgetInHeavyLoops:
     def test_lazy_span_input(self, monkeypatch):
         calls = self.count_calls(monkeypatch, tensor, "_rcl_word")
         sp = InvariantSpaces(2)
-        sp.set_budget(Budget(seconds=-1))
+        sp.budget = Budget(seconds=-1)
         with pytest.raises(BudgetExceeded):
             sp.closed_rotation_span(6)
         assert len(calls) <= 1
 
     def test_names_the_space(self):
         sp = InvariantSpaces(2)
-        sp.set_budget(Budget(seconds=-1))
+        sp.budget = Budget(seconds=-1)
         with pytest.raises(BudgetExceeded) as err:
             sp.report(4)
         assert err.value.space == ("conj", 4)
         assert str(err.value).endswith("in ('conj', 4)")
         # the memo of a completed space is kept; the next one is named
-        sp.set_budget(None)
+        sp.budget = None
         sp.conjugation_invariants(4)
-        sp.set_budget(Budget(seconds=-1))
+        sp.budget = Budget(seconds=-1)
         with pytest.raises(BudgetExceeded) as err:
             sp.report(4)
         assert err.value.space == ("S", 4)
 
     def test_pbw_products(self):
         sp = InvariantSpaces(2)
-        sp.set_budget(Budget(seconds=-1))
+        sp.budget = Budget(seconds=-1)
         with pytest.raises(BudgetExceeded):
             sp._pbw_products(6)
 
@@ -380,7 +380,7 @@ class TestBudgetInHeavyLoops:
         for k in range(1, 6):
             sp.conjugation_invariants(k)
         calls = self.count_calls(monkeypatch, tensor, "_shuffle_words_into")
-        sp.set_budget(Budget(seconds=-1))
+        sp.budget = Budget(seconds=-1)
         with pytest.raises(BudgetExceeded):
             sp.min_generator_count(6)
         assert calls == []
@@ -413,25 +413,21 @@ def _pbw_products_oracle(d, n):
 class TestRowOperators:
     """The integer row operators against the tensor operations they replace."""
 
-    @staticmethod
-    def tensor(d, n, row):
-        return LevelVector(d, n, row).to_tensor()
-
     @pytest.mark.parametrize("d", [2, 3])
     def test_against_tensor_operations(self, d, rng):
         sp = InvariantSpaces(d)
         for _ in range(15):
             na, nb = rng.randint(1, 3), rng.randint(1, 3)
             a, b = _random_row(rng, d, na), _random_row(rng, d, nb)
-            ta, tb = self.tensor(d, na, a), self.tensor(d, nb, b)
-            assert self.tensor(d, na + nb, sp._shuffle_row(a, na, b, nb)) == shuffle(ta, tb)
-            assert self.tensor(d, na, sp._closure_row(a, na)) == factorial(na) * right_closure(ta)
+            ta, tb = row_tensor(d, na, a), row_tensor(d, nb, b)
+            assert row_tensor(d, na + nb, sp._shuffle_row(a, na, b, nb)) == shuffle(ta, tb)
+            assert row_tensor(d, na, sp._closure_row(a, na)) == factorial(na) * right_closure(ta)
             i = rng.randrange(d)
             letter = TensorElement.word(d, (i + 1,))
-            assert self.tensor(d, na + 1, sp._bracket_row(a, na, i)) == bracket(ta, letter)
+            assert row_tensor(d, na + 1, sp._bracket_row(a, na, i)) == bracket(ta, letter)
         for n in range(1, 5):
             for w in necklaces(d, n):
-                assert self.tensor(d, n, sp._rotation_row(w)) == rotation_sum(w)
+                assert row_tensor(d, n, sp._rotation_row(w)) == rotation_sum(w)
 
     def test_shuffle_row_with_zero_entry(self):
         # a zero coefficient adds nothing: 0 shuffled with 0 is 2 * 00
@@ -440,7 +436,7 @@ class TestRowOperators:
     @pytest.mark.parametrize("d, n", [(2, 6), (3, 4)])
     def test_pbw_products(self, d, n):
         rows = InvariantSpaces(d)._pbw_products(n)
-        assert [self.tensor(d, n, r) for r in rows] == _pbw_products_oracle(d, n)
+        assert [row_tensor(d, n, r) for r in rows] == _pbw_products_oracle(d, n)
 
     @pytest.mark.parametrize("d, top", [(2, 8), (3, 5)])
     def test_letter_reduced_conj_against_intersection(self, d, top):
@@ -459,7 +455,6 @@ class TestIntegerPipeline:
 
         monkeypatch.setattr(TensorElement, "__init__", refuse)
         monkeypatch.setattr(TensorElement, "_raw", refuse)
-        monkeypatch.setattr(LevelVector, "__init__", refuse)
         monkeypatch.setattr(Fraction, "__new__", refuse)
         assert InvariantSpaces(2).report(7).dims["conjugation"] == 20
         assert InvariantSpaces(3).report(5).dims["conjugation"] == 51

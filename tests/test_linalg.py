@@ -2,20 +2,17 @@ from math import gcd
 
 import pytest
 
-from conftest import random_homogeneous
+from conftest import random_homogeneous, tensor_row
 from loopinv._rat import Q
 from loopinv.linalg import (
     Budget,
     BudgetExceeded,
-    LevelVector,
     contains,
     index_word,
     intersect,
     kernel,
-    member,
     member_tensor,
     orthogonal_complement,
-    reduce_vector,
     span,
     span_tensors,
     subspace_sum,
@@ -27,12 +24,8 @@ from loopinv.words import Word, all_words
 W = TensorElement.word
 
 
-def vec(x, n=None):
-    return LevelVector.from_tensor(x, n)
-
-
 def random_subspace(rng, d, n, rows):
-    return span(d, n, [vec(random_homogeneous(rng, d, n), n) for _ in range(rows)])
+    return span_tensors(d, n, [random_homogeneous(rng, d, n) for _ in range(rows)])
 
 
 class TestIndexing:
@@ -46,24 +39,23 @@ class TestIndexing:
         assert [word_index(w, 2) for w in words] == list(range(16))
 
 
-class TestLevelVector:
+class TestTensorBoundary:
     def test_from_tensor(self):
-        v = vec(W(2, "12") - W(2, "21"))
-        assert v.n == 2 and v.entries == {1: Q(1), 2: Q(-1)}
-        assert v.to_tensor() == W(2, "12") - W(2, "21")
+        x = W(2, "12") - W(2, "21")
+        s = span_tensors(2, 2, [x])
+        assert s == span(2, 2, [{1: 1, 2: -1}])
+        assert s.basis_tensors() == [x]
+        assert span_tensors(2, 2, [Q(2, 3) * x]) == s
 
-    def test_rejects_inhomogeneous(self):
+    @pytest.mark.parametrize(
+        "x", [W(2, "1") + W(2, "12"), W(2, "121"), W(3, "12")],
+        ids=["inhomogeneous", "wrong_level", "wrong_alphabet"],
+    )
+    def test_rejects_wrong_level_or_alphabet(self, x):
         with pytest.raises(ValueError):
-            vec(W(2, "1") + W(2, "12"))
-
-    def test_rejects_bad_index(self):
+            span_tensors(2, 2, [W(2, "11"), x])
         with pytest.raises(ValueError):
-            LevelVector(2, 2, {4: Q(1)})
-
-    def test_rejects_floats(self):
-        with pytest.raises(TypeError):
-            LevelVector(2, 1, {0: 0.1})
-        assert LevelVector(2, 1, {0: "1/3", 1: 2}).entries == {0: Q(1, 3), 1: Q(2)}
+            member_tensor(x, span(2, 2, [{0: 1}]))
 
 
 class TestSpan:
@@ -80,13 +72,13 @@ class TestSpan:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            span(2, 2, [vec(W(2, "121"))])
+            span_tensors(2, 2, [W(2, "121")])
 
     def test_raw_rows(self):
         s = span(2, 2, [{0: 2, 3: 0, 1: Q(2, 3)}, {1: 0}])
-        assert s == span(2, 2, [LevelVector(2, 2, {0: 3, 1: 1})])
+        assert s == span_tensors(2, 2, [3 * W(2, "11") + W(2, "12")])
         assert s.rows == ({0: 3, 1: 1},)
-        assert kernel(2, 2, [{0: 1, 1: -1}]) == kernel(2, 2, [vec(W(2, "11") - W(2, "12"))])
+        assert kernel(2, 2, [{0: 1, 1: -1}]) == kernel(2, 2, [{0: Q(1, 2), 1: Q(-1, 2)}])
 
     @pytest.mark.parametrize("build", [span, kernel])
     @pytest.mark.parametrize("index", [4, -1])
@@ -104,12 +96,12 @@ class TestSpan:
         # re-reducing a reduced basis reproduces it identically, and the
         # result does not depend on the order of the generators
         for _ in range(10):
-            vectors = [vec(random_homogeneous(rng, 2, 3), 3) for _ in range(4)]
-            s = span(2, 3, vectors)
-            again = span(2, 3, s.basis_vectors())
+            elements = [random_homogeneous(rng, 2, 3) for _ in range(4)]
+            s = span_tensors(2, 3, elements)
+            again = span_tensors(2, 3, s.basis_tensors())
             assert again == s
-            shuffled = vectors[::-1]
-            assert span(2, 3, shuffled) == s
+            shuffled = elements[::-1]
+            assert span_tensors(2, 3, shuffled) == s
 
     def test_pivots_normalized(self, rng):
         # stored rows are coprime integers with a positive pivot that no
@@ -123,32 +115,32 @@ class TestSpan:
                 assert gcd(*row.values()) == 1
                 assert row[pivot] > 0 and min(row) == pivot
                 assert all(pivot not in other for other in s.rows if other is not row)
-            basis = s.basis_vectors()
+            basis = [tensor_row(b, 3) for b in s.basis_tensors()]
             for pivot, v in zip(s.pivots, basis):
-                assert v.entries[pivot] == 1 and min(v.entries) == pivot
-                assert all(pivot not in w.entries for w in basis if w is not v)
+                assert v[pivot] == 1 and min(v) == pivot
+                assert all(pivot not in w for w in basis if w is not v)
 
 
 class TestKernel:
     def test_single_constraint(self):
-        s = kernel(2, 2, [vec(W(2, "12") - W(2, "21"))])
+        s = kernel(2, 2, [{1: 1, 2: -1}])
         assert s.dim == 3
 
     def test_empty_constraints(self):
         assert kernel(2, 3, []).dim == 8
 
     def test_full_rank(self):
-        rows = [vec(W(2, w), 2) for w in ("11", "12", "21", "22")]
+        rows = [{k: 1} for k in range(4)]
         assert kernel(2, 2, rows).dim == 0
 
     def test_kernel_annihilates(self, rng):
-        rows = [vec(random_homogeneous(rng, 2, 3), 3) for _ in range(3)]
-        ker = kernel(2, 3, rows)
+        elements = [random_homogeneous(rng, 2, 3) for _ in range(3)]
+        ker = kernel(2, 3, [tensor_row(x, 3) for x in elements])
         from loopinv.tensor import pair
 
         for b in ker.basis_tensors():
-            for r in rows:
-                assert pair(r.to_tensor(), b) == 0
+            for x in elements:
+                assert pair(x, b) == 0
 
     def test_on_a_subset_of_columns(self, rng):
         # the kernel among vectors supported on the columns is the full
@@ -224,12 +216,32 @@ class TestMembership:
         assert not member_tensor(W(2, "12") - W(2, "21"), conj2)
 
     def test_zero_member_everywhere(self, rng):
-        s = random_subspace(rng, 2, 2, 2)
-        assert member(LevelVector(2, 2, {}), s)
+        for d, n in [(2, 0), (2, 1), (2, 2), (2, 3), (3, 2)]:
+            zero = TensorElement.zero(d)
+            assert member_tensor(zero, span(d, n, []))
+            assert member_tensor(zero, random_subspace(rng, d, n, 2))
+
+    def test_member_agrees_with_sum_dimension(self, rng):
+        seen = set()
+        for _ in range(40):
+            d, n = rng.choice([(2, 2), (2, 3), (3, 2)])
+            s = random_subspace(rng, d, n, rng.randint(0, 5))
+            # half the candidates are rational combinations of the basis,
+            # so both answers occur
+            if rng.random() < 0.5:
+                x = TensorElement.zero(d)
+                for b in s.basis_tensors():
+                    x = x + Q(rng.randint(-4, 4), rng.randint(1, 3)) * b
+            else:
+                x = Q(2, 3) * random_homogeneous(rng, d, n)
+            expected = subspace_sum(s, span_tensors(d, n, [x])).dim == s.dim
+            assert member_tensor(x, s) == expected
+            seen.add(expected)
+        assert seen == {True, False}
 
     def test_contains(self, rng):
         s = random_subspace(rng, 2, 3, 4)
-        sub = span(2, 3, s.basis_vectors()[:2])
+        sub = span_tensors(2, 3, s.basis_tensors()[:2])
         assert contains(s, sub)
 
     def test_contains_agrees_with_sum_dimension(self, rng):
@@ -241,7 +253,7 @@ class TestMembership:
             # random vector, so both answers occur
             inner_rows = list(outer.rows[: rng.randint(0, outer.dim)])
             if rng.random() < 0.5:
-                inner_rows.append(vec(random_homogeneous(rng, d, n), n))
+                inner_rows.append(tensor_row(random_homogeneous(rng, d, n), n))
             inner = span(d, n, inner_rows)
             expected = subspace_sum(outer, inner).dim == outer.dim
             assert contains(outer, inner) == expected
@@ -254,11 +266,6 @@ class TestMembership:
         for rows in ([], [{0: 1}]):
             with pytest.raises(ValueError):
                 contains(outer, span(*inner_shape, rows))
-
-    def test_reduce_vector(self):
-        s = span_tensors(2, 2, [W(2, "11")])
-        x = vec(W(2, "11") + W(2, "12"), 2)
-        assert reduce_vector(x, s).to_tensor() == W(2, "12")
 
 
 class TestBudget:
@@ -277,12 +284,12 @@ class TestBudget:
 
     def test_bits_of_combined_rows(self):
         # the pivots are small, but cancelling column 0 leaves a 20-bit entry
-        rows = [LevelVector(2, 2, {0: 1, 1: 3}), LevelVector(2, 2, {0: 2, 2: 2**20})]
+        rows = [{0: 1, 1: 3}, {0: 2, 2: 2**20}]
         with pytest.raises(BudgetExceeded):
             span(2, 2, rows, Budget(max_bits=8))
         assert span(2, 2, rows, Budget(max_bits=20)).dim == 2
 
     def test_threaded_through_span(self, rng):
-        vectors = [vec(random_homogeneous(rng, 2, 4), 4) for _ in range(8)]
+        elements = [random_homogeneous(rng, 2, 4) for _ in range(8)]
         with pytest.raises(BudgetExceeded):
-            span(2, 4, vectors, Budget(seconds=-1.0))
+            span_tensors(2, 4, elements, Budget(seconds=-1.0))
