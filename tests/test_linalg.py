@@ -58,6 +58,26 @@ class TestTensorBoundary:
             member_tensor(x, span(2, 2, [{0: 1}]))
 
 
+class TestLevelVector:
+    """A vector of level n over d letters enters as a raw row
+    ``{word index: exact coefficient}`` or as a TensorElement."""
+
+    def test_rejects_bad_index(self):
+        # the index bound is d**n of the level the row is given at
+        assert span(2, 2, [{2: 1}]).dim == 1
+        with pytest.raises(ValueError):
+            span(2, 1, [{2: 1}])
+        with pytest.raises(ValueError):
+            kernel(2, 1, [{2: 1}])
+
+    def test_rejects_floats(self):
+        with pytest.raises(TypeError):
+            kernel(2, 1, [{0: 0.1}])
+        with pytest.raises(TypeError):
+            span_tensors(2, 1, [0.1 * W(2, "1")])
+        assert span(2, 1, [{0: Q(1, 3), 1: 2}]).rows == ({0: 1, 1: 6},)
+
+
 class TestSpan:
     def test_independent_pair(self):
         s = span_tensors(2, 2, [W(2, "12") + W(2, "21"), W(2, "12") - W(2, "21")])
