@@ -157,7 +157,7 @@ def cmd_dims(args) -> int:
 def cmd_check(args) -> int:
     all_ok = True
     results = []
-    for d in args.d:
+    for d in dict.fromkeys(args.d):  # each alphabet once, in the order given
         for check in verify_relations(d):
             results.append({"d": d, "name": check.name, "holds": check.holds})
             all_ok = all_ok and check.holds

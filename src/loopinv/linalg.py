@@ -246,7 +246,14 @@ def span(d: int, n: int, rows: Iterable[dict], budget: Budget | None = None) -> 
 
 def span_tensors(d: int, n: int, elements: Iterable[TensorElement], budget: Budget | None = None) -> Subspace:
     """Canonical RREF basis of the span of elements of level n."""
-    return span(d, n, (_tensor_row(x, d, n) for x in elements), budget)
+    rows = []
+    for x in elements:
+        if budget is not None:
+            budget.check()
+        row = _tensor_row(x, d, n)
+        if row:
+            rows.append(row)
+    return _subspace(d, n, _eliminate(rows, budget))
 
 
 def _null_space(

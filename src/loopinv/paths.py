@@ -2,10 +2,25 @@
 
 A path is an ordered list of rational increment vectors.  Its signature
 is the truncated concatenation product of segment exponentials (Chen's
-identity), so every coefficient is an exact rational.  This module is
-the independent oracle for the algebraic invariance claims: seeded fuzz
-drivers compare pairings of concrete path signatures against the
-invariant bases built in :mod:`loopinv.invariants`.
+identity).  This module is the independent oracle for the algebraic
+invariance claims: seeded fuzz drivers compare pairings of concrete path
+signatures against the invariant bases built in :mod:`loopinv.invariants`.
+
+Signatures are computed on scaled integer levels.  Let D be a common
+denominator of every increment in play.  Level k is a dense list of
+``d**k`` ints in the word order of :func:`loopinv.linalg.word_index`,
+equal to ``k! * D**k`` times the true level k:
+
+* a segment with increment z has level k equal to the k-fold outer power
+  of the integer vector ``D * z``;
+* Chen's identity becomes a binomially weighted integer convolution,
+  ``Z_k[u * d**(k-j) + v] = sum_j C(k, j) X_j[u] Y_(k-j)[v]``.
+
+The fuzz drivers pair these levels with the stored integer rows of the
+invariant subspaces and compare scaled values of one level and one D, so
+no rational is formed.  :func:`path_signature` divides by ``k! * D**k``
+once at the end.  The rational route, :func:`segment_signature` folded
+with :meth:`TruncatedSignature.product`, is kept as the test oracle.
 """
 
 from __future__ import annotations
@@ -13,7 +28,9 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from math import factorial
+from functools import reduce
+from itertools import accumulate
+from math import comb, factorial, lcm
 from typing import Sequence
 
 from ._rat import Q, exact, rational_from_string, rational_to_string
@@ -28,6 +45,7 @@ from .tensor import (
 )
 from .words import Word, all_words
 from .invariants import InvariantSpaces, spaces_for
+from .linalg import word_index
 
 
 class PiecewiseLinearPath:
@@ -200,10 +218,75 @@ def segment_signature(d: int, increment: Sequence, level: int) -> TruncatedSigna
 
 def path_signature(path: PiecewiseLinearPath, level: int) -> TruncatedSignature:
     """Chen product of the segment exponentials, in path order."""
-    sig = segment_signature(path.d, (Q(0),) * path.d, level)
-    for seg in path.segments:
-        sig = sig.product(segment_signature(path.d, seg, level))
-    return sig
+    if level < 0:
+        raise ValueError("negative truncation level")
+    scale = _common_denominator(path.segments)
+    sig = _signature_levels(path.d, path.segments, level, scale)
+    terms = {}
+    for k, values in enumerate(sig):
+        denominator = factorial(k) * scale**k
+        for letters, v in zip(all_words(path.d, k), values):
+            if v:
+                terms[letters] = Q(v, denominator)
+    return TruncatedSignature(level, TensorElement(path.d, terms))
+
+
+# ---------------------------------------------------------------------------
+# scaled integer levels: level k holds k! * D**k times the true level k
+# ---------------------------------------------------------------------------
+
+
+def _common_denominator(segments) -> int:
+    """The lcm D of the denominators of every coordinate of the segments."""
+    return lcm(*(c.denominator for seg in segments for c in seg))
+
+
+def _unit_levels(d: int, level: int) -> list[list[int]]:
+    return [[1]] + [[0] * d**k for k in range(1, level + 1)]
+
+
+def _segment_levels(increment, level: int, scale: int) -> list[list[int]]:
+    """Outer powers of the integer vector ``scale * increment``."""
+    y = [c.numerator * (scale // c.denominator) for c in increment]
+    levels = [[1]]
+    for _ in range(level):
+        levels.append([a * b for a in levels[-1] for b in y])
+    return levels
+
+
+def _chen(x: list[list[int]], y: list[list[int]]) -> list[list[int]]:
+    """Scaled levels of the concatenated path, for x and y of one D."""
+    out = [[1]]
+    for k in range(1, min(len(x), len(y))):
+        parts = [y[k], x[k]]
+        for j in range(1, k):
+            ys = y[k - j]
+            weight = comb(k, j)
+            parts.append([p * b for p in [weight * a for a in x[j]] for b in ys])
+        out.append(list(map(sum, zip(*parts))))
+    return out
+
+
+def _signature_levels(d: int, segments, level: int, scale: int) -> list[list[int]]:
+    """Scaled levels of the path with the given segments."""
+    if not segments:
+        return _unit_levels(d, level)
+    return reduce(_chen, (_segment_levels(seg, level, scale) for seg in segments))
+
+
+def _pair_row(sig: list[list[int]], entry: tuple[int, dict[int, int]]) -> int:
+    """Scaled pairing with an integer row ``(n, {word index: coefficient})``."""
+    n, row = entry
+    values = sig[n]
+    return sum(values[i] * c for i, c in row.items())
+
+
+def _pair_tensor(sig: list[list[int]], x: TensorElement, n: int):
+    """Scaled pairing with an element x of level n."""
+    if not x.is_homogeneous(n):
+        raise ValueError("element is not homogeneous of level %d" % n)
+    values = sig[n]
+    return sum(values[word_index(w.letters, x.d)] * c for w, c in x.items())
 
 
 # ---------------------------------------------------------------------------
@@ -268,17 +351,23 @@ def _describe_pair(a: PiecewiseLinearPath, b: PiecewiseLinearPath, what: str) ->
     )
 
 
-def _invariant_basis(spaces: InvariantSpaces, level: int, kind: str):
-    out = []
-    for n in range(1, level + 1):
-        if kind == "conj":
-            sub = spaces.conjugation_invariants(n)
-        elif kind == "loop":
-            sub = spaces.loop_invariants(n)
-        else:
-            sub = spaces.closure_invariants(n)
-        out.extend(sub.basis_tensors())
-    return out
+def _invariant_rows(spaces: InvariantSpaces, level: int, kind: str):
+    """Stored integer rows ``(n, row)`` of one invariant kind, levels 1..level.
+
+    Every fuzz driver takes its basis from here.
+    """
+    build = {
+        "conj": spaces.conjugation_invariants,
+        "loop": spaces.loop_invariants,
+        "closure": spaces.closure_invariants,
+    }[kind]
+    return [(n, row) for n in range(1, level + 1) for row in build(n).rows]
+
+
+def _word_row(d: int, coefficients: dict) -> tuple[int, dict[int, int]]:
+    """Integer row ``(n, row)`` of a combination of words of one length n."""
+    n = len(next(iter(coefficients)))
+    return n, {word_index(w, d): c for w, c in coefficients.items()}
 
 
 def fuzz_conjugation(d: int, level: int, trials: int, seed: int) -> FuzzReport:
@@ -290,11 +379,10 @@ def fuzz_conjugation(d: int, level: int, trials: int, seed: int) -> FuzzReport:
     pairs, so ``trials + 1`` pairs are checked and, from level 2 on, a
     witness is always found.
     """
-    spaces = spaces_for(d)
-    basis = _invariant_basis(spaces, level, "conj")
+    basis = _invariant_rows(spaces_for(d), level, "conj")
     area = None
     if d >= 2 and level >= 2:
-        area = TensorElement.word(d, (1, 2)) - TensorElement.word(d, (2, 1))
+        area = _word_row(d, {(1, 2): 1, (2, 1): -1})
     rng = random.Random(seed)
     checks = 0
     failures: list[str] = []
@@ -306,14 +394,17 @@ def fuzz_conjugation(d: int, level: int, trials: int, seed: int) -> FuzzReport:
         axis_b = PiecewiseLinearPath(d, [_unit_vector(d, 2)])
         pairs.append((axis_a, axis_b))
     for a, b in pairs:
-        sig_ab = path_signature(a.followed_by(b), level)
-        sig_ba = path_signature(b.followed_by(a), level)
-        for elt in basis:
-            if sig_ab.pair(elt) != sig_ba.pair(elt):
+        scale = _common_denominator(a.segments + b.segments)
+        sig_a = _signature_levels(d, a.segments, level, scale)
+        sig_b = _signature_levels(d, b.segments, level, scale)
+        sig_ab = _chen(sig_a, sig_b)
+        sig_ba = _chen(sig_b, sig_a)
+        for entry in basis:
+            if _pair_row(sig_ab, entry) != _pair_row(sig_ba, entry):
                 failures.append(_describe_pair(a, b, "conjugation invariance"))
                 break
             checks += 1
-        if not witness and area is not None and sig_ab.pair(area) != sig_ba.pair(area):
+        if not witness and area is not None and _pair_row(sig_ab, area) != _pair_row(sig_ba, area):
             witness = _describe_pair(a, b, "area distinguishes AB from BA")
     return FuzzReport(
         kind="conjugation",
@@ -335,10 +426,13 @@ def fuzz_loop(d: int, level: int, trials: int, seed: int) -> FuzzReport:
     rotation of its segment list, and also conjugates the loop by one
     random path.  The witness search looks for a rotation distinguishing
     the non-loop-invariant word 112.
+
+    Rotation k of a loop of m segments is the suffix from segment k
+    followed by the prefix before it, so its signature is one Chen
+    product of the suffix and prefix signatures.
     """
-    spaces = spaces_for(d)
-    basis = _invariant_basis(spaces, level, "loop")
-    probe = TensorElement.word(d, (1, 1, 2)) if d >= 2 and level >= 3 else None
+    basis = _invariant_rows(spaces_for(d), level, "loop")
+    probe = _word_row(d, {(1, 1, 2): 1}) if d >= 2 and level >= 3 else None
     rng = random.Random(seed)
     checks = 0
     failures: list[str] = []
@@ -346,22 +440,37 @@ def fuzz_loop(d: int, level: int, trials: int, seed: int) -> FuzzReport:
     for _ in range(trials):
         loop = close(random_path(rng, d, min_segments=2, max_segments=5))
         conjugator = random_path(rng, d)
-        base_sig = path_signature(loop, level)
-        base_values = [base_sig.pair(elt) for elt in basis]
-        rotations = [loop.rotated(k) for k in range(1, len(loop.segments))]
-        conjugated = reverse(conjugator).followed_by(loop).followed_by(conjugator)
-        for other in rotations + [conjugated]:
-            sig = path_signature(other, level)
-            for elt, expected in zip(basis, base_values):
-                if sig.pair(elt) != expected:
-                    failures.append(_describe_pair(loop, other, "loop invariance"))
+        rev_conjugator = reverse(conjugator)
+        scale = _common_denominator(loop.segments + conjugator.segments)
+        segs = [_segment_levels(seg, level, scale) for seg in loop.segments]
+        m = len(segs)
+        # prefixes[k - 1]: the first k segments; suffixes[k - 1]: segment k on
+        prefixes = list(accumulate(segs, _chen))
+        suffixes = list(accumulate(segs[:0:-1], lambda tail, seg: _chen(seg, tail)))[::-1]
+        base_sig = prefixes[-1]
+        sigs = [_chen(suffix, prefix) for suffix, prefix in zip(suffixes, prefixes)]
+        sigs.append(_chen(
+            _chen(_signature_levels(d, rev_conjugator.segments, level, scale), base_sig),
+            _signature_levels(d, conjugator.segments, level, scale),
+        ))
+
+        def other_path(k: int) -> PiecewiseLinearPath:
+            if k < m:
+                return loop.rotated(k)
+            return rev_conjugator.followed_by(loop).followed_by(conjugator)
+
+        base_values = [_pair_row(base_sig, entry) for entry in basis]
+        for k, sig in enumerate(sigs, 1):
+            for entry, expected in zip(basis, base_values):
+                if _pair_row(sig, entry) != expected:
+                    failures.append(_describe_pair(loop, other_path(k), "loop invariance"))
                     break
                 checks += 1
         if probe is not None and not witness:
-            base_probe = base_sig.pair(probe)
-            for other in rotations:
-                if path_signature(other, level).pair(probe) != base_probe:
-                    witness = _describe_pair(loop, other, "112 distinguishes rotations")
+            base_probe = _pair_row(base_sig, probe)
+            for k in range(1, m):
+                if _pair_row(sigs[k - 1], probe) != base_probe:
+                    witness = _describe_pair(loop, other_path(k), "112 distinguishes rotations")
                     break
     return FuzzReport(
         kind="loop",
@@ -384,29 +493,31 @@ def fuzz_closure(d: int, level: int, trials: int, seed: int) -> FuzzReport:
     every basis element of the closure invariants is checked to pair
     equally before and after closing.
     """
-    spaces = spaces_for(d)
-    basis = _invariant_basis(spaces, level, "closure")
+    basis = _invariant_rows(spaces_for(d), level, "closure")
     rng = random.Random(seed)
     checks = 0
     failures: list[str] = []
     for _ in range(trials):
         x = random_path(rng, d)
         closing = PiecewiseLinearPath(d, [closing_segment(x)])
-        sig_x = path_signature(x, level)
-        sig_right = path_signature(x.followed_by(closing), level)
-        sig_left = path_signature(closing.followed_by(x), level)
+        scale = _common_denominator(x.segments + closing.segments)
+        sig_x = _signature_levels(d, x.segments, level, scale)
+        sig_closing = _segment_levels(closing.segments[0], level, scale)
+        sig_right = _chen(sig_x, sig_closing)
+        sig_left = _chen(sig_closing, sig_x)
         for k in range(1, level + 1):
             letters = tuple(rng.randint(1, d) for _ in range(k))
             w = TensorElement.word(d, letters)
-            ok_right = sig_x.pair(right_closure(w)) == sig_right.pair(w)
-            ok_left = sig_x.pair(left_closure(w)) == sig_left.pair(w)
+            i = word_index(letters, d)
+            ok_right = _pair_tensor(sig_x, right_closure(w), k) == sig_right[k][i]
+            ok_left = _pair_tensor(sig_x, left_closure(w), k) == sig_left[k][i]
             if not (ok_right and ok_left):
                 failures.append(
                     _describe_pair(x, closing, "closure operator on %s" % "".join(map(str, letters)))
                 )
             checks += 2
-        for elt in basis:
-            if sig_x.pair(elt) != sig_right.pair(elt):
+        for entry in basis:
+            if _pair_row(sig_x, entry) != _pair_row(sig_right, entry):
                 failures.append(_describe_pair(x, closing, "right-closure invariance"))
                 break
             checks += 1

@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from loopinv.cli import EXIT_BUDGET_OR_CONFIG, EXIT_OK, main
+from loopinv import paths
+from loopinv.cli import EXIT_BUDGET_OR_CONFIG, EXIT_MATH_FAILURE, EXIT_OK, main
 from loopinv.invariants import InvariantSpaces
 
 
@@ -115,6 +116,15 @@ class TestCheck:
         assert "FAIL" not in out
         assert "16 identities, 0 failed" in out
 
+    def test_repeated_alphabet_checked_once(self, capsys):
+        code, once = run(capsys, ["check", "--d", "2"])
+        code_twice, twice = run(capsys, ["check", "--d", "2", "2"])
+        assert code == code_twice == EXIT_OK
+        assert twice == once
+        _, mixed = run(capsys, ["check", "--d", "3", "2", "3"])
+        _, ordered = run(capsys, ["check", "--d", "3", "2"])
+        assert mixed == ordered
+
     def test_json_format(self, capsys):
         code, out = run(capsys, ["check", "--d", "2", "--format", "json"])
         assert code == EXIT_OK
@@ -143,6 +153,19 @@ class TestFuzz:
         assert code == EXIT_OK
         assert "fuzz PASS" in out
         assert "witness" in out
+
+    def test_non_invariant_row_fails_the_run(self, capsys, monkeypatch):
+        real = paths._invariant_rows
+
+        def with_area(spaces, level, kind):
+            rows = real(spaces, level, kind)
+            return rows + [(2, {1: 1, 2: -1})] if kind == "conj" else rows
+
+        monkeypatch.setattr(paths, "_invariant_rows", with_area)
+        code, out = run(capsys, ["fuzz", "--d", "2", "--level", "4", "--trials", "5"])
+        assert code == EXIT_MATH_FAILURE
+        assert out.endswith("fuzz FAIL\n")
+        assert "FAILURE" in out and "conjugation invariance" in out
 
     def test_seed_repetition_byte_identical(self, capsys):
         args = ["fuzz", "--d", "2", "--level", "4", "--trials", "4", "--seed", "9", "--format", "json"]
@@ -229,6 +252,25 @@ class TestGoldenOutput:
         code, out = run(capsys, argv)
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command, space, d, n]
+
+
+# sha256 of fuzz output, recorded on the rational Chen route before the
+# fuzz moved to scaled integer levels; verdicts, counts and witnesses must
+# not change
+FUZZ_GOLDEN = {
+    (2, 4, 20, 7, "json"): "6bf39cf4bf8d70c0364e92eeef16a509bd0ba938d6acfec139e40f2fb75aaa65",
+    (3, 3, 10, 2, "json"): "1ec476471906ef506e3065943b24350b48767d5b326c83e028953d3e07bce32c",
+    (3, 3, 10, 2, "pretty"): "d3c5182e5ff675c4e847d5e963144a93cabde69ee02965643f46a3a2ecebbb1c",
+}
+
+
+class TestFuzzGoldenOutput:
+    @pytest.mark.parametrize("d, level, trials, seed, fmt", sorted(FUZZ_GOLDEN))
+    def test_digest(self, d, level, trials, seed, fmt, capsys):
+        code, out = run(capsys, ["fuzz", "--d", str(d), "--level", str(level), "--trials",
+                                 str(trials), "--seed", str(seed), "--format", fmt])
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == FUZZ_GOLDEN[d, level, trials, seed, fmt]
 
 
 class TestEvidence:

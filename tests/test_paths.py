@@ -1,9 +1,13 @@
 import json
+from functools import reduce
+from math import factorial
 
 import pytest
 
+from loopinv import paths
 from loopinv._rat import Q
 from loopinv.invariants import spaces_for
+from loopinv.linalg import word_index
 from loopinv.paths import (
     PiecewiseLinearPath,
     TruncatedSignature,
@@ -142,6 +146,90 @@ class TestPathSignature:
             assert path_signature(random_path(rng, 2), 5).is_grouplike(5)
 
 
+def fraction_signature(path, level):
+    """The rational route: segment exponentials folded with Chen products."""
+    unit = segment_signature(path.d, (0,) * path.d, level)
+    segments = (segment_signature(path.d, seg, level) for seg in path.segments)
+    return reduce(TruncatedSignature.product, segments, unit)
+
+
+def scaled_levels(path, level, scale):
+    return paths._signature_levels(path.d, path.segments, level, scale)
+
+
+class TestIntegerCore:
+    """The scaled integer levels against the rational Chen fold."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_random_paths_all_levels(self, d, rng):
+        for level in range(7):
+            for _ in range(2 if d < 3 else 1):
+                p = random_path(rng, d, max_segments=3 if d == 3 else 5)
+                assert path_signature(p, level) == fraction_signature(p, level)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_empty_path_is_the_unit(self, d):
+        empty = PiecewiseLinearPath(d, [])
+        for level in (0, 1, 4):
+            sig = path_signature(empty, level)
+            assert sig == fraction_signature(empty, level)
+            assert sig.elem == TensorElement.unit(d)
+
+    def test_zero_axis_and_mixed_denominators(self):
+        p = PiecewiseLinearPath(3, [
+            (0, 0, 0), (1, 0, 0), (0, Q(-5, 7), 0), (Q(1, 2), Q(-2, 3), Q(3, 4)),
+            (0, 0, 0), (Q(-1, 6), 0, Q(9, 5)),
+        ])
+        assert paths._common_denominator(p.segments) == 420
+        for level in range(6):
+            assert path_signature(p, level) == fraction_signature(p, level)
+
+    def test_negative_level_refused(self):
+        with pytest.raises(ValueError):
+            path_signature(PiecewiseLinearPath(2, [(1, 0)]), -1)
+
+    def test_levels_are_scaled_by_factorial_and_denominator_powers(self):
+        # one segment z = (1/2, 1/3), D = 6: level k is the k-fold outer power of (3, 2)
+        sig = scaled_levels(PiecewiseLinearPath(2, [(Q(1, 2), Q(1, 3))]), 3, 6)
+        assert sig[1] == [3, 2]
+        assert sig[2] == [9, 6, 6, 4]
+        assert sig[3][word_index((1, 2, 1), 2)] == 3 * 2 * 3
+
+    def test_rotations_from_suffix_and_prefix(self, rng):
+        for d in (2, 3):
+            loop = close(random_path(rng, d, min_segments=2))
+            scale = paths._common_denominator(loop.segments)
+            segs = loop.segments
+            for k in range(1, len(segs)):
+                prefix = PiecewiseLinearPath(d, segs[:k])
+                suffix = PiecewiseLinearPath(d, segs[k:])
+                product = paths._chen(scaled_levels(suffix, 5, scale),
+                                      scaled_levels(prefix, 5, scale))
+                assert product == scaled_levels(loop.rotated(k), 5, scale)
+
+    def test_concatenations_from_the_factors(self, rng):
+        for d in (1, 2, 3):
+            a, b = random_path(rng, d), random_path(rng, d)
+            scale = paths._common_denominator(a.segments + b.segments)
+            sig_a, sig_b = scaled_levels(a, 5, scale), scaled_levels(b, 5, scale)
+            assert paths._chen(sig_a, sig_b) == scaled_levels(a.followed_by(b), 5, scale)
+            assert paths._chen(sig_b, sig_a) == scaled_levels(b.followed_by(a), 5, scale)
+
+    def test_pairing_with_stored_rows(self, rng):
+        # a stored row pairs with level n as n! D^n times the rational pairing
+        # with its basis element, which is the row divided by its pivot
+        sp = spaces_for(2)
+        p = random_path(rng, 2)
+        scale = paths._common_denominator(p.segments)
+        sig = scaled_levels(p, 4, scale)
+        oracle = fraction_signature(p, 4)
+        for n in range(1, 5):
+            sub = sp.loop_invariants(n)
+            for row, elt, pivot in zip(sub.rows, sub.basis_tensors(), sub.pivots):
+                scaled = paths._pair_row(sig, (n, row))
+                assert scaled == oracle.pair(elt) * row[pivot] * factorial(n) * scale**n
+
+
 class TestTruncatedSignature:
     def test_requires_unit_constant_term(self):
         with pytest.raises(ValueError):
@@ -252,6 +340,40 @@ class TestFuzzers:
         assert fuzz_conjugation(3, 4, 5, seed=2).ok
         assert fuzz_loop(3, 4, 5, seed=2).ok
         assert fuzz_closure(3, 4, 5, seed=2).ok
+
+
+def with_extra_row(monkeypatch, kind, entry):
+    """Append a row that is not invariant to one driver's basis."""
+    real = paths._invariant_rows
+
+    def patched(spaces, level, which):
+        rows = real(spaces, level, which)
+        return rows + [entry] if which == kind else rows
+
+    monkeypatch.setattr(paths, "_invariant_rows", patched)
+
+
+# rows that are not invariant, and the failure each driver must report
+FAULTS = {
+    "conjugation": ("conj", (2, {word_index((1, 2), 2): 1, word_index((2, 1), 2): -1}),
+                    fuzz_conjugation, "conjugation invariance"),
+    "loop": ("loop", (3, {word_index((1, 1, 2), 2): 1}), fuzz_loop, "loop invariance"),
+    "closure": ("closure", (1, {word_index((1,), 2): 1}), fuzz_closure,
+                "right-closure invariance"),
+}
+
+
+class TestFaultInjection:
+    """Each driver must fail once its basis holds a non-invariant row."""
+
+    @pytest.mark.parametrize("name", sorted(FAULTS))
+    def test_driver_reports_failure(self, name, monkeypatch):
+        kind, entry, fuzz, message = FAULTS[name]
+        assert fuzz(2, 4, 10, seed=7).ok
+        with_extra_row(monkeypatch, kind, entry)
+        report = fuzz(2, 4, 10, seed=7)
+        assert not report.ok
+        assert all(json.loads(f)["check"] == message for f in report.failures)
 
 
 class TestStaircase:
