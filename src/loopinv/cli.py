@@ -218,15 +218,7 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_basis(args) -> int:
-    spaces = spaces_for(args.d)
-    builders = {
-        "conj": spaces.conjugation_invariants,
-        "loop": spaces.loop_invariants,
-        "closure": spaces.closure_invariants,
-        "V": spaces.zero_increment_space,
-        "S": spaces.letter_shuffle_ideal,
-    }
-    subspace = builders[args.space](args.n)
+    subspace = spaces_for(args.d).space(args.space, args.n)
     payload = {
         "command": "basis",
         "space": args.space,
@@ -354,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fuzz)
 
     p = sub.add_parser("basis", help="export the exact basis of a space")
-    p.add_argument("--space", choices=["conj", "loop", "closure", "V", "S"], required=True)
+    p.add_argument("--space", choices=list(InvariantSpaces.SPACES), required=True)
     p.add_argument("--d", type=_d_type, default=2)
     p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--out")

@@ -35,9 +35,10 @@ untouched for the completed cells.
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .linalg import (
     Budget,
@@ -130,6 +131,34 @@ class InvariantReport:
             raise CrossCheckError("S dimension complement broken")
 
 
+def _memo(name: str):
+    """Memoize a method in ``self._memo`` under ``(name, *arguments)``, with
+    defaults bound.  A build that raises stores nothing; a BudgetExceeded is
+    named after the innermost memoized build it interrupted."""
+
+    def decorate(method):
+        signature = inspect.signature(method)
+
+        @functools.wraps(method)
+        def memoized(self, *args, **kwargs):
+            bound = signature.bind(self, *args, **kwargs)
+            bound.apply_defaults()
+            key = (name, *bound.args[1:])
+            if key not in self._memo:
+                try:
+                    self._memo[key] = method(self, *args, **kwargs)
+                except BudgetExceeded as exc:
+                    if exc.space is None:
+                        exc.space = key
+                        exc.args = ("%s in %r" % (exc, key),)
+                    raise
+            return self._memo[key]
+
+        return memoized
+
+    return decorate
+
+
 class InvariantSpaces:
     """Memoized per-alphabet pipeline of all invariant subspaces.
 
@@ -137,6 +166,15 @@ class InvariantSpaces:
     optional :class:`~loopinv.linalg.Budget` in :attr:`budget` bounds the
     heavy loops; a build it interrupts stores nothing.
     """
+
+    # exported space name -> name of its builder, so a rebound method is the one called
+    SPACES = {
+        "conj": "conjugation_invariants",
+        "loop": "loop_invariants",
+        "closure": "closure_invariants",
+        "V": "zero_increment_space",
+        "S": "letter_shuffle_ideal",
+    }
 
     def __init__(self, d: int):
         if d < 1:
@@ -150,17 +188,6 @@ class InvariantSpaces:
     def _check_budget(self) -> None:
         if self.budget is not None:
             self.budget.check()
-
-    def _cached(self, key, fn: Callable):
-        if key not in self._memo:
-            try:
-                self._memo[key] = fn()
-            except BudgetExceeded as exc:
-                if exc.space is None:
-                    exc.space = key
-                    exc.args = ("%s in %r" % (exc, key),)
-                raise
-        return self._memo[key]
 
     # -- integer row operators (shuffle and closure check the budget) ------
 
@@ -217,30 +244,29 @@ class InvariantSpaces:
 
     # -- spaces -----------------------------------------------------------
 
+    def space(self, name: str, n: int) -> Subspace:
+        """The space exported under ``name`` (a key of :attr:`SPACES`) at level n."""
+        return getattr(self, self.SPACES[name])(n)
+
+    @_memo("conj")
     def conjugation_invariants(self, n: int) -> Subspace:
         """Span of rotation sums over necklaces == bracket-constraint kernel."""
+        d = self.d
+        via_rotations = span(d, n, map(self._rotation_row, necklaces(d, n)), self.budget)
+        via_kernel = kernel(d, n, self._letter_bracket_rows(n), self.budget)
+        if via_rotations != via_kernel:
+            raise CrossCheckError(
+                "conjugation invariants disagree between rotation span and "
+                "bracket kernel at d=%d, n=%d" % (d, n)
+            )
+        return via_rotations
 
-        def build():
-            d = self.d
-            via_rotations = span(d, n, map(self._rotation_row, necklaces(d, n)), self.budget)
-            via_kernel = kernel(d, n, self._letter_bracket_rows(n), self.budget)
-            if via_rotations != via_kernel:
-                raise CrossCheckError(
-                    "conjugation invariants disagree between rotation span and "
-                    "bracket kernel at d=%d, n=%d" % (d, n)
-                )
-            return via_rotations
-
-        return self._cached(("conj", n), build)
-
+    @_memo("S")
     def letter_shuffle_ideal(self, n: int) -> Subspace:
         """Degree-n part of the shuffle ideal generated by the letters."""
+        return span(self.d, n, self._letter_shuffle_rows(n), self.budget)
 
-        def build():
-            return span(self.d, n, self._letter_shuffle_rows(n), self.budget)
-
-        return self._cached(("S", n), build)
-
+    @_memo("V")
     def zero_increment_space(self, n: int) -> Subspace:
         """The level-n span of zero-increment grouplike elements.
 
@@ -248,26 +274,22 @@ class InvariantSpaces:
         route B spans products of non-letter Lyndon bracketings.  Both are
         computed, compared, and checked against the generating series.
         """
-
-        def build():
-            if n == 0:
-                return kernel(self.d, 0, [], self.budget)
-            complement = orthogonal_complement(self.letter_shuffle_ideal(n), self.budget)
-            products = span(self.d, n, self._pbw_products(n), self.budget)
-            if complement != products:
-                raise CrossCheckError(
-                    "zero-increment space disagrees between shuffle-ideal "
-                    "complement and PBW span at d=%d, n=%d" % (self.d, n)
-                )
-            expected = zero_increment_series_dim(self.d, n)
-            if complement.dim != expected:
-                raise CrossCheckError(
-                    "dim V mismatch with generating series at d=%d, n=%d: %d != %d"
-                    % (self.d, n, complement.dim, expected)
-                )
-            return complement
-
-        return self._cached(("V", n), build)
+        if n == 0:
+            return kernel(self.d, 0, [], self.budget)
+        complement = orthogonal_complement(self.letter_shuffle_ideal(n), self.budget)
+        products = span(self.d, n, self._pbw_products(n), self.budget)
+        if complement != products:
+            raise CrossCheckError(
+                "zero-increment space disagrees between shuffle-ideal "
+                "complement and PBW span at d=%d, n=%d" % (self.d, n)
+            )
+        expected = zero_increment_series_dim(self.d, n)
+        if complement.dim != expected:
+            raise CrossCheckError(
+                "dim V mismatch with generating series at d=%d, n=%d: %d != %d"
+                % (self.d, n, complement.dim, expected)
+            )
+        return complement
 
     def _pbw_products(self, n: int) -> list[dict[int, int]]:
         """Integer rows of the concatenation products of non-letter Lyndon
@@ -308,14 +330,12 @@ class InvariantSpaces:
         rows = (self._bracket_row(row, s.n, i) for row in s.rows for i in range(self.d))
         return span(self.d, s.n + 1, rows, self.budget)
 
+    @_memo("bracketV")
     def bracket_zero_increment(self, n: int) -> Subspace:
         """[V at level n-1, letters], the loop-invariant constraint space."""
+        return self.bracket_with_letters(self.zero_increment_space(n - 1))
 
-        def build():
-            return self.bracket_with_letters(self.zero_increment_space(n - 1))
-
-        return self._cached(("bracketV", n), build)
-
+    @_memo("Sclosed")
     def closures_vanish_on_shuffle_ideal(self, n: int) -> bool:
         """Prove that the right and left closures vanish on S at level n.
 
@@ -324,17 +344,13 @@ class InvariantSpaces:
         ``i ⧢ reverse(u)``) and the left closure is the right closure
         conjugated by reversal, so the left closure vanishes on S too.
         """
-
-        def build():
-            for row in self._letter_shuffle_rows(n):
-                if self._closure_row(row, n):
-                    raise CrossCheckError(
-                        "the right closure does not vanish on the letter shuffle "
-                        "ideal at d=%d, n=%d" % (self.d, n)
-                    )
-            return True
-
-        return self._cached(("Sclosed", n), build)
+        for row in self._letter_shuffle_rows(n):
+            if self._closure_row(row, n):
+                raise CrossCheckError(
+                    "the right closure does not vanish on the letter shuffle "
+                    "ideal at d=%d, n=%d" % (self.d, n)
+                )
+        return True
 
     def _free_columns(self, n: int) -> list[int]:
         """Non-pivot columns of the stored basis of S; their unit vectors
@@ -344,28 +360,25 @@ class InvariantSpaces:
         pivots = set(self.letter_shuffle_ideal(n).pivots)
         return [f for f in range(self.d**n) if f not in pivots]
 
+    @_memo("loop")
     def loop_invariants(self, n: int) -> Subspace:
         """Kernel of (rcl - lcl) == orthogonal complement of [V, letters].
 
         Both closures vanish on S, so the kernel is S plus the kernel of
         the closure-difference rows restricted to the free columns of S.
         """
-
-        def build():
-            free = self._free_columns(n)
-            on_free = kernel(
-                self.d, n, self._closure_difference_rows(n, free), self.budget, free
+        free = self._free_columns(n)
+        on_free = kernel(
+            self.d, n, self._closure_difference_rows(n, free), self.budget, free
+        )
+        via_closures = subspace_sum(on_free, self.letter_shuffle_ideal(n), self.budget)
+        via_bracket = orthogonal_complement(self.bracket_zero_increment(n), self.budget)
+        if via_bracket != via_closures:
+            raise CrossCheckError(
+                "loop invariants disagree between bracket complement and "
+                "closure-difference kernel at d=%d, n=%d" % (self.d, n)
             )
-            via_closures = subspace_sum(on_free, self.letter_shuffle_ideal(n), self.budget)
-            via_bracket = orthogonal_complement(self.bracket_zero_increment(n), self.budget)
-            if via_bracket != via_closures:
-                raise CrossCheckError(
-                    "loop invariants disagree between bracket complement and "
-                    "closure-difference kernel at d=%d, n=%d" % (self.d, n)
-                )
-            return via_bracket
-
-        return self._cached(("loop", n), build)
+        return via_bracket
 
     def _closure_difference_rows(self, n: int, columns: Sequence[int]) -> list[dict[int, int]]:
         """Integer rows of the matrix of n! (right closure - left closure)
@@ -383,6 +396,7 @@ class InvariantSpaces:
                     by_output.setdefault(out_w, {})[col] = c
         return list(by_output.values())
 
+    @_memo("closure")
     def closure_invariants(self, n: int) -> Subspace:
         """Image of the right closure on level n.
 
@@ -391,41 +405,35 @@ class InvariantSpaces:
         match dim V, and together with S the image must fill the level
         (the closure is a projection along S).
         """
+        d = self.d
+        rows = (self._closure_row({f: 1}, n) for f in self._free_columns(n))
+        image = span(d, n, rows, self.budget)
+        if image.dim != self.zero_increment_space(n).dim:
+            raise CrossCheckError(
+                "closure-invariant dimension differs from dim V at d=%d, n=%d"
+                % (d, n)
+            )
+        direct_sum = subspace_sum(image, self.letter_shuffle_ideal(n), self.budget)
+        if direct_sum.dim != d**n:
+            raise CrossCheckError(
+                "closure image and letter shuffle ideal do not complement "
+                "each other at d=%d, n=%d" % (d, n)
+            )
+        return image
 
-        def build():
-            d = self.d
-            rows = (self._closure_row({f: 1}, n) for f in self._free_columns(n))
-            image = span(d, n, rows, self.budget)
-            if image.dim != self.zero_increment_space(n).dim:
-                raise CrossCheckError(
-                    "closure-invariant dimension differs from dim V at d=%d, n=%d"
-                    % (d, n)
-                )
-            direct_sum = subspace_sum(image, self.letter_shuffle_ideal(n), self.budget)
-            if direct_sum.dim != d**n:
-                raise CrossCheckError(
-                    "closure image and letter shuffle ideal do not complement "
-                    "each other at d=%d, n=%d" % (d, n)
-                )
-            return image
-
-        return self._cached(("closure", n), build)
-
+    @_memo("rclrot")
     def closed_rotation_span(self, n: int) -> Subspace:
         """Span of right-closed rotation sums over necklaces of length n."""
-
-        def build():
-            d = self.d
-            rows = (self._closure_row(self._rotation_row(w), n) for w in necklaces(d, n))
-            return span(d, n, rows, self.budget)
-
-        return self._cached(("rclrot", n), build)
+        d = self.d
+        rows = (self._closure_row(self._rotation_row(w), n) for w in necklaces(d, n))
+        return span(d, n, rows, self.budget)
 
     # -- dimensions -------------------------------------------------------
 
     def letter_reduced_loop_dim(self, n: int) -> int:
         return self.zero_increment_space(n).dim - self.bracket_zero_increment(n).dim
 
+    @_memo("lrconj")
     def letter_reduced_conj_dim(self, n: int) -> int:
         """dim of V modulo [T, letters], cross-checked as a closed-rotation rank.
 
@@ -433,35 +441,29 @@ class InvariantSpaces:
         with the brackets is (conj + S)^perp and the quotient has dimension
         dim(conj + S) - dim S.
         """
+        s = self.letter_shuffle_ideal(n)
+        via_quotient = subspace_sum(self.conjugation_invariants(n), s, self.budget).dim - s.dim
+        via_rank = self.closed_rotation_span(n).dim
+        if via_quotient != via_rank:
+            raise CrossCheckError(
+                "letter-reduced conjugation dimension disagrees between "
+                "quotient and rank routes at d=%d, n=%d" % (self.d, n)
+            )
+        return via_rank
 
-        def build():
-            s = self.letter_shuffle_ideal(n)
-            via_quotient = subspace_sum(self.conjugation_invariants(n), s, self.budget).dim - s.dim
-            via_rank = self.closed_rotation_span(n).dim
-            if via_quotient != via_rank:
-                raise CrossCheckError(
-                    "letter-reduced conjugation dimension disagrees between "
-                    "quotient and rank routes at d=%d, n=%d" % (self.d, n)
-                )
-            return via_rank
-
-        return self._cached(("lrconj", n), build)
-
+    @_memo("rclloop")
     def closed_loop_span(self, n: int) -> Subspace:
         """Right closure of the loop invariants (the loop-and-closure space)."""
+        rows = (self._closure_row(r, n) for r in self.loop_invariants(n).rows)
+        space = span(self.d, n, rows, self.budget)
+        if space.dim != self.letter_reduced_loop_dim(n):
+            raise CrossCheckError(
+                "closed loop invariants do not match the letter-reduced "
+                "loop dimension at d=%d, n=%d" % (self.d, n)
+            )
+        return space
 
-        def build():
-            rows = (self._closure_row(r, n) for r in self.loop_invariants(n).rows)
-            space = span(self.d, n, rows, self.budget)
-            if space.dim != self.letter_reduced_loop_dim(n):
-                raise CrossCheckError(
-                    "closed loop invariants do not match the letter-reduced "
-                    "loop dimension at d=%d, n=%d" % (self.d, n)
-                )
-            return space
-
-        return self._cached(("rclloop", n), build)
-
+    @_memo("mingen")
     def min_generator_count(self, n: int, family: str = "conj") -> int:
         """Dimension of level n of a graded shuffle family modulo products.
 
@@ -470,12 +472,11 @@ class InvariantSpaces:
         pairs span every longer product).  family is "conj" or
         "loop_closure".
         """
-
-        def space_of(k: int) -> Subspace:
-            if family == "conj":
-                return self.conjugation_invariants(k)
-            if family == "loop_closure":
-                return self.closed_loop_span(k)
+        if family == "conj":
+            space_of = self.conjugation_invariants
+        elif family == "loop_closure":
+            space_of = self.closed_loop_span
+        else:
             raise ValueError("unknown family %r" % family)
 
         def products():
@@ -488,45 +489,39 @@ class InvariantSpaces:
                 for a, b in pairs:
                     yield self._shuffle_row(a, j, b, n - j)
 
-        def build():
-            rank = span(self.d, n, products(), self.budget).dim
-            total = space_of(n).dim
-            assert rank <= total, "decomposables escaped the family"
-            return total - rank
-
-        return self._cached(("mingen", family, n), build)
+        rank = span(self.d, n, products(), self.budget).dim
+        total = space_of(n).dim
+        assert rank <= total, "decomposables escaped the family"
+        return total - rank
 
     # -- reports ----------------------------------------------------------
 
+    @_memo("report")
     def report(self, n: int) -> InvariantReport:
         """All named dimensions at level n, with every cross-check run."""
-
-        def build():
-            dims = {
-                "conjugation": self.conjugation_invariants(n).dim,
-                "logsignature": lyndon_count(self.d, n),
-                "V_n": self.zero_increment_space(n).dim,
-                "bracket_VR": self.bracket_zero_increment(n).dim,
-                "letter_reduced_conj": self.letter_reduced_conj_dim(n),
-                "letter_reduced_loop": self.letter_reduced_loop_dim(n),
-                "closure": self.closure_invariants(n).dim,
-                "loop": self.loop_invariants(n).dim,
-                "S_n": self.letter_shuffle_ideal(n).dim,
-                "min_generators": self.min_generator_count(n),
-            }
-            if not contains(self.loop_invariants(n), self.conjugation_invariants(n)):
-                raise CrossCheckError(
-                    "conjugation invariants escape the loop invariants at "
-                    "d=%d, n=%d" % (self.d, n)
-                )
-            if dims["letter_reduced_conj"] > dims["letter_reduced_loop"]:
-                raise CrossCheckError(
-                    "letter-reduced conjugation invariants exceed the "
-                    "letter-reduced loop invariants at d=%d, n=%d" % (self.d, n)
-                )
-            return InvariantReport(self.d, n, dims)
-
-        return self._cached(("report", n), build)
+        dims = {
+            "conjugation": self.conjugation_invariants(n).dim,
+            "logsignature": lyndon_count(self.d, n),
+            "V_n": self.zero_increment_space(n).dim,
+            "bracket_VR": self.bracket_zero_increment(n).dim,
+            "letter_reduced_conj": self.letter_reduced_conj_dim(n),
+            "letter_reduced_loop": self.letter_reduced_loop_dim(n),
+            "closure": self.closure_invariants(n).dim,
+            "loop": self.loop_invariants(n).dim,
+            "S_n": self.letter_shuffle_ideal(n).dim,
+            "min_generators": self.min_generator_count(n),
+        }
+        if not contains(self.loop_invariants(n), self.conjugation_invariants(n)):
+            raise CrossCheckError(
+                "conjugation invariants escape the loop invariants at "
+                "d=%d, n=%d" % (self.d, n)
+            )
+        if dims["letter_reduced_conj"] > dims["letter_reduced_loop"]:
+            raise CrossCheckError(
+                "letter-reduced conjugation invariants exceed the "
+                "letter-reduced loop invariants at d=%d, n=%d" % (self.d, n)
+            )
+        return InvariantReport(self.d, n, dims)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import reduce
 from itertools import accumulate
 from math import comb, factorial, lcm
@@ -313,17 +313,7 @@ class FuzzReport:
         return not self.failures
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "d": self.d,
-            "level": self.level,
-            "trials": self.trials,
-            "seed": self.seed,
-            "checks": self.checks,
-            "failures": list(self.failures),
-            "witness_found": self.witness_found,
-            "witness": self.witness,
-        }
+        return {**asdict(self), "failures": list(self.failures)}
 
 
 def _unit_vector(d: int, axis: int) -> tuple:
@@ -356,12 +346,7 @@ def _invariant_rows(spaces: InvariantSpaces, level: int, kind: str):
 
     Every fuzz driver takes its basis from here.
     """
-    build = {
-        "conj": spaces.conjugation_invariants,
-        "loop": spaces.loop_invariants,
-        "closure": spaces.closure_invariants,
-    }[kind]
-    return [(n, row) for n in range(1, level + 1) for row in build(n).rows]
+    return [(n, row) for n in range(1, level + 1) for row in spaces.space(kind, n).rows]
 
 
 def _word_row(d: int, coefficients: dict) -> tuple[int, dict[int, int]]:

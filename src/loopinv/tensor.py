@@ -512,9 +512,11 @@ def lyndon_bracketing(word: Word) -> TensorElement:
 def tensor_to_json(x: TensorElement) -> dict:
     """``{"d": int, "terms": [{"word": "143", "num": "...", "den": "..."}]}``
 
-    Words serialize as digit strings (callers enforce d <= 9), terms in
-    degree-then-lexicographic order.
+    Words serialize as digit strings, so d <= 9 is required; terms come
+    in degree-then-lexicographic order.
     """
+    if x.d > 9:
+        raise ValueError("digit-string words require d <= 9")
     terms = []
     for word, coeff in x.items():
         terms.append(
@@ -529,6 +531,8 @@ def tensor_to_json(x: TensorElement) -> dict:
 
 def tensor_from_json(payload: Mapping) -> TensorElement:
     d = int(payload["d"])
+    if d > 9:
+        raise ValueError("digit-string words require d <= 9")
     data = {}
     for term in payload["terms"]:
         letters = tuple(int(c) for c in term["word"])

@@ -8,7 +8,8 @@ rotation / repetition bookkeeping the invariant pipeline is built on.
 
 from __future__ import annotations
 
-from math import gcd
+import itertools
+from math import gcd, isqrt
 from typing import Iterator, Sequence
 
 
@@ -70,19 +71,7 @@ class Word:
 
 def all_words(d: int, n: int) -> Iterator[tuple[int, ...]]:
     """All letter tuples of length n over 1..d, in lexicographic order."""
-    if n == 0:
-        yield ()
-        return
-    word = [1] * n
-    while True:
-        yield tuple(word)
-        i = n - 1
-        while i >= 0 and word[i] == d:
-            word[i] = 1
-            i -= 1
-        if i < 0:
-            return
-        word[i] += 1
+    return itertools.product(range(1, d + 1), repeat=n)
 
 
 def rotations(letters: Sequence[int]) -> list[tuple[int, ...]]:
@@ -194,7 +183,7 @@ def necklace_count(d: int, n: int) -> int:
 
 
 def _divisors(n: int) -> list[int]:
-    small = [k for k in range(1, int(n**0.5) + 1) if n % k == 0]
+    small = [k for k in range(1, isqrt(n) + 1) if n % k == 0]
     large = [n // k for k in reversed(small) if k * k != n]
     return small + large
 

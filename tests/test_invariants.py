@@ -311,6 +311,34 @@ class TestReportValidation:
         assert sp.report(4).dims["conjugation"] == 6
 
 
+class TestMemo:
+    """The memo behind every space method of InvariantSpaces."""
+
+    def test_hit_returns_stored_object(self, monkeypatch):
+        sp = InvariantSpaces(2)
+        first = sp.conjugation_invariants(4)
+        monkeypatch.setattr(invariants, "span", None)  # a rebuild would fail
+        assert sp.conjugation_invariants(4) is first
+
+    def test_failed_build_stores_nothing(self, monkeypatch):
+        sp = InvariantSpaces(2)
+        monkeypatch.setattr(invariants, "zero_increment_series_dim", lambda d, n: -1)
+        with pytest.raises(CrossCheckError, match="generating series"):
+            sp.zero_increment_space(4)
+        assert ("V", 4) not in sp._memo
+        monkeypatch.undo()
+        assert sp.zero_increment_space(4).dim == zero_increment_series_dim(2, 4)
+        assert ("V", 4) in sp._memo
+
+    def test_default_family_shares_entry(self, monkeypatch):
+        sp = InvariantSpaces(2)
+        count = sp.min_generator_count(4)
+        monkeypatch.setattr(invariants, "span", None)  # a rebuild would fail
+        assert sp.min_generator_count(4, family="conj") == count
+        assert sp.min_generator_count(4, "conj") == count
+        assert sum(key[0] == "mingen" for key in sp._memo) == 1
+
+
 class TestBudgetInHeavyLoops:
     """An expired budget stops each row-building loop before elimination."""
 

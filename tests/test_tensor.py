@@ -425,3 +425,11 @@ class TestSerialization:
                 {"word": "21", "num": "-1", "den": "2"},
             ],
         }
+
+    def test_rejects_multi_digit_letters(self):
+        # the word (11, 1) would be written "111" and read back as (1, 1, 1)
+        with pytest.raises(ValueError, match="d <= 9"):
+            tensor_to_json(TensorElement(12, {(11, 1): 1}))
+        payload = {"d": 12, "terms": [{"word": "111", "num": "1", "den": "1"}]}
+        with pytest.raises(ValueError, match="d <= 9"):
+            tensor_from_json(payload)
