@@ -14,16 +14,21 @@ provides them, and the routes are asserted equal:
 * letter-reduced conjugation invariants: the quotient dimension
   dim(conj + S) - dim S, and the rank of right-closed rotation sums.
 
-Both closures vanish on S, and the pipeline proves it at each level (the
-closure of every letter shuffle generator is zero).  Only a complement
-of S then carries information: the unit vectors of the free (non-pivot)
-columns of the stored basis of S.  The closure image is spanned by the
-closures of those unit vectors, and the closure-difference kernel is S
-plus the kernel of the closure-difference rows restricted to them.
+The n!-scaled right closure of every word of a level is one integer
+table, built once per orbit of letter contents under letter permutations
+and relabelled to the rest of the orbit.  Both closures are the
+projections along S, and the pipeline proves it at each level: the
+closure of every letter shuffle generator is zero, and the closure of
+the unit vector of every free (non-pivot) column of the stored basis of
+S differs from it by an element of S.  The closure image is then spanned
+by the closures of those unit vectors.  Every closure difference lies in
+S, where a vector is zero exactly when its entries at the pivot columns
+of S are, so the closure-difference kernel is S plus the kernel, among
+the free columns, of the closure-difference rows at the pivot columns.
 
 Every spanning set is a stream of integer rows ``{word index: int}``
 made by four row operators (rotation sums, letter brackets, shuffles and
-the n!-scaled right closure), so building a table forms no rational.
+the closure table), so building a table forms no rational.
 Rationals appear only where a basis leaves as a tensor element, in
 :func:`verify_relations` and in the conjecture-evidence memberships.
 
@@ -38,12 +43,14 @@ import functools
 import inspect
 import itertools
 from dataclasses import dataclass, field
-from typing import Sequence
+from math import factorial
+from typing import Container, Sequence
 
 from .linalg import (
     Budget,
     BudgetExceeded,
     Subspace,
+    _reduces_to_zero,
     contains,
     index_word,
     intersect,
@@ -182,6 +189,7 @@ class InvariantSpaces:
         self.d = d
         self.budget: Budget | None = None
         self._memo: dict = {}
+        self._closure_tables: dict[int, list[dict[int, int]]] = {}
 
     # -- plumbing -------------------------------------------------------
 
@@ -223,12 +231,43 @@ class InvariantSpaces:
     def _closure_row(self, row: dict[int, int], n: int) -> dict[int, int]:
         """n! times the right closure of a row on level n."""
         self._check_budget()
-        d = self.d
-        out: dict[tuple[int, ...], int] = {}
+        table = self._closure_table(n)
+        out: dict[int, int] = {}
         for i, c in row.items():
-            for w, v in _tensor._rcl_word(index_word(i, d, n)).items():
-                out[w] = out.get(w, 0) + c * v
-        return {word_index(w, d): c for w, c in out.items() if c}
+            for j, v in table[i].items():
+                out[j] = out.get(j, 0) + c * v
+        return {j: c for j, c in out.items() if c}
+
+    def _closure_table(self, n: int) -> list[dict[int, int]]:
+        """Row k is n! times the right closure of the word of index k.
+
+        The right closure keeps letter content and commutes with renaming
+        letters, so each orbit of contents under letter permutations is
+        computed once, on its canonical content (letter counts
+        non-increasing), and its rows are relabelled to the other contents
+        of the orbit.  The table is not a memoized space: a budget that
+        interrupts it stores nothing and names the space that asked.
+        """
+        if n not in self._closure_tables:
+            d = self.d
+            table: list[dict[int, int]] = [{}] * d**n
+            classes: dict[tuple[int, ...], tuple[list, list]] = {}
+            for content in itertools.combinations_with_replacement(range(1, d + 1), n):
+                counts = [content.count(a) for a in range(1, d + 1)]
+                # canonical letter a + 1 is renamed to order[a] + 1
+                order = sorted(range(d), key=lambda b: -counts[b])
+                canonical = tuple(a + 1 for a, b in enumerate(order) for _ in range(counts[b]))
+                if canonical not in classes:
+                    classes[canonical] = (
+                        _tensor._h_expansion(canonical)[1], _tensor._rcl_class(canonical)
+                    )
+                anagrams, rows = classes[canonical]
+                index = [word_index([order[a - 1] + 1 for a in x], d) for x in anagrams]
+                for k, row in zip(index, rows):
+                    self._check_budget()
+                    table[k] = {index[j]: c for j, c in enumerate(row) if c}
+            self._closure_tables[n] = table
+        return self._closure_tables[n]
 
     def _letter_bracket_rows(self, n: int):
         """[q, i] for words q of length n-1 and letters i."""
@@ -337,12 +376,16 @@ class InvariantSpaces:
 
     @_memo("Sclosed")
     def closures_vanish_on_shuffle_ideal(self, n: int) -> bool:
-        """Prove that the right and left closures vanish on S at level n.
+        """Prove that the right and left closures are the projections along
+        S at level n.
 
-        The closure row of every letter shuffle generator ``i ⧢ u`` must be
-        zero.  S is closed under reversal (the reverse of ``i ⧢ u`` is
-        ``i ⧢ reverse(u)``) and the left closure is the right closure
-        conjugated by reversal, so the left closure vanishes on S too.
+        First the closure row of every letter shuffle generator ``i ⧢ u``
+        must be zero.  Then, for every free column f of S, n! rcl(e_f) -
+        n! e_f must reduce to zero against the stored rows of S.  So rcl
+        vanishes on S and rcl(x) - x lies in S for every x: rcl is the
+        projection along S.  S is closed under reversal (the reverse of
+        ``i ⧢ u`` is ``i ⧢ reverse(u)``) and the left closure is the right
+        closure conjugated by reversal, so the same holds for it.
         """
         for row in self._letter_shuffle_rows(n):
             if self._closure_row(row, n):
@@ -350,27 +393,44 @@ class InvariantSpaces:
                     "the right closure does not vanish on the letter shuffle "
                     "ideal at d=%d, n=%d" % (self.d, n)
                 )
+        s = self.letter_shuffle_ideal(n)
+        by_col = dict(zip(s.pivots, s.rows))
+        table = self._closure_table(n)
+        scale = factorial(n)
+        for f in _non_pivots(s):
+            self._check_budget()
+            row = dict(table[f])
+            row[f] = row.get(f, 0) - scale
+            if not row[f]:
+                del row[f]
+            if not _reduces_to_zero(row, by_col):
+                raise CrossCheckError(
+                    "the right closure is not the identity modulo the letter "
+                    "shuffle ideal at d=%d, n=%d" % (self.d, n)
+                )
         return True
 
     def _free_columns(self, n: int) -> list[int]:
         """Non-pivot columns of the stored basis of S; their unit vectors
-        span a complement of S.  Proves first that the closures vanish on S,
-        which every use of the free columns rests on."""
+        span a complement of S.  Proves first that the closures are the
+        projections along S, which every use of the free columns rests on."""
         self.closures_vanish_on_shuffle_ideal(n)
-        pivots = set(self.letter_shuffle_ideal(n).pivots)
-        return [f for f in range(self.d**n) if f not in pivots]
+        return _non_pivots(self.letter_shuffle_ideal(n))
 
     @_memo("loop")
     def loop_invariants(self, n: int) -> Subspace:
         """Kernel of (rcl - lcl) == orthogonal complement of [V, letters].
 
-        Both closures vanish on S, so the kernel is S plus the kernel of
-        the closure-difference rows restricted to the free columns of S.
+        Both closures are the projections along S, so the closure
+        difference vanishes on S and maps every vector into S, where a
+        vector is zero exactly when its entries at the pivot columns of S
+        are.  The kernel is therefore S plus the kernel, among the free
+        columns of S, of the closure-difference rows at its pivot columns.
         """
         free = self._free_columns(n)
-        on_free = kernel(
-            self.d, n, self._closure_difference_rows(n, free), self.budget, free
-        )
+        pivots = set(self.letter_shuffle_ideal(n).pivots)
+        rows = self._closure_difference_rows(n, free, pivots)
+        on_free = kernel(self.d, n, rows, self.budget, free)
         via_closures = subspace_sum(on_free, self.letter_shuffle_ideal(n), self.budget)
         via_bracket = orthogonal_complement(self.bracket_zero_increment(n), self.budget)
         if via_bracket != via_closures:
@@ -380,20 +440,29 @@ class InvariantSpaces:
             )
         return via_bracket
 
-    def _closure_difference_rows(self, n: int, columns: Sequence[int]) -> list[dict[int, int]]:
+    def _closure_difference_rows(
+        self, n: int, columns: Sequence[int], outputs: Container[int] | None = None
+    ) -> list[dict[int, int]]:
         """Integer rows of the matrix of n! (right closure - left closure)
-        on level n, restricted to the given word-index columns."""
+        on level n, restricted to the given word-index columns and to the
+        rows of the word indices in ``outputs`` (every row by default).
+
+        The left closure is the right closure conjugated by reversal, so
+        n! lcl(e_k) is row rev(k) of the closure table with its indices
+        reversed.
+        """
         d = self.d
-        by_output: dict[tuple[int, ...], dict[int, int]] = {}
+        table = self._closure_table(n)
+        rev = [word_index(index_word(k, d, n)[::-1], d) for k in range(d**n)]
+        by_output: dict[int, dict[int, int]] = {}
         for col in columns:
             self._check_budget()
-            w = index_word(col, d, n)
-            diff = dict(_tensor._rcl_word(w))
-            for out_w, c in _tensor._rcl_word(w[::-1]).items():
-                diff[out_w[::-1]] = diff.get(out_w[::-1], 0) - c
-            for out_w, c in diff.items():
-                if c:
-                    by_output.setdefault(out_w, {})[col] = c
+            diff = dict(table[col])
+            for j, c in table[rev[col]].items():
+                diff[rev[j]] = diff.get(rev[j], 0) - c
+            for j, c in diff.items():
+                if c and (outputs is None or j in outputs):
+                    by_output.setdefault(j, {})[col] = c
         return list(by_output.values())
 
     @_memo("closure")
@@ -522,6 +591,11 @@ class InvariantSpaces:
                 "letter-reduced loop invariants at d=%d, n=%d" % (self.d, n)
             )
         return InvariantReport(self.d, n, dims)
+
+
+def _non_pivots(s: Subspace) -> list[int]:
+    pivots = set(s.pivots)
+    return [f for f in range(s.d**s.n) if f not in pivots]
 
 
 # ---------------------------------------------------------------------------

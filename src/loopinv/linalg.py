@@ -124,7 +124,13 @@ def _strip_content(row: dict[int, int]) -> None:
 
 
 def _int_row(entries: dict[int, object]) -> dict[int, int]:
-    """Clear denominators and strip the content of a nonzero sparse row."""
+    """Clear denominators and strip the content of a nonzero sparse row.
+
+    A row of ints (the internal form) is only stripped, in place.
+    """
+    if all(type(v) is int for v in entries.values()):
+        _strip_content(entries)
+        return entries
     if any(isinstance(v, float) for v in entries.values()):
         raise TypeError("exact coefficients expected, got a float")
     scale = lcm(*(int(v.denominator) for v in entries.values()))

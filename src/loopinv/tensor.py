@@ -393,8 +393,32 @@ def closing_segment_dual(x: TensorElement) -> TensorElement:
     return TensorElement._raw(x.d, data)
 
 
-def _rcl_word(letters: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """n! times the right closure of a single word of length n (cached).
+def _anagram_steps(content: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Depth-first walk of the trie of prefixes of the anagrams of a sorted
+    content: one ``(depth, letter)`` per edge, leaves in lexicographic
+    order."""
+    letters = sorted(set(content))
+    left = {a: content.count(a) for a in letters}
+    steps: list[tuple[int, int]] = []
+
+    def walk(depth: int) -> None:
+        for a in letters:
+            if left[a]:
+                steps.append((depth, a))
+                left[a] -= 1
+                walk(depth + 1)
+                left[a] += 1
+
+    walk(0)
+    return steps
+
+
+def _rcl_class(content: tuple[int, ...]) -> list[list[int]]:
+    """n! times the right closure of every anagram of one letter content.
+
+    ``content`` is a sorted letter tuple of length n, and x_0 < x_1 < ...
+    its anagrams in lexicographic order.  Row i is n! rcl(x_i) as the list
+    of its integer coefficients on x_0, x_1, ...
 
     The right closure is the sum over all splits w = u v (u = w[:i]) of
     the shuffle of u with h(v), the signed normalized letter shuffle of v:
@@ -409,33 +433,69 @@ def _rcl_word(letters: tuple[int, ...]) -> dict[tuple[int, ...], int]:
         n! rcl(w)[x] = sum_i s_i occ(w[:i], x),
         s_i = (-1)^(n-i) prod_a m_a(w[i:])! * n! / (n-i)!,
 
-    all integers.  One pass over x counts the embeddings of every prefix
-    of w at once: dp[i] = occ(w[:i], x[:j]) after j letters of x.
+    all integers.  One walk over x counts the embeddings of every prefix
+    of w at once: dp[i] = occ(w[:i], x[:j]) after j letters of x.  The
+    walk visits x in lexicographic order, depth first through the trie of
+    their prefixes, and keeps (dp, sum_i s_i dp[i]) per depth, so anagrams
+    with a common prefix share the state.  A letter a extends dp[i] by
+    dp[i-1] for each position i of a in w (descending, so each embedding
+    grows by at most one step), which adds s_i dp[i-1] to the sum; a leaf
+    only adds the terms of its last letter, copying no state.
     """
+    n = len(content)
+    if not n:
+        return [[1]]
+    anagrams = _h_expansion(content)[1]
+    steps = _anagram_steps(content)
+    last = n - 1
+    falling = [factorial(n) // factorial(n - i) for i in range(n + 1)]
+    out = []
+    for w in anagrams:
+        # weights s_i and the positions of each letter in w, descending
+        s = [0] * n + [falling[n]]
+        seen: dict[int, int] = {}
+        mult = 1
+        for i in range(n - 1, -1, -1):
+            seen[w[i]] = seen.get(w[i], 0) + 1
+            mult *= seen[w[i]]
+            s[i] = (-1) ** (n - i) * mult * falling[i]
+        extend: dict[int, list[tuple[int, int]]] = {a: [] for a in seen}
+        for i in range(n, 0, -1):
+            extend[w[i - 1]].append((i, s[i]))
+        dps = [[1] + [0] * n] + [None] * last
+        sums = [s[0]] + [0] * last
+        row = []
+        for depth, a in steps:
+            dp = dps[depth]
+            total = sums[depth]
+            if depth == last:
+                for i, si in extend[a]:
+                    total += si * dp[i - 1]
+                row.append(total)
+            else:
+                dp = dp[:]
+                for i, si in extend[a]:
+                    v = dp[i - 1]
+                    dp[i] += v
+                    total += si * v
+                dps[depth + 1] = dp
+                sums[depth + 1] = total
+        out.append(row)
+    return out
+
+
+def _rcl_word(letters: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """n! times the right closure of a single word of length n, on the
+    anagrams of the word (cached).  A miss fills the cache for every
+    anagram of its letter content from :func:`_rcl_class`."""
     hit = _RCL_CACHE.get(letters)
     if hit is not None:
         return hit
-    n = len(letters)
-    fact = factorial(n)
-    weights = [
-        _h_expansion(letters[i:])[0] * (fact // factorial(n - i)) for i in range(n + 1)
-    ]
-    # positions of each letter in w, descending, so that one letter of x
-    # extends each prefix embedding by at most one step
-    positions: dict[int, list[int]] = {}
-    for i in range(n, 0, -1):
-        positions.setdefault(letters[i - 1], []).append(i)
-    data: dict[tuple[int, ...], int] = {}
-    for x in _h_expansion(letters)[1]:
-        dp = [1] + [0] * n
-        for a in x:
-            for i in positions[a]:
-                dp[i] += dp[i - 1]
-        total = sum(s * c for s, c in zip(weights, dp))
-        if total:
-            data[x] = total
-    _RCL_CACHE[letters] = data
-    return data
+    content = tuple(sorted(letters))
+    anagrams = _h_expansion(content)[1]
+    for w, row in zip(anagrams, _rcl_class(content)):
+        _RCL_CACHE[w] = {x: c for x, c in zip(anagrams, row) if c}
+    return _RCL_CACHE[letters]
 
 
 def right_closure(x: TensorElement) -> TensorElement:
@@ -536,5 +596,10 @@ def tensor_from_json(payload: Mapping) -> TensorElement:
     data = {}
     for term in payload["terms"]:
         letters = tuple(int(c) for c in term["word"])
-        data[letters] = Q(int(term["num"]), int(term["den"]))
+        if letters in data:
+            raise ValueError("word %r listed twice" % term["word"])
+        den = int(term["den"])
+        if not den:
+            raise ValueError("zero denominator for word %r" % term["word"])
+        data[letters] = Q(int(term["num"]), den)
     return TensorElement(d, data)

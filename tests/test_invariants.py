@@ -4,6 +4,7 @@ from math import factorial
 import pytest
 
 from conftest import row_tensor
+from test_tensor import anagrams_of, rcl_word_oracle
 from loopinv.invariants import (
     CrossCheckError,
     InvariantReport,
@@ -21,11 +22,13 @@ from loopinv.linalg import (
     Budget,
     BudgetExceeded,
     contains,
+    index_word,
     intersect,
     kernel,
     member_tensor,
     span,
     subspace_sum,
+    word_index,
 )
 from loopinv.tensor import (
     TensorElement,
@@ -195,21 +198,79 @@ class TestFreeColumnRoutes:
 
     @pytest.mark.parametrize("build", ["closure_invariants", "loop_invariants"])
     def test_premise_failure_raises(self, monkeypatch, build):
-        real = tensor._rcl_word
-        target = (1, 2, 1, 2)
+        real = tensor._rcl_class
+        content = (1, 1, 2, 2)
+        anagrams = anagrams_of(content)
 
         def perturbed(letters):
-            out = real(letters)
-            if letters == target:
-                out = dict(out)
-                out[(2, 2, 1, 1)] = out.get((2, 2, 1, 1), 0) + 1
-            return out
+            rows = real(letters)
+            if letters == content:
+                rows[anagrams.index((1, 2, 1, 2))][anagrams.index((2, 2, 1, 1))] += 1
+            return rows
 
-        monkeypatch.setattr(tensor, "_rcl_word", perturbed)
+        monkeypatch.setattr(tensor, "_rcl_class", perturbed)
         sp = InvariantSpaces(2)
         with pytest.raises(CrossCheckError, match="does not vanish"):
             getattr(sp, build)(4)
         assert ("Sclosed", 4) not in sp._memo
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_projection_certificate_has_teeth(self, monkeypatch, d):
+        # doubling one content class keeps the closure zero on S, the image
+        # and the closure-difference kernel; only the certificate sees it
+        real = tensor._rcl_class
+
+        def doubled(letters):
+            rows = real(letters)
+            if letters == (1, 1, 2, 2):
+                rows = [[2 * c for c in row] for row in rows]
+            return rows
+
+        monkeypatch.setattr(tensor, "_rcl_class", doubled)
+        sp = InvariantSpaces(d)
+        with pytest.raises(CrossCheckError, match="not the identity modulo"):
+            sp.closures_vanish_on_shuffle_ideal(4)
+        assert ("Sclosed", 4) not in sp._memo
+
+    def test_route_b_keeps_pivot_rows_only(self, monkeypatch):
+        counts = []
+        real = invariants.kernel
+
+        def counted(d, n, rows, budget=None, columns=None):
+            rows = list(rows)
+            if columns is not None:
+                counts.append(len(rows))
+            return real(d, n, rows, budget, columns)
+
+        monkeypatch.setattr(invariants, "kernel", counted)
+        sp = InvariantSpaces(3)
+        sp.loop_invariants(5)
+        s = sp.letter_shuffle_ideal(5)
+        every_output = sp._closure_difference_rows(5, sp._free_columns(5))
+        assert len(counts) == 1
+        assert counts[0] <= s.dim < len(every_output)
+
+
+class TestClosureTable:
+    @pytest.mark.parametrize("d, top", [(3, 6), (2, 9)])
+    def test_against_word_dp(self, d, top):
+        # non-canonical contents go through the letter relabelling
+        sp = InvariantSpaces(d)
+        for n in range(top + 1):
+            table = sp._closure_table(n)
+            assert len(table) == d**n
+            for k, row in enumerate(table):
+                expected = rcl_word_oracle(index_word(k, d, n))
+                assert row == {word_index(x, d): c for x, c in expected.items()}
+
+    def test_interrupted_table_is_not_stored(self):
+        sp = InvariantSpaces(2)
+        sp.budget = Budget(seconds=-1)
+        with pytest.raises(BudgetExceeded):
+            sp._closure_table(4)
+        assert sp._closure_tables == {}
+        sp.budget = None
+        assert sp._closure_table(4) is sp._closure_table(4)
 
 
 class TestMinGenerators:
@@ -367,7 +428,7 @@ class TestBudgetInHeavyLoops:
         sp.zero_increment_space(5)
         if build != "closures_vanish_on_shuffle_ideal":
             sp.closures_vanish_on_shuffle_ideal(5)
-        calls = self.count_calls(monkeypatch, tensor, "_rcl_word")
+        calls = self.count_calls(monkeypatch, tensor, "_rcl_class")
         sp.budget = Budget(seconds=-1)
         with pytest.raises(BudgetExceeded) as err:
             getattr(sp, build)(5)
@@ -375,7 +436,7 @@ class TestBudgetInHeavyLoops:
         assert len(calls) <= 1
 
     def test_lazy_span_input(self, monkeypatch):
-        calls = self.count_calls(monkeypatch, tensor, "_rcl_word")
+        calls = self.count_calls(monkeypatch, tensor, "_rcl_class")
         sp = InvariantSpaces(2)
         sp.budget = Budget(seconds=-1)
         with pytest.raises(BudgetExceeded):

@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+import sys
 from pathlib import Path
 
 import loopinv
@@ -16,5 +17,25 @@ def test_no_float_literals():
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
     ]
+    assert SOURCES
+    assert found == []
+
+
+def test_imports_stdlib_only():
+    # the package declares no dependencies: it may import the standard
+    # library and itself, nothing else
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top != "loopinv" and top not in sys.stdlib_module_names:
+                    found.append("%s:%d %s" % (path.name, node.lineno, name))
     assert SOURCES
     assert found == []

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 import random
 
@@ -9,6 +11,7 @@ from loopinv import tensor
 from loopinv._rat import Q
 from loopinv.tensor import (
     TensorElement,
+    _rcl_class,
     _rcl_word,
     bracket,
     closing_segment_dual,
@@ -57,6 +60,38 @@ def rcl_oracle(x):
         right = closing_segment_dual(W(x.d, v.letters) if v.letters else E(x.d))
         out = out + c * shuffle(left, right)
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def anagrams_of(content):
+    """Distinct anagrams of a sorted letter tuple, lexicographically."""
+    return sorted(set(itertools.permutations(content)))
+
+
+def rcl_word_oracle(letters):
+    """n! rcl(w) of one word w by counting subsequence embeddings, one pass
+    over each anagram x of w (the derivation is at tensor._rcl_class)."""
+    n = len(letters)
+    fact = math.factorial(n)
+    weights = [
+        tensor._h_expansion(letters[i:])[0] * (fact // math.factorial(n - i))
+        for i in range(n + 1)
+    ]
+    # positions of each letter in w, descending, so that one letter of x
+    # extends each prefix embedding by at most one step
+    positions = {}
+    for i in range(n, 0, -1):
+        positions.setdefault(letters[i - 1], []).append(i)
+    data = {}
+    for x in anagrams_of(tuple(sorted(letters))):
+        dp = [1] + [0] * n
+        for a in x:
+            for i in positions[a]:
+                dp[i] += dp[i - 1]
+        total = sum(s * c for s, c in zip(weights, dp))
+        if total:
+            data[x] = total
+    return data
 
 
 def lcl_oracle(x):
@@ -356,6 +391,22 @@ class TestClosures:
                 expected = math.factorial(n) * rcl_oracle(W(d, w) if w else E(d))
                 assert TensorElement(d, table) == expected
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_class_kernel(self, d):
+        # row i of the class is n! rcl of the i-th anagram, on the anagrams
+        for n in range(7):
+            for content in itertools.combinations_with_replacement(range(1, d + 1), n):
+                anagrams = anagrams_of(content)
+                rows = _rcl_class(content)
+                assert len(rows) == len(anagrams)
+                for w, row in zip(anagrams, rows):
+                    assert len(row) == len(anagrams)
+                    assert all(type(c) is int for c in row)
+                    got = {x: c for x, c in zip(anagrams, row) if c}
+                    assert got == rcl_word_oracle(w)
+                    expected = math.factorial(n) * rcl_oracle(W(d, w) if w else E(d))
+                    assert TensorElement(d, got) == expected
+
     def test_word_table_enumerates_no_shuffle(self, monkeypatch):
         # the table counts subsequence embeddings; it never lists shuffles
         def refuse(*args):
@@ -432,4 +483,15 @@ class TestSerialization:
             tensor_to_json(TensorElement(12, {(11, 1): 1}))
         payload = {"d": 12, "terms": [{"word": "111", "num": "1", "den": "1"}]}
         with pytest.raises(ValueError, match="d <= 9"):
+            tensor_from_json(payload)
+
+    def test_rejects_a_repeated_word(self):
+        # the second term used to overwrite the first: this read back as 2*12
+        terms = [{"word": "12", "num": "1", "den": "1"}, {"word": "12", "num": "2", "den": "1"}]
+        with pytest.raises(ValueError, match="listed twice"):
+            tensor_from_json({"d": 2, "terms": terms})
+
+    def test_rejects_a_zero_denominator(self):
+        payload = {"d": 2, "terms": [{"word": "12", "num": "1", "den": "0"}]}
+        with pytest.raises(ValueError, match="zero denominator"):
             tensor_from_json(payload)
