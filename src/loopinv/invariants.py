@@ -1,16 +1,15 @@
 """Construction of the invariant subspaces and their dimension tables.
 
-Each space is computed by two independent routes whenever the theory
-provides them, and the routes are asserted equal:
+Where the theory describes a space twice, one description builds it and
+the other checks it by containment, pairing and dimension:
 
-* conjugation invariants: span of rotation sums over necklaces, and the
-  kernel of all letter-bracket constraints ``<[q, i], x> = 0``;
-* the zero-increment space V: orthogonal complement of the letter
-  shuffle ideal S, and the span of products of non-letter Lyndon
-  bracketings (a PBW spanning set), with the dimension checked against
-  the generating-series coefficient of (1-q)^d / (1-dq);
-* loop invariants: orthogonal complement of [V, letters], and the kernel
-  of (right closure - left closure);
+* conjugation invariants: the span of rotation sums over necklaces,
+  checked against the letter-bracket constraints ``<[q, i], x> = 0``;
+* the zero-increment space V: the span of products of non-letter Lyndon
+  bracketings (a PBW spanning set), checked against the letter shuffle
+  ideal S and the generating-series coefficient of (1-q)^d / (1-dq);
+* loop invariants: the kernel of (right closure - left closure),
+  checked against [V, letters];
 * letter-reduced conjugation invariants: the quotient dimension
   dim(conj + S) - dim S, and the rank of right-closed rotation sums.
 
@@ -56,7 +55,8 @@ from .linalg import (
     intersect,
     kernel,
     member_tensor,
-    orthogonal_complement,
+    orthogonal,
+    orthogonal_complement,  # noqa: F401  (unused here; bench/tracing.py wraps this name)
     span,
     span_tensors,  # noqa: F401  (unused here; bench/tracing.py wraps this name)
     subspace_sum,
@@ -75,7 +75,7 @@ from . import tensor as _tensor
 
 
 class CrossCheckError(RuntimeError):
-    """Two independent routes to the same space disagreed."""
+    """A space disagreed with an independent description of it."""
 
 
 # default level caps giving desk-scale exact runs
@@ -289,16 +289,16 @@ class InvariantSpaces:
 
     @_memo("conj")
     def conjugation_invariants(self, n: int) -> Subspace:
-        """Span of rotation sums over necklaces == bracket-constraint kernel."""
+        """Rotation-sum span R: bracket rows pair to zero with R, dim R = d^n - their rank."""
         d = self.d
-        via_rotations = span(d, n, map(self._rotation_row, necklaces(d, n)), self.budget)
-        via_kernel = kernel(d, n, self._letter_bracket_rows(n), self.budget)
-        if via_rotations != via_kernel:
+        r = span(d, n, map(self._rotation_row, necklaces(d, n)), self.budget)
+        rank = span(d, n, self._letter_bracket_rows(n), self.budget).dim
+        if r.dim != d**n - rank or not orthogonal(r, self._letter_bracket_rows(n), self.budget):
             raise CrossCheckError(
                 "conjugation invariants disagree between rotation span and "
                 "bracket kernel at d=%d, n=%d" % (d, n)
             )
-        return via_rotations
+        return r
 
     @_memo("S")
     def letter_shuffle_ideal(self, n: int) -> Subspace:
@@ -307,28 +307,25 @@ class InvariantSpaces:
 
     @_memo("V")
     def zero_increment_space(self, n: int) -> Subspace:
-        """The level-n span of zero-increment grouplike elements.
-
-        Route A is the orthogonal complement of the letter shuffle ideal;
-        route B spans products of non-letter Lyndon bracketings.  Both are
-        computed, compared, and checked against the generating series.
-        """
+        """The level-n span of zero-increment grouplike elements: the PBW span P,
+        checked to be S^perp (P pairs to zero with the rows of S, dim P = d^n - dim S)
+        and against the generating series."""
         if n == 0:
             return kernel(self.d, 0, [], self.budget)
-        complement = orthogonal_complement(self.letter_shuffle_ideal(n), self.budget)
+        s = self.letter_shuffle_ideal(n)
         products = span(self.d, n, self._pbw_products(n), self.budget)
-        if complement != products:
+        if products.dim != self.d**n - s.dim or not orthogonal(products, s.rows, self.budget):
             raise CrossCheckError(
                 "zero-increment space disagrees between shuffle-ideal "
                 "complement and PBW span at d=%d, n=%d" % (self.d, n)
             )
         expected = zero_increment_series_dim(self.d, n)
-        if complement.dim != expected:
+        if products.dim != expected:
             raise CrossCheckError(
                 "dim V mismatch with generating series at d=%d, n=%d: %d != %d"
-                % (self.d, n, complement.dim, expected)
+                % (self.d, n, products.dim, expected)
             )
-        return complement
+        return products
 
     def _pbw_products(self, n: int) -> list[dict[int, int]]:
         """Integer rows of the concatenation products of non-letter Lyndon
@@ -419,26 +416,31 @@ class InvariantSpaces:
 
     @_memo("loop")
     def loop_invariants(self, n: int) -> Subspace:
-        """Kernel of (rcl - lcl) == orthogonal complement of [V, letters].
+        """Kernel of (rcl - lcl), checked to be [V, letters]^perp.
 
         Both closures are the projections along S, so the closure
         difference vanishes on S and maps every vector into S, where a
         vector is zero exactly when its entries at the pivot columns of S
-        are.  The kernel is therefore S plus the kernel, among the free
+        are.  The kernel is therefore S plus the kernel K, among the free
         columns of S, of the closure-difference rows at its pivot columns.
+        [V, letters] lies in V = S^perp and pairs to zero with K, so S + K
+        is its complement once dim(S + K) = d^n - dim [V, letters].
         """
         free = self._free_columns(n)
-        pivots = set(self.letter_shuffle_ideal(n).pivots)
-        rows = self._closure_difference_rows(n, free, pivots)
+        s = self.letter_shuffle_ideal(n)
+        rows = self._closure_difference_rows(n, free, set(s.pivots))
         on_free = kernel(self.d, n, rows, self.budget, free)
-        via_closures = subspace_sum(on_free, self.letter_shuffle_ideal(n), self.budget)
-        via_bracket = orthogonal_complement(self.bracket_zero_increment(n), self.budget)
-        if via_bracket != via_closures:
+        loop = subspace_sum(on_free, s, self.budget)
+        brackets = self.bracket_zero_increment(n)
+        if loop.dim != self.d**n - brackets.dim or not (
+            contains(self.zero_increment_space(n), brackets)
+            and orthogonal(brackets, on_free.rows, self.budget)
+        ):
             raise CrossCheckError(
                 "loop invariants disagree between bracket complement and "
                 "closure-difference kernel at d=%d, n=%d" % (self.d, n)
             )
-        return via_bracket
+        return loop
 
     def _closure_difference_rows(
         self, n: int, columns: Sequence[int], outputs: Container[int] | None = None
@@ -560,7 +562,8 @@ class InvariantSpaces:
 
         rank = span(self.d, n, products(), self.budget).dim
         total = space_of(n).dim
-        assert rank <= total, "decomposables escaped the family"
+        if rank > total:
+            raise CrossCheckError("decomposables escaped the family at d=%d, n=%d" % (self.d, n))
         return total - rank
 
     # -- reports ----------------------------------------------------------

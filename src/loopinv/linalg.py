@@ -355,3 +355,20 @@ def contains(outer: Subspace, inner: Subspace) -> bool:
         raise ValueError("subspace shape mismatch")
     by_col = dict(zip(outer.pivots, outer.rows))
     return all(_reduces_to_zero(dict(row), by_col) for row in inner.rows)
+
+
+def orthogonal(s: Subspace, rows: Iterable[dict], budget: Budget | None = None) -> bool:
+    """True iff every raw row of level s.n pairs to zero with every stored
+    row of s; the budget is checked once per row."""
+    by_col: dict[int, list[tuple[int, int]]] = {}
+    for i, stored in enumerate(s.rows):
+        for k, v in stored.items():
+            by_col.setdefault(k, []).append((i, v))
+    for row in _int_rows(s.d, s.n, rows, budget, "orthogonal"):
+        dots: dict[int, int] = {}
+        for k, c in row.items():
+            for i, v in by_col.get(k, ()):
+                dots[i] = dots.get(i, 0) + c * v
+        if any(dots.values()):
+            return False
+    return True

@@ -157,11 +157,12 @@ def test_criterion_2_identity_verification():
 
 
 def test_criterion_3_two_route_equalities():
-    """Every report cell computes each space by two routes and raises on
-    mismatch, so criterion 1 already exercises the dual routes at every
-    computed (d, n).  This test re-runs every cell (cached, so cheap) and
-    then reconstructs all four route pairs from public primitives at the
-    cells small enough to redo from scratch."""
+    """Every report cell builds each space by one route and checks it
+    against the other by containment and dimension, raising on mismatch,
+    so criterion 1 already exercises both descriptions at every computed
+    (d, n).  This test re-runs every cell (cached, so cheap) and then
+    reconstructs all four route pairs from public primitives at the cells
+    small enough to redo from scratch."""
     t0 = time.time()
     failures = []
     for d, levels in SCOPE.items():
@@ -202,7 +203,13 @@ def test_criterion_3_two_route_equalities():
                 tensor_row(TensorElement(d, row.items()), n) for row in diff_rows.values()
             ]
             via_closure_kernel = kernel(d, n, constraints)
-            if via_closure_kernel != sp.loop_invariants(n):
+            bracket_v = span_tensors(d, n, (
+                bracket(b, W(d, (i,)))
+                for b in sp.zero_increment_space(n - 1).basis_tensors()
+                for i in range(1, d + 1)
+            ))
+            via_bracket = orthogonal_complement(bracket_v)
+            if via_closure_kernel != via_bracket or via_bracket != sp.loop_invariants(n):
                 failures.append("loop routes differ at d=%d n=%d" % (d, n))
             # letter-reduced conjugation invariants: quotient == rank
             bracket_full = span(d, n, rows)

@@ -94,6 +94,21 @@ class TestDims:
         assert code == EXIT_BUDGET_OR_CONFIG and captured.out == ""
         assert captured.err.startswith("cannot write output: ")
 
+    def test_decomposables_outside_the_family_fail_the_run(self, capsys, monkeypatch):
+        # products of two level-2 factors become unit rows, which no level-4
+        # conjugation invariant space of dimension 6 can hold
+        real = InvariantSpaces._shuffle_row
+        units = iter(range(1, 16))
+
+        def stray(self, a, na, b, nb):
+            return {next(units): 1} if na >= 2 else real(self, a, na, b, nb)
+
+        monkeypatch.setattr(InvariantSpaces, "_shuffle_row", stray)
+        code = main(["dims", "--d", "2", "--max-level", "4"])
+        captured = capsys.readouterr()
+        assert code == EXIT_MATH_FAILURE and captured.out == ""
+        assert captured.err.startswith("cross-check failed: decomposables escaped the family")
+
     def test_rejects_bad_d(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["dims", "--d", "10"])

@@ -21,11 +21,13 @@ from loopinv import invariants, tensor
 from loopinv.linalg import (
     Budget,
     BudgetExceeded,
+    Subspace,
     contains,
     index_word,
     intersect,
     kernel,
     member_tensor,
+    orthogonal_complement,
     span,
     subspace_sum,
     word_index,
@@ -251,6 +253,143 @@ class TestFreeColumnRoutes:
         assert counts[0] <= s.dim < len(every_output)
 
 
+class TestOneRouteChecks:
+    """conj, V and loop are built by one route and checked against the other
+    by pairing, containment and dimension.  Each fault below breaks one of
+    those checks and must raise without storing the space."""
+
+    @pytest.mark.parametrize("d, top", [(2, 8), (3, 5)])
+    def test_against_replaced_routes(self, d, top):
+        sp = spaces_for(d)
+        for n in range(1, top + 1):
+            assert sp.conjugation_invariants(n) == kernel(d, n, sp._letter_bracket_rows(n))
+            assert sp.zero_increment_space(n) == orthogonal_complement(sp.letter_shuffle_ideal(n))
+            assert sp.loop_invariants(n) == orthogonal_complement(sp.bracket_zero_increment(n))
+
+    def test_report_takes_no_complement(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("orthogonal_complement called while building a report")
+
+        monkeypatch.setattr(invariants, "orthogonal_complement", refuse)
+        sp = InvariantSpaces(2)
+        for n in range(1, 7):
+            sp.report(n)
+
+    @staticmethod
+    def assert_refused(sp, build, n, key):
+        with pytest.raises(CrossCheckError, match="disagree"):
+            getattr(sp, build)(n)
+        assert (key, n) not in sp._memo
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_perturbed_rotation_row(self, monkeypatch, d):
+        # 4 * 1111 + 1112 keeps the dimension but leaves the bracket kernel
+        real = InvariantSpaces._rotation_row
+        target = necklaces(d, 4)[0]
+
+        def perturbed(self, w):
+            row = real(self, w)
+            if w == target:
+                row[1] = 1
+            return row
+
+        monkeypatch.setattr(InvariantSpaces, "_rotation_row", perturbed)
+        self.assert_refused(InvariantSpaces(d), "conjugation_invariants", 4, "conj")
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_dropped_necklace(self, monkeypatch, d):
+        # every row stays in the bracket kernel, but the span is too small
+        real = invariants.necklaces
+        monkeypatch.setattr(invariants, "necklaces", lambda d, n: list(real(d, n))[:-1])
+        self.assert_refused(InvariantSpaces(d), "conjugation_invariants", 4, "conj")
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_dropped_pbw_product(self, monkeypatch, d):
+        real = InvariantSpaces._pbw_products
+        monkeypatch.setattr(InvariantSpaces, "_pbw_products", lambda self, n: real(self, n)[:-1])
+        self.assert_refused(InvariantSpaces(d), "zero_increment_space", 4, "V")
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_perturbed_pbw_product(self, monkeypatch, d):
+        # the span keeps its dimension, but a unit vector pairs with the
+        # shuffle of its first letter with the rest of its word
+        real = InvariantSpaces._pbw_products
+
+        def perturbed(self, n):
+            rows = real(self, n)
+            rows[-1] = dict(rows[-1])
+            rows[-1][0] = rows[-1].get(0, 0) + 1
+            return rows
+
+        monkeypatch.setattr(InvariantSpaces, "_pbw_products", perturbed)
+        self.assert_refused(InvariantSpaces(d), "zero_increment_space", 4, "V")
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_shuffle_ideal_missing_a_row(self, d):
+        # P still pairs to zero with S and matches the series, but S^perp
+        # is now larger than P
+        sp = InvariantSpaces(d)
+        s = sp.letter_shuffle_ideal(4)
+        sp._memo[("S", 4)] = Subspace(d, 4, s.pivots[:-1], s.rows[:-1])
+        self.assert_refused(sp, "zero_increment_space", 4, "V")
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_stray_row_in_bracket_space(self, d):
+        # the unit vector of 1111 lies outside V and grows [V, letters]
+        sp = InvariantSpaces(d)
+        brackets = sp.bracket_zero_increment(4)
+        sp._memo[("bracketV", 4)] = span(d, 4, brackets.rows + ({0: 1},))
+        assert sp.bracket_zero_increment(4).dim == brackets.dim + 1
+        self.assert_refused(sp, "loop_invariants", 4, "loop")
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_bracket_row_outside_v(self, d):
+        # adding a pivot column of S to one row keeps the dimension and
+        # the pairing with the free-column kernel; only containment in V fails
+        sp = InvariantSpaces(d)
+        brackets = sp.bracket_zero_increment(4)
+        p = sp.letter_shuffle_ideal(4).pivots[0]
+        first = dict(brackets.rows[0])
+        first[p] = first.get(p, 0) + 1
+        sp._memo[("bracketV", 4)] = span(d, 4, (first,) + brackets.rows[1:])
+        assert sp.bracket_zero_increment(4).dim == brackets.dim
+        self.assert_refused(sp, "loop_invariants", 4, "loop")
+
+    @staticmethod
+    def patch_free_kernel(monkeypatch, change):
+        real = invariants.kernel
+
+        def patched(d, n, rows, budget=None, columns=None):
+            out = real(d, n, rows, budget, columns)
+            return out if columns is None else change(out)
+
+        monkeypatch.setattr(invariants, "kernel", patched)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_dropped_kernel_row(self, monkeypatch, d):
+        # S + K stays inside the complement of [V, letters] but falls short
+        self.patch_free_kernel(
+            monkeypatch, lambda k: Subspace(k.d, k.n, k.pivots[:-1], k.rows[:-1])
+        )
+        self.assert_refused(InvariantSpaces(d), "loop_invariants", 4, "loop")
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_kernel_row_off_the_complement(self, monkeypatch, d):
+        # a row of [V, letters] added to a kernel row keeps dim(S + K) but
+        # pairs to a nonzero with itself
+        sp = InvariantSpaces(d)
+        b = sp.bracket_zero_increment(4).rows[0]
+
+        def shifted(k):
+            first = dict(k.rows[0])
+            for j, c in b.items():
+                first[j] = first.get(j, 0) + c
+            return Subspace(k.d, k.n, k.pivots, (first,) + k.rows[1:])
+
+        self.patch_free_kernel(monkeypatch, shifted)
+        self.assert_refused(sp, "loop_invariants", 4, "loop")
+
+
 class TestClosureTable:
     @pytest.mark.parametrize("d, top", [(3, 6), (2, 9)])
     def test_against_word_dp(self, d, top):
@@ -370,6 +509,16 @@ class TestReportValidation:
             sp.report(4)
         sp.budget = None
         assert sp.report(4).dims["conjugation"] == 6
+
+    def test_decomposables_outside_the_family_raise(self, monkeypatch):
+        # 14 unit rows stand in for the products spanning the decomposables
+        # of level 4, where the conjugation invariants have dimension 6
+        sp = InvariantSpaces(2)
+        units = iter(range(16))
+        monkeypatch.setattr(sp, "_shuffle_row", lambda a, na, b, nb: {next(units): 1})
+        with pytest.raises(CrossCheckError, match="escaped the family"):
+            sp.min_generator_count(4)
+        assert ("mingen", 4, "conj") not in sp._memo
 
 
 class TestMemo:

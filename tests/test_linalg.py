@@ -12,6 +12,7 @@ from loopinv.linalg import (
     intersect,
     kernel,
     member_tensor,
+    orthogonal,
     orthogonal_complement,
     span,
     span_tensors,
@@ -286,6 +287,55 @@ class TestMembership:
         for rows in ([], [{0: 1}]):
             with pytest.raises(ValueError):
                 contains(outer, span(*inner_shape, rows))
+
+
+def random_int_row(rng, size):
+    return {rng.randrange(size): rng.randint(-3, 3) for _ in range(rng.randint(1, 3))}
+
+
+class TestOrthogonal:
+    @staticmethod
+    def double_loop(s, rows):
+        return all(
+            sum(c * row.get(k, 0) for k, c in stored.items()) == 0
+            for row in rows
+            for stored in s.rows
+        )
+
+    def test_agrees_with_double_loop(self, rng):
+        seen = set()
+        for _ in range(60):
+            d, n = rng.choice([(2, 3), (2, 4), (3, 2)])
+            s = span(d, n, [random_int_row(rng, d**n) for _ in range(rng.randint(0, 4))])
+            # rows of the complement pair to zero; a random row mostly does not
+            rows = list(orthogonal_complement(s).rows)
+            rows = rng.sample(rows, rng.randint(0, len(rows)))
+            if rng.random() < 0.5:
+                rows.append(random_int_row(rng, d**n))
+            before = [dict(r) for r in rows]
+            expected = self.double_loop(s, rows)
+            assert orthogonal(s, rows) == expected
+            assert rows == before
+            seen.add(expected)
+        assert seen == {True, False}
+
+    def test_one_pair_that_is_not_orthogonal(self):
+        s = span(2, 2, [{0: 1, 1: 2}])
+        assert orthogonal(s, [{0: -2, 1: 1}, {2: 5}])
+        assert not orthogonal(s, [{0: -2, 1: 1}, {1: 1, 3: 1}])
+        assert orthogonal(span(2, 2, []), [{1: 1}])
+        assert orthogonal(s, [])
+
+    @pytest.mark.parametrize("row", [{8: 1}, {-1: 1}, {0: 1, 20: 2}])
+    def test_shape_mismatch(self, row):
+        with pytest.raises(ValueError):
+            orthogonal(span(2, 3, [{0: 1}]), [row])
+
+    def test_budget_per_row(self):
+        s = span(2, 2, [{0: 1}])
+        assert orthogonal(s, [], Budget(seconds=-1.0))
+        with pytest.raises(BudgetExceeded):
+            orthogonal(s, [{1: 1}], Budget(seconds=-1.0))
 
 
 class TestBudget:
