@@ -4,26 +4,47 @@ Where the theory describes a space twice, one description builds it and
 the other checks it by containment, pairing and dimension:
 
 * conjugation invariants: the span of rotation sums over necklaces,
-  checked against the letter-bracket constraints ``<[q, i], x> = 0``;
+  checked against the letter-bracket constraints ``<[q, i], x> = 0`` and
+  the number of necklaces;
 * the zero-increment space V: the span of products of non-letter Lyndon
   bracketings (a PBW spanning set), checked against the letter shuffle
-  ideal S and the generating-series coefficient of (1-q)^d / (1-dq);
+  ideal S, the coefficients of prod(1 - x_i) / (1 - sum x_i) and the
+  generating-series coefficient of (1-q)^d / (1-dq);
 * loop invariants: the kernel of (right closure - left closure),
   checked against [V, letters];
 * letter-reduced conjugation invariants: the quotient dimension
   dim(conj + S) - dim S, and the rank of right-closed rotation sums.
 
-The n!-scaled right closure of every word of a level is one integer
-table, built once per orbit of letter contents under letter permutations
-and relabelled to the rest of the orbit.  Both closures are the
-projections along S, and the pipeline proves it at each level: the
-closure of every letter shuffle generator is zero, and the closure of
-the unit vector of every free (non-pivot) column of the stored basis of
-S differs from it by an element of S.  The closure image is then spanned
-by the closures of those unit vectors.  Every closure difference lies in
-S, where a vector is zero exactly when its entries at the pivot columns
-of S are, so the closure-difference kernel is S plus the kernel, among
-the free columns, of the closure-difference rows at the pivot columns.
+Orbits and blocks.  Every row operator below keeps the letter content of
+a word (its letter counts) and commutes with renaming letters.  So every
+space is the direct sum of its blocks, one per content, on disjoint sets
+of words, and the block of a content is the renamed block of any other
+content in its orbit under letter permutations.  Each level is built on
+the canonical content of each orbit only, the one whose letter counts do
+not increase (:class:`BlockSpace`).  Every check runs on each canonical
+block: the three two-description checks above, with the number of
+necklaces and the coefficient of x^c as the closed forms of the block of
+content c; the proof that the closures are the projections along S; the
+closure image; the letter-reduced ranks; the closed loop span; the
+decomposables' rank; and conj inside loop.  A block whose rows leave its
+content fails too.  A level's dimension sums orbit size times block
+dimension, and the checks on whole levels (the series coefficient, the
+dimension chains of :class:`InvariantReport`) use those sums.  A renamed
+block is a basis of its content as it stands, which is all the spanning
+rows one level up need ([V, letters], the decomposables).  The canonical
+RREF of a whole level, which ``basis``, ``evidence`` and the fuzz read,
+is assembled on first use.
+
+The n!-scaled right closure of every word of a canonical content is one
+integer table.  Both closures are the projections along S, and the
+pipeline proves it on each block: the closure of every letter shuffle
+generator is zero, and the closure of the unit vector of every free
+(non-pivot) column of the stored basis of S differs from it by an
+element of S.  The closure image is then spanned by the closures of
+those unit vectors.  Every closure difference lies in S, where a vector
+is zero exactly when its entries at the pivot columns of S are, so the
+closure-difference kernel is S plus the kernel, among the free columns,
+of the closure-difference rows at the pivot columns.
 
 Every spanning set is a stream of integer rows ``{word index: int}``
 made by four row operators (rotation sums, letter brackets, shuffles and
@@ -43,7 +64,7 @@ import inspect
 import itertools
 from dataclasses import dataclass, field
 from math import factorial
-from typing import Container, Sequence
+from typing import Callable, Container, Iterable, Sequence
 
 from .linalg import (
     Budget,
@@ -70,8 +91,19 @@ from .tensor import (
     rotation_sum,
     shuffle,
 )
-from .words import Word, lyndon_count, lyndon_words, necklaces, rotations
+from .words import (
+    Word,
+    content_necklace_count,
+    lyndon_count,
+    lyndon_words,
+    multinomial,
+    necklaces,
+    rotations,
+)
 from . import tensor as _tensor
+
+# letter counts (c_1, ..., c_d) of a word
+Content = tuple[int, ...]
 
 
 class CrossCheckError(RuntimeError):
@@ -138,6 +170,156 @@ class InvariantReport:
             raise CrossCheckError("S dimension complement broken")
 
 
+# ---------------------------------------------------------------------------
+# letter contents, orbits and blocks
+# ---------------------------------------------------------------------------
+
+
+def _letters(content: Content) -> tuple[int, ...]:
+    """The sorted word with the given letter counts."""
+    return tuple(a + 1 for a, k in enumerate(content) for _ in range(k))
+
+
+def _content(letters: Sequence[int], d: int) -> Content:
+    counts = [0] * d
+    for a in letters:
+        counts[a - 1] += 1
+    return tuple(counts)
+
+
+def _without(content: Content, i: int) -> Content:
+    """The content with one letter i + 1 fewer."""
+    return content[:i] + (content[i] - 1,) + content[i + 1 :]
+
+
+def _canonical(content: Content) -> Content:
+    return tuple(sorted(content, reverse=True))
+
+
+def _sub_contents(content: Content, j: int) -> list[Content]:
+    """The contents of length j that fit inside ``content``."""
+    return [a for a in itertools.product(*(range(k + 1) for k in content)) if sum(a) == j]
+
+
+class _Orbits:
+    """The letter contents of one level, in orbits under letter permutations.
+
+    ``canonical`` holds one content per orbit, with non-increasing letter
+    counts, in decreasing order; ``sizes`` maps it to its orbit size.
+    """
+
+    def __init__(self, d: int, n: int):
+        self.d, self.n = d, n
+        self.canonical: list[Content] = []
+
+        def fill(prefix: list[int], remaining: int) -> None:
+            if len(prefix) == d:
+                if not remaining:
+                    self.canonical.append(tuple(prefix))
+                return
+            for k in range(min(remaining, prefix[-1] if prefix else n), -1, -1):
+                fill(prefix + [k], remaining - k)
+
+        fill([], n)
+        self.sizes = {c: multinomial([c.count(k) for k in set(c)]) for c in self.canonical}
+        self._words: dict[Content, list[int]] = {}
+        self._renamings: dict[Content, dict[int, int]] = {}
+
+    def members(self, c: Content) -> list[Content]:
+        """Every content in the orbit of the canonical content c."""
+        return _tensor._multiset_permutations(tuple(sorted(c)))
+
+    def words(self, content: Content) -> list[int]:
+        """Ascending indices of the words of a content of this level."""
+        if content not in self._words:
+            anagrams = _tensor._h_expansion(_letters(content))[1]
+            self._words[content] = [word_index(x, self.d) for x in anagrams]
+        return self._words[content]
+
+    def renaming(self, content: Content) -> dict[int, int]:
+        """Word index map from the canonical content of ``content`` onto
+        ``content``: canonical letter a + 1 becomes the letter with the
+        (a + 1)-th largest count in ``content``, ties in letter order."""
+        if content not in self._renamings:
+            d = self.d
+            order = sorted(range(d), key=lambda b: -content[b])
+            self._renamings[content] = {
+                word_index(x, d): word_index([order[a - 1] + 1 for a in x], d)
+                for x in _tensor._h_expansion(_letters(_canonical(content)))[1]
+            }
+        return self._renamings[content]
+
+
+class BlockSpace(Subspace):
+    """A space on one level, held as one block per canonical content.
+
+    ``blocks[c]`` is the block of the canonical content c: a canonical
+    RREF :class:`~loopinv.linalg.Subspace` of the level whose rows lie on
+    the words of content c.  The block of any other content is the block
+    of its canonical content with the letters renamed (:meth:`block`), so
+    :attr:`dim` sums orbit size times block dimension.  ``pivots`` and
+    ``rows`` are the canonical RREF of the whole level, assembled on first
+    use: each renamed block is eliminated once more, because renaming
+    reorders its columns, and all blocks, whose columns are disjoint, are
+    merged by pivot.
+    """
+
+    __slots__ = ("orbits", "blocks", "_renamed", "_whole")
+
+    def __init__(self, orbits: _Orbits, blocks: dict[Content, Subspace]):
+        self.d, self.n = orbits.d, orbits.n
+        self.orbits = orbits
+        self.blocks = blocks
+        self._renamed: dict[Content, tuple[dict[int, int], ...]] = {}
+        self._whole: Subspace | None = None
+
+    @property
+    def dim(self) -> int:
+        return sum(self.orbits.sizes[c] * b.dim for c, b in self.blocks.items())
+
+    def _renamed_rows(self, content: Content) -> list[dict[int, int]]:
+        index = self.orbits.renaming(content)
+        rows = self.blocks[_canonical(content)].rows
+        return [{index[k]: v for k, v in row.items()} for row in rows]
+
+    def block(self, content: Content) -> tuple[dict[int, int], ...]:
+        """The rows of a basis of the block of any content of the level."""
+        if content in self.blocks:
+            return self.blocks[content].rows
+        if content not in self._renamed:
+            self._renamed[content] = tuple(self._renamed_rows(content))
+        return self._renamed[content]
+
+    def whole(self) -> Subspace:
+        """The canonical RREF of the whole level."""
+        if self._whole is None:
+            pairs: list[tuple[int, dict[int, int]]] = []
+            for c, b in self.blocks.items():
+                pairs += zip(b.pivots, b.rows)
+                for member in self.orbits.members(c):
+                    if member != c:
+                        renamed = span(self.d, self.n, self._renamed_rows(member))
+                        pairs += zip(renamed.pivots, renamed.rows)
+            pairs.sort(key=lambda pair: pair[0])
+            whole = Subspace(self.d, self.n, [p for p, _ in pairs], [r for _, r in pairs])
+            assert whole.dim == self.dim
+            self._whole = whole
+        return self._whole
+
+    pivots = property(lambda self: self.whole().pivots)
+    rows = property(lambda self: self.whole().rows)
+
+
+def _non_pivots(words: Iterable[int], block: Subspace) -> list[int]:
+    pivots = set(block.pivots)
+    return [f for f in words if f not in pivots]
+
+
+def _check_level(n: int) -> None:
+    if n < 1:
+        raise ValueError("level must be at least 1, got %d" % n)
+
+
 def _memo(name: str):
     """Memoize a method in ``self._memo`` under ``(name, *arguments)``, with
     defaults bound.  A build that raises stores nothing; a BudgetExceeded is
@@ -169,9 +351,10 @@ def _memo(name: str):
 class InvariantSpaces:
     """Memoized per-alphabet pipeline of all invariant subspaces.
 
-    Values are immutable once computed.  The memo is single-threaded.  An
-    optional :class:`~loopinv.linalg.Budget` in :attr:`budget` bounds the
-    heavy loops; a build it interrupts stores nothing.
+    Every space of a level is a :class:`BlockSpace`.  Values are immutable
+    once computed.  The memo is single-threaded.  An optional
+    :class:`~loopinv.linalg.Budget` in :attr:`budget` bounds the heavy
+    loops; a build it interrupts stores nothing.
     """
 
     # exported space name -> name of its builder, so a rebound method is the one called
@@ -189,13 +372,38 @@ class InvariantSpaces:
         self.d = d
         self.budget: Budget | None = None
         self._memo: dict = {}
-        self._closure_tables: dict[int, list[dict[int, int]]] = {}
+        self._orbit_tables: dict[int, _Orbits] = {}
+        self._closure_tables: dict[int, dict[int, dict[int, int]]] = {}
+        # letter shuffle generator rows per canonical content, left by the
+        # build of S for the proof in closures_vanish_on_shuffle_ideal
+        self._shuffle_generators: dict[int, dict[Content, list[dict[int, int]]]] = {}
 
     # -- plumbing -------------------------------------------------------
 
     def _check_budget(self) -> None:
         if self.budget is not None:
             self.budget.check()
+
+    def _orbits(self, n: int) -> _Orbits:
+        if n not in self._orbit_tables:
+            self._orbit_tables[n] = _Orbits(self.d, n)
+        return self._orbit_tables[n]
+
+    def _blocks(self, n: int, build: Callable[[Content], Subspace]) -> BlockSpace:
+        """Level n of a space whose block of canonical content c is build(c)."""
+        orbits = self._orbits(n)
+        return BlockSpace(orbits, {c: build(c) for c in orbits.canonical})
+
+    def _block_span(self, n: int, c: Content, rows: Iterable[dict]) -> Subspace:
+        """Span of rows that must lie on the words of content c."""
+        block = span(self.d, n, rows, self.budget)
+        words = set(self._orbits(n).words(c))
+        if any(k not in words for row in block.rows for k in row):
+            raise CrossCheckError(
+                "a row of the block of content %s leaves its content at d=%d, n=%d"
+                % (c, self.d, n)
+            )
+        return block
 
     # -- integer row operators (shuffle and closure check the budget) ------
 
@@ -229,7 +437,8 @@ class InvariantSpaces:
         return {word_index(w, d): c for w, c in data.items()}
 
     def _closure_row(self, row: dict[int, int], n: int) -> dict[int, int]:
-        """n! times the right closure of a row on level n."""
+        """n! times the right closure of a row on level n, whose words have
+        canonical contents."""
         self._check_budget()
         table = self._closure_table(n)
         out: dict[int, int] = {}
@@ -238,48 +447,50 @@ class InvariantSpaces:
                 out[j] = out.get(j, 0) + c * v
         return {j: c for j, c in out.items() if c}
 
-    def _closure_table(self, n: int) -> list[dict[int, int]]:
-        """Row k is n! times the right closure of the word of index k.
+    def _closure_table(self, n: int) -> dict[int, dict[int, int]]:
+        """Row k is n! times the right closure of the word of index k, for
+        every word of a canonical content.
 
-        The right closure keeps letter content and commutes with renaming
-        letters, so each orbit of contents under letter permutations is
-        computed once, on its canonical content (letter counts
-        non-increasing), and its rows are relabelled to the other contents
-        of the orbit.  The table is not a memoized space: a budget that
-        interrupts it stores nothing and names the space that asked.
+        The right closure keeps letter content, and blocks of the other
+        contents are renamed, never built, so no other word needs a row.
+        The table is not a memoized space: a budget that interrupts it
+        stores nothing and names the space that asked.
         """
         if n not in self._closure_tables:
-            d = self.d
-            table: list[dict[int, int]] = [{}] * d**n
-            classes: dict[tuple[int, ...], tuple[list, list]] = {}
-            for content in itertools.combinations_with_replacement(range(1, d + 1), n):
-                counts = [content.count(a) for a in range(1, d + 1)]
-                # canonical letter a + 1 is renamed to order[a] + 1
-                order = sorted(range(d), key=lambda b: -counts[b])
-                canonical = tuple(a + 1 for a, b in enumerate(order) for _ in range(counts[b]))
-                if canonical not in classes:
-                    classes[canonical] = (
-                        _tensor._h_expansion(canonical)[1], _tensor._rcl_class(canonical)
-                    )
-                anagrams, rows = classes[canonical]
-                index = [word_index([order[a - 1] + 1 for a in x], d) for x in anagrams]
-                for k, row in zip(index, rows):
+            orbits = self._orbits(n)
+            table: dict[int, dict[int, int]] = {}
+            for c in orbits.canonical:
+                index = orbits.words(c)
+                for k, row in zip(index, _tensor._rcl_class(_letters(c))):
                     self._check_budget()
-                    table[k] = {index[j]: c for j, c in enumerate(row) if c}
+                    table[k] = {index[j]: v for j, v in enumerate(row) if v}
             self._closure_tables[n] = table
         return self._closure_tables[n]
 
-    def _letter_bracket_rows(self, n: int):
-        """[q, i] for words q of length n-1 and letters i."""
-        d = self.d
-        return (self._bracket_row({q: 1}, n - 1, i) for i in range(d) for q in range(d ** (n - 1)))
-
-    def _letter_shuffle_rows(self, n: int):
-        """i shuffled with u for letters i and words u of length n-1."""
-        d = self.d
+    def _letter_bracket_rows(self, n: int, c: Content):
+        """[q, i] for letters i and words q of content c - e_i."""
+        lower = self._orbits(n - 1)
         return (
-            self._shuffle_row({i: 1}, 1, {u: 1}, n - 1) for i in range(d) for u in range(d ** (n - 1))
+            self._bracket_row({q: 1}, n - 1, i)
+            for i in range(self.d) if c[i] for q in lower.words(_without(c, i))
         )
+
+    def _letter_shuffle_rows(self, n: int, c: Content):
+        """i shuffled with u for letters i and words u of content c - e_i."""
+        lower = self._orbits(n - 1)
+        return (
+            self._shuffle_row({i: 1}, 1, {u: 1}, n - 1)
+            for i in range(self.d) if c[i] for u in lower.words(_without(c, i))
+        )
+
+    def _necklaces(self, n: int) -> dict[Content, list[Word]]:
+        """The necklaces of level n of each canonical content."""
+        out: dict[Content, list[Word]] = {c: [] for c in self._orbits(n).canonical}
+        for w in necklaces(self.d, n):
+            c = _content(w.letters, self.d)
+            if c in out:
+                out[c].append(w)
+        return out
 
     # -- spaces -----------------------------------------------------------
 
@@ -288,216 +499,278 @@ class InvariantSpaces:
         return getattr(self, self.SPACES[name])(n)
 
     @_memo("conj")
-    def conjugation_invariants(self, n: int) -> Subspace:
-        """Rotation-sum span R: bracket rows pair to zero with R, dim R = d^n - their rank."""
-        d = self.d
-        r = span(d, n, map(self._rotation_row, necklaces(d, n)), self.budget)
-        rank = span(d, n, self._letter_bracket_rows(n), self.budget).dim
-        if r.dim != d**n - rank or not orthogonal(r, self._letter_bracket_rows(n), self.budget):
-            raise CrossCheckError(
-                "conjugation invariants disagree between rotation span and "
-                "bracket kernel at d=%d, n=%d" % (d, n)
-            )
-        return r
+    def conjugation_invariants(self, n: int) -> BlockSpace:
+        """Rotation-sum span R.  On each block c: dim R_c is the number of
+        necklaces of content c and the number of words of content c minus
+        the rank of the bracket rows, which pair to zero with R_c."""
+        _check_level(n)
+        d, orbits = self.d, self._orbits(n)
+        by_content = self._necklaces(n)
+
+        def build(c: Content) -> Subspace:
+            r = self._block_span(n, c, map(self._rotation_row, by_content[c]))
+            expected = content_necklace_count(c)
+            if r.dim != expected:
+                raise CrossCheckError(
+                    "conjugation invariants disagree with the necklace count at "
+                    "d=%d, n=%d, content %s: %d != %d" % (d, n, c, r.dim, expected)
+                )
+            brackets = list(self._letter_bracket_rows(n, c))
+            rank = span(d, n, brackets, self.budget).dim
+            if r.dim != len(orbits.words(c)) - rank or not orthogonal(r, brackets, self.budget):
+                raise CrossCheckError(
+                    "conjugation invariants disagree between rotation span and "
+                    "bracket kernel at d=%d, n=%d, content %s" % (d, n, c)
+                )
+            return r
+
+        return self._blocks(n, build)
 
     @_memo("S")
-    def letter_shuffle_ideal(self, n: int) -> Subspace:
-        """Degree-n part of the shuffle ideal generated by the letters."""
-        return span(self.d, n, self._letter_shuffle_rows(n), self.budget)
+    def letter_shuffle_ideal(self, n: int) -> BlockSpace:
+        """Degree-n part of the shuffle ideal generated by the letters.  The
+        generator rows of each block are kept for the proof in
+        :meth:`closures_vanish_on_shuffle_ideal` (span copies its input)."""
+        _check_level(n)
+        orbits = self._orbits(n)
+        generators = {c: list(self._letter_shuffle_rows(n, c)) for c in orbits.canonical}
+        s = BlockSpace(orbits, {c: self._block_span(n, c, rows) for c, rows in generators.items()})
+        self._shuffle_generators[n] = generators
+        return s
 
     @_memo("V")
-    def zero_increment_space(self, n: int) -> Subspace:
-        """The level-n span of zero-increment grouplike elements: the PBW span P,
-        checked to be S^perp (P pairs to zero with the rows of S, dim P = d^n - dim S)
-        and against the generating series."""
+    def zero_increment_space(self, n: int) -> BlockSpace:
+        """The level-n span of zero-increment grouplike elements: the PBW span
+        P.  On each block c, dim P_c is the coefficient of x^c in
+        prod(1 - x_i) / (1 - sum x_i) and the number of words of content c
+        minus dim S_c, and P_c pairs to zero with the rows of S_c; dim P
+        must match the generating series."""
         if n == 0:
-            return kernel(self.d, 0, [], self.budget)
-        s = self.letter_shuffle_ideal(n)
-        products = span(self.d, n, self._pbw_products(n), self.budget)
-        if products.dim != self.d**n - s.dim or not orthogonal(products, s.rows, self.budget):
-            raise CrossCheckError(
-                "zero-increment space disagrees between shuffle-ideal "
-                "complement and PBW span at d=%d, n=%d" % (self.d, n)
-            )
-        expected = zero_increment_series_dim(self.d, n)
-        if products.dim != expected:
+            return self._blocks(0, lambda c: kernel(self.d, 0, [], self.budget))
+        d, s = self.d, self.letter_shuffle_ideal(n)
+
+        def build(c: Content) -> Subspace:
+            p = self._block_span(n, c, self._pbw_products(n, c))
+            expected = zero_increment_content_dim(c)
+            if p.dim != expected:
+                raise CrossCheckError(
+                    "zero-increment space disagrees with the closed form "
+                    "prod(1 - x_i) / (1 - sum x_i) at d=%d, n=%d, content %s: %d != %d"
+                    % (d, n, c, p.dim, expected)
+                )
+            sc = s.blocks[c]
+            if p.dim != len(s.orbits.words(c)) - sc.dim or not orthogonal(p, sc.rows, self.budget):
+                raise CrossCheckError(
+                    "zero-increment space disagrees between shuffle-ideal "
+                    "complement and PBW span at d=%d, n=%d, content %s" % (d, n, c)
+                )
+            return p
+
+        v = self._blocks(n, build)
+        expected = zero_increment_series_dim(d, n)
+        if v.dim != expected:
             raise CrossCheckError(
                 "dim V mismatch with generating series at d=%d, n=%d: %d != %d"
-                % (self.d, n, products.dim, expected)
+                % (d, n, v.dim, expected)
             )
-        return products
+        return v
 
-    def _pbw_products(self, n: int) -> list[dict[int, int]]:
+    def _pbw_products(self, n: int, content: Content) -> list[dict[int, int]]:
         """Integer rows of the concatenation products of non-letter Lyndon
-        bracketings.
+        bracketings of one letter content.
 
         One product per weakly increasing (in lexicographic order) tuple of
-        non-letter Lyndon words with lengths summing to n.  The factors are
-        the integer Lyndon polynomials; concatenating words u and v of
-        lengths |u| and |v| maps their indices to index(u) * d**|v| + index(v).
+        non-letter Lyndon words whose contents sum to ``content``; a branch
+        whose contents no longer fit is pruned.  The factors are the integer
+        Lyndon polynomials; concatenating words u and v of lengths |u| and
+        |v| maps their indices to index(u) * d**|v| + index(v).
         """
         d = self.d
-        basis = sorted(w.letters for k in range(2, n + 1) for w in lyndon_words(d, k))
+        basis = sorted(
+            (w.letters, wc)
+            for k in range(2, n + 1)
+            for w in lyndon_words(d, k)
+            for wc in [_content(w.letters, d)]
+            if all(x <= y for x, y in zip(wc, content))
+        )
         polys = {
-            w: {word_index(u, d): c for u, c in _tensor._lyndon_poly(w).items()} for w in basis
+            w: {word_index(u, d): c for u, c in _tensor._lyndon_poly(w).items()} for w, _ in basis
         }
         out: list[dict[int, int]] = []
 
-        def extend(start: int, remaining: int, acc: dict[int, int] | None):
+        def extend(start: int, remaining: Content, acc: dict[int, int] | None):
             self._check_budget()
-            if remaining == 0:
+            if not any(remaining):
                 out.append(acc)
                 return
             for i in range(start, len(basis)):
-                w = basis[i]
-                if len(w) > remaining:
+                w, wc = basis[i]
+                if any(x > y for x, y in zip(wc, remaining)):
                     continue
                 poly, shift = polys[w], d ** len(w)
                 nxt = poly if acc is None else {
                     a * shift + b: ca * cb for a, ca in acc.items() for b, cb in poly.items()
                 }
-                extend(i, remaining - len(w), nxt)
+                extend(i, tuple(y - x for x, y in zip(wc, remaining)), nxt)
 
-        extend(0, n, None)
+        extend(0, content, None)
         return out
 
-    def bracket_with_letters(self, s: Subspace) -> Subspace:
-        """Span of [b, letter] over basis rows b; lives one level up."""
-        rows = (self._bracket_row(row, s.n, i) for row in s.rows for i in range(self.d))
-        return span(self.d, s.n + 1, rows, self.budget)
-
     @_memo("bracketV")
-    def bracket_zero_increment(self, n: int) -> Subspace:
-        """[V at level n-1, letters], the loop-invariant constraint space."""
-        return self.bracket_with_letters(self.zero_increment_space(n - 1))
+    def bracket_zero_increment(self, n: int) -> BlockSpace:
+        """[V at level n-1, letters], the loop-invariant constraint space.
+        Block c spans [v, i] over the rows v of the blocks of V of the
+        contents c - e_i, renamed where they are not canonical."""
+        v = self.zero_increment_space(n - 1)
+        return self._blocks(n, lambda c: self._block_span(n, c, (
+            self._bracket_row(row, n - 1, i)
+            for i in range(self.d) if c[i] for row in v.block(_without(c, i))
+        )))
 
     @_memo("Sclosed")
     def closures_vanish_on_shuffle_ideal(self, n: int) -> bool:
         """Prove that the right and left closures are the projections along
-        S at level n.
+        S at level n, one canonical block at a time.
 
         First the closure row of every letter shuffle generator ``i ⧢ u``
-        must be zero.  Then, for every free column f of S, n! rcl(e_f) -
-        n! e_f must reduce to zero against the stored rows of S.  So rcl
-        vanishes on S and rcl(x) - x lies in S for every x: rcl is the
+        of the block, kept from the build of S, must be zero.  Then, for
+        every free column f of the block of S, n! rcl(e_f) - n! e_f must
+        reduce to zero against its stored rows.  So rcl vanishes on S and
+        rcl(x) - x lies in S for every x of a canonical content, and, as
+        both commute with renaming letters, for every x: rcl is the
         projection along S.  S is closed under reversal (the reverse of
         ``i ⧢ u`` is ``i ⧢ reverse(u)``) and the left closure is the right
         closure conjugated by reversal, so the same holds for it.
         """
-        for row in self._letter_shuffle_rows(n):
-            if self._closure_row(row, n):
-                raise CrossCheckError(
-                    "the right closure does not vanish on the letter shuffle "
-                    "ideal at d=%d, n=%d" % (self.d, n)
-                )
         s = self.letter_shuffle_ideal(n)
-        by_col = dict(zip(s.pivots, s.rows))
+        generators = self._shuffle_generators[n]
         table = self._closure_table(n)
         scale = factorial(n)
-        for f in _non_pivots(s):
-            self._check_budget()
-            row = dict(table[f])
-            row[f] = row.get(f, 0) - scale
-            if not row[f]:
-                del row[f]
-            if not _reduces_to_zero(row, by_col):
+        for c, block in s.blocks.items():
+            if any(self._closure_row(row, n) for row in generators[c]):
                 raise CrossCheckError(
-                    "the right closure is not the identity modulo the letter "
-                    "shuffle ideal at d=%d, n=%d" % (self.d, n)
+                    "the right closure does not vanish on the letter shuffle "
+                    "ideal at d=%d, n=%d, content %s" % (self.d, n, c)
                 )
+            by_col = dict(zip(block.pivots, block.rows))
+            for f in _non_pivots(s.orbits.words(c), block):
+                self._check_budget()
+                row = dict(table[f])
+                row[f] = row.get(f, 0) - scale
+                if not row[f]:
+                    del row[f]
+                if not _reduces_to_zero(row, by_col):
+                    raise CrossCheckError(
+                        "the right closure is not the identity modulo the letter "
+                        "shuffle ideal at d=%d, n=%d, content %s" % (self.d, n, c)
+                    )
+        del self._shuffle_generators[n]
         return True
 
-    def _free_columns(self, n: int) -> list[int]:
-        """Non-pivot columns of the stored basis of S; their unit vectors
-        span a complement of S.  Proves first that the closures are the
-        projections along S, which every use of the free columns rests on."""
+    def _free_columns(self, n: int, c: Content) -> list[int]:
+        """Non-pivot columns of the block of S of canonical content c; their
+        unit vectors span a complement of S in the block.  Proves first
+        that the closures are the projections along S, which every use of
+        the free columns rests on."""
         self.closures_vanish_on_shuffle_ideal(n)
-        return _non_pivots(self.letter_shuffle_ideal(n))
+        return _non_pivots(self._orbits(n).words(c), self.letter_shuffle_ideal(n).blocks[c])
 
     @_memo("loop")
-    def loop_invariants(self, n: int) -> Subspace:
-        """Kernel of (rcl - lcl), checked to be [V, letters]^perp.
+    def loop_invariants(self, n: int) -> BlockSpace:
+        """Kernel of (rcl - lcl), checked to be [V, letters]^perp on each block.
 
         Both closures are the projections along S, so the closure
         difference vanishes on S and maps every vector into S, where a
         vector is zero exactly when its entries at the pivot columns of S
-        are.  The kernel is therefore S plus the kernel K, among the free
-        columns of S, of the closure-difference rows at its pivot columns.
-        [V, letters] lies in V = S^perp and pairs to zero with K, so S + K
-        is its complement once dim(S + K) = d^n - dim [V, letters].
+        are.  The kernel on block c is therefore S_c plus the kernel K_c,
+        among the free columns of S_c, of the closure-difference rows at its
+        pivot columns.  [V, letters]_c lies in V_c = S_c^perp and pairs to
+        zero with K_c, so S_c + K_c is its complement in the block once
+        dim(S_c + K_c) = (words of content c) - dim [V, letters]_c.
         """
-        free = self._free_columns(n)
-        s = self.letter_shuffle_ideal(n)
-        rows = self._closure_difference_rows(n, free, set(s.pivots))
-        on_free = kernel(self.d, n, rows, self.budget, free)
-        loop = subspace_sum(on_free, s, self.budget)
-        brackets = self.bracket_zero_increment(n)
-        if loop.dim != self.d**n - brackets.dim or not (
-            contains(self.zero_increment_space(n), brackets)
-            and orthogonal(brackets, on_free.rows, self.budget)
-        ):
-            raise CrossCheckError(
-                "loop invariants disagree between bracket complement and "
-                "closure-difference kernel at d=%d, n=%d" % (self.d, n)
-            )
-        return loop
+        d = self.d
+
+        def build(c: Content) -> Subspace:
+            free = self._free_columns(n, c)
+            s = self.letter_shuffle_ideal(n).blocks[c]
+            rows = self._closure_difference_rows(n, c, free, set(s.pivots))
+            on_free = kernel(d, n, rows, self.budget, free)
+            loop = subspace_sum(on_free, s, self.budget)
+            brackets = self.bracket_zero_increment(n).blocks[c]
+            if loop.dim != len(self._orbits(n).words(c)) - brackets.dim or not (
+                contains(self.zero_increment_space(n).blocks[c], brackets)
+                and orthogonal(brackets, on_free.rows, self.budget)
+            ):
+                raise CrossCheckError(
+                    "loop invariants disagree between bracket complement and "
+                    "closure-difference kernel at d=%d, n=%d, content %s" % (d, n, c)
+                )
+            return loop
+
+        return self._blocks(n, build)
 
     def _closure_difference_rows(
-        self, n: int, columns: Sequence[int], outputs: Container[int] | None = None
+        self, n: int, c: Content, columns: Sequence[int], outputs: Container[int]
     ) -> list[dict[int, int]]:
         """Integer rows of the matrix of n! (right closure - left closure)
-        on level n, restricted to the given word-index columns and to the
-        rows of the word indices in ``outputs`` (every row by default).
+        on the words of the canonical content c, restricted to the given
+        word-index columns and to the rows of the word indices in
+        ``outputs``.
 
-        The left closure is the right closure conjugated by reversal, so
-        n! lcl(e_k) is row rev(k) of the closure table with its indices
-        reversed.
+        The left closure is the right closure conjugated by reversal, which
+        keeps the content, so n! lcl(e_k) is row rev(k) of the closure
+        table with its indices reversed.
         """
         d = self.d
         table = self._closure_table(n)
-        rev = [word_index(index_word(k, d, n)[::-1], d) for k in range(d**n)]
+        rev = {k: word_index(index_word(k, d, n)[::-1], d) for k in self._orbits(n).words(c)}
         by_output: dict[int, dict[int, int]] = {}
         for col in columns:
             self._check_budget()
             diff = dict(table[col])
-            for j, c in table[rev[col]].items():
-                diff[rev[j]] = diff.get(rev[j], 0) - c
-            for j, c in diff.items():
-                if c and (outputs is None or j in outputs):
-                    by_output.setdefault(j, {})[col] = c
+            for j, v in table[rev[col]].items():
+                diff[rev[j]] = diff.get(rev[j], 0) - v
+            for j, v in diff.items():
+                if v and j in outputs:
+                    by_output.setdefault(j, {})[col] = v
         return list(by_output.values())
 
     @_memo("closure")
-    def closure_invariants(self, n: int) -> Subspace:
+    def closure_invariants(self, n: int) -> BlockSpace:
         """Image of the right closure on level n.
 
-        The closure vanishes on S, so the image is spanned by the closures
-        of the unit vectors of the free columns of S.  The dimension must
-        match dim V, and together with S the image must fill the level
-        (the closure is a projection along S).
+        The closure vanishes on S, so the image of block c is spanned by
+        the closures of the unit vectors of the free columns of S_c.  Its
+        dimension must match dim V_c, and together with S_c it must fill
+        the block (the closure is a projection along S).
         """
         d = self.d
-        rows = (self._closure_row({f: 1}, n) for f in self._free_columns(n))
-        image = span(d, n, rows, self.budget)
-        if image.dim != self.zero_increment_space(n).dim:
-            raise CrossCheckError(
-                "closure-invariant dimension differs from dim V at d=%d, n=%d"
-                % (d, n)
-            )
-        direct_sum = subspace_sum(image, self.letter_shuffle_ideal(n), self.budget)
-        if direct_sum.dim != d**n:
-            raise CrossCheckError(
-                "closure image and letter shuffle ideal do not complement "
-                "each other at d=%d, n=%d" % (d, n)
-            )
-        return image
+
+        def build(c: Content) -> Subspace:
+            rows = (self._closure_row({f: 1}, n) for f in self._free_columns(n, c))
+            image = self._block_span(n, c, rows)
+            if image.dim != self.zero_increment_space(n).blocks[c].dim:
+                raise CrossCheckError(
+                    "closure-invariant dimension differs from dim V at d=%d, n=%d, "
+                    "content %s" % (d, n, c)
+                )
+            s = self.letter_shuffle_ideal(n).blocks[c]
+            if subspace_sum(image, s, self.budget).dim != len(self._orbits(n).words(c)):
+                raise CrossCheckError(
+                    "closure image and letter shuffle ideal do not complement "
+                    "each other at d=%d, n=%d, content %s" % (d, n, c)
+                )
+            return image
+
+        return self._blocks(n, build)
 
     @_memo("rclrot")
-    def closed_rotation_span(self, n: int) -> Subspace:
+    def closed_rotation_span(self, n: int) -> BlockSpace:
         """Span of right-closed rotation sums over necklaces of length n."""
-        d = self.d
-        rows = (self._closure_row(self._rotation_row(w), n) for w in necklaces(d, n))
-        return span(d, n, rows, self.budget)
+        by_content = self._necklaces(n)
+        return self._blocks(n, lambda c: self._block_span(n, c, (
+            self._closure_row(self._rotation_row(w), n) for w in by_content[c]
+        )))
 
     # -- dimensions -------------------------------------------------------
 
@@ -506,33 +779,45 @@ class InvariantSpaces:
 
     @_memo("lrconj")
     def letter_reduced_conj_dim(self, n: int) -> int:
-        """dim of V modulo [T, letters], cross-checked as a closed-rotation rank.
+        """dim of V modulo [T, letters], cross-checked as a closed-rotation
+        rank on each block.
 
         The bracket rows span conj^perp and V = S^perp, so the meet of V
         with the brackets is (conj + S)^perp and the quotient has dimension
         dim(conj + S) - dim S.
         """
-        s = self.letter_shuffle_ideal(n)
-        via_quotient = subspace_sum(self.conjugation_invariants(n), s, self.budget).dim - s.dim
-        via_rank = self.closed_rotation_span(n).dim
-        if via_quotient != via_rank:
-            raise CrossCheckError(
-                "letter-reduced conjugation dimension disagrees between "
-                "quotient and rank routes at d=%d, n=%d" % (self.d, n)
-            )
-        return via_rank
+        s, conj = self.letter_shuffle_ideal(n), self.conjugation_invariants(n)
+        via_quotient = {
+            c: subspace_sum(conj.blocks[c], b, self.budget).dim - b.dim for c, b in s.blocks.items()
+        }
+        via_rank = self.closed_rotation_span(n)
+        for c, dim in via_quotient.items():
+            if dim != via_rank.blocks[c].dim:
+                raise CrossCheckError(
+                    "letter-reduced conjugation dimension disagrees between "
+                    "quotient and rank routes at d=%d, n=%d, content %s" % (self.d, n, c)
+                )
+        return via_rank.dim
 
     @_memo("rclloop")
-    def closed_loop_span(self, n: int) -> Subspace:
+    def closed_loop_span(self, n: int) -> BlockSpace:
         """Right closure of the loop invariants (the loop-and-closure space)."""
-        rows = (self._closure_row(r, n) for r in self.loop_invariants(n).rows)
-        space = span(self.d, n, rows, self.budget)
-        if space.dim != self.letter_reduced_loop_dim(n):
-            raise CrossCheckError(
-                "closed loop invariants do not match the letter-reduced "
-                "loop dimension at d=%d, n=%d" % (self.d, n)
+
+        def build(c: Content) -> Subspace:
+            rows = (self._closure_row(r, n) for r in self.loop_invariants(n).blocks[c].rows)
+            space = self._block_span(n, c, rows)
+            expected = (
+                self.zero_increment_space(n).blocks[c].dim
+                - self.bracket_zero_increment(n).blocks[c].dim
             )
-        return space
+            if space.dim != expected:
+                raise CrossCheckError(
+                    "closed loop invariants do not match the letter-reduced "
+                    "loop dimension at d=%d, n=%d, content %s" % (self.d, n, c)
+                )
+            return space
+
+        return self._blocks(n, build)
 
     @_memo("mingen")
     def min_generator_count(self, n: int, family: str = "conj") -> int:
@@ -540,8 +825,10 @@ class InvariantSpaces:
 
         The decomposable part is the span of all shuffle products of two
         lower-level basis rows (the families are shuffle subalgebras, so
-        pairs span every longer product).  family is "conj" or
-        "loop_closure".
+        pairs span every longer product).  Rows of contents a and b shuffle
+        to content a + b, so block c spans the products over the splits
+        c = a + b, of rows of the (renamed) blocks a and b.  family is
+        "conj" or "loop_closure".
         """
         if family == "conj":
             space_of = self.conjugation_invariants
@@ -550,21 +837,28 @@ class InvariantSpaces:
         else:
             raise ValueError("unknown family %r" % family)
 
-        def products():
+        def products(c: Content):
             for j in range(1, n // 2 + 1):
-                left, right = space_of(j).rows, space_of(n - j).rows
-                if j < n - j:
-                    pairs = itertools.product(left, right)
-                else:
-                    pairs = itertools.combinations_with_replacement(left, 2)
-                for a, b in pairs:
-                    yield self._shuffle_row(a, j, b, n - j)
+                lower, upper = space_of(j), space_of(n - j)
+                for a in _sub_contents(c, j):
+                    b = tuple(x - y for x, y in zip(c, a))
+                    if j < n - j:
+                        pairs = itertools.product(lower.block(a), upper.block(b))
+                    elif a < b:
+                        pairs = itertools.product(lower.block(a), lower.block(b))
+                    elif a == b:
+                        pairs = itertools.combinations_with_replacement(lower.block(a), 2)
+                    else:
+                        continue
+                    for x, y in pairs:
+                        yield self._shuffle_row(x, j, y, n - j)
 
-        rank = span(self.d, n, products(), self.budget).dim
-        total = space_of(n).dim
-        if rank > total:
+        orbits = self._orbits(n)
+        ranks = {c: span(self.d, n, products(c), self.budget).dim for c in orbits.canonical}
+        total = space_of(n)
+        if any(rank > total.blocks[c].dim for c, rank in ranks.items()):
             raise CrossCheckError("decomposables escaped the family at d=%d, n=%d" % (self.d, n))
-        return total - rank
+        return total.dim - sum(orbits.sizes[c] * rank for c, rank in ranks.items())
 
     # -- reports ----------------------------------------------------------
 
@@ -583,7 +877,8 @@ class InvariantSpaces:
             "S_n": self.letter_shuffle_ideal(n).dim,
             "min_generators": self.min_generator_count(n),
         }
-        if not contains(self.loop_invariants(n), self.conjugation_invariants(n)):
+        loop = self.loop_invariants(n)
+        if not all(contains(loop.blocks[c], b) for c, b in self.conjugation_invariants(n).blocks.items()):
             raise CrossCheckError(
                 "conjugation invariants escape the loop invariants at "
                 "d=%d, n=%d" % (self.d, n)
@@ -594,11 +889,6 @@ class InvariantSpaces:
                 "letter-reduced loop invariants at d=%d, n=%d" % (self.d, n)
             )
         return InvariantReport(self.d, n, dims)
-
-
-def _non_pivots(s: Subspace) -> list[int]:
-    pivots = set(s.pivots)
-    return [f for f in range(s.d**s.n) if f not in pivots]
 
 
 # ---------------------------------------------------------------------------
@@ -621,6 +911,25 @@ def zero_increment_series_dim(d: int, n: int) -> int:
     for k in range(n + 1):
         coeff = num[k] + d * coeff
     return coeff
+
+
+def zero_increment_content_dim(content: Sequence[int]) -> int:
+    """Coefficient of x^c in prod(1 - x_i) / (1 - sum x_i), for c = content:
+    the sum over sets T of letters of c of (-1)^|T| multinomial(c - e_T).
+
+    The shuffle algebra is free on the Lyndon words, so the quotient by
+    the letters, dual to V, is free on the non-letter Lyndon words, and
+    its series is 1 / (1 - sum x_i) with the letter factors removed.
+    """
+    support = [i for i, k in enumerate(content) if k]
+    total = 0
+    for size in range(len(support) + 1):
+        for letters in itertools.combinations(support, size):
+            counts = list(content)
+            for i in letters:
+                counts[i] -= 1
+            total += (-1) ** size * multinomial(counts)
+    return total
 
 
 def inverse_euler_transform(dims: Sequence[int]) -> list[int]:

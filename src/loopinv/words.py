@@ -9,7 +9,7 @@ rotation / repetition bookkeeping the invariant pipeline is built on.
 from __future__ import annotations
 
 import itertools
-from math import gcd, isqrt
+from math import factorial, gcd, isqrt
 from typing import Iterator, Sequence
 
 
@@ -180,6 +180,24 @@ def necklaces(d: int, n: int) -> list[Word]:
 def necklace_count(d: int, n: int) -> int:
     """Closed form (1/n) * sum over k | n of phi(k) * d^(n/k)."""
     return sum(_euler_phi(k) * d ** (n // k) for k in _divisors(n)) // n
+
+
+def multinomial(counts: Sequence[int]) -> int:
+    """Number of words with the given letter counts."""
+    out = factorial(sum(counts))
+    for k in counts:
+        out //= factorial(k)
+    return out
+
+
+def content_necklace_count(counts: Sequence[int]) -> int:
+    """Necklaces with the given letter counts, by Burnside over rotations:
+    (1/n) * sum over k | gcd(counts) of phi(k) * multinomial(counts / k)."""
+    n = sum(counts)
+    if n < 1:
+        raise ValueError("need a nonempty content")
+    g = gcd(*counts)
+    return sum(_euler_phi(k) * multinomial([c // k for c in counts]) for k in _divisors(g)) // n
 
 
 def _divisors(n: int) -> list[int]:

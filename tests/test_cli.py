@@ -240,7 +240,7 @@ class TestBadNumbers:
         assert "--budget-secs must be a number, not nan" in capsys.readouterr().err
 
 
-# sha256 of exported bases and evidence, recorded before elimination moved
+# sha256 of exported bases, evidence and dimension tables, recorded before elimination moved
 # to integer rows; the exported rationals must not change
 GOLDEN = {
     ("basis", "conj", 2, 6): "e3142b938f699bd2838e94cc3250a6ba0205fa1e13e5bf28309760b7be591e07",
@@ -254,6 +254,15 @@ GOLDEN = {
     ("basis", "V", 3, 4): "268286e507a030ea68283d7b4cb219926d7f8618104eaf29c5c95d67dcc8a132",
     ("basis", "S", 3, 4): "dd886ff98518dea140ce30f4168016c78b75908c8ca45776a2179467e6f23cf5",
     ("evidence", None, 2, 6): "a851d15a8205b332e222e7fc7e619cfba6aa77befdad14d603934146d6ea71b1",
+    # the widest letter-permutation orbits, recorded before each level was
+    # built once per orbit and relabelled
+    ("basis", "conj", 4, 4): "f7fea6d2863c3120dc882152dd55ba7603b774761c020f1aacfbbb7570df8630",
+    ("basis", "loop", 4, 4): "de55d8db50c2426afb8b76658bf3b9cc3cda588a8f7700c0e716abc5a94115fc",
+    ("basis", "closure", 4, 4): "dc07ccc974a0c29f19f67c8a8122084a5e4d91bc6377eba7a761745e08535b20",
+    ("basis", "V", 4, 4): "8042e58cd1b495d06a5f5655ed24af44e40178de5cc67a136f25b1c2f440e1ea",
+    ("basis", "S", 4, 4): "fca5b0d782dd01dfecb891f9d9ef2247fa813b9d835e1a3c6cad810cf4b93360",
+    ("dims", None, 4, 5): "6142e31fb044498538dd987d85f79a5cf6dfae9984de7e7f68901bd2a22eb79e",
+    ("dims", None, 5, 4): "91a93e94bf6484db1e5e1f2fa0c968f9b240ac7c401766825732beaff1819f44",
 }
 
 
@@ -263,7 +272,7 @@ class TestGoldenOutput:
         if command == "basis":
             argv = ["basis", "--space", space, "--d", str(d), "--n", str(n)]
         else:
-            argv = ["evidence", "--d", str(d), "--max-level", str(n), "--format", "json"]
+            argv = [command, "--d", str(d), "--max-level", str(n), "--format", "json"]
         code, out = run(capsys, argv)
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command, space, d, n]

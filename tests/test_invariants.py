@@ -3,9 +3,11 @@ from math import factorial
 
 import pytest
 
+import all_contents
 from conftest import row_tensor
 from test_tensor import anagrams_of, rcl_word_oracle
 from loopinv.invariants import (
+    BlockSpace,
     CrossCheckError,
     InvariantReport,
     InvariantSpaces,
@@ -15,6 +17,7 @@ from loopinv.invariants import (
     signed_volume,
     spaces_for,
     verify_relations,
+    zero_increment_content_dim,
     zero_increment_series_dim,
 )
 from loopinv import invariants, tensor
@@ -41,9 +44,19 @@ from loopinv.tensor import (
     rotation_sum,
     shuffle,
 )
-from loopinv.words import lyndon_words, necklaces
+from loopinv.words import Word, content_necklace_count, lyndon_words, necklaces
 
 W = TensorElement.word
+
+
+def with_block(space, content, block):
+    """The BlockSpace with the block of one canonical content replaced."""
+    return BlockSpace(space.orbits, {**space.blocks, content: block})
+
+
+def first_word(content, d):
+    """Index of the sorted word of a content."""
+    return word_index([a + 1 for a, k in enumerate(content) for _ in range(k)], d)
 
 
 class TestSeriesDims:
@@ -193,9 +206,9 @@ class TestFreeColumnRoutes:
         sp = spaces_for(d)
         for n in range(1, top + 1):
             words = range(d**n)
-            image = span(d, n, (sp._closure_row({i: 1}, n) for i in words))
+            image = span(d, n, (all_contents.closure_row({i: 1}, d, n) for i in words))
             assert sp.closure_invariants(n) == image
-            full = kernel(d, n, sp._closure_difference_rows(n, words))
+            full = kernel(d, n, all_contents.closure_difference_rows(d, n, words))
             assert sp.loop_invariants(n) == full
 
     @pytest.mark.parametrize("build", ["closure_invariants", "loop_invariants"])
@@ -248,21 +261,28 @@ class TestFreeColumnRoutes:
         sp = InvariantSpaces(3)
         sp.loop_invariants(5)
         s = sp.letter_shuffle_ideal(5)
-        every_output = sp._closure_difference_rows(5, sp._free_columns(5))
-        assert len(counts) == 1
-        assert counts[0] <= s.dim < len(every_output)
+        # one kernel per canonical block, on the pivot rows of its S only
+        assert len(counts) == len(s.blocks)
+        every_output = 0
+        for count, (c, block) in zip(counts, s.blocks.items()):
+            assert count <= block.dim
+            free = sp._free_columns(5, c)
+            every_output += len(sp._closure_difference_rows(5, c, free, range(3**5)))
+        assert sum(b.dim for b in s.blocks.values()) < every_output
 
 
 class TestOneRouteChecks:
     """conj, V and loop are built by one route and checked against the other
-    by pairing, containment and dimension.  Each fault below breaks one of
-    those checks and must raise without storing the space."""
+    by pairing, containment and dimension, on each canonical block.  Each
+    fault below breaks one of those checks and must raise without storing
+    the space."""
 
     @pytest.mark.parametrize("d, top", [(2, 8), (3, 5)])
     def test_against_replaced_routes(self, d, top):
         sp = spaces_for(d)
         for n in range(1, top + 1):
-            assert sp.conjugation_invariants(n) == kernel(d, n, sp._letter_bracket_rows(n))
+            brackets = all_contents.letter_bracket_rows(sp, n)
+            assert sp.conjugation_invariants(n) == kernel(d, n, brackets)
             assert sp.zero_increment_space(n) == orthogonal_complement(sp.letter_shuffle_ideal(n))
             assert sp.loop_invariants(n) == orthogonal_complement(sp.bracket_zero_increment(n))
 
@@ -276,14 +296,33 @@ class TestOneRouteChecks:
             sp.report(n)
 
     @staticmethod
-    def assert_refused(sp, build, n, key):
-        with pytest.raises(CrossCheckError, match="disagree"):
+    def assert_refused(sp, build, n, key, match="disagree"):
+        with pytest.raises(CrossCheckError, match=match):
             getattr(sp, build)(n)
         assert (key, n) not in sp._memo
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_perturbed_rotation_row(self, monkeypatch, d):
-        # 4 * 1111 + 1112 keeps the dimension but leaves the bracket kernel
+        # 2 * 1112 + 1121 + 1211 + 2111 keeps the dimension of its block
+        # but leaves the bracket kernel
+        real = InvariantSpaces._rotation_row
+        target = Word((1, 1, 1, 2), d)
+
+        def perturbed(self, w):
+            row = real(self, w)
+            if w == target:
+                row[1] += 1
+            return row
+
+        monkeypatch.setattr(InvariantSpaces, "_rotation_row", perturbed)
+        self.assert_refused(
+            InvariantSpaces(d), "conjugation_invariants", 4, "conj", "rotation span and bracket"
+        )
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_rotation_row_leaving_its_content(self, monkeypatch, d):
+        # 4 * 1111 + 1112 pairs to zero with the bracket rows of 1111's
+        # block; only the content of its rows sees it
         real = InvariantSpaces._rotation_row
         target = necklaces(d, 4)[0]
 
@@ -294,52 +333,75 @@ class TestOneRouteChecks:
             return row
 
         monkeypatch.setattr(InvariantSpaces, "_rotation_row", perturbed)
-        self.assert_refused(InvariantSpaces(d), "conjugation_invariants", 4, "conj")
+        self.assert_refused(InvariantSpaces(d), "conjugation_invariants", 4, "conj", "leaves its content")
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_dropped_necklace(self, monkeypatch, d):
-        # every row stays in the bracket kernel, but the span is too small
+        # every row stays in the bracket kernel, but the block of 1111 is
+        # empty where the necklace count is 1
         real = invariants.necklaces
-        monkeypatch.setattr(invariants, "necklaces", lambda d, n: list(real(d, n))[:-1])
-        self.assert_refused(InvariantSpaces(d), "conjugation_invariants", 4, "conj")
+        monkeypatch.setattr(invariants, "necklaces", lambda d, n: list(real(d, n))[1:])
+        self.assert_refused(InvariantSpaces(d), "conjugation_invariants", 4, "conj", "necklace count")
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_bracket_rows_missing(self, monkeypatch, d):
+        # the rotation span keeps its closed-form dimension and pairs to zero
+        # with no rows at all, but N_c - rank is then N_c
+        monkeypatch.setattr(InvariantSpaces, "_letter_bracket_rows", lambda self, n, c: iter(()))
+        self.assert_refused(
+            InvariantSpaces(d), "conjugation_invariants", 4, "conj", "rotation span and bracket"
+        )
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_dropped_pbw_product(self, monkeypatch, d):
+        # the first canonical block with a product, (3, 1), loses it
         real = InvariantSpaces._pbw_products
-        monkeypatch.setattr(InvariantSpaces, "_pbw_products", lambda self, n: real(self, n)[:-1])
-        self.assert_refused(InvariantSpaces(d), "zero_increment_space", 4, "V")
+        monkeypatch.setattr(
+            InvariantSpaces, "_pbw_products", lambda self, n, c: real(self, n, c)[:-1]
+        )
+        self.assert_refused(InvariantSpaces(d), "zero_increment_space", 4, "V", "closed form")
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_perturbed_pbw_product(self, monkeypatch, d):
-        # the span keeps its dimension, but a unit vector pairs with the
-        # shuffle of its first letter with the rest of its word
+        # the span keeps its dimension, but the unit vector of a block's
+        # first word pairs with the shuffle of its first letter with the
+        # rest of the word
         real = InvariantSpaces._pbw_products
 
-        def perturbed(self, n):
-            rows = real(self, n)
-            rows[-1] = dict(rows[-1])
-            rows[-1][0] = rows[-1].get(0, 0) + 1
+        def perturbed(self, n, c):
+            rows = real(self, n, c)
+            if rows:
+                k = first_word(c, self.d)
+                rows[-1] = dict(rows[-1])
+                rows[-1][k] = rows[-1].get(k, 0) + 1
             return rows
 
         monkeypatch.setattr(InvariantSpaces, "_pbw_products", perturbed)
-        self.assert_refused(InvariantSpaces(d), "zero_increment_space", 4, "V")
+        self.assert_refused(
+            InvariantSpaces(d), "zero_increment_space", 4, "V", "shuffle-ideal complement"
+        )
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_shuffle_ideal_missing_a_row(self, d):
-        # P still pairs to zero with S and matches the series, but S^perp
-        # is now larger than P
+        # P still pairs to zero with S and matches the closed form, but
+        # S^perp is now larger than P in the block of 1122
         sp = InvariantSpaces(d)
         s = sp.letter_shuffle_ideal(4)
-        sp._memo[("S", 4)] = Subspace(d, 4, s.pivots[:-1], s.rows[:-1])
-        self.assert_refused(sp, "zero_increment_space", 4, "V")
+        c = (2, 2) + (0,) * (d - 2)
+        block = s.blocks[c]
+        smaller = Subspace(d, 4, block.pivots[:-1], block.rows[:-1])
+        sp._memo[("S", 4)] = with_block(s, c, smaller)
+        self.assert_refused(sp, "zero_increment_space", 4, "V", "shuffle-ideal complement")
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_stray_row_in_bracket_space(self, d):
         # the unit vector of 1111 lies outside V and grows [V, letters]
         sp = InvariantSpaces(d)
         brackets = sp.bracket_zero_increment(4)
-        sp._memo[("bracketV", 4)] = span(d, 4, brackets.rows + ({0: 1},))
-        assert sp.bracket_zero_increment(4).dim == brackets.dim + 1
+        c = (4,) + (0,) * (d - 1)
+        grown = span(d, 4, brackets.blocks[c].rows + ({0: 1},))
+        sp._memo[("bracketV", 4)] = with_block(brackets, c, grown)
+        assert sp.bracket_zero_increment(4).dim == brackets.dim + brackets.orbits.sizes[c]
         self.assert_refused(sp, "loop_invariants", 4, "loop")
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -348,11 +410,14 @@ class TestOneRouteChecks:
         # the pairing with the free-column kernel; only containment in V fails
         sp = InvariantSpaces(d)
         brackets = sp.bracket_zero_increment(4)
-        p = sp.letter_shuffle_ideal(4).pivots[0]
-        first = dict(brackets.rows[0])
+        c = (2, 2) + (0,) * (d - 2)
+        block = brackets.blocks[c]
+        p = sp.letter_shuffle_ideal(4).blocks[c].pivots[0]
+        first = dict(block.rows[0])
         first[p] = first.get(p, 0) + 1
-        sp._memo[("bracketV", 4)] = span(d, 4, (first,) + brackets.rows[1:])
-        assert sp.bracket_zero_increment(4).dim == brackets.dim
+        moved = span(d, 4, (first,) + block.rows[1:])
+        assert moved.dim == block.dim
+        sp._memo[("bracketV", 4)] = with_block(brackets, c, moved)
         self.assert_refused(sp, "loop_invariants", 4, "loop")
 
     @staticmethod
@@ -361,7 +426,7 @@ class TestOneRouteChecks:
 
         def patched(d, n, rows, budget=None, columns=None):
             out = real(d, n, rows, budget, columns)
-            return out if columns is None else change(out)
+            return out if columns is None else change(out, columns)
 
         monkeypatch.setattr(invariants, "kernel", patched)
 
@@ -369,20 +434,23 @@ class TestOneRouteChecks:
     def test_dropped_kernel_row(self, monkeypatch, d):
         # S + K stays inside the complement of [V, letters] but falls short
         self.patch_free_kernel(
-            monkeypatch, lambda k: Subspace(k.d, k.n, k.pivots[:-1], k.rows[:-1])
+            monkeypatch, lambda k, columns: Subspace(k.d, k.n, k.pivots[:-1], k.rows[:-1])
         )
         self.assert_refused(InvariantSpaces(d), "loop_invariants", 4, "loop")
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_kernel_row_off_the_complement(self, monkeypatch, d):
-        # a row of [V, letters] added to a kernel row keeps dim(S + K) but
-        # pairs to a nonzero with itself
+        # a row of [V, letters] of the block added to a kernel row keeps
+        # dim(S + K) but pairs to a nonzero with itself
         sp = InvariantSpaces(d)
-        b = sp.bracket_zero_increment(4).rows[0]
+        brackets = sp.bracket_zero_increment(4)
 
-        def shifted(k):
+        def shifted(k, columns):
+            rows = k.rows and brackets.blocks[all_contents.content_of(columns[0], d, 4)].rows
+            if not rows:
+                return k
             first = dict(k.rows[0])
-            for j, c in b.items():
+            for j, c in rows[0].items():
                 first[j] = first.get(j, 0) + c
             return Subspace(k.d, k.n, k.pivots, (first,) + k.rows[1:])
 
@@ -390,15 +458,191 @@ class TestOneRouteChecks:
         self.assert_refused(sp, "loop_invariants", 4, "loop")
 
 
+class TestBlockChecks:
+    """The remaining per-block checks, each with a fault that only it sees."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_closure_image_short_of_v(self, d):
+        sp = InvariantSpaces(d)
+        v = sp.zero_increment_space(4)
+        c = (2, 2) + (0,) * (d - 2)
+        block = v.blocks[c]
+        sp._memo[("V", 4)] = with_block(v, c, Subspace(d, 4, block.pivots[1:], block.rows[1:]))
+        with pytest.raises(CrossCheckError, match="differs from dim V"):
+            sp.closure_invariants(4)
+        assert ("closure", 4) not in sp._memo
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_closure_image_meeting_s(self, monkeypatch, d):
+        # n! rcl(e_f) - n! e_f lies in S: at level 2 the image becomes
+        # 12 + 21, of the dimension of V but inside S
+        sp = InvariantSpaces(d)
+        sp.zero_increment_space(2)
+        sp.closures_vanish_on_shuffle_ideal(2)
+        real = InvariantSpaces._closure_row
+
+        def into_s(self, row, n):
+            out = real(self, row, n)
+            (f, one), = row.items()
+            out[f] = out.get(f, 0) - factorial(n) * one
+            return out
+
+        monkeypatch.setattr(InvariantSpaces, "_closure_row", into_s)
+        with pytest.raises(CrossCheckError, match="do not complement"):
+            sp.closure_invariants(2)
+        assert ("closure", 2) not in sp._memo
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_closed_rotation_rank_short(self, d):
+        sp = InvariantSpaces(d)
+        rank = sp.closed_rotation_span(4)
+        c = (2, 2) + (0,) * (d - 2)
+        block = rank.blocks[c]
+        assert block.dim == 1
+        sp._memo[("rclrot", 4)] = with_block(rank, c, Subspace(d, 4, (), ()))
+        with pytest.raises(CrossCheckError, match="quotient and rank"):
+            sp.letter_reduced_conj_dim(4)
+        assert ("lrconj", 4) not in sp._memo
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_closed_loop_span_off_the_chain(self, d):
+        # [V, letters] grown after the loop space was built
+        sp = InvariantSpaces(d)
+        sp.loop_invariants(4)
+        brackets = sp.bracket_zero_increment(4)
+        c = (4,) + (0,) * (d - 1)
+        grown = span(d, 4, brackets.blocks[c].rows + ({0: 1},))
+        sp._memo[("bracketV", 4)] = with_block(brackets, c, grown)
+        with pytest.raises(CrossCheckError, match="letter-reduced loop dimension"):
+            sp.closed_loop_span(4)
+        assert ("rclloop", 4) not in sp._memo
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_conjugation_escaping_loop(self, d):
+        # every other cell of the report is built; then a row of
+        # [V, letters], which pairs to a nonzero with itself, joins conj
+        sp = InvariantSpaces(d)
+        sp.letter_reduced_conj_dim(4)
+        sp.min_generator_count(4)
+        sp.closure_invariants(4)
+        conj = sp.conjugation_invariants(4)
+        c = (2, 2) + (0,) * (d - 2)
+        stray = sp.bracket_zero_increment(4).blocks[c].rows[0]
+        sp._memo[("conj", 4)] = with_block(conj, c, span(d, 4, conj.blocks[c].rows + (stray,)))
+        with pytest.raises(CrossCheckError, match="escape the loop"):
+            sp.report(4)
+        assert ("report", 4) not in sp._memo
+
+
+class TestOrbits:
+    """Each level is built on one canonical content per letter-permutation
+    orbit; the other blocks are renamed copies."""
+
+    @pytest.mark.parametrize("d, top", [(2, 9), (3, 7), (4, 6), (5, 4)])
+    def test_orbits_cover_the_level(self, d, top):
+        sp = InvariantSpaces(d)
+        for n in range(top + 1):
+            orbits = sp._orbits(n)
+            assert all(list(c) == sorted(c, reverse=True) for c in orbits.canonical)
+            assert sorted(m for c in orbits.canonical for m in orbits.members(c)) == sorted(
+                all_contents.contents(d, n)
+            )
+            assert all(len(orbits.members(c)) == orbits.sizes[c] for c in orbits.canonical)
+            assert sum(orbits.sizes[c] * len(orbits.words(c)) for c in orbits.canonical) == d**n
+
+    @pytest.mark.parametrize("d, top", [(2, 8), (3, 5)])
+    def test_against_all_contents(self, d, top):
+        # every assembled level against its rows of all contents at once,
+        # and every minimal-generator count against all-pairs products
+        sp = InvariantSpaces(d)
+        wholes = {}
+        for n in range(1, top + 1):
+            wholes[n] = all_contents.whole_level(sp, n, wholes.get(n - 1))
+            for name, method in all_contents.METHODS.items():
+                space = getattr(sp, method)(n)
+                assert space == wholes[n][name], (name, n)
+                assert space.dim == wholes[n][name].dim
+            for family, name in (("conj", "conj"), ("loop_closure", "rclloop")):
+                expected = all_contents.min_generators(sp, n, wholes, name)
+                assert sp.min_generator_count(n, family) == expected, (family, n)
+
+    @pytest.mark.parametrize("d, top", [(3, 6), (4, 5)])
+    def test_renamed_blocks_against_direct(self, d, top):
+        # the block of every non-canonical content, renamed from its
+        # canonical content, spans the block built on the content itself
+        sp = spaces_for(d)
+        direct = {}
+        for n in range(1, top + 1):
+            orbits = sp._orbits(n)
+            direct[n] = {
+                c: all_contents.block(sp, n, c, direct.get(n - 1)) for c in all_contents.contents(d, n)
+            }
+            for name, method in all_contents.METHODS.items():
+                space = getattr(sp, method)(n)
+                for c in orbits.canonical:
+                    assert space.blocks[c] == direct[n][c][name], (name, n, c)
+                    for member in orbits.members(c):
+                        renamed = span(d, n, space.block(member))
+                        assert renamed == direct[n][member][name], (name, n, member)
+
+    def test_report_assembles_no_level(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a whole level was assembled while building a report")
+
+        monkeypatch.setattr(BlockSpace, "whole", refuse)
+        for d, top in ((2, 7), (3, 5), (4, 4)):
+            sp = InvariantSpaces(d)
+            for n in range(1, top + 1):
+                sp.report(n)
+
+    def test_closed_forms_against_counts(self):
+        for d, top in ((2, 10), (3, 7), (4, 5)):
+            for n in range(1, top + 1):
+                found = {}
+                for w in necklaces(d, n):
+                    c = tuple(w.letters.count(a) for a in range(1, d + 1))
+                    found[c] = found.get(c, 0) + 1
+                for c in all_contents.contents(d, n):
+                    assert content_necklace_count(c) == found.get(c, 0)
+                assert sum(map(zero_increment_content_dim, all_contents.contents(d, n))) == (
+                    zero_increment_series_dim(d, n)
+                )
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_level_zero(self, d):
+        # V(0) is the one-dimensional span of the empty word, which [V,
+        # letters] at level 1 needs; the other spaces start at level 1
+        sp = InvariantSpaces(d)
+        assert sp.space("V", 0).dim == 1
+        assert sp.space("V", 0).rows == ({0: 1},)
+        for name in ("conj", "S", "loop", "closure"):
+            with pytest.raises(ValueError, match="level must be at least 1, got 0"):
+                sp.space(name, 0)
+
+    def test_shuffle_generators_shuffled_once(self, monkeypatch):
+        # the closure proof reuses the generator rows kept by the build of S
+        sp = InvariantSpaces(3)
+        sp.letter_shuffle_ideal(5)
+        calls = []
+        real = tensor._shuffle_words_into
+        monkeypatch.setattr(tensor, "_shuffle_words_into", lambda *a: calls.append(a) or real(*a))
+        assert sp.closures_vanish_on_shuffle_ideal(5)
+        assert calls == []
+        assert 5 not in sp._shuffle_generators
+
+
 class TestClosureTable:
     @pytest.mark.parametrize("d, top", [(3, 6), (2, 9)])
     def test_against_word_dp(self, d, top):
-        # non-canonical contents go through the letter relabelling
+        # one row per word of a canonical content, and no other
         sp = InvariantSpaces(d)
         for n in range(top + 1):
             table = sp._closure_table(n)
-            assert len(table) == d**n
-            for k, row in enumerate(table):
+            canonical = {c for c in all_contents.contents(d, n) if list(c) == sorted(c, reverse=True)}
+            assert sorted(table) == [
+                k for k in range(d**n) if all_contents.content_of(k, d, n) in canonical
+            ]
+            for k, row in table.items():
                 expected = rcl_word_oracle(index_word(k, d, n))
                 assert row == {word_index(x, d): c for x, c in expected.items()}
 
@@ -611,7 +855,7 @@ class TestBudgetInHeavyLoops:
         sp = InvariantSpaces(2)
         sp.budget = Budget(seconds=-1)
         with pytest.raises(BudgetExceeded):
-            sp._pbw_products(6)
+            sp._pbw_products(6, (3, 3))
 
     def test_min_generator_shuffles(self, monkeypatch):
         sp = InvariantSpaces(2)
@@ -628,9 +872,16 @@ def _random_row(rng, d, n):
     return {rng.randrange(d**n): rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(3)}
 
 
+def _random_canonical_row(rng, d, n):
+    """A random row on the words of one canonical content."""
+    canonical = [c for c in all_contents.contents(d, n) if list(c) == sorted(c, reverse=True)]
+    words = all_contents.words_of(rng.choice(canonical), d)
+    return {rng.choice(words): rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(3)}
+
+
 def _pbw_products_oracle(d, n):
     """Concatenated Lyndon bracketings as tensor elements, in the order of
-    InvariantSpaces._pbw_products."""
+    all_contents.pbw_products."""
     basis = sorted((w for k in range(2, n + 1) for w in lyndon_words(d, k)), key=lambda w: w.letters)
     out = []
 
@@ -659,7 +910,10 @@ class TestRowOperators:
             a, b = _random_row(rng, d, na), _random_row(rng, d, nb)
             ta, tb = row_tensor(d, na, a), row_tensor(d, nb, b)
             assert row_tensor(d, na + nb, sp._shuffle_row(a, na, b, nb)) == shuffle(ta, tb)
-            assert row_tensor(d, na, sp._closure_row(a, na)) == factorial(na) * right_closure(ta)
+            closable = _random_canonical_row(rng, d, na)
+            assert row_tensor(d, na, sp._closure_row(closable, na)) == factorial(na) * right_closure(
+                row_tensor(d, na, closable)
+            )
             i = rng.randrange(d)
             letter = TensorElement.word(d, (i + 1,))
             assert row_tensor(d, na + 1, sp._bracket_row(a, na, i)) == bracket(ta, letter)
@@ -673,8 +927,14 @@ class TestRowOperators:
 
     @pytest.mark.parametrize("d, n", [(2, 6), (3, 4)])
     def test_pbw_products(self, d, n):
-        rows = InvariantSpaces(d)._pbw_products(n)
-        assert [row_tensor(d, n, r) for r in rows] == _pbw_products_oracle(d, n)
+        # every content, canonical or not: the products of all contents,
+        # in order, restricted to the content
+        sp = InvariantSpaces(d)
+        every = all_contents.pbw_products(d, n)
+        assert [row_tensor(d, n, r) for r in every] == _pbw_products_oracle(d, n)
+        for c in all_contents.contents(d, n):
+            own = [r for r in every if all_contents.content_of(min(r), d, n) == c]
+            assert sp._pbw_products(n, c) == own
 
     @pytest.mark.parametrize("d, top", [(2, 8), (3, 5)])
     def test_letter_reduced_conj_against_intersection(self, d, top):
@@ -682,7 +942,7 @@ class TestRowOperators:
         sp = spaces_for(d)
         for n in range(1, top + 1):
             v = sp.zero_increment_space(n)
-            brackets = span(d, n, sp._letter_bracket_rows(n))
+            brackets = span(d, n, all_contents.letter_bracket_rows(sp, n))
             assert v.dim - intersect(brackets, v).dim == sp.letter_reduced_conj_dim(n)
 
 
