@@ -36,11 +36,12 @@ RREF of a whole level, which ``basis``, ``evidence`` and the fuzz read,
 is assembled on first use.
 
 The n!-scaled right closure of every word of a canonical content is one
-integer table.  Both closures are the projections along S, and the
-pipeline proves it on each block: the closure of every letter shuffle
-generator is zero, and the closure of the unit vector of every free
-(non-pivot) column of the stored basis of S differs from it by an
-element of S.  The closure image is then spanned by the closures of
+integer table per level, one ``tensor._rcl_row`` per word, in the anagram
+order of ``words.anagrams`` that :meth:`_Orbits.words` also follows.
+Both closures are the projections along S, and the pipeline proves it on
+each block: the closure of every letter shuffle generator is zero, and
+the closure of the unit vector of every free (non-pivot) column of the
+stored basis of S differs from it by an element of S.  The closure image is then spanned by the closures of
 those unit vectors.  Every closure difference lies in S, where a vector
 is zero exactly when its entries at the pivot columns of S are, so the
 closure-difference kernel is S plus the kernel, among the free columns,
@@ -93,6 +94,7 @@ from .tensor import (
 )
 from .words import (
     Word,
+    anagrams,
     content_necklace_count,
     lyndon_count,
     lyndon_words,
@@ -192,6 +194,11 @@ def _without(content: Content, i: int) -> Content:
     return content[:i] + (content[i] - 1,) + content[i + 1 :]
 
 
+def _fits(inner: Content, outer: Content) -> bool:
+    """Whether every letter count of ``inner`` is at most that of ``outer``."""
+    return all(x <= y for x, y in zip(inner, outer))
+
+
 def _canonical(content: Content) -> Content:
     return tuple(sorted(content, reverse=True))
 
@@ -210,44 +217,33 @@ class _Orbits:
 
     def __init__(self, d: int, n: int):
         self.d, self.n = d, n
-        self.canonical: list[Content] = []
-
-        def fill(prefix: list[int], remaining: int) -> None:
-            if len(prefix) == d:
-                if not remaining:
-                    self.canonical.append(tuple(prefix))
-                return
-            for k in range(min(remaining, prefix[-1] if prefix else n), -1, -1):
-                fill(prefix + [k], remaining - k)
-
-        fill([], n)
+        self.canonical: list[Content] = [
+            c for c in itertools.combinations_with_replacement(range(n, -1, -1), d) if sum(c) == n
+        ]
         self.sizes = {c: multinomial([c.count(k) for k in set(c)]) for c in self.canonical}
         self._words: dict[Content, list[int]] = {}
-        self._renamings: dict[Content, dict[int, int]] = {}
 
-    def members(self, c: Content) -> list[Content]:
+    def members(self, c: Content) -> tuple[Content, ...]:
         """Every content in the orbit of the canonical content c."""
-        return _tensor._multiset_permutations(tuple(sorted(c)))
+        return anagrams(tuple(sorted(c)))
 
     def words(self, content: Content) -> list[int]:
-        """Ascending indices of the words of a content of this level."""
+        """Ascending indices of the words of a content of this level, in
+        the order of :func:`~loopinv.words.anagrams`."""
         if content not in self._words:
-            anagrams = _tensor._h_expansion(_letters(content))[1]
-            self._words[content] = [word_index(x, self.d) for x in anagrams]
+            self._words[content] = [word_index(x, self.d) for x in anagrams(_letters(content))]
         return self._words[content]
 
     def renaming(self, content: Content) -> dict[int, int]:
         """Word index map from the canonical content of ``content`` onto
         ``content``: canonical letter a + 1 becomes the letter with the
         (a + 1)-th largest count in ``content``, ties in letter order."""
-        if content not in self._renamings:
-            d = self.d
-            order = sorted(range(d), key=lambda b: -content[b])
-            self._renamings[content] = {
-                word_index(x, d): word_index([order[a - 1] + 1 for a in x], d)
-                for x in _tensor._h_expansion(_letters(_canonical(content)))[1]
-            }
-        return self._renamings[content]
+        d = self.d
+        order = sorted(range(d), key=lambda b: -content[b])
+        return {
+            word_index(x, d): word_index([order[a - 1] + 1 for a in x], d)
+            for x in anagrams(_letters(_canonical(content)))
+        }
 
 
 class BlockSpace(Subspace):
@@ -315,9 +311,9 @@ def _non_pivots(words: Iterable[int], block: Subspace) -> list[int]:
     return [f for f in words if f not in pivots]
 
 
-def _check_level(n: int) -> None:
-    if n < 1:
-        raise ValueError("level must be at least 1, got %d" % n)
+def _check_level(n: int, least: int = 1) -> None:
+    if n < least:
+        raise ValueError("level must be at least %d, got %d" % (least, n))
 
 
 def _memo(name: str):
@@ -453,16 +449,18 @@ class InvariantSpaces:
 
         The right closure keeps letter content, and blocks of the other
         contents are renamed, never built, so no other word needs a row.
-        The table is not a memoized space: a budget that interrupts it
-        stores nothing and names the space that asked.
+        Rows and :meth:`_Orbits.words` list anagrams in one order.  The
+        table is not a memoized space: a budget that interrupts it stores
+        nothing and names the space that asked.
         """
         if n not in self._closure_tables:
             orbits = self._orbits(n)
             table: dict[int, dict[int, int]] = {}
             for c in orbits.canonical:
                 index = orbits.words(c)
-                for k, row in zip(index, _tensor._rcl_class(_letters(c))):
+                for k, w in zip(index, anagrams(_letters(c))):
                     self._check_budget()
+                    row = _tensor._rcl_row(w)
                     table[k] = {index[j]: v for j, v in enumerate(row) if v}
             self._closure_tables[n] = table
         return self._closure_tables[n]
@@ -545,12 +543,14 @@ class InvariantSpaces:
         prod(1 - x_i) / (1 - sum x_i) and the number of words of content c
         minus dim S_c, and P_c pairs to zero with the rows of S_c; dim P
         must match the generating series."""
+        _check_level(n, 0)
         if n == 0:
             return self._blocks(0, lambda c: kernel(self.d, 0, [], self.budget))
         d, s = self.d, self.letter_shuffle_ideal(n)
+        factors = self._pbw_factors(n, s.orbits.canonical)
 
         def build(c: Content) -> Subspace:
-            p = self._block_span(n, c, self._pbw_products(n, c))
+            p = self._block_span(n, c, self._pbw_products(c, factors))
             expected = zero_increment_content_dim(c)
             if p.dim != expected:
                 raise CrossCheckError(
@@ -575,27 +575,35 @@ class InvariantSpaces:
             )
         return v
 
-    def _pbw_products(self, n: int, content: Content) -> list[dict[int, int]]:
+    def _pbw_factors(
+        self, n: int, contents: Iterable[Content]
+    ) -> list[tuple[Content, int, dict[int, int]]]:
+        """The PBW factors of level n for blocks of the given contents: each
+        non-letter Lyndon word of length at most n that fits inside one of
+        them, in lexicographic order, as its content, d to the power of its
+        length and the integer row of its Lyndon polynomial."""
+        d, contents = self.d, list(contents)
+        words = sorted(w.letters for k in range(2, n + 1) for w in lyndon_words(d, k))
+        return [
+            (wc, d ** len(w), {word_index(u, d): c for u, c in _tensor._lyndon_poly(w).items()})
+            for w in words
+            for wc in [_content(w, d)]
+            if any(_fits(wc, c) for c in contents)
+        ]
+
+    def _pbw_products(
+        self, content: Content, factors: Sequence[tuple[Content, int, dict[int, int]]]
+    ) -> list[dict[int, int]]:
         """Integer rows of the concatenation products of non-letter Lyndon
         bracketings of one letter content.
 
-        One product per weakly increasing (in lexicographic order) tuple of
-        non-letter Lyndon words whose contents sum to ``content``; a branch
-        whose contents no longer fit is pruned.  The factors are the integer
-        Lyndon polynomials; concatenating words u and v of lengths |u| and
-        |v| maps their indices to index(u) * d**|v| + index(v).
+        One product per weakly increasing (in the order of ``factors``,
+        from :meth:`_pbw_factors`) tuple of factors whose contents sum to
+        ``content``; a branch whose contents no longer fit is pruned.
+        Concatenating words u and v of lengths |u| and |v| maps their
+        indices to index(u) * d**|v| + index(v).
         """
-        d = self.d
-        basis = sorted(
-            (w.letters, wc)
-            for k in range(2, n + 1)
-            for w in lyndon_words(d, k)
-            for wc in [_content(w.letters, d)]
-            if all(x <= y for x, y in zip(wc, content))
-        )
-        polys = {
-            w: {word_index(u, d): c for u, c in _tensor._lyndon_poly(w).items()} for w, _ in basis
-        }
+        basis = [f for f in factors if _fits(f[0], content)]
         out: list[dict[int, int]] = []
 
         def extend(start: int, remaining: Content, acc: dict[int, int] | None):
@@ -604,10 +612,9 @@ class InvariantSpaces:
                 out.append(acc)
                 return
             for i in range(start, len(basis)):
-                w, wc = basis[i]
-                if any(x > y for x, y in zip(wc, remaining)):
+                wc, shift, poly = basis[i]
+                if not _fits(wc, remaining):
                     continue
-                poly, shift = polys[w], d ** len(w)
                 nxt = poly if acc is None else {
                     a * shift + b: ca * cb for a, ca in acc.items() for b, cb in poly.items()
                 }
@@ -621,6 +628,7 @@ class InvariantSpaces:
         """[V at level n-1, letters], the loop-invariant constraint space.
         Block c spans [v, i] over the rows v of the blocks of V of the
         contents c - e_i, renamed where they are not canonical."""
+        _check_level(n)
         v = self.zero_increment_space(n - 1)
         return self._blocks(n, lambda c: self._block_span(n, c, (
             self._bracket_row(row, n - 1, i)
@@ -688,6 +696,7 @@ class InvariantSpaces:
         zero with K_c, so S_c + K_c is its complement in the block once
         dim(S_c + K_c) = (words of content c) - dim [V, letters]_c.
         """
+        _check_level(n)
         d = self.d
 
         def build(c: Content) -> Subspace:
@@ -744,6 +753,7 @@ class InvariantSpaces:
         dimension must match dim V_c, and together with S_c it must fill
         the block (the closure is a projection along S).
         """
+        _check_level(n)
         d = self.d
 
         def build(c: Content) -> Subspace:
@@ -767,6 +777,7 @@ class InvariantSpaces:
     @_memo("rclrot")
     def closed_rotation_span(self, n: int) -> BlockSpace:
         """Span of right-closed rotation sums over necklaces of length n."""
+        _check_level(n)
         by_content = self._necklaces(n)
         return self._blocks(n, lambda c: self._block_span(n, c, (
             self._closure_row(self._rotation_row(w), n) for w in by_content[c]
@@ -775,6 +786,7 @@ class InvariantSpaces:
     # -- dimensions -------------------------------------------------------
 
     def letter_reduced_loop_dim(self, n: int) -> int:
+        _check_level(n)
         return self.zero_increment_space(n).dim - self.bracket_zero_increment(n).dim
 
     @_memo("lrconj")
@@ -802,6 +814,7 @@ class InvariantSpaces:
     @_memo("rclloop")
     def closed_loop_span(self, n: int) -> BlockSpace:
         """Right closure of the loop invariants (the loop-and-closure space)."""
+        _check_level(n)
 
         def build(c: Content) -> Subspace:
             rows = (self._closure_row(r, n) for r in self.loop_invariants(n).blocks[c].rows)

@@ -12,7 +12,8 @@ the operators the invariant pipeline needs:
   letters (dual to pairing against the straight segment that closes a
   path),
 * ``right_closure`` / ``left_closure``  the projections realizing path
-  closure algebraically,
+  closure algebraically, n!-scaled one word at a time by counting
+  subsequence embeddings (``_rcl_row``),
 * ``lyndon_bracketing``  the Lie polynomial attached to a Lyndon word.
 
 Everything here is a pure function of immutable values.
@@ -25,11 +26,11 @@ from math import factorial
 from typing import Iterable, Mapping
 
 from ._rat import Q, exact, rational_to_string
-from .words import Word, rotations, standard_factorization
+from .words import Word, anagrams, rotations, standard_factorization
 
 # caches shared across alphabet sizes: expansions depend on letters only
 _RCL_CACHE: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-_H_CACHE: dict[tuple[int, ...], tuple[int, list[tuple[int, ...]]]] = {}
+_EDGE_CACHE: dict[tuple[int, ...], tuple[tuple[int, int], ...]] = {}
 _LYNDON_POLY_CACHE: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
 
 
@@ -337,54 +338,20 @@ def cyclic_shift(x: TensorElement, level: int | None = None) -> TensorElement:
     return TensorElement._raw(x.d, data)
 
 
-def _h_expansion(letters: tuple[int, ...]):
-    """Scaled coefficient and support of the signed letter shuffle.
-
-    For a word with letter multiplicities m_1, ..., m_k and length n the
-    shuffle of its letters is (prod m_i!) times the sum of its distinct
-    anagrams, so the normalized expansion has the single coefficient
-    (-1)^n * prod(m_i!) / n! on every anagram.  Returns that coefficient
-    times n!, an integer, with the anagrams.
-    """
-    key = tuple(sorted(letters))
-    hit = _H_CACHE.get(key)
-    if hit is not None:
-        return hit
-    n = len(key)
-    mult = 1
-    run = 1
-    for i in range(1, n):
-        run = run + 1 if key[i] == key[i - 1] else 1
-        mult *= run
-    anagrams = _multiset_permutations(key)
-    _H_CACHE[key] = ((-1) ** n * mult, anagrams)
-    return _H_CACHE[key]
-
-
-def _multiset_permutations(sorted_letters: tuple[int, ...]) -> list[tuple[int, ...]]:
-    if not sorted_letters:
-        return [()]
-    out = []
-    seen_first = set()
-    for i, a in enumerate(sorted_letters):
-        if a in seen_first:
-            continue
-        seen_first.add(a)
-        rest = sorted_letters[:i] + sorted_letters[i + 1 :]
-        out.extend((a,) + tail for tail in _multiset_permutations(rest))
-    return out
-
-
 def closing_segment_dual(x: TensorElement) -> TensorElement:
     """Send each word of length n to (-1)^n / n! times the shuffle of its
     letters, extended linearly.  Pairing a path signature against the
     image equals pairing the signature of the straight closing segment
-    against the original word."""
+    against the original word.
+
+    With letter multiplicities m_a, the shuffle of the letters is
+    prod(m_a!) times the sum of the n! / prod(m_a!) distinct anagrams, so
+    every anagram gets (-1)^n over the number of anagrams."""
     data: dict[tuple[int, ...], object] = {}
     for t, c in x._terms.items():
-        scaled, anagrams = _h_expansion(t)
-        value = c * Q(scaled, factorial(len(t)))
-        for w in anagrams:
+        words = anagrams(tuple(sorted(t)))
+        value = c * Q((-1) ** len(t), len(words))
+        for w in words:
             new = data.get(w, 0) + value
             if new:
                 data[w] = new
@@ -393,32 +360,32 @@ def closing_segment_dual(x: TensorElement) -> TensorElement:
     return TensorElement._raw(x.d, data)
 
 
-def _anagram_steps(content: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Depth-first walk of the trie of prefixes of the anagrams of a sorted
-    content: one ``(depth, letter)`` per edge, leaves in lexicographic
-    order."""
-    letters = sorted(set(content))
-    left = {a: content.count(a) for a in letters}
-    steps: list[tuple[int, int]] = []
+def _trie_edges(content: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The depth-first walk of the trie of prefixes of the anagrams of a
+    sorted content, one ``(depth, letter)`` per edge, leaves in
+    lexicographic order: each anagram adds the edges below its common
+    prefix with the anagram before it.  Cached for the contents whose
+    closure is asked, with one shared tuple per (depth, letter) pair."""
+    hit = _EDGE_CACHE.get(content)
+    if hit is None:
+        n = len(content)
+        pairs = {(depth, a): (depth, a) for depth in range(n) for a in set(content)}
+        edges: list[tuple[int, int]] = []
+        prev: tuple[int, ...] = ()
+        for x in anagrams(content):
+            p = 0
+            while p < len(prev) and x[p] == prev[p]:
+                p += 1
+            edges += (pairs[depth, x[depth]] for depth in range(p, n))
+            prev = x
+        _EDGE_CACHE[content] = hit = tuple(edges)
+    return hit
 
-    def walk(depth: int) -> None:
-        for a in letters:
-            if left[a]:
-                steps.append((depth, a))
-                left[a] -= 1
-                walk(depth + 1)
-                left[a] += 1
 
-    walk(0)
-    return steps
-
-
-def _rcl_class(content: tuple[int, ...]) -> list[list[int]]:
-    """n! times the right closure of every anagram of one letter content.
-
-    ``content`` is a sorted letter tuple of length n, and x_0 < x_1 < ...
-    its anagrams in lexicographic order.  Row i is n! rcl(x_i) as the list
-    of its integer coefficients on x_0, x_1, ...
+def _rcl_row(w: tuple[int, ...]) -> list[int]:
+    """n! times the right closure of a word w of length n, as the list of
+    its integer coefficients on the anagrams x_0 < x_1 < ... of w (the
+    order of :func:`~loopinv.words.anagrams`).
 
     The right closure is the sum over all splits w = u v (u = w[:i]) of
     the shuffle of u with h(v), the signed normalized letter shuffle of v:
@@ -436,66 +403,60 @@ def _rcl_class(content: tuple[int, ...]) -> list[list[int]]:
     all integers.  One walk over x counts the embeddings of every prefix
     of w at once: dp[i] = occ(w[:i], x[:j]) after j letters of x.  The
     walk visits x in lexicographic order, depth first through the trie of
-    their prefixes, and keeps (dp, sum_i s_i dp[i]) per depth, so anagrams
-    with a common prefix share the state.  A letter a extends dp[i] by
-    dp[i-1] for each position i of a in w (descending, so each embedding
-    grows by at most one step), which adds s_i dp[i-1] to the sum; a leaf
-    only adds the terms of its last letter, copying no state.
+    their prefixes (:func:`_trie_edges`), and keeps (dp, sum_i s_i dp[i])
+    per depth, so anagrams with a common prefix share the state.  A
+    letter a extends dp[i] by dp[i-1] for each position i of a in w
+    (descending, so each embedding grows by at most one step), which adds
+    s_i dp[i-1] to the sum; a leaf only adds the terms of its last letter,
+    copying no state.  No state is shared between words, only the trie.
     """
-    n = len(content)
+    n = len(w)
     if not n:
-        return [[1]]
-    anagrams = _h_expansion(content)[1]
-    steps = _anagram_steps(content)
+        return [1]
     last = n - 1
-    falling = [factorial(n) // factorial(n - i) for i in range(n + 1)]
-    out = []
-    for w in anagrams:
-        # weights s_i and the positions of each letter in w, descending
-        s = [0] * n + [falling[n]]
-        seen: dict[int, int] = {}
-        mult = 1
-        for i in range(n - 1, -1, -1):
-            seen[w[i]] = seen.get(w[i], 0) + 1
-            mult *= seen[w[i]]
-            s[i] = (-1) ** (n - i) * mult * falling[i]
-        extend: dict[int, list[tuple[int, int]]] = {a: [] for a in seen}
-        for i in range(n, 0, -1):
-            extend[w[i - 1]].append((i, s[i]))
-        dps = [[1] + [0] * n] + [None] * last
-        sums = [s[0]] + [0] * last
-        row = []
-        for depth, a in steps:
-            dp = dps[depth]
-            total = sums[depth]
-            if depth == last:
-                for i, si in extend[a]:
-                    total += si * dp[i - 1]
-                row.append(total)
-            else:
-                dp = dp[:]
-                for i, si in extend[a]:
-                    v = dp[i - 1]
-                    dp[i] += v
-                    total += si * v
-                dps[depth + 1] = dp
-                sums[depth + 1] = total
-        out.append(row)
-    return out
+    # weights s_i and the positions of each letter in w, descending
+    falling = factorial(n)
+    s = [0] * n + [falling]
+    seen: dict[int, int] = {}
+    mult = 1
+    for i in range(n - 1, -1, -1):
+        falling //= n - i  # n! / (n - i)!
+        seen[w[i]] = seen.get(w[i], 0) + 1
+        mult *= seen[w[i]]
+        s[i] = (-1) ** (n - i) * mult * falling
+    extend: dict[int, list[tuple[int, int]]] = {a: [] for a in seen}
+    for i in range(n, 0, -1):
+        extend[w[i - 1]].append((i, s[i]))
+    dps = [[1] + [0] * n] + [None] * last
+    sums = [s[0]] + [0] * last
+    row = []
+    for depth, a in _trie_edges(tuple(sorted(w))):
+        dp = dps[depth]
+        total = sums[depth]
+        if depth == last:
+            for i, si in extend[a]:
+                total += si * dp[i - 1]
+            row.append(total)
+        else:
+            dp = dp[:]
+            for i, si in extend[a]:
+                v = dp[i - 1]
+                dp[i] += v
+                total += si * v
+            dps[depth + 1] = dp
+            sums[depth + 1] = total
+    return row
 
 
 def _rcl_word(letters: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     """n! times the right closure of a single word of length n, on the
-    anagrams of the word (cached).  A miss fills the cache for every
-    anagram of its letter content from :func:`_rcl_class`."""
+    anagrams of the word (cached)."""
     hit = _RCL_CACHE.get(letters)
-    if hit is not None:
-        return hit
-    content = tuple(sorted(letters))
-    anagrams = _h_expansion(content)[1]
-    for w, row in zip(anagrams, _rcl_class(content)):
-        _RCL_CACHE[w] = {x: c for x, c in zip(anagrams, row) if c}
-    return _RCL_CACHE[letters]
+    if hit is None:
+        row = _rcl_row(letters)
+        hit = {x: c for x, c in zip(anagrams(tuple(sorted(letters))), row) if c}
+        _RCL_CACHE[letters] = hit
+    return hit
 
 
 def right_closure(x: TensorElement) -> TensorElement:

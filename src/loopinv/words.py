@@ -2,12 +2,14 @@
 
 Words are the basis of the tensor algebra.  This module also provides the
 classic enumerations attached to them: Lyndon words (a basis of the free
-Lie algebra), necklaces (cyclic equivalence classes of words) and the
-rotation / repetition bookkeeping the invariant pipeline is built on.
+Lie algebra), necklaces (cyclic equivalence classes of words), the
+anagrams of a letter content, and the rotation / repetition bookkeeping
+the invariant pipeline is built on.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from math import factorial, gcd, isqrt
 from typing import Iterator, Sequence
@@ -72,6 +74,29 @@ class Word:
 def all_words(d: int, n: int) -> Iterator[tuple[int, ...]]:
     """All letter tuples of length n over 1..d, in lexicographic order."""
     return itertools.product(range(1, d + 1), repeat=n)
+
+
+@functools.lru_cache(maxsize=None)
+def anagrams(letters: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The distinct rearrangements of a tuple, in lexicographic order
+    (cached; callers pass the sorted tuple of a letter content).  Each one
+    follows from the last by the next-permutation step: find the last
+    ascent i, swap x[i] with the last entry larger than it, and reverse
+    the tail after i."""
+    x = sorted(letters)
+    out = [tuple(x)]
+    while True:
+        i = len(x) - 2
+        while i >= 0 and x[i] >= x[i + 1]:
+            i -= 1
+        if i < 0:
+            return tuple(out)
+        j = len(x) - 1
+        while x[j] <= x[i]:
+            j -= 1
+        x[i], x[j] = x[j], x[i]
+        x[i + 1 :] = x[:i:-1]
+        out.append(tuple(x))
 
 
 def rotations(letters: Sequence[int]) -> list[tuple[int, ...]]:

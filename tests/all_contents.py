@@ -142,7 +142,7 @@ def block(sp, n, content, blocks_below=None):
     out = {
         "conj": span(d, n, map(sp._rotation_row, own)),
         "S": span(d, n, sp._letter_shuffle_rows(n, content)),
-        "V": span(d, n, sp._pbw_products(n, content)),
+        "V": span(d, n, sp._pbw_products(content, sp._pbw_factors(n, [content]))),
         "closure": span(d, n, (closure_row({k: 1}, d, n) for k in words)),
         "loop": kernel(d, n, closure_difference_rows(d, n, words), None, words),
         "rclrot": span(d, n, (closure_row(sp._rotation_row(w), d, n) for w in own)),

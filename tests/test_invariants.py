@@ -213,17 +213,15 @@ class TestFreeColumnRoutes:
 
     @pytest.mark.parametrize("build", ["closure_invariants", "loop_invariants"])
     def test_premise_failure_raises(self, monkeypatch, build):
-        real = tensor._rcl_class
-        content = (1, 1, 2, 2)
-        anagrams = anagrams_of(content)
+        real = tensor._rcl_row
 
-        def perturbed(letters):
-            rows = real(letters)
-            if letters == content:
-                rows[anagrams.index((1, 2, 1, 2))][anagrams.index((2, 2, 1, 1))] += 1
-            return rows
+        def perturbed(w):
+            row = real(w)
+            if w == (1, 2, 1, 2):
+                row[anagrams_of((1, 1, 2, 2)).index((2, 2, 1, 1))] += 1
+            return row
 
-        monkeypatch.setattr(tensor, "_rcl_class", perturbed)
+        monkeypatch.setattr(tensor, "_rcl_row", perturbed)
         sp = InvariantSpaces(2)
         with pytest.raises(CrossCheckError, match="does not vanish"):
             getattr(sp, build)(4)
@@ -233,15 +231,15 @@ class TestFreeColumnRoutes:
     def test_projection_certificate_has_teeth(self, monkeypatch, d):
         # doubling one content class keeps the closure zero on S, the image
         # and the closure-difference kernel; only the certificate sees it
-        real = tensor._rcl_class
+        real = tensor._rcl_row
 
-        def doubled(letters):
-            rows = real(letters)
-            if letters == (1, 1, 2, 2):
-                rows = [[2 * c for c in row] for row in rows]
-            return rows
+        def doubled(w):
+            row = real(w)
+            if sorted(w) == [1, 1, 2, 2]:
+                row = [2 * c for c in row]
+            return row
 
-        monkeypatch.setattr(tensor, "_rcl_class", doubled)
+        monkeypatch.setattr(tensor, "_rcl_row", doubled)
         sp = InvariantSpaces(d)
         with pytest.raises(CrossCheckError, match="not the identity modulo"):
             sp.closures_vanish_on_shuffle_ideal(4)
@@ -357,7 +355,7 @@ class TestOneRouteChecks:
         # the first canonical block with a product, (3, 1), loses it
         real = InvariantSpaces._pbw_products
         monkeypatch.setattr(
-            InvariantSpaces, "_pbw_products", lambda self, n, c: real(self, n, c)[:-1]
+            InvariantSpaces, "_pbw_products", lambda self, c, factors: real(self, c, factors)[:-1]
         )
         self.assert_refused(InvariantSpaces(d), "zero_increment_space", 4, "V", "closed form")
 
@@ -368,8 +366,8 @@ class TestOneRouteChecks:
         # rest of the word
         real = InvariantSpaces._pbw_products
 
-        def perturbed(self, n, c):
-            rows = real(self, n, c)
+        def perturbed(self, c, factors):
+            rows = real(self, c, factors)
             if rows:
                 k = first_word(c, self.d)
                 rows[-1] = dict(rows[-1])
@@ -608,6 +606,13 @@ class TestOrbits:
                     zero_increment_series_dim(d, n)
                 )
 
+    LEVEL_METHODS = [
+        "conjugation_invariants", "letter_shuffle_ideal", "zero_increment_space",
+        "bracket_zero_increment", "closures_vanish_on_shuffle_ideal", "loop_invariants",
+        "closure_invariants", "closed_rotation_span", "letter_reduced_loop_dim",
+        "letter_reduced_conj_dim", "closed_loop_span", "min_generator_count", "report",
+    ]
+
     @pytest.mark.parametrize("d", [2, 3])
     def test_level_zero(self, d):
         # V(0) is the one-dimensional span of the empty word, which [V,
@@ -615,9 +620,14 @@ class TestOrbits:
         sp = InvariantSpaces(d)
         assert sp.space("V", 0).dim == 1
         assert sp.space("V", 0).rows == ({0: 1},)
-        for name in ("conj", "S", "loop", "closure"):
-            with pytest.raises(ValueError, match="level must be at least 1, got 0"):
-                sp.space(name, 0)
+        for name in self.LEVEL_METHODS:
+            method = getattr(sp, name)
+            for n in (0, -1):
+                if (name, n) == ("zero_increment_space", 0):
+                    continue
+                least = 0 if name == "zero_increment_space" else 1
+                with pytest.raises(ValueError, match="level must be at least %d, got %d$" % (least, n)):
+                    method(n)
 
     def test_shuffle_generators_shuffled_once(self, monkeypatch):
         # the closure proof reuses the generator rows kept by the build of S
@@ -816,25 +826,34 @@ class TestBudgetInHeavyLoops:
 
     @pytest.mark.parametrize("build", list(CLOSURE_LOOPS))
     def test_closure_table(self, monkeypatch, build):
-        # every input but the closure rows of the space itself is built
+        # every input but the closure rows of the space itself is built;
+        # the closure table is dropped, so the build has to make it again
         sp = InvariantSpaces(2)
         sp.zero_increment_space(5)
         if build != "closures_vanish_on_shuffle_ideal":
             sp.closures_vanish_on_shuffle_ideal(5)
-        calls = self.count_calls(monkeypatch, tensor, "_rcl_class")
+        sp._closure_tables.clear()
+        calls = self.count_calls(monkeypatch, tensor, "_rcl_row")
         sp.budget = Budget(seconds=-1)
         with pytest.raises(BudgetExceeded) as err:
             getattr(sp, build)(5)
         assert err.value.space == (self.CLOSURE_LOOPS[build], 5)
-        assert len(calls) <= 1
+        assert calls == []
+        # the counter sees the table: without a budget it is built row by row
+        sp.budget = None
+        getattr(sp, build)(5)
+        assert len(calls) == len(sp._closure_table(5)) > 1
 
     def test_lazy_span_input(self, monkeypatch):
-        calls = self.count_calls(monkeypatch, tensor, "_rcl_class")
+        calls = self.count_calls(monkeypatch, tensor, "_rcl_row")
         sp = InvariantSpaces(2)
         sp.budget = Budget(seconds=-1)
         with pytest.raises(BudgetExceeded):
             sp.closed_rotation_span(6)
-        assert len(calls) <= 1
+        assert calls == []
+        sp.budget = None
+        sp.closed_rotation_span(6)
+        assert len(calls) == len(sp._closure_table(6)) > 1
 
     def test_names_the_space(self):
         sp = InvariantSpaces(2)
@@ -855,7 +874,7 @@ class TestBudgetInHeavyLoops:
         sp = InvariantSpaces(2)
         sp.budget = Budget(seconds=-1)
         with pytest.raises(BudgetExceeded):
-            sp._pbw_products(6, (3, 3))
+            sp._pbw_products((3, 3), sp._pbw_factors(6, [(3, 3)]))
 
     def test_min_generator_shuffles(self, monkeypatch):
         sp = InvariantSpaces(2)
@@ -932,9 +951,18 @@ class TestRowOperators:
         sp = InvariantSpaces(d)
         every = all_contents.pbw_products(d, n)
         assert [row_tensor(d, n, r) for r in every] == _pbw_products_oracle(d, n)
+        factors = sp._pbw_factors(n, all_contents.contents(d, n))
         for c in all_contents.contents(d, n):
             own = [r for r in every if all_contents.content_of(min(r), d, n) == c]
-            assert sp._pbw_products(n, c) == own
+            assert sp._pbw_products(c, factors) == own
+
+    def test_lyndon_words_once_per_level(self, monkeypatch):
+        # the PBW factors of a level are listed once, not once per block
+        calls = []
+        real = invariants.lyndon_words
+        monkeypatch.setattr(invariants, "lyndon_words", lambda d, k: calls.append(k) or real(d, k))
+        InvariantSpaces(3).zero_increment_space(6)
+        assert sorted(calls) == [2, 3, 4, 5, 6]
 
     @pytest.mark.parametrize("d, top", [(2, 8), (3, 5)])
     def test_letter_reduced_conj_against_intersection(self, d, top):

@@ -39,3 +39,17 @@ def test_imports_stdlib_only():
                     found.append("%s:%d %s" % (path.name, node.lineno, name))
     assert SOURCES
     assert found == []
+
+
+def test_invariants_uses_three_tensor_internals():
+    # anagram bookkeeping belongs in words; invariants reaches into tensor
+    # for the closure row, the word shuffle and the Lyndon polynomial only
+    path = Path(loopinv.__file__).parent / "invariants.py"
+    used = {
+        node.attr
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "_tensor"
+    }
+    assert used == {"_rcl_row", "_shuffle_words_into", "_lyndon_poly"}

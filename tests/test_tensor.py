@@ -11,7 +11,7 @@ from loopinv import tensor
 from loopinv._rat import Q
 from loopinv.tensor import (
     TensorElement,
-    _rcl_class,
+    _rcl_row,
     _rcl_word,
     bracket,
     closing_segment_dual,
@@ -70,11 +70,14 @@ def anagrams_of(content):
 
 def rcl_word_oracle(letters):
     """n! rcl(w) of one word w by counting subsequence embeddings, one pass
-    over each anagram x of w (the derivation is at tensor._rcl_class)."""
+    over each anagram x of w (the derivation is at tensor._rcl_row)."""
     n = len(letters)
     fact = math.factorial(n)
+    # (-1)^|v| prod m_a(v)! for the suffix v = w[i:], times n! / |v|!
     weights = [
-        tensor._h_expansion(letters[i:])[0] * (fact // math.factorial(n - i))
+        (-1) ** (n - i)
+        * math.prod(math.factorial(letters[i:].count(a)) for a in set(letters[i:]))
+        * (fact // math.factorial(n - i))
         for i in range(n + 1)
     ]
     # positions of each letter in w, descending, so that one letter of x
@@ -393,19 +396,30 @@ class TestClosures:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_class_kernel(self, d):
-        # row i of the class is n! rcl of the i-th anagram, on the anagrams
+        # the row of every word w up to level 6 is n! rcl(w) on the
+        # anagrams of w, in lexicographic order
         for n in range(7):
             for content in itertools.combinations_with_replacement(range(1, d + 1), n):
                 anagrams = anagrams_of(content)
-                rows = _rcl_class(content)
-                assert len(rows) == len(anagrams)
-                for w, row in zip(anagrams, rows):
+                for w in anagrams:
+                    row = _rcl_row(w)
                     assert len(row) == len(anagrams)
                     assert all(type(c) is int for c in row)
                     got = {x: c for x, c in zip(anagrams, row) if c}
                     assert got == rcl_word_oracle(w)
                     expected = math.factorial(n) * rcl_oracle(W(d, w) if w else E(d))
                     assert TensorElement(d, got) == expected
+
+    def test_cold_word_computes_one_row(self, monkeypatch):
+        # a single word costs its own row, not the rows of its whole class
+        calls = []
+        monkeypatch.setattr(tensor, "_RCL_CACHE", {})
+        monkeypatch.setattr(tensor, "_rcl_row", lambda w: calls.append(w) or _rcl_row(w))
+        w = (1, 2) * 5
+        closed = right_closure(W(2, w))
+        assert calls == [w]
+        assert list(tensor._RCL_CACHE) == [w]
+        assert closed == TensorElement(2, rcl_word_oracle(w)) / math.factorial(10)
 
     def test_word_table_enumerates_no_shuffle(self, monkeypatch):
         # the table counts subsequence embeddings; it never lists shuffles

@@ -5,6 +5,7 @@ import pytest
 from loopinv.words import (
     Word,
     all_words,
+    anagrams,
     is_lyndon,
     lyndon_count,
     lyndon_words,
@@ -121,6 +122,14 @@ class TestLyndon:
                 # right factor is the lexicographically smallest proper suffix
                 suffixes = [w.letters[i:] for i in range(1, len(w))]
                 assert right == min(suffixes)
+
+
+class TestAnagrams:
+    @pytest.mark.parametrize("n", range(8))
+    def test_against_permutations(self, n):
+        # letters and count tuples alike, zeros included
+        for t in itertools.combinations_with_replacement(range(4), n):
+            assert anagrams(t) == tuple(sorted(set(itertools.permutations(t))))
 
 
 class TestNecklaces:
