@@ -26,14 +26,14 @@ block: the three two-description checks above, with the number of
 necklaces and the coefficient of x^c as the closed forms of the block of
 content c; the proof that the closures are the projections along S; the
 closure image; the letter-reduced ranks; the closed loop span; the
-decomposables' rank; and conj inside loop.  A block whose rows leave its
-content fails too.  A level's dimension sums orbit size times block
-dimension, and the checks on whole levels (the series coefficient, the
-dimension chains of :class:`InvariantReport`) use those sums.  A renamed
-block is a basis of its content as it stands, which is all the spanning
-rows one level up need ([V, letters], the decomposables).  The canonical
-RREF of a whole level, which ``basis``, ``evidence`` and the fuzz read,
-is assembled on first use.
+decomposables inside the family; and conj inside loop.  A block whose
+rows leave its content fails too.  A level's dimension sums orbit size
+times block dimension, and the checks on whole levels (the series
+coefficient, the dimension chains of :class:`InvariantReport`) use those
+sums.  A renamed block is a basis of its content as it stands, which is
+all the spanning rows one level up need ([V, letters], the
+decomposables).  The canonical RREF of a whole level, which ``basis``,
+``evidence`` and the fuzz read, is assembled on first use.
 
 The n!-scaled right closure of every word of a canonical content is one
 integer table per level, one ``tensor._rcl_row`` per word, in the anagram
@@ -98,8 +98,9 @@ from .words import (
     content_necklace_count,
     lyndon_count,
     lyndon_words,
+    min_rotation,
     multinomial,
-    necklaces,
+    necklaces,  # noqa: F401  (unused here; bench/tracing.py wraps this name)
     rotations,
 )
 from . import tensor as _tensor
@@ -481,14 +482,11 @@ class InvariantSpaces:
             for i in range(self.d) if c[i] for u in lower.words(_without(c, i))
         )
 
-    def _necklaces(self, n: int) -> dict[Content, list[Word]]:
-        """The necklaces of level n of each canonical content."""
-        out: dict[Content, list[Word]] = {c: [] for c in self._orbits(n).canonical}
-        for w in necklaces(self.d, n):
-            c = _content(w.letters, self.d)
-            if c in out:
-                out[c].append(w)
-        return out
+    def _necklaces(self, c: Content) -> list[Word]:
+        """The necklaces of content c, in lexicographic order: the anagrams
+        of c that are their own smallest rotation."""
+        self._check_budget()
+        return [Word(x, self.d) for x in anagrams(_letters(c)) if x == min_rotation(x)]
 
     # -- spaces -----------------------------------------------------------
 
@@ -503,10 +501,9 @@ class InvariantSpaces:
         the rank of the bracket rows, which pair to zero with R_c."""
         _check_level(n)
         d, orbits = self.d, self._orbits(n)
-        by_content = self._necklaces(n)
 
         def build(c: Content) -> Subspace:
-            r = self._block_span(n, c, map(self._rotation_row, by_content[c]))
+            r = self._block_span(n, c, map(self._rotation_row, self._necklaces(c)))
             expected = content_necklace_count(c)
             if r.dim != expected:
                 raise CrossCheckError(
@@ -778,9 +775,8 @@ class InvariantSpaces:
     def closed_rotation_span(self, n: int) -> BlockSpace:
         """Span of right-closed rotation sums over necklaces of length n."""
         _check_level(n)
-        by_content = self._necklaces(n)
         return self._blocks(n, lambda c: self._block_span(n, c, (
-            self._closure_row(self._rotation_row(w), n) for w in by_content[c]
+            self._closure_row(self._rotation_row(w), n) for w in self._necklaces(c)
         )))
 
     # -- dimensions -------------------------------------------------------
@@ -832,16 +828,29 @@ class InvariantSpaces:
 
         return self._blocks(n, build)
 
-    @_memo("mingen")
-    def min_generator_count(self, n: int, family: str = "conj") -> int:
-        """Dimension of level n of a graded shuffle family modulo products.
+    @_memo("gens")
+    def minimal_generators(self, n: int, family: str = "conj") -> BlockSpace:
+        """A complement G_n of the decomposables D_n in level n of a graded
+        shuffle family A, "conj" or "loop_closure".
 
-        The decomposable part is the span of all shuffle products of two
-        lower-level basis rows (the families are shuffle subalgebras, so
-        pairs span every longer product).  Rows of contents a and b shuffle
-        to content a + b, so block c spans the products over the splits
-        c = a + b, of rows of the (renamed) blocks a and b.  family is
-        "conj" or "loop_closure".
+        D_n is the span of the products of two elements of positive level,
+        the sum over j of A_j ⧢ A_{n-j}.  Products with a generator span it:
+        D_n = Σ_{j=1}^{n-1} G_j ⧢ A_{n-j}, for any complements G_j of D_j
+        in A_j.  By induction on j: A_j ⧢ A_{n-j} is G_j ⧢ A_{n-j} plus
+        D_j ⧢ A_{n-j}, and D_j ⧢ A_{n-j} lies in Σ_{i<j} A_i ⧢ A_{n-i},
+        because A_i ⧢ A_{j-i} ⧢ A_{n-j} lies in A_i ⧢ A_{n-i} when A is a
+        shuffle subalgebra (the all-pairs span assumes that too).  Rows of
+        contents a and b shuffle to content a + b, so block c spans the
+        products of the rows of the (renamed) blocks of G_j at a and of
+        A_{n-j} at c - a, over every j and every sub-content a of c.
+
+        D_c must lie in A_c, checked by reducing its rows against A_c; the
+        complement rests on it.  The pivots of a canonical RREF are the
+        leading (smallest) columns of the nonzero vectors of its span, so
+        the pivots of D_c are pivots of A_c, and the rows of A_c at the
+        other pivots span a complement of D_c: no nonzero combination of
+        them leads at a pivot of D_c.  Those rows are a canonical RREF as
+        they stand, so G_c shares them with A_c.
         """
         if family == "conj":
             space_of = self.conjugation_invariants
@@ -849,29 +858,35 @@ class InvariantSpaces:
             space_of = self.closed_loop_span
         else:
             raise ValueError("unknown family %r" % family)
+        d, total = self.d, space_of(n)
+        lower = [(j, self.minimal_generators(j, family), space_of(n - j)) for j in range(1, n)]
 
         def products(c: Content):
-            for j in range(1, n // 2 + 1):
-                lower, upper = space_of(j), space_of(n - j)
+            for j, gens, upper in lower:
                 for a in _sub_contents(c, j):
-                    b = tuple(x - y for x, y in zip(c, a))
-                    if j < n - j:
-                        pairs = itertools.product(lower.block(a), upper.block(b))
-                    elif a < b:
-                        pairs = itertools.product(lower.block(a), lower.block(b))
-                    elif a == b:
-                        pairs = itertools.combinations_with_replacement(lower.block(a), 2)
-                    else:
-                        continue
-                    for x, y in pairs:
-                        yield self._shuffle_row(x, j, y, n - j)
+                    left = gens.block(a)
+                    if left:
+                        right = upper.block(tuple(x - y for x, y in zip(c, a)))
+                        for x, y in itertools.product(left, right):
+                            yield self._shuffle_row(x, j, y, n - j)
 
-        orbits = self._orbits(n)
-        ranks = {c: span(self.d, n, products(c), self.budget).dim for c in orbits.canonical}
-        total = space_of(n)
-        if any(rank > total.blocks[c].dim for c, rank in ranks.items()):
-            raise CrossCheckError("decomposables escaped the family at d=%d, n=%d" % (self.d, n))
-        return total.dim - sum(orbits.sizes[c] * rank for c, rank in ranks.items())
+        def build(c: Content) -> Subspace:
+            block, decomposables = total.blocks[c], span(d, n, products(c), self.budget)
+            if not contains(block, decomposables):
+                raise CrossCheckError(
+                    "decomposables escaped the family at d=%d, n=%d, content %s" % (d, n, c)
+                )
+            dropped = set(decomposables.pivots)
+            pairs = [(p, row) for p, row in zip(block.pivots, block.rows) if p not in dropped]
+            return Subspace(d, n, [p for p, _ in pairs], [row for _, row in pairs])
+
+        return self._blocks(n, build)
+
+    @_memo("mingen")
+    def min_generator_count(self, n: int, family: str = "conj") -> int:
+        """Dimension of level n of a graded shuffle family modulo products:
+        the dimension of :meth:`minimal_generators`."""
+        return self.minimal_generators(n, family).dim
 
     # -- reports ----------------------------------------------------------
 

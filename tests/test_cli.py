@@ -2,6 +2,10 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -95,13 +99,15 @@ class TestDims:
         assert captured.err.startswith("cannot write output: ")
 
     def test_decomposables_outside_the_family_fail_the_run(self, capsys, monkeypatch):
-        # products of two level-2 factors become unit rows, which no level-4
-        # conjugation invariant space of dimension 6 can hold
+        # the products of a letter with a level-3 rotation sum of three
+        # words become unit rows (the letter shuffle generators, which
+        # shuffle single words, stay), and the first, the word 1112, is not
+        # a conjugation invariant
         real = InvariantSpaces._shuffle_row
         units = iter(range(1, 16))
 
         def stray(self, a, na, b, nb):
-            return {next(units): 1} if na >= 2 else real(self, a, na, b, nb)
+            return {next(units): 1} if nb == 3 and len(b) == 3 else real(self, a, na, b, nb)
 
         monkeypatch.setattr(InvariantSpaces, "_shuffle_row", stray)
         code = main(["dims", "--d", "2", "--max-level", "4"])
@@ -309,3 +315,16 @@ class TestEvidence:
         payload = json.loads(out)
         assert payload["levels"][3]["closure_conj_intersection_dim"] == 0
         assert payload["levels"][3]["loop_matches_s_plus_area_conj"]
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_matches_main(self, capsys):
+        argv = ["dims", "--d", "2", "--max-level", "3", "--format", "json"]
+        code, out = run(capsys, argv)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        done = subprocess.run(
+            [sys.executable, "-m", "loopinv", *argv], capture_output=True, text=True, env=env
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (code, out, "")

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -337,8 +338,12 @@ class TestOneRouteChecks:
     def test_dropped_necklace(self, monkeypatch, d):
         # every row stays in the bracket kernel, but the block of 1111 is
         # empty where the necklace count is 1
-        real = invariants.necklaces
-        monkeypatch.setattr(invariants, "necklaces", lambda d, n: list(real(d, n))[1:])
+        real = InvariantSpaces._necklaces
+
+        def dropped(self, c):
+            return [w for w in real(self, c) if w.letters != (1, 1, 1, 1)]
+
+        monkeypatch.setattr(InvariantSpaces, "_necklaces", dropped)
         self.assert_refused(InvariantSpaces(d), "conjugation_invariants", 4, "conj", "necklace count")
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -671,6 +676,56 @@ class TestMinGenerators:
         assert spaces_for(2).min_generator_count(4) == 1
         assert spaces_for(3).min_generator_count(3) == 1
 
+    FAMILIES = {"conj": "conjugation_invariants", "loop_closure": "closed_loop_span"}
+
+    @pytest.mark.parametrize("d, top", [(2, 10), (3, 6)])
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_against_all_pairs(self, d, top, family):
+        # generator products against all products of two whole-level rows
+        sp = spaces_for(d)
+        space_of = getattr(sp, self.FAMILIES[family])
+        wholes = {n: {family: space_of(n)} for n in range(1, top + 1)}
+        for n in range(1, top + 1):
+            expected = all_contents.min_generators(sp, n, wholes, family)
+            assert sp.min_generator_count(n, family) == expected, n
+
+    def test_products_have_a_generator_factor(self, monkeypatch):
+        sp = InvariantSpaces(2)
+        for n in range(1, 9):
+            sp.min_generator_count(n)
+        calls = []
+        real = sp._shuffle_row
+        monkeypatch.setattr(sp, "_shuffle_row", lambda *args: calls.append(args) or real(*args))
+        assert sp.min_generator_count(9) == 8
+        # all pairs of rows of the blocks take 118 products
+        assert 0 < len(calls) <= 57
+        for a, na, b, nb in calls:
+            assert a in sp.minimal_generators(na).block(all_contents.content_of(min(a), 2, na))
+            assert b in sp.conjugation_invariants(nb).block(all_contents.content_of(min(b), 2, nb))
+
+    def test_dropped_generator_changes_a_later_count(self):
+        # the oracle has teeth: without the one generator of level 4,
+        # the products with a generator no longer span the decomposables
+        sp = InvariantSpaces(2)
+        gens = sp.minimal_generators(4)
+        assert gens.dim == 1
+        (c,) = [c for c, b in gens.blocks.items() if b.dim]
+        sp._memo[("gens", 4, "conj")] = with_block(gens, c, Subspace(2, 4, (), ()))
+        wholes = {n: {"conj": sp.conjugation_invariants(n)} for n in range(1, 9)}
+        assert any(
+            sp.min_generator_count(n) != all_contents.min_generators(sp, n, wholes, "conj")
+            for n in range(5, 9)
+        )
+
+    def test_generators_share_the_family_rows(self):
+        sp = InvariantSpaces(3)
+        for n in range(1, 7):
+            conj, gens = sp.conjugation_invariants(n), sp.minimal_generators(n)
+            assert gens.dim == sp.min_generator_count(n)
+            for c, block in gens.blocks.items():
+                stored = dict(zip(conj.blocks[c].pivots, conj.blocks[c].rows))
+                assert all(stored[p] is row for p, row in zip(block.pivots, block.rows))
+
     def test_loop_closure_family(self):
         sp = spaces_for(2)
         counts = [sp.min_generator_count(n, family="loop_closure") for n in range(1, 7)]
@@ -764,15 +819,35 @@ class TestReportValidation:
         sp.budget = None
         assert sp.report(4).dims["conjugation"] == 6
 
-    def test_decomposables_outside_the_family_raise(self, monkeypatch):
-        # 14 unit rows stand in for the products spanning the decomposables
-        # of level 4, where the conjugation invariants have dimension 6
-        sp = InvariantSpaces(2)
-        units = iter(range(16))
-        monkeypatch.setattr(sp, "_shuffle_row", lambda a, na, b, nb: {next(units): 1})
+    @staticmethod
+    def assert_escapes(sp, monkeypatch, stray):
+        """Level-4 products go through stray(row); the count must fail."""
+        real = sp._shuffle_row
+
+        def shuffle_row(a, na, b, nb):
+            row = real(a, na, b, nb)
+            return stray(row) if na + nb == 4 else row
+
+        monkeypatch.setattr(sp, "_shuffle_row", shuffle_row)
         with pytest.raises(CrossCheckError, match="escaped the family"):
             sp.min_generator_count(4)
         assert ("mingen", 4, "conj") not in sp._memo
+        assert ("gens", 4, "conj") not in sp._memo
+
+    def test_decomposables_outside_the_family_raise(self, monkeypatch):
+        # unit rows stand in for the products of level 4; the second, the
+        # word 1112, is not a conjugation invariant
+        units = iter(range(16))
+        self.assert_escapes(InvariantSpaces(2), monkeypatch, lambda row: {next(units): 1})
+
+    def test_decomposables_within_the_rank_outside_the_family_raise(self, monkeypatch):
+        # every product of content (2, 2) becomes the word 1122: their span
+        # has dimension 1, below the 2 of the conjugation invariants of
+        # that content, but it holds no conjugation invariant
+        def stray(row):
+            return {3: 1} if all_contents.content_of(min(row), 2, 4) == (2, 2) else row
+
+        self.assert_escapes(InvariantSpaces(2), monkeypatch, stray)
 
 
 class TestMemo:
@@ -875,6 +950,17 @@ class TestBudgetInHeavyLoops:
         sp.budget = Budget(seconds=-1)
         with pytest.raises(BudgetExceeded):
             sp._pbw_products((3, 3), sp._pbw_factors(6, [(3, 3)]))
+
+    def test_necklaces(self):
+        # the necklaces of a level are listed one content at a time, under
+        # the budget: listing all of d=9, level 7 at once takes seconds
+        sp = InvariantSpaces(9)
+        sp.budget = Budget(seconds=0.5)
+        start = time.monotonic()
+        with pytest.raises(BudgetExceeded) as err:
+            sp.report(7)
+        assert time.monotonic() - start < 2
+        assert err.value.space == ("conj", 7)
 
     def test_min_generator_shuffles(self, monkeypatch):
         sp = InvariantSpaces(2)
