@@ -13,7 +13,9 @@ the other checks it by containment, pairing and dimension:
 * loop invariants: the kernel of (right closure - left closure),
   checked against [V, letters];
 * letter-reduced conjugation invariants: the quotient dimension
-  dim(conj + S) - dim S, and the rank of right-closed rotation sums.
+  dim(conj + S) - dim S, and the rank of right-closed rotation sums;
+* the area/conjugation algebra of ``evidence``: B_n = conj_n + areas ⧢
+  B_{n-2}, once conj is checked to be a shuffle subalgebra.
 
 Orbits and blocks.  Every row operator below keeps the letter content of
 a word (its letter counts) and commutes with renaming letters.  So every
@@ -41,11 +43,12 @@ order of ``words.anagrams`` that :meth:`_Orbits.words` also follows.
 Both closures are the projections along S, and the pipeline proves it on
 each block: the closure of every letter shuffle generator is zero, and
 the closure of the unit vector of every free (non-pivot) column of the
-stored basis of S differs from it by an element of S.  The closure image is then spanned by the closures of
-those unit vectors.  Every closure difference lies in S, where a vector
-is zero exactly when its entries at the pivot columns of S are, so the
-closure-difference kernel is S plus the kernel, among the free columns,
-of the closure-difference rows at the pivot columns.
+stored basis of S differs from it by an element of S.  The closure image
+is then spanned by the closures of those unit vectors.  Every closure
+difference lies in S, where a vector is zero exactly when its entries at
+the pivot columns of S are, so the closure-difference kernel is S plus
+the kernel, among the free columns, of the closure-difference rows at
+the pivot columns.
 
 Every spanning set is a stream of integer rows ``{word index: int}``
 made by four row operators (rotation sums, letter brackets, shuffles and
@@ -74,7 +77,7 @@ from .linalg import (
     _reduces_to_zero,
     contains,
     index_word,
-    intersect,
+    intersect,  # noqa: F401  (unused here; bench/tracing.py wraps this name)
     kernel,
     member_tensor,
     orthogonal,
@@ -888,6 +891,33 @@ class InvariantSpaces:
         the dimension of :meth:`minimal_generators`."""
         return self.minimal_generators(n, family).dim
 
+    @_memo("areaconj")
+    def area_conjugation_algebra(self, n: int) -> BlockSpace:
+        """Level n of the shuffle algebra B generated by the areas [i, j] and
+        the conjugation invariants: B_n = conj_n + Σ_{i<j} [i, j] ⧢ B_{n-2}.
+
+        A product of generators with an area is that area shuffled with a
+        product in B_{n-2}; one of conjugation invariants alone lies in
+        conj_n, as conj is a shuffle subalgebra (:meth:`minimal_generators`
+        checks it first, up to level n).  [i, j] has content e_i + e_j and
+        renaming letters maps the areas to ± areas, so block c spans conj_c
+        and [i, j] ⧢ the (renamed) block of B_{n-2} at c - e_i - e_j.
+        """
+        _check_level(n, 0)
+        if n == 0:
+            return self._blocks(0, lambda c: kernel(self.d, 0, [], self.budget))
+        self.minimal_generators(n)
+        conj, lower = self.conjugation_invariants(n), n > 1 and self.area_conjugation_algebra(n - 2)
+
+        def rows(c: Content):
+            yield from conj.blocks[c].rows
+            for i, j in itertools.combinations(range(self.d), 2):
+                if c[i] and c[j]:
+                    for r in lower.block(_without(_without(c, i), j)):
+                        yield self._shuffle_row(self._bracket_row({i: 1}, 1, j), 2, r, n - 2)
+
+        return self._blocks(n, lambda c: self._block_span(n, c, rows(c)))
+
     # -- reports ----------------------------------------------------------
 
     @_memo("report")
@@ -1131,62 +1161,42 @@ class ConjectureEvidence:
     area_product_membership: tuple[tuple[str, bool], ...] = field(default_factory=tuple)
 
 
-def area_conjugation_algebra(spaces: InvariantSpaces, n: int) -> Subspace:
-    """Level-n part of the shuffle algebra generated by the two-letter
-    areas together with all conjugation invariants."""
-    d = spaces.d
-    gens = {k: list(spaces.conjugation_invariants(k).rows) for k in range(1, n + 1)}
-    if n >= 2:
-        # the area ij - ji is the bracket [i, j] of two letters
-        gens[2] += [spaces._bracket_row({i: 1}, 1, j) for i in range(d) for j in range(i + 1, d)]
-    parts: dict[int, Subspace] = {}
-    for k in range(1, n + 1):
-        elements = list(gens[k])
-        for j in range(1, k):
-            for g in gens[j]:
-                elements.extend(spaces._shuffle_row(g, j, b, k - j) for b in parts[k - j].rows)
-        parts[k] = span(d, k, elements, spaces.budget)
-    return parts[n]
-
-
-def _area_products(d: int, n: int, cap: int = 64) -> list[tuple[str, TensorElement]]:
+def _area_products(d: int, n: int) -> list[tuple[str, TensorElement]]:
     if n % 2 or n < 4:
         return []
     areas = [
         ((i, j), _area(d, i, j)) for i in range(1, d + 1) for j in range(i + 1, d + 1)
     ]
-    out = []
-    for combo in itertools.combinations_with_replacement(areas, n // 2):
-        label = "*".join("area%d%d" % pair for pair, _ in combo)
-        out.append((label, _shuffle_all([elt for _, elt in combo])))
-        if len(out) >= cap:
-            break
-    return out
+    return [
+        ("*".join("area%d%d" % pair for pair, _ in combo), _shuffle_all([elt for _, elt in combo]))
+        for combo in itertools.combinations_with_replacement(areas, n // 2)
+    ]
 
 
 def conjecture_evidence(spaces: InvariantSpaces, n: int) -> ConjectureEvidence:
-    """Dimension comparisons and membership observations at level n."""
-    d = spaces.d
+    """Dimension comparisons and membership observations at level n.  Sums
+    are taken block by block, and dim(C ∩ R) = dim C + dim R - dim(C + R)."""
+    d, budget, algebra = spaces.d, spaces.budget, spaces.area_conjugation_algebra(n)
+
+    def sum_dim(a: BlockSpace, b: BlockSpace) -> int:
+        return sum(k * subspace_sum(a.blocks[c], b.blocks[c], budget).dim for c, k in a.orbits.sizes.items())
+
     loop_dim = spaces.loop_invariants(n).dim
-    s_plus = subspace_sum(
-        spaces.letter_shuffle_ideal(n), area_conjugation_algebra(spaces, n), spaces.budget
+    s_plus = sum_dim(spaces.letter_shuffle_ideal(n), algebra)
+    closure, conj = spaces.closure_invariants(n), spaces.conjugation_invariants(n)
+    meet = closure.dim + conj.dim - sum_dim(closure, conj)
+    membership = tuple(
+        (label, member_tensor(element, spaces.closed_rotation_span(n)))
+        for label, element in _area_products(d, n)
     )
-    meet = intersect(
-        spaces.closure_invariants(n), spaces.conjugation_invariants(n), spaces.budget
-    )
-    membership = []
-    if n >= 4 and n % 2 == 0:
-        target = spaces.closed_rotation_span(n)
-        for label, element in _area_products(d, n):
-            membership.append((label, member_tensor(element, target)))
     return ConjectureEvidence(
         d=d,
         level=n,
         loop_dim=loop_dim,
-        s_plus_area_conj_dim=s_plus.dim,
-        loop_matches_s_plus_area_conj=loop_dim == s_plus.dim,
-        closure_conj_intersection_dim=meet.dim,
-        area_product_membership=tuple(membership),
+        s_plus_area_conj_dim=s_plus,
+        loop_matches_s_plus_area_conj=loop_dim == s_plus,
+        closure_conj_intersection_dim=meet,
+        area_product_membership=membership,
     )
 
 

@@ -156,3 +156,22 @@ def block(sp, n, content, blocks_below=None):
     out["bracketV"] = span(d, n, rows)
     out["rclloop"] = span(d, n, (closure_row(r, d, n) for r in out["loop"].rows))
     return out
+
+
+def area_conjugation_algebra(sp, top):
+    """Levels 1..top of the shuffle algebra generated by the areas and the
+    conjugation invariants, from whole levels: every generator of level j
+    shuffled with every basis row of level k - j."""
+    d = sp.d
+    gens = {k: list(sp.conjugation_invariants(k).rows) for k in range(1, top + 1)}
+    if top >= 2:
+        # the area ij - ji is the bracket [i, j] of two letters
+        gens[2] += [sp._bracket_row({i: 1}, 1, j) for i in range(d) for j in range(i + 1, d)]
+    parts = {}
+    for k in range(1, top + 1):
+        elements = list(gens[k])
+        for j in range(1, k):
+            for g in gens[j]:
+                elements.extend(sp._shuffle_row(g, j, b, k - j) for b in parts[k - j].rows)
+        parts[k] = span(d, k, elements)
+    return parts

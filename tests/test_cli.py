@@ -260,6 +260,10 @@ GOLDEN = {
     ("basis", "V", 3, 4): "268286e507a030ea68283d7b4cb219926d7f8618104eaf29c5c95d67dcc8a132",
     ("basis", "S", 3, 4): "dd886ff98518dea140ce30f4168016c78b75908c8ca45776a2179467e6f23cf5",
     ("evidence", None, 2, 6): "a851d15a8205b332e222e7fc7e619cfba6aa77befdad14d603934146d6ea71b1",
+    # recorded while the area/conjugation algebra was built from whole levels
+    ("evidence", None, 3, 6): "fa71635410e10aaf528cc67fd25fdcc2ff47aa6851069f40cd394f2ba83d4f84",
+    ("evidence", None, 4, 5): "7430fb446583859df5303eecb739d4db9daa705e41a5383dfdecc5170866a469",
+    ("evidence", None, 5, 4): "bb94ea74931f5db0c06fec494cd508945a256db2be19733fa33cfdc5b6ddae20",
     # the widest letter-permutation orbits, recorded before each level was
     # built once per orbit and relabelled
     ("basis", "conj", 4, 4): "f7fea6d2863c3120dc882152dd55ba7603b774761c020f1aacfbbb7570df8630",

@@ -12,7 +12,6 @@ from loopinv.invariants import (
     CrossCheckError,
     InvariantReport,
     InvariantSpaces,
-    area_conjugation_algebra,
     conjecture_evidence,
     inverse_euler_transform,
     signed_volume,
@@ -21,7 +20,7 @@ from loopinv.invariants import (
     zero_increment_content_dim,
     zero_increment_series_dim,
 )
-from loopinv import invariants, tensor
+from loopinv import invariants, linalg, tensor
 from loopinv.linalg import (
     Budget,
     BudgetExceeded,
@@ -791,10 +790,57 @@ class TestEvidence:
 
     def test_area_conj_algebra_contains_its_generators(self):
         sp = spaces_for(2)
-        alg4 = area_conjugation_algebra(sp, 4)
+        alg4 = sp.area_conjugation_algebra(4)
         area = W(2, "12") - W(2, "21")
         assert member_tensor(shuffle(area, area), alg4)
         assert contains(alg4, sp.conjugation_invariants(4))
+
+    @pytest.mark.parametrize("d, top", [(2, 9), (3, 6), (4, 5), (5, 4)])
+    def test_area_conj_algebra_against_all_generators(self, d, top):
+        # areas times the level two below against every generator times every row
+        sp = spaces_for(d)
+        expected = all_contents.area_conjugation_algebra(sp, top)
+        for n in range(1, top + 1):
+            assert sp.area_conjugation_algebra(n) == expected[n], n
+
+    def test_every_area_product_is_reported(self):
+        # the 15 areas of six letters have 120 products of two
+        ev = conjecture_evidence(spaces_for(6), 4)
+        assert len(ev.area_product_membership) == 120
+        assert ev.area_product_membership[-1][0] == "area56*area56"
+
+    def test_decomposables_outside_the_conjugation_invariants_raise(self, monkeypatch):
+        # B_n rests on conj being a shuffle subalgebra, checked before B is built
+        units = iter(range(16))
+        sp = InvariantSpaces(2)
+        TestReportValidation.patch_level_four(sp, monkeypatch, lambda row: {next(units): 1})
+        with pytest.raises(CrossCheckError, match="decomposables escaped the family"):
+            conjecture_evidence(sp, 4)
+        assert ("areaconj", 4) not in sp._memo
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_no_whole_level_complement(self, d, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("whole-level complement or intersection in evidence")
+
+        monkeypatch.setattr(invariants, "intersect", refuse)
+        monkeypatch.setattr(linalg, "orthogonal_complement", refuse)
+        sp = InvariantSpaces(d)
+        for n in range(1, 7):
+            conjecture_evidence(sp, n)
+
+    def test_areas_shuffle_the_level_two_below(self, monkeypatch):
+        sp = InvariantSpaces(2)
+        for n in range(1, 9):
+            sp.report(n)
+        calls = []
+        real = sp._shuffle_row
+        monkeypatch.setattr(sp, "_shuffle_row", lambda *args: calls.append(args) or real(*args))
+        for n in range(1, 9):
+            conjecture_evidence(sp, n)
+        # every generator times every row below takes 1892 products
+        assert 0 < len(calls) <= 50
+        assert all(na == 2 for _, na, _, _ in calls)
 
 
 class TestReportValidation:
@@ -820,8 +866,8 @@ class TestReportValidation:
         assert sp.report(4).dims["conjugation"] == 6
 
     @staticmethod
-    def assert_escapes(sp, monkeypatch, stray):
-        """Level-4 products go through stray(row); the count must fail."""
+    def patch_level_four(sp, monkeypatch, stray):
+        """Level-4 products go through stray(row)."""
         real = sp._shuffle_row
 
         def shuffle_row(a, na, b, nb):
@@ -829,6 +875,11 @@ class TestReportValidation:
             return stray(row) if na + nb == 4 else row
 
         monkeypatch.setattr(sp, "_shuffle_row", shuffle_row)
+
+    @classmethod
+    def assert_escapes(cls, sp, monkeypatch, stray):
+        """Level-4 products go through stray(row); the count must fail."""
+        cls.patch_level_four(sp, monkeypatch, stray)
         with pytest.raises(CrossCheckError, match="escaped the family"):
             sp.min_generator_count(4)
         assert ("mingen", 4, "conj") not in sp._memo
@@ -953,9 +1004,11 @@ class TestBudgetInHeavyLoops:
 
     def test_necklaces(self):
         # the necklaces of a level are listed one content at a time, under
-        # the budget: listing all of d=9, level 7 at once takes seconds
+        # the budget: listing all of d=9, level 7 at once takes seconds.
+        # The budget is well below the 0.5-0.8 s that all of conj takes, so
+        # it always runs out inside conj
         sp = InvariantSpaces(9)
-        sp.budget = Budget(seconds=0.5)
+        sp.budget = Budget(seconds=0.1)
         start = time.monotonic()
         with pytest.raises(BudgetExceeded) as err:
             sp.report(7)
