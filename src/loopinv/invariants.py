@@ -40,10 +40,13 @@ decomposables).  The canonical RREF of a whole level, which ``basis``,
 The n!-scaled right closure of every word of a canonical content is one
 integer table per level, one ``tensor._rcl_row`` per word, in the anagram
 order of ``words.anagrams`` that :meth:`_Orbits.words` also follows.
-Both closures are the projections along S, and the pipeline proves it on
-each block: the closure of every letter shuffle generator is zero, and
-the closure of the unit vector of every free (non-pivot) column of the
-stored basis of S differs from it by an element of S.  The closure image
+Both closures are the projections along S, and the table proves it on
+each block as it builds that block's rows, before it stores the level,
+so every reader of the table reads a proven closure: the closure of
+every letter shuffle generator is zero, and the closure of the unit
+vector of every free (non-pivot) column of the stored basis of S differs
+from it by a vector orthogonal to V = S^perp, so by an element of S.
+The table therefore needs V of its level.  The closure image
 is then spanned by the closures of those unit vectors.  Every closure
 difference lies in S, where a vector is zero exactly when its entries at
 the pivot columns of S are, so the closure-difference kernel is S plus
@@ -56,7 +59,8 @@ the closure table), so building a table forms no rational.
 Rationals appear only where a basis leaves as a tensor element, in
 :func:`verify_relations` and in the conjecture-evidence memberships.
 
-A failed cross-check raises :class:`CrossCheckError`; budget overruns
+A failed cross-check raises :class:`~loopinv.linalg.CrossCheckError`
+(re-exported here); budget overruns
 raise :class:`~loopinv.linalg.BudgetExceeded` and leave the caches
 untouched for the completed cells.
 """
@@ -73,8 +77,8 @@ from typing import Callable, Container, Iterable, Sequence
 from .linalg import (
     Budget,
     BudgetExceeded,
+    CrossCheckError,
     Subspace,
-    _reduces_to_zero,
     contains,
     index_word,
     intersect,  # noqa: F401  (unused here; bench/tracing.py wraps this name)
@@ -110,10 +114,6 @@ from . import tensor as _tensor
 
 # letter counts (c_1, ..., c_d) of a word
 Content = tuple[int, ...]
-
-
-class CrossCheckError(RuntimeError):
-    """A space disagreed with an independent description of it."""
 
 
 # default level caps giving desk-scale exact runs
@@ -277,17 +277,16 @@ class BlockSpace(Subspace):
     def dim(self) -> int:
         return sum(self.orbits.sizes[c] * b.dim for c, b in self.blocks.items())
 
-    def _renamed_rows(self, content: Content) -> list[dict[int, int]]:
-        index = self.orbits.renaming(content)
-        rows = self.blocks[_canonical(content)].rows
-        return [{index[k]: v for k, v in row.items()} for row in rows]
-
     def block(self, content: Content) -> tuple[dict[int, int], ...]:
         """The rows of a basis of the block of any content of the level."""
         if content in self.blocks:
             return self.blocks[content].rows
         if content not in self._renamed:
-            self._renamed[content] = tuple(self._renamed_rows(content))
+            index = self.orbits.renaming(content)
+            self._renamed[content] = tuple(
+                {index[k]: v for k, v in row.items()}
+                for row in self.blocks[_canonical(content)].rows
+            )
         return self._renamed[content]
 
     def whole(self) -> Subspace:
@@ -298,11 +297,14 @@ class BlockSpace(Subspace):
                 pairs += zip(b.pivots, b.rows)
                 for member in self.orbits.members(c):
                     if member != c:
-                        renamed = span(self.d, self.n, self._renamed_rows(member))
+                        renamed = span(self.d, self.n, self.block(member))
                         pairs += zip(renamed.pivots, renamed.rows)
             pairs.sort(key=lambda pair: pair[0])
             whole = Subspace(self.d, self.n, [p for p, _ in pairs], [r for _, r in pairs])
-            assert whole.dim == self.dim
+            if whole.dim != self.dim:
+                raise CrossCheckError(
+                    "the assembled level lost a row at d=%d, n=%d" % (self.d, self.n)
+                )
             self._whole = whole
         return self._whole
 
@@ -313,6 +315,16 @@ class BlockSpace(Subspace):
 def _non_pivots(words: Iterable[int], block: Subspace) -> list[int]:
     pivots = set(block.pivots)
     return [f for f in words if f not in pivots]
+
+
+def _apply(table: dict[int, dict[int, int]], row: dict[int, int]) -> dict[int, int]:
+    """The image of an integer row under the map whose image of the unit
+    vector of column k is ``table[k]``."""
+    out: dict[int, int] = {}
+    for i, c in row.items():
+        for j, v in table[i].items():
+            out[j] = out.get(j, 0) + c * v
+    return {j: c for j, c in out.items() if c}
 
 
 def _check_level(n: int, least: int = 1) -> None:
@@ -374,9 +386,6 @@ class InvariantSpaces:
         self._memo: dict = {}
         self._orbit_tables: dict[int, _Orbits] = {}
         self._closure_tables: dict[int, dict[int, dict[int, int]]] = {}
-        # letter shuffle generator rows per canonical content, left by the
-        # build of S for the proof in closures_vanish_on_shuffle_ideal
-        self._shuffle_generators: dict[int, dict[Content, list[dict[int, int]]]] = {}
 
     # -- plumbing -------------------------------------------------------
 
@@ -440,32 +449,57 @@ class InvariantSpaces:
         """n! times the right closure of a row on level n, whose words have
         canonical contents."""
         self._check_budget()
-        table = self._closure_table(n)
-        out: dict[int, int] = {}
-        for i, c in row.items():
-            for j, v in table[i].items():
-                out[j] = out.get(j, 0) + c * v
-        return {j: c for j, c in out.items() if c}
+        return _apply(self._closure_table(n), row)
 
     def _closure_table(self, n: int) -> dict[int, dict[int, int]]:
         """Row k is n! times the right closure of the word of index k, for
-        every word of a canonical content.
+        every word of a canonical content, proven to be the projection
+        along S.
 
         The right closure keeps letter content, and blocks of the other
         contents are renamed, never built, so no other word needs a row.
-        Rows and :meth:`_Orbits.words` list anagrams in one order.  The
-        table is not a memoized space: a budget that interrupts it stores
-        nothing and names the space that asked.
+        Rows and :meth:`_Orbits.words` list anagrams in one order.
+
+        Each block c is proven as soon as its rows are in.  The closure row
+        of every letter shuffle generator ``i ⧢ u`` of content c must be
+        zero.  Then, for every free column f of the block of S, n! rcl(e_f)
+        - n! e_f must pair to zero with the rows of V_c, which the build of
+        V checks to be S_c^perp in the block, so it lies in S.  So rcl
+        vanishes on S and rcl(x) - x lies in S for every x of a canonical
+        content, and, as both commute with renaming letters, for every x:
+        rcl is the projection along S.  S is closed under reversal (the
+        reverse of ``i ⧢ u`` is ``i ⧢ reverse(u)``) and the left closure is
+        the right closure conjugated by reversal, so the same holds for it.
+
+        The level is stored only once every block is proven, so every
+        reader of the table reads a proven closure.  The table is not a
+        memoized space: a budget that interrupts it stores nothing and
+        names the space that asked.
         """
         if n not in self._closure_tables:
-            orbits = self._orbits(n)
+            s, v = self.letter_shuffle_ideal(n), self.zero_increment_space(n)
+            scale = factorial(n)
             table: dict[int, dict[int, int]] = {}
-            for c in orbits.canonical:
-                index = orbits.words(c)
+            for c in s.orbits.canonical:
+                index = s.orbits.words(c)
                 for k, w in zip(index, anagrams(_letters(c))):
                     self._check_budget()
                     row = _tensor._rcl_row(w)
-                    table[k] = {index[j]: v for j, v in enumerate(row) if v}
+                    table[k] = {index[j]: x for j, x in enumerate(row) if x}
+                if any(_apply(table, row) for row in self._letter_shuffle_rows(n, c)):
+                    raise CrossCheckError(
+                        "the right closure does not vanish on the letter shuffle "
+                        "ideal at d=%d, n=%d, content %s" % (self.d, n, c)
+                    )
+                differences = (
+                    {**table[f], f: table[f].get(f, 0) - scale}
+                    for f in _non_pivots(index, s.blocks[c])
+                )
+                if not orthogonal(v.blocks[c], differences, self.budget):
+                    raise CrossCheckError(
+                        "the right closure is not the identity modulo the letter "
+                        "shuffle ideal at d=%d, n=%d, content %s" % (self.d, n, c)
+                    )
             self._closure_tables[n] = table
         return self._closure_tables[n]
 
@@ -526,15 +560,9 @@ class InvariantSpaces:
 
     @_memo("S")
     def letter_shuffle_ideal(self, n: int) -> BlockSpace:
-        """Degree-n part of the shuffle ideal generated by the letters.  The
-        generator rows of each block are kept for the proof in
-        :meth:`closures_vanish_on_shuffle_ideal` (span copies its input)."""
+        """Degree-n part of the shuffle ideal generated by the letters."""
         _check_level(n)
-        orbits = self._orbits(n)
-        generators = {c: list(self._letter_shuffle_rows(n, c)) for c in orbits.canonical}
-        s = BlockSpace(orbits, {c: self._block_span(n, c, rows) for c, rows in generators.items()})
-        self._shuffle_generators[n] = generators
-        return s
+        return self._blocks(n, lambda c: self._block_span(n, c, self._letter_shuffle_rows(n, c)))
 
     @_memo("V")
     def zero_increment_space(self, n: int) -> BlockSpace:
@@ -635,54 +663,6 @@ class InvariantSpaces:
             for i in range(self.d) if c[i] for row in v.block(_without(c, i))
         )))
 
-    @_memo("Sclosed")
-    def closures_vanish_on_shuffle_ideal(self, n: int) -> bool:
-        """Prove that the right and left closures are the projections along
-        S at level n, one canonical block at a time.
-
-        First the closure row of every letter shuffle generator ``i ⧢ u``
-        of the block, kept from the build of S, must be zero.  Then, for
-        every free column f of the block of S, n! rcl(e_f) - n! e_f must
-        reduce to zero against its stored rows.  So rcl vanishes on S and
-        rcl(x) - x lies in S for every x of a canonical content, and, as
-        both commute with renaming letters, for every x: rcl is the
-        projection along S.  S is closed under reversal (the reverse of
-        ``i ⧢ u`` is ``i ⧢ reverse(u)``) and the left closure is the right
-        closure conjugated by reversal, so the same holds for it.
-        """
-        s = self.letter_shuffle_ideal(n)
-        generators = self._shuffle_generators[n]
-        table = self._closure_table(n)
-        scale = factorial(n)
-        for c, block in s.blocks.items():
-            if any(self._closure_row(row, n) for row in generators[c]):
-                raise CrossCheckError(
-                    "the right closure does not vanish on the letter shuffle "
-                    "ideal at d=%d, n=%d, content %s" % (self.d, n, c)
-                )
-            by_col = dict(zip(block.pivots, block.rows))
-            for f in _non_pivots(s.orbits.words(c), block):
-                self._check_budget()
-                row = dict(table[f])
-                row[f] = row.get(f, 0) - scale
-                if not row[f]:
-                    del row[f]
-                if not _reduces_to_zero(row, by_col):
-                    raise CrossCheckError(
-                        "the right closure is not the identity modulo the letter "
-                        "shuffle ideal at d=%d, n=%d, content %s" % (self.d, n, c)
-                    )
-        del self._shuffle_generators[n]
-        return True
-
-    def _free_columns(self, n: int, c: Content) -> list[int]:
-        """Non-pivot columns of the block of S of canonical content c; their
-        unit vectors span a complement of S in the block.  Proves first
-        that the closures are the projections along S, which every use of
-        the free columns rests on."""
-        self.closures_vanish_on_shuffle_ideal(n)
-        return _non_pivots(self._orbits(n).words(c), self.letter_shuffle_ideal(n).blocks[c])
-
     @_memo("loop")
     def loop_invariants(self, n: int) -> BlockSpace:
         """Kernel of (rcl - lcl), checked to be [V, letters]^perp on each block.
@@ -700,8 +680,8 @@ class InvariantSpaces:
         d = self.d
 
         def build(c: Content) -> Subspace:
-            free = self._free_columns(n, c)
             s = self.letter_shuffle_ideal(n).blocks[c]
+            free = _non_pivots(self._orbits(n).words(c), s)
             rows = self._closure_difference_rows(n, c, free, set(s.pivots))
             on_free = kernel(d, n, rows, self.budget, free)
             loop = subspace_sum(on_free, s, self.budget)
@@ -757,14 +737,14 @@ class InvariantSpaces:
         d = self.d
 
         def build(c: Content) -> Subspace:
-            rows = (self._closure_row({f: 1}, n) for f in self._free_columns(n, c))
-            image = self._block_span(n, c, rows)
+            s = self.letter_shuffle_ideal(n).blocks[c]
+            free = _non_pivots(self._orbits(n).words(c), s)
+            image = self._block_span(n, c, (self._closure_row({f: 1}, n) for f in free))
             if image.dim != self.zero_increment_space(n).blocks[c].dim:
                 raise CrossCheckError(
                     "closure-invariant dimension differs from dim V at d=%d, n=%d, "
                     "content %s" % (d, n, c)
                 )
-            s = self.letter_shuffle_ideal(n).blocks[c]
             if subspace_sum(image, s, self.budget).dim != len(self._orbits(n).words(c)):
                 raise CrossCheckError(
                     "closure image and letter shuffle ideal do not complement "

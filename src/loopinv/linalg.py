@@ -13,6 +13,10 @@ on entry.  :class:`~loopinv.tensor.TensorElement` is the one rational
 boundary form: :func:`span_tensors` and :func:`member_tensor` take
 homogeneous elements, and :meth:`Subspace.basis_tensors` exports each
 stored row divided by its pivot.
+
+A dimension identity that a result must satisfy (rank-nullity, the
+dimension formula of an intersection) is checked on every call and
+raises :class:`CrossCheckError` when it fails.
 """
 
 from __future__ import annotations
@@ -23,6 +27,10 @@ from typing import Iterable, Sequence
 
 from ._rat import Q
 from .tensor import TensorElement
+
+
+class CrossCheckError(RuntimeError):
+    """A space disagreed with an independent description of it."""
 
 
 class BudgetExceeded(Exception):
@@ -290,9 +298,11 @@ def _null_space(
             _strip_content(vec)
             null_rows.append(vec)
     free = len(null_rows)
-    assert len(reduced) + free == len(columns), "rank-nullity violated"
+    if len(reduced) + free != len(columns):
+        raise CrossCheckError("kernel violates rank-nullity at d=%d, n=%d" % (d, n))
     out = _subspace(d, n, _eliminate(null_rows, budget))
-    assert out.dim == free
+    if out.dim != free:
+        raise CrossCheckError("null vectors are dependent at d=%d, n=%d" % (d, n))
     return out
 
 
@@ -328,7 +338,10 @@ def intersect(a: Subspace, b: Subspace, budget: Budget | None = None) -> Subspac
         subspace_sum(orthogonal_complement(a, budget), orthogonal_complement(b, budget), budget),
         budget,
     )
-    assert out.dim == a.dim + b.dim - subspace_sum(a, b, budget).dim
+    if out.dim != a.dim + b.dim - subspace_sum(a, b, budget).dim:
+        raise CrossCheckError(
+            "intersection violates the dimension formula at d=%d, n=%d" % (a.d, a.n)
+        )
     return out
 
 

@@ -332,3 +332,24 @@ class TestModuleEntryPoint:
             [sys.executable, "-m", "loopinv", *argv], capture_output=True, text=True, env=env
         )
         assert (done.returncode, done.stdout, done.stderr) == (code, out, "")
+
+    @pytest.mark.parametrize("argv", [
+        ["dims", "--d", "2", "--max-level", "7", "--format", "json"],
+        ["basis", "--space", "loop", "--d", "3", "--n", "4"],
+    ])
+    def test_optimized_interpreter_matches(self, argv):
+        # python -O strips asserts; the checks are raises, so the run, its
+        # output and its exit code are the same
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        plain, optimized = (
+            subprocess.run(
+                [sys.executable, *flags, "-m", "loopinv", *argv], capture_output=True, env=env
+            )
+            for flags in ([], ["-O"])
+        )
+        assert plain.returncode == EXIT_OK
+        assert (optimized.returncode, optimized.stdout, optimized.stderr) == (
+            plain.returncode, plain.stdout, plain.stderr
+        )

@@ -54,6 +54,30 @@ def with_block(space, content, block):
     return BlockSpace(space.orbits, {**space.blocks, content: block})
 
 
+def perturbed_rcl_row(real):
+    """One entry of the closure row of 1212 perturbed: the closure no longer
+    vanishes on S."""
+
+    def perturbed(w):
+        row = real(w)
+        if w == (1, 2, 1, 2):
+            row[anagrams_of((1, 1, 2, 2)).index((2, 2, 1, 1))] += 1
+        return row
+
+    return perturbed
+
+
+def doubled_rcl_row(real):
+    """The closure rows of content 1122 doubled: the closure still vanishes
+    on S, but is no longer the identity modulo S."""
+
+    def doubled(w):
+        row = real(w)
+        return [2 * c for c in row] if sorted(w) == [1, 1, 2, 2] else row
+
+    return doubled
+
+
 def first_word(content, d):
     """Index of the sorted word of a content."""
     return word_index([a + 1 for a, k in enumerate(content) for _ in range(k)], d)
@@ -213,37 +237,22 @@ class TestFreeColumnRoutes:
 
     @pytest.mark.parametrize("build", ["closure_invariants", "loop_invariants"])
     def test_premise_failure_raises(self, monkeypatch, build):
-        real = tensor._rcl_row
-
-        def perturbed(w):
-            row = real(w)
-            if w == (1, 2, 1, 2):
-                row[anagrams_of((1, 1, 2, 2)).index((2, 2, 1, 1))] += 1
-            return row
-
-        monkeypatch.setattr(tensor, "_rcl_row", perturbed)
+        monkeypatch.setattr(tensor, "_rcl_row", perturbed_rcl_row(tensor._rcl_row))
         sp = InvariantSpaces(2)
         with pytest.raises(CrossCheckError, match="does not vanish"):
             getattr(sp, build)(4)
-        assert ("Sclosed", 4) not in sp._memo
+        assert 4 not in sp._closure_tables
+        assert (TestProvenClosureTable.READERS[build], 4) not in sp._memo
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_projection_certificate_has_teeth(self, monkeypatch, d):
         # doubling one content class keeps the closure zero on S, the image
         # and the closure-difference kernel; only the certificate sees it
-        real = tensor._rcl_row
-
-        def doubled(w):
-            row = real(w)
-            if sorted(w) == [1, 1, 2, 2]:
-                row = [2 * c for c in row]
-            return row
-
-        monkeypatch.setattr(tensor, "_rcl_row", doubled)
+        monkeypatch.setattr(tensor, "_rcl_row", doubled_rcl_row(tensor._rcl_row))
         sp = InvariantSpaces(d)
         with pytest.raises(CrossCheckError, match="not the identity modulo"):
-            sp.closures_vanish_on_shuffle_ideal(4)
-        assert ("Sclosed", 4) not in sp._memo
+            sp._closure_table(4)
+        assert 4 not in sp._closure_tables
 
     def test_route_b_keeps_pivot_rows_only(self, monkeypatch):
         counts = []
@@ -264,9 +273,41 @@ class TestFreeColumnRoutes:
         every_output = 0
         for count, (c, block) in zip(counts, s.blocks.items()):
             assert count <= block.dim
-            free = sp._free_columns(5, c)
+            free = invariants._non_pivots(s.orbits.words(c), block)
             every_output += len(sp._closure_difference_rows(5, c, free, range(3**5)))
         assert sum(b.dim for b in s.blocks.values()) < every_output
+
+
+class TestProvenClosureTable:
+    """The closure table proves the projection along S before it stores a
+    level, so each fault of the closure rows raises on a fresh pipeline in
+    whichever space reads the table first, and stores neither the table
+    nor that space."""
+
+    READERS = {
+        "closed_rotation_span": "rclrot",
+        "letter_reduced_conj_dim": "lrconj",
+        "closed_loop_span": "rclloop",
+        "closure_invariants": "closure",
+        "loop_invariants": "loop",
+        "report": "report",
+    }
+    FAULTS = {
+        "perturbed": (perturbed_rcl_row, "does not vanish"),
+        "doubled": (doubled_rcl_row, "not the identity modulo"),
+    }
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("fault", list(FAULTS))
+    @pytest.mark.parametrize("reader", list(READERS))
+    def test_fault_raises_in_every_reader(self, monkeypatch, d, fault, reader):
+        wrap, match = self.FAULTS[fault]
+        monkeypatch.setattr(tensor, "_rcl_row", wrap(tensor._rcl_row))
+        sp = InvariantSpaces(d)
+        with pytest.raises(CrossCheckError, match=match):
+            getattr(sp, reader)(4)
+        assert 4 not in sp._closure_tables
+        assert (self.READERS[reader], 4) not in sp._memo
 
 
 class TestOneRouteChecks:
@@ -479,8 +520,7 @@ class TestBlockChecks:
         # n! rcl(e_f) - n! e_f lies in S: at level 2 the image becomes
         # 12 + 21, of the dimension of V but inside S
         sp = InvariantSpaces(d)
-        sp.zero_increment_space(2)
-        sp.closures_vanish_on_shuffle_ideal(2)
+        sp._closure_table(2)
         real = InvariantSpaces._closure_row
 
         def into_s(self, row, n):
@@ -597,6 +637,15 @@ class TestOrbits:
             for n in range(1, top + 1):
                 sp.report(n)
 
+    def test_whole_level_losing_a_row_raises(self):
+        # a renamed block one row short: the assembled level falls below
+        # the sum of its block dimensions
+        s = InvariantSpaces(2).letter_shuffle_ideal(4)
+        assert s.block((1, 3))
+        s._renamed[(1, 3)] = s.block((1, 3))[:-1]
+        with pytest.raises(CrossCheckError, match="lost a row"):
+            s.whole()
+
     def test_closed_forms_against_counts(self):
         for d, top in ((2, 10), (3, 7), (4, 5)):
             for n in range(1, top + 1):
@@ -612,7 +661,7 @@ class TestOrbits:
 
     LEVEL_METHODS = [
         "conjugation_invariants", "letter_shuffle_ideal", "zero_increment_space",
-        "bracket_zero_increment", "closures_vanish_on_shuffle_ideal", "loop_invariants",
+        "bracket_zero_increment", "_closure_table", "loop_invariants",
         "closure_invariants", "closed_rotation_span", "letter_reduced_loop_dim",
         "letter_reduced_conj_dim", "closed_loop_span", "min_generator_count", "report",
     ]
@@ -633,24 +682,34 @@ class TestOrbits:
                 with pytest.raises(ValueError, match="level must be at least %d, got %d$" % (least, n)):
                     method(n)
 
-    def test_shuffle_generators_shuffled_once(self, monkeypatch):
-        # the closure proof reuses the generator rows kept by the build of S
+    def test_table_shuffles_each_generator_once(self, monkeypatch):
+        # the proof of the table shuffles the letter generators of each
+        # block again, once each, and keeps none of them
         sp = InvariantSpaces(3)
-        sp.letter_shuffle_ideal(5)
+        sp.zero_increment_space(5)
         calls = []
-        real = tensor._shuffle_words_into
-        monkeypatch.setattr(tensor, "_shuffle_words_into", lambda *a: calls.append(a) or real(*a))
-        assert sp.closures_vanish_on_shuffle_ideal(5)
-        assert calls == []
-        assert 5 not in sp._shuffle_generators
+        real = sp._shuffle_row
+        monkeypatch.setattr(sp, "_shuffle_row", lambda *args: calls.append(args) or real(*args))
+        sp._closure_table(5)
+        lower = sp._orbits(4)
+        assert calls == [
+            ({i: 1}, 1, {u: 1}, 4)
+            for c in sp._orbits(5).canonical
+            for i in range(3) if c[i]
+            for u in lower.words(invariants._without(c, i))
+        ]
+        assert len(calls) > len(sp._orbits(5).canonical)
 
 
 class TestClosureTable:
     @pytest.mark.parametrize("d, top", [(3, 6), (2, 9)])
     def test_against_word_dp(self, d, top):
-        # one row per word of a canonical content, and no other
+        # one row per word of a canonical content, and no other; like
+        # every space, the table starts at level 1
         sp = InvariantSpaces(d)
-        for n in range(top + 1):
+        with pytest.raises(ValueError, match="level must be at least 1, got 0$"):
+            sp._closure_table(0)
+        for n in range(1, top + 1):
             table = sp._closure_table(n)
             canonical = {c for c in all_contents.contents(d, n) if list(c) == sorted(c, reverse=True)}
             assert sorted(table) == [
@@ -945,7 +1004,7 @@ class TestBudgetInHeavyLoops:
         return calls
 
     CLOSURE_LOOPS = {
-        "closures_vanish_on_shuffle_ideal": "Sclosed",
+        "closed_rotation_span": "rclrot",
         "closure_invariants": "closure",
         "loop_invariants": "loop",
     }
@@ -953,11 +1012,10 @@ class TestBudgetInHeavyLoops:
     @pytest.mark.parametrize("build", list(CLOSURE_LOOPS))
     def test_closure_table(self, monkeypatch, build):
         # every input but the closure rows of the space itself is built;
-        # the closure table is dropped, so the build has to make it again
+        # the closure table is dropped, so the build has to make and prove
+        # it again, and a budget spent there names the space that asked
         sp = InvariantSpaces(2)
-        sp.zero_increment_space(5)
-        if build != "closures_vanish_on_shuffle_ideal":
-            sp.closures_vanish_on_shuffle_ideal(5)
+        sp._closure_table(5)
         sp._closure_tables.clear()
         calls = self.count_calls(monkeypatch, tensor, "_rcl_row")
         sp.budget = Budget(seconds=-1)

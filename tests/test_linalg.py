@@ -3,10 +3,13 @@ from math import gcd
 import pytest
 
 from conftest import random_homogeneous, tensor_row
+from loopinv import linalg
 from loopinv._rat import Q
 from loopinv.linalg import (
     Budget,
     BudgetExceeded,
+    CrossCheckError,
+    Subspace,
     contains,
     index_word,
     intersect,
@@ -221,6 +224,38 @@ class TestSumIntersect:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             subspace_sum(span(2, 2, []), span(2, 3, []))
+
+
+class TestGuards:
+    """Dimension identities every result must satisfy raise CrossCheckError,
+    which ``python -O`` keeps, unlike an assert."""
+
+    def test_rank_nullity(self):
+        # a reduced form that lists one pivot twice
+        with pytest.raises(CrossCheckError, match="rank-nullity"):
+            linalg._null_space(2, 2, [(0, {0: 1}), (0, {0: 1})], None)
+
+    def test_dropped_null_row(self, monkeypatch):
+        s = span(2, 2, [{0: 1}])
+        real = linalg._eliminate
+        monkeypatch.setattr(linalg, "_eliminate", lambda rows, budget=None: real(rows, budget)[:-1])
+        with pytest.raises(CrossCheckError, match="dependent"):
+            orthogonal_complement(s)
+
+    def test_intersection_dimension_formula(self, monkeypatch):
+        a, b = span(2, 2, [{0: 1}, {1: 1}]), span(2, 2, [{1: 1}, {2: 1}])
+        real = linalg.subspace_sum
+
+        def short(x, y, budget=None):
+            # the sum a + b that the dimension formula reads loses a row
+            out = real(x, y, budget)
+            if (x, y) == (a, b):
+                out = Subspace(out.d, out.n, out.pivots[:-1], out.rows[:-1])
+            return out
+
+        monkeypatch.setattr(linalg, "subspace_sum", short)
+        with pytest.raises(CrossCheckError, match="dimension formula"):
+            intersect(a, b)
 
 
 class TestMembership:

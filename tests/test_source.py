@@ -53,3 +53,15 @@ def test_invariants_uses_three_tensor_internals():
         and node.value.id == "_tensor"
     }
     assert used == {"_rcl_row", "_shuffle_words_into", "_lyndon_poly"}
+
+
+def test_no_assert_statements():
+    # python -O strips asserts: every check of the package must raise
+    found = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert SOURCES
+    assert found == []
