@@ -70,6 +70,13 @@ def _new_columns(d: int, level: int, columns) -> list[str]:
     return [col for col in columns if level > extent.get(col, level)]
 
 
+def _level_budget(args) -> Budget | None:
+    """A fresh budget for one level, or None when no budget was asked for."""
+    if args.budget_secs is None and args.budget_bits is None:
+        return None
+    return Budget(args.budget_secs, args.budget_bits)
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w") as fh:
@@ -86,11 +93,10 @@ def _emit(text: str, out_path: str | None) -> None:
 def cmd_dims(args) -> int:
     columns = TABLE_COLUMNS[args.table]
     spaces = InvariantSpaces(args.d)
-    budgeted = args.budget_secs is not None or args.budget_bits is not None
     rows = []
     any_skipped = False
     for n in range(1, args.max_level + 1):
-        spaces.budget = Budget(args.budget_secs, args.budget_bits) if budgeted else None
+        spaces.budget = _level_budget(args)
         try:
             report = spaces.report(n)
         except BudgetExceeded as exc:
@@ -252,7 +258,13 @@ def _evidence_json(ev: ConjectureEvidence) -> dict:
 
 def cmd_evidence(args) -> int:
     spaces = spaces_for(args.d)
-    evidence = [conjecture_evidence(spaces, n) for n in range(1, args.max_level + 1)]
+    evidence = []
+    try:
+        for n in range(1, args.max_level + 1):
+            spaces.budget = _level_budget(args)
+            evidence.append(conjecture_evidence(spaces, n))
+    finally:
+        spaces.budget = None
     if args.format == "json":
         text = json.dumps(
             {"command": "evidence", "d": args.d,
@@ -306,6 +318,13 @@ def _int_at_least(low: int):
     return parse
 
 
+def _add_budget_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--budget-secs", type=float, default=None,
+                   help="wall-clock budget per (d, level) cell")
+    p.add_argument("--budget-bits", type=int, default=None,
+                   help="largest allowed coefficient bit size during elimination")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="loopinv",
@@ -320,10 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", choices=sorted(TABLE_COLUMNS), default="all")
     p.add_argument("--workers", type=int, default=1,
                    help="accepted for compatibility; levels are computed serially")
-    p.add_argument("--budget-secs", type=float, default=None,
-                   help="wall-clock budget per (d, level) cell")
-    p.add_argument("--budget-bits", type=int, default=None,
-                   help="largest allowed coefficient bit size during elimination")
+    _add_budget_options(p)
     p.add_argument("--out", help="write output to this file instead of stdout")
     p.add_argument("--format", choices=["pretty", "csv", "json"], default="pretty")
     p.set_defaults(func=cmd_dims)
@@ -355,6 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evidence", help="exact observations on the conjectures")
     p.add_argument("--d", type=_d_type, default=2)
     p.add_argument("--max-level", type=int, default=None)
+    _add_budget_options(p)
     p.add_argument("--format", choices=["pretty", "json"], default="pretty")
     p.add_argument("--out")
     p.set_defaults(func=cmd_evidence)

@@ -39,7 +39,11 @@ decomposables).  The canonical RREF of a whole level, which ``basis``,
 
 The n!-scaled right closure of every word of a canonical content is one
 integer table per level, one ``tensor._rcl_row`` per word, in the anagram
-order of ``words.anagrams`` that :meth:`_Orbits.words` also follows.
+order of ``words.anagrams`` that :meth:`_Orbits.words` also follows.  Each
+row is dense on its block: an ``array('q')`` of its coefficients, paired
+with the word indices of the block, which every row of the block shares
+(a row with an entry past 63 bits stays a list).  Its readers take one
+block at a time and accumulate by position.
 Both closures are the projections along S, and the table proves it on
 each block as it builds that block's rows, before it stores the level,
 so every reader of the table reads a proven closure: the closure of
@@ -67,11 +71,14 @@ untouched for the completed cells.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import inspect
 import itertools
+from array import array
 from dataclasses import dataclass, field
 from math import factorial
+from operator import add, mul
 from typing import Callable, Container, Iterable, Sequence
 
 from .linalg import (
@@ -317,19 +324,49 @@ def _non_pivots(words: Iterable[int], block: Subspace) -> list[int]:
     return [f for f in words if f not in pivots]
 
 
-def _apply(table: dict[int, dict[int, int]], row: dict[int, int]) -> dict[int, int]:
+# a closure table: word index k -> (the word indices of its block, the dense
+# image of the unit vector of k on them)
+ClosureTable = dict[int, tuple[list[int], Sequence[int]]]
+
+
+def _accumulate(table: ClosureTable, row: dict[int, int]) -> tuple[list[int], list[int]]:
+    """The image of an integer row under the map of ``table``, dense on the
+    word indices of the one block that holds every word of the row; a row
+    across two blocks raises ValueError."""
+    words, out = [], []
+    for i, c in row.items():
+        index, values = table[i]
+        if not words:
+            words, out = index, list(map(mul, values, itertools.repeat(c)))
+        elif index is not words:
+            raise ValueError("row spans more than one block of the closure table")
+        else:
+            out = list(map(add, out, map(mul, values, itertools.repeat(c))))
+    return words, out
+
+
+def _apply(table: ClosureTable, row: dict[int, int]) -> dict[int, int]:
     """The image of an integer row under the map whose image of the unit
     vector of column k is ``table[k]``."""
-    out: dict[int, int] = {}
-    for i, c in row.items():
-        for j, v in table[i].items():
-            out[j] = out.get(j, 0) + c * v
-    return {j: c for j, c in out.items() if c}
+    return {k: c for k, c in zip(*_accumulate(table, row)) if c}
 
 
 def _check_level(n: int, least: int = 1) -> None:
     if n < least:
         raise ValueError("level must be at least %d, got %d" % (least, n))
+
+
+@contextlib.contextmanager
+def _names_budget(key: tuple):
+    """Name a BudgetExceeded raised inside after ``key``, unless a build
+    nested deeper has named it already."""
+    try:
+        yield
+    except BudgetExceeded as exc:
+        if exc.space is None:
+            exc.space = key
+            exc.args = ("%s in %r" % (exc, key),)
+        raise
 
 
 def _memo(name: str):
@@ -346,13 +383,8 @@ def _memo(name: str):
             bound.apply_defaults()
             key = (name, *bound.args[1:])
             if key not in self._memo:
-                try:
+                with _names_budget(key):
                     self._memo[key] = method(self, *args, **kwargs)
-                except BudgetExceeded as exc:
-                    if exc.space is None:
-                        exc.space = key
-                        exc.args = ("%s in %r" % (exc, key),)
-                    raise
             return self._memo[key]
 
         return memoized
@@ -385,7 +417,9 @@ class InvariantSpaces:
         self.budget: Budget | None = None
         self._memo: dict = {}
         self._orbit_tables: dict[int, _Orbits] = {}
-        self._closure_tables: dict[int, dict[int, dict[int, int]]] = {}
+        # level -> its proven closure table: one dense row per word of a
+        # canonical content, an array('q') unless an entry overflows it
+        self._closure_tables: dict[int, ClosureTable] = {}
 
     # -- plumbing -------------------------------------------------------
 
@@ -451,14 +485,18 @@ class InvariantSpaces:
         self._check_budget()
         return _apply(self._closure_table(n), row)
 
-    def _closure_table(self, n: int) -> dict[int, dict[int, int]]:
+    def _closure_table(self, n: int) -> ClosureTable:
         """Row k is n! times the right closure of the word of index k, for
         every word of a canonical content, proven to be the projection
         along S.
 
         The right closure keeps letter content, and blocks of the other
         contents are renamed, never built, so no other word needs a row.
-        Rows and :meth:`_Orbits.words` list anagrams in one order.
+        Row k is dense on its block: the list ``_tensor._rcl_row`` returns,
+        in the anagram order that :meth:`_Orbits.words` also follows, packed
+        into an ``array('q')`` and paired with the block's word indices,
+        which every row of the block shares.  A row with an entry past 63
+        bits stays the list; both index and iterate alike.
 
         Each block c is proven as soon as its rows are in.  The closure row
         of every letter shuffle generator ``i ⧢ u`` of content c must be
@@ -479,20 +517,24 @@ class InvariantSpaces:
         if n not in self._closure_tables:
             s, v = self.letter_shuffle_ideal(n), self.zero_increment_space(n)
             scale = factorial(n)
-            table: dict[int, dict[int, int]] = {}
+            table: ClosureTable = {}
             for c in s.orbits.canonical:
                 index = s.orbits.words(c)
                 for k, w in zip(index, anagrams(_letters(c))):
                     self._check_budget()
                     row = _tensor._rcl_row(w)
-                    table[k] = {index[j]: x for j, x in enumerate(row) if x}
-                if any(_apply(table, row) for row in self._letter_shuffle_rows(n, c)):
+                    try:
+                        row = array("q", row)
+                    except OverflowError:
+                        pass
+                    table[k] = (index, row)
+                if any(any(_accumulate(table, row)[1]) for row in self._letter_shuffle_rows(n, c)):
                     raise CrossCheckError(
                         "the right closure does not vanish on the letter shuffle "
                         "ideal at d=%d, n=%d, content %s" % (self.d, n, c)
                     )
                 differences = (
-                    {**table[f], f: table[f].get(f, 0) - scale}
+                    {k: x - scale if k == f else x for k, x in zip(*table[f])}
                     for f in _non_pivots(index, s.blocks[c])
                 )
                 if not orthogonal(v.blocks[c], differences, self.budget):
@@ -708,20 +750,22 @@ class InvariantSpaces:
 
         The left closure is the right closure conjugated by reversal, which
         keeps the content, so n! lcl(e_k) is row rev(k) of the closure
-        table with its indices reversed.
+        table with its positions permuted by reversal.
         """
-        d = self.d
         table = self._closure_table(n)
-        rev = {k: word_index(index_word(k, d, n)[::-1], d) for k in self._orbits(n).words(c)}
+        index, words = self._orbits(n).words(c), anagrams(_letters(c))
+        position = {x: p for p, x in enumerate(words)}
+        rev = [position[x[::-1]] for x in words]
+        reverse = {k: index[q] for k, q in zip(index, rev)}
+        outs = [(p, k, rev[p]) for p, k in enumerate(index) if k in outputs]
         by_output: dict[int, dict[int, int]] = {}
         for col in columns:
             self._check_budget()
-            diff = dict(table[col])
-            for j, v in table[rev[col]].items():
-                diff[rev[j]] = diff.get(rev[j], 0) - v
-            for j, v in diff.items():
-                if v and j in outputs:
-                    by_output.setdefault(j, {})[col] = v
+            right, left = table[col][1], table[reverse[col]][1]
+            for p, k, q in outs:
+                v = right[p] - left[q]
+                if v:
+                    by_output.setdefault(k, {})[col] = v
         return list(by_output.values())
 
     @_memo("closure")
@@ -1155,20 +1199,23 @@ def _area_products(d: int, n: int) -> list[tuple[str, TensorElement]]:
 
 def conjecture_evidence(spaces: InvariantSpaces, n: int) -> ConjectureEvidence:
     """Dimension comparisons and membership observations at level n.  Sums
-    are taken block by block, and dim(C ∩ R) = dim C + dim R - dim(C + R)."""
-    d, budget, algebra = spaces.d, spaces.budget, spaces.area_conjugation_algebra(n)
+    are taken block by block, and dim(C ∩ R) = dim C + dim R - dim(C + R).
+    A budget spent outside the memoized spaces is named ("evidence", n)."""
+    d, budget = spaces.d, spaces.budget
 
     def sum_dim(a: BlockSpace, b: BlockSpace) -> int:
         return sum(k * subspace_sum(a.blocks[c], b.blocks[c], budget).dim for c, k in a.orbits.sizes.items())
 
-    loop_dim = spaces.loop_invariants(n).dim
-    s_plus = sum_dim(spaces.letter_shuffle_ideal(n), algebra)
-    closure, conj = spaces.closure_invariants(n), spaces.conjugation_invariants(n)
-    meet = closure.dim + conj.dim - sum_dim(closure, conj)
-    membership = tuple(
-        (label, member_tensor(element, spaces.closed_rotation_span(n)))
-        for label, element in _area_products(d, n)
-    )
+    with _names_budget(("evidence", n)):
+        algebra = spaces.area_conjugation_algebra(n)
+        loop_dim = spaces.loop_invariants(n).dim
+        s_plus = sum_dim(spaces.letter_shuffle_ideal(n), algebra)
+        closure, conj = spaces.closure_invariants(n), spaces.conjugation_invariants(n)
+        meet = closure.dim + conj.dim - sum_dim(closure, conj)
+        membership = tuple(
+            (label, member_tensor(element, spaces.closed_rotation_span(n)))
+            for label, element in _area_products(d, n)
+        )
     return ConjectureEvidence(
         d=d,
         level=n,

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 
 from loopinv import paths
 from loopinv.cli import EXIT_BUDGET_OR_CONFIG, EXIT_MATH_FAILURE, EXIT_OK, main
-from loopinv.invariants import InvariantSpaces
+from loopinv.invariants import InvariantSpaces, spaces_for
 
 
 def run(capsys, argv):
@@ -273,6 +274,10 @@ GOLDEN = {
     ("basis", "S", 4, 4): "fca5b0d782dd01dfecb891f9d9ef2247fa813b9d835e1a3c6cad810cf4b93360",
     ("dims", None, 4, 5): "6142e31fb044498538dd987d85f79a5cf6dfae9984de7e7f68901bd2a22eb79e",
     ("dims", None, 5, 4): "91a93e94bf6484db1e5e1f2fa0c968f9b240ac7c401766825732beaff1819f44",
+    # deeper readers of the closure table, recorded while its rows were dicts
+    ("basis", "loop", 2, 9): "18ecbceaa408c9645e298c233e24681ca44e6d2efeb8a58183d9666caea8ed83",
+    ("basis", "closure", 3, 6): "eeb3c59f40fd1e82df61c029e2efa80d755553875f7fb5f8eeef0b0e3784521e",
+    ("dims", None, 3, 7): "59514b72bd9cfacef6f86c3c9b6ec0c8a8a84c2024618528bbedffd54d233a1c",
 }
 
 
@@ -319,6 +324,22 @@ class TestEvidence:
         payload = json.loads(out)
         assert payload["levels"][3]["closure_conj_intersection_dim"] == 0
         assert payload["levels"][3]["loop_matches_s_plus_area_conj"]
+
+    @pytest.mark.parametrize("budget", [["--budget-secs", "-1"], ["--budget-bits", "1"]])
+    def test_budget_exceeded(self, budget, capsys):
+        code = main(["evidence", "--d", "2", "--max-level", "6", "--format", "json", *budget])
+        captured = capsys.readouterr()
+        assert code == EXIT_BUDGET_OR_CONFIG and captured.out == ""
+        assert captured.err.startswith("budget exceeded: ")
+        assert re.search(r" in \('\w+', \d+\)\n$", captured.err)
+        # the budget was per run: the shared pipeline is left without one
+        assert spaces_for(2).budget is None
+
+    def test_generous_budget_changes_nothing(self, capsys):
+        argv = ["evidence", "--d", "3", "--max-level", "5", "--format", "json"]
+        _, plain = run(capsys, argv)
+        code, budgeted = run(capsys, argv + ["--budget-secs", "1000", "--budget-bits", "100000"])
+        assert code == EXIT_OK and budgeted == plain
 
 
 class TestModuleEntryPoint:

@@ -1,4 +1,7 @@
+import gc
 import time
+import tracemalloc
+from array import array
 from fractions import Fraction
 from math import factorial
 
@@ -715,9 +718,68 @@ class TestClosureTable:
             assert sorted(table) == [
                 k for k in range(d**n) if all_contents.content_of(k, d, n) in canonical
             ]
-            for k, row in table.items():
+            blocks = {}
+            for j in range(d**n):
+                blocks.setdefault(all_contents.content_of(j, d, n), []).append(j)
+            for k, (index, row) in table.items():
+                # dense on exactly the words of its block, in ascending order
+                assert index == blocks[all_contents.content_of(k, d, n)]
+                assert isinstance(row, array) and row.typecode == "q"
+                assert len(row) == len(index)
                 expected = rcl_word_oracle(index_word(k, d, n))
-                assert row == {word_index(x, d): c for x, c in expected.items()}
+                assert {j: c for j, c in zip(index, row) if c} == {
+                    word_index(x, d): c for x, c in expected.items()
+                }
+
+    def test_rows_share_their_block_index(self):
+        sp = InvariantSpaces(3)
+        table = sp._closure_table(4)
+        for c in sp._orbits(4).canonical:
+            index = sp._orbits(4).words(c)
+            assert all(table[k][0] is index for k in index)
+
+    def test_dense_rows_hold_few_bytes(self):
+        # a dict entry with its own int held about 68 bytes; an array('q')
+        # entry holds 8, plus one array and one pair per row
+        sp = InvariantSpaces(3)
+        sp.letter_shuffle_ideal(6)
+        sp.zero_increment_space(6)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table = sp._closure_table(6)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        entries = sum(len(row) for _, row in table.values())
+        assert entries == 13262
+        assert held <= 16 * entries
+
+    @pytest.mark.parametrize("d, top", [(2, 7), (3, 5)])
+    def test_overflowing_rows_stay_lists(self, monkeypatch, d, top):
+        # a row whose entries do not fit array('q') keeps the list that
+        # _rcl_row returned, and every reader of the table reads it alike
+        def overflow(typecode, values):
+            raise OverflowError("signed integer is greater than maximum")
+
+        clean = spaces_for(d)
+        monkeypatch.setattr(invariants, "array", overflow)
+        sp = InvariantSpaces(d)
+        for n in range(1, top + 1):
+            assert sp.report(n) == clean.report(n)
+            assert all(type(row) is list for _, row in sp._closure_table(n).values())
+            for build in ("closure_invariants", "loop_invariants", "closed_rotation_span"):
+                assert getattr(sp, build)(n) == getattr(clean, build)(n)
+
+    def test_apply_refuses_a_row_across_blocks(self):
+        sp = InvariantSpaces(2)
+        table = sp._closure_table(3)
+        within = {word_index((1, 1, 2), 2): 1, word_index((2, 1, 1), 2): -1}
+        assert invariants._apply(table, within) == all_contents.closure_row(within, 2, 3)
+        with pytest.raises(ValueError, match="more than one block"):
+            invariants._apply(table, {word_index((1, 1, 1), 2): 1, word_index((1, 1, 2), 2): 1})
 
     def test_interrupted_table_is_not_stored(self):
         sp = InvariantSpaces(2)
