@@ -10,8 +10,11 @@ the other checks it by containment, pairing and dimension:
   bracketings (a PBW spanning set), checked against the letter shuffle
   ideal S, the coefficients of prod(1 - x_i) / (1 - sum x_i) and the
   generating-series coefficient of (1-q)^d / (1-dq);
-* loop invariants: the kernel of (right closure - left closure),
-  checked against [V, letters];
+* loop invariants: the complement of [V, letters], checked to be the
+  kernel of (right closure - left closure) by pairing and by a rank lower
+  bound modulo a prime;
+* closure invariants: the image of the right closure, checked against
+  dim V and S;
 * letter-reduced conjugation invariants: the quotient dimension
   dim(conj + S) - dim S, and the rank of right-closed rotation sums;
 * the area/conjugation algebra of ``evidence``: B_n = conj_n + areas ⧢
@@ -38,24 +41,30 @@ decomposables).  The canonical RREF of a whole level, which ``basis``,
 ``evidence`` and the fuzz read, is assembled on first use.
 
 The n!-scaled right closure of every word of a canonical content is one
-integer table per level, one ``tensor._rcl_row`` per word, in the anagram
-order of ``words.anagrams`` that :meth:`_Orbits.words` also follows.  Each
-row is dense on its block: an ``array('q')`` of its coefficients, paired
-with the word indices of the block, which every row of the block shares
-(a row with an entry past 63 bits stays a list).  Its readers take one
-block at a time and accumulate by position.
+integer table per level, built by one ``tensor._rcl_block`` pass per
+content, in the anagram order of ``words.anagrams`` that
+:meth:`_Orbits.words` also follows.  Each row is dense on its block: an
+``array('q')`` of its coefficients, paired with the word indices of the
+block, which every row of the block shares (a row with an entry past 63
+bits stays a list).  Its readers take one block at a time and accumulate
+by position.
 Both closures are the projections along S, and the table proves it on
 each block as it builds that block's rows, before it stores the level,
 so every reader of the table reads a proven closure: the closure of
 every letter shuffle generator is zero, and the closure of the unit
 vector of every free (non-pivot) column of the stored basis of S differs
 from it by a vector orthogonal to V = S^perp, so by an element of S.
-The table therefore needs V of its level.  The closure image
-is then spanned by the closures of those unit vectors.  Every closure
-difference lies in S, where a vector is zero exactly when its entries at
-the pivot columns of S are, so the closure-difference kernel is S plus
-the kernel, among the free columns, of the closure-difference rows at
-the pivot columns.
+The table therefore needs V of its level.  The closures of those unit
+vectors are then a basis of the closure image: a combination of them
+that vanishes is the closure of the same combination of unit vectors,
+which then lies in S, and a vector of S is zero once its entries at the
+pivot columns of S are.  So the report reads the closure dimension off
+the table's proof as the number of free columns of S
+(:meth:`InvariantSpaces.closure_dim`), and builds no closure image.
+Every closure difference lies in S too, so the closure-difference kernel
+is S plus the kernel, among the free columns, of the closure-difference
+rows at the pivot columns; the loop build checks that this kernel is the
+one it built from [V, letters].
 
 Every spanning set is a stream of integer rows ``{word index: int}``
 made by four row operators (rotation sums, letter brackets, shuffles and
@@ -93,6 +102,7 @@ from .linalg import (
     member_tensor,
     orthogonal,
     orthogonal_complement,  # noqa: F401  (unused here; bench/tracing.py wraps this name)
+    rank_at_least,
     span,
     span_tensors,  # noqa: F401  (unused here; bench/tracing.py wraps this name)
     subspace_sum,
@@ -296,15 +306,16 @@ class BlockSpace(Subspace):
             )
         return self._renamed[content]
 
-    def whole(self) -> Subspace:
-        """The canonical RREF of the whole level."""
+    def whole(self, budget: Budget | None = None) -> Subspace:
+        """The canonical RREF of the whole level; the budget is checked once
+        per row of each renamed block."""
         if self._whole is None:
             pairs: list[tuple[int, dict[int, int]]] = []
             for c, b in self.blocks.items():
                 pairs += zip(b.pivots, b.rows)
                 for member in self.orbits.members(c):
                     if member != c:
-                        renamed = span(self.d, self.n, self.block(member))
+                        renamed = span(self.d, self.n, self.block(member), budget)
                         pairs += zip(renamed.pivots, renamed.rows)
             pairs.sort(key=lambda pair: pair[0])
             whole = Subspace(self.d, self.n, [p for p, _ in pairs], [r for _, r in pairs])
@@ -492,11 +503,12 @@ class InvariantSpaces:
 
         The right closure keeps letter content, and blocks of the other
         contents are renamed, never built, so no other word needs a row.
-        Row k is dense on its block: the list ``_tensor._rcl_row`` returns,
-        in the anagram order that :meth:`_Orbits.words` also follows, packed
-        into an ``array('q')`` and paired with the block's word indices,
-        which every row of the block shares.  A row with an entry past 63
-        bits stays the list; both index and iterate alike.
+        Row k is dense on its block: the list that one ``_tensor._rcl_block``
+        pass over the block yields for it, in the anagram order that
+        :meth:`_Orbits.words` also follows, packed into an ``array('q')``
+        and paired with the block's word indices, which every row of the
+        block shares.  A row with an entry past 63 bits stays the list;
+        both index and iterate alike.
 
         Each block c is proven as soon as its rows are in.  The closure row
         of every letter shuffle generator ``i ⧢ u`` of content c must be
@@ -520,9 +532,10 @@ class InvariantSpaces:
             table: ClosureTable = {}
             for c in s.orbits.canonical:
                 index = s.orbits.words(c)
-                for k, w in zip(index, anagrams(_letters(c))):
+                rows = _tensor._rcl_block(_letters(c))
+                for k in index:
                     self._check_budget()
-                    row = _tensor._rcl_row(w)
+                    row = next(rows)
                     try:
                         row = array("q", row)
                     except OverflowError:
@@ -707,30 +720,51 @@ class InvariantSpaces:
 
     @_memo("loop")
     def loop_invariants(self, n: int) -> BlockSpace:
-        """Kernel of (rcl - lcl), checked to be [V, letters]^perp on each block.
+        """[V, letters]^perp, checked to be the kernel of (rcl - lcl) on each
+        block.
 
-        Both closures are the projections along S, so the closure
-        difference vanishes on S and maps every vector into S, where a
-        vector is zero exactly when its entries at the pivot columns of S
-        are.  The kernel on block c is therefore S_c plus the kernel K_c,
-        among the free columns of S_c, of the closure-difference rows at its
-        pivot columns.  [V, letters]_c lies in V_c = S_c^perp and pairs to
-        zero with K_c, so S_c + K_c is its complement in the block once
-        dim(S_c + K_c) = (words of content c) - dim [V, letters]_c.
+        [V, letters]_c lies in V_c = S_c^perp (checked), and a vector of
+        the block is an element of S_c plus one on the free columns of S_c.
+        So the complement of [V, letters]_c in block c is S_c plus the
+        kernel K_A, among the free columns, of the rows of [V, letters]_c
+        restricted to them; its dimension must be the number of words of
+        content c minus dim [V, letters]_c.
+
+        The check: both closures are the projections along S (proven by the
+        closure table), so the closure difference vanishes on S and maps
+        every vector into S, where a vector is zero exactly when its
+        entries at the pivot columns of S are.  Let M be the
+        closure-difference rows at those pivot columns, restricted to the
+        free columns.  K_A lies on the free columns and pairs to zero with
+        every row of M, so rcl = lcl on K_A; and the rank of M is at least
+        (free columns) - dim K_A (:func:`~loopinv.linalg.rank_at_least`),
+        so the kernel of M is no larger than K_A.  Together, S_c + K_A is
+        the kernel of rcl - lcl on the block.
         """
         _check_level(n)
         d = self.d
 
         def build(c: Content) -> Subspace:
             s = self.letter_shuffle_ideal(n).blocks[c]
-            free = _non_pivots(self._orbits(n).words(c), s)
-            rows = self._closure_difference_rows(n, c, free, set(s.pivots))
-            on_free = kernel(d, n, rows, self.budget, free)
-            loop = subspace_sum(on_free, s, self.budget)
+            words = self._orbits(n).words(c)
+            free = _non_pivots(words, s)
+            on_free = set(free)
             brackets = self.bracket_zero_increment(n).blocks[c]
-            if loop.dim != len(self._orbits(n).words(c)) - brackets.dim or not (
+            restricted = ({k: v for k, v in row.items() if k in on_free} for row in brackets.rows)
+            k_a = kernel(d, n, restricted, self.budget, free)
+            loop = subspace_sum(k_a, s, self.budget)
+            if loop.dim != len(words) - brackets.dim or not (
                 contains(self.zero_increment_space(n).blocks[c], brackets)
-                and orthogonal(brackets, on_free.rows, self.budget)
+                and all(k in on_free for row in k_a.rows for k in row)
+            ):
+                raise CrossCheckError(
+                    "loop invariants disagree with the bracket complement at d=%d, n=%d, "
+                    "content %s" % (d, n, c)
+                )
+            rows = self._closure_difference_rows(n, c, free, set(s.pivots))
+            if not (
+                orthogonal(k_a, rows, self.budget)
+                and rank_at_least(rows, free, len(free) - k_a.dim, self.budget)
             ):
                 raise CrossCheckError(
                     "loop invariants disagree between bracket complement and "
@@ -797,6 +831,20 @@ class InvariantSpaces:
             return image
 
         return self._blocks(n, build)
+
+    def closure_dim(self, n: int) -> int:
+        """dim of the closure image on level n, read off the proof of the
+        closure table: the number of free columns of S, block by block.
+
+        The table proves rcl(S) = 0 and rcl(e_f) - e_f in S for every free
+        column f of S_c.  If a combination of the rcl(e_f) is zero, the
+        same combination of the e_f lies in S, and as a vector of S is zero
+        once its entries at the pivot columns of S are, it is zero.  So the
+        rcl(e_f) are independent, and they span the image as rcl(S) = 0.
+        """
+        self._closure_table(n)
+        s = self.letter_shuffle_ideal(n)
+        return sum(k * (len(s.orbits.words(c)) - s.blocks[c].dim) for c, k in s.orbits.sizes.items())
 
     @_memo("rclrot")
     def closed_rotation_span(self, n: int) -> BlockSpace:
@@ -954,7 +1002,7 @@ class InvariantSpaces:
             "bracket_VR": self.bracket_zero_increment(n).dim,
             "letter_reduced_conj": self.letter_reduced_conj_dim(n),
             "letter_reduced_loop": self.letter_reduced_loop_dim(n),
-            "closure": self.closure_invariants(n).dim,
+            "closure": self.closure_dim(n),
             "loop": self.loop_invariants(n).dim,
             "S_n": self.letter_shuffle_ideal(n).dim,
             "min_generators": self.min_generator_count(n),
@@ -1212,9 +1260,11 @@ def conjecture_evidence(spaces: InvariantSpaces, n: int) -> ConjectureEvidence:
         s_plus = sum_dim(spaces.letter_shuffle_ideal(n), algebra)
         closure, conj = spaces.closure_invariants(n), spaces.conjugation_invariants(n)
         meet = closure.dim + conj.dim - sum_dim(closure, conj)
+        products = _area_products(d, n)
+        if products:
+            closed = spaces.closed_rotation_span(n).whole(budget)
         membership = tuple(
-            (label, member_tensor(element, spaces.closed_rotation_span(n)))
-            for label, element in _area_products(d, n)
+            (label, member_tensor(element, closed, budget)) for label, element in products
         )
     return ConjectureEvidence(
         d=d,

@@ -17,11 +17,16 @@ stored row divided by its pivot.
 A dimension identity that a result must satisfy (rank-nullity, the
 dimension formula of an intersection) is checked on every call and
 raises :class:`CrossCheckError` when it fails.
+
+:func:`rank_at_least` alone works modulo a prime, for a rank lower
+bound; where the prime falls short it takes the exact rank, so no answer
+depends on the prime.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import insort
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -319,6 +324,57 @@ def kernel(
     return _null_space(d, n, _eliminate(rows, budget), budget, columns)
 
 
+# the prime of rank_at_least: below 2**15, so that every product of two
+# residues fits in one 30-bit digit of a Python int
+_PRIME = 32749
+
+
+def rank_at_least(
+    rows: Iterable[dict[int, int]], columns: Sequence[int], target: int,
+    budget: Budget | None = None,
+) -> bool:
+    """Whether integer rows supported on ``columns`` have rank at least
+    ``target`` over Q.
+
+    The rows join an echelon form modulo a prime one at a time, and the
+    answer is yes as soon as its rank reaches the target: a minor that is
+    nonzero modulo p is a nonzero integer, so the rank modulo p never
+    exceeds the rank over Q.  If the rows run out first, the exact rank
+    decides, so the answer never depends on the prime.  The budget is
+    checked once per row.
+    """
+    if target <= 0:
+        return True
+    p = _PRIME
+    position = {k: i for i, k in enumerate(columns)}
+    width = len(columns)
+    kept: list[dict[int, int]] = []
+    # pivot position -> the echelon row from its pivot on, with a 1 there;
+    # the row is zero before its pivot
+    echelon: dict[int, list[int]] = {}
+    pivots: list[int] = []
+    for row in rows:
+        if budget is not None:
+            budget.check()
+        kept.append(row)
+        dense = [0] * width
+        for k, v in row.items():
+            dense[position[k]] = v % p
+        for lead in pivots:
+            f = dense[lead]
+            if f:
+                dense[lead:] = [(x - f * y) % p for x, y in zip(dense[lead:], echelon[lead])]
+        lead = next((i for i, x in enumerate(dense) if x), None)
+        if lead is not None:
+            inverse = pow(dense[lead], -1, p)
+            echelon[lead] = [x * inverse % p for x in dense[lead:]]
+            insort(pivots, lead)
+            if len(pivots) >= target:
+                return True
+    exact = [_int_row({k: v for k, v in row.items() if v}) for row in kept]
+    return len(_eliminate(exact, budget)) >= target
+
+
 def orthogonal_complement(s: Subspace, budget: Budget | None = None) -> Subspace:
     """Complement with respect to the word-basis inner product."""
     return _null_space(s.d, s.n, zip(s.pivots, s.rows), budget)
@@ -357,8 +413,11 @@ def _reduces_to_zero(r: dict[int, int], by_col: dict[int, dict[int, int]]) -> bo
     return not r
 
 
-def member_tensor(x: TensorElement, s: Subspace) -> bool:
-    """True iff the element x of level s.n lies in s."""
+def member_tensor(x: TensorElement, s: Subspace, budget: Budget | None = None) -> bool:
+    """True iff the element x of level s.n lies in s; the budget is checked
+    once, before the reduction."""
+    if budget is not None:
+        budget.check()
     return _reduces_to_zero(_tensor_row(x, s.d, s.n), dict(zip(s.pivots, s.rows)))
 
 

@@ -12,8 +12,9 @@ the operators the invariant pipeline needs:
   letters (dual to pairing against the straight segment that closes a
   path),
 * ``right_closure`` / ``left_closure``  the projections realizing path
-  closure algebraically, n!-scaled one word at a time by counting
-  subsequence embeddings (``_rcl_row``),
+  closure algebraically, n!-scaled by counting subsequence embeddings,
+  one word at a time (``_rcl_row``) or for every anagram of a content in
+  one pass (``_rcl_block``),
 * ``lyndon_bracketing``  the Lie polynomial attached to a Lyndon word.
 
 Everything here is a pure function of immutable values.
@@ -23,7 +24,8 @@ from __future__ import annotations
 
 import itertools
 from math import factorial
-from typing import Iterable, Mapping
+from operator import add, itemgetter, mul
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ._rat import Q, exact, rational_to_string
 from .words import Word, anagrams, rotations, standard_factorization
@@ -446,6 +448,91 @@ def _rcl_row(w: tuple[int, ...]) -> list[int]:
             dps[depth + 1] = dp
             sums[depth + 1] = total
     return row
+
+
+def _gather(indices: list[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """The entries of a vector at the given positions, then its last entry:
+    vectors here end in a 0, so a position -1 reads 0 and every gathered
+    vector ends in a 0 again."""
+    return itemgetter(*indices, -1)
+
+
+def _rcl_block(content: tuple[int, ...]) -> Iterator[list[int]]:
+    """n! times the right closure of every anagram w of a sorted content,
+    one :func:`_rcl_row` list per w, in the order of
+    :func:`~loopinv.words.anagrams`.
+
+    The nodes of the trie of prefixes of the anagrams are the words u
+    that fit in the content, its leaves the anagrams x.  With occ(u, y)
+    the number of embeddings of u in y, for trie nodes u and y,
+
+        occ(ua, yb) = occ(ua, y) + [a = b] occ(u, y),
+
+    so the vector occ(ua, .) on the nodes of depth j is a gather of
+    occ(ua, .) at depth j - 1 plus a gather of occ(u, .) there at the
+    nodes whose last letter is a.  The weight s_i of :func:`_rcl_row`
+    depends only on the content of the prefix u = w[:i], so the row of w
+    is the sum over the nodes u on its path of s(u) occ(u, .) on the
+    leaves, and the anagrams with a common prefix share that part of the
+    sum.  A depth-first walk over the trie keeps occ(u, .) and the partial
+    sum for the n nodes of the current path only, and yields each row at
+    its leaf.
+    """
+    n = len(content)
+    if not n:
+        yield [1]
+        return
+    # the nodes of each depth, in lexicographic order: the position of each
+    # node's parent one depth up, and its last letter
+    parents: list[list[int]] = [[0]] + [[] for _ in range(n)]
+    lasts: list[list[int]] = [[0]] + [[] for _ in range(n)]
+    prev: tuple[int, ...] = ()
+    for x in anagrams(content):
+        p = 0
+        while p < len(prev) and x[p] == prev[p]:
+            p += 1
+        for depth in range(p + 1, n + 1):
+            parents[depth].append(len(parents[depth - 1]) - 1)
+            lasts[depth].append(x[depth - 1])
+        prev = x
+    by_parent = list(map(_gather, parents))
+    by_letter = {
+        a: [_gather([p if b == a else -1 for p, b in zip(ps, bs)]) for ps, bs in zip(parents, lasts)]
+        for a in set(content)
+    }
+    scale, total = factorial(n), {a: content.count(a) for a in set(content)}
+
+    def weight(prefix: tuple[int, ...]) -> int:
+        mult = 1
+        for a, k in total.items():
+            mult *= factorial(k - prefix.count(a))
+        i = len(prefix)
+        return (-1) ** (n - i) * mult * (scale // factorial(n - i))
+
+    # occ[i][j] is occ(u, .) at depth j (with a trailing 0) for the node u of
+    # depth i on the current path, sums[i] its partial sum on the leaves
+    occ: list = [[(1,) * len(ps) + (0,) for ps in parents]] + [None] * (n - 1)
+    sums: list = [[weight(())] * len(parents[n])] + [None] * (n - 1)
+    path = [0] * n
+    leaf = 0
+    for depth, a in _trie_edges(content):
+        if depth == n - 1:
+            # the leaf w adds its own term: n! occ(w, .), the unit vector of w
+            row = sums[depth][:]
+            row[leaf] += scale
+            leaf += 1
+            yield row
+            continue
+        path[depth] = a
+        up, letter = occ[depth], by_letter[a]
+        vec = letter[depth + 1](up[depth])
+        down = [None] * (depth + 1) + [vec]
+        for j in range(depth + 2, n + 1):
+            vec = tuple(map(add, by_parent[j](vec), letter[j](up[j - 1])))
+            down.append(vec)
+        occ[depth + 1] = down
+        s = weight(tuple(path[: depth + 1]))
+        sums[depth + 1] = list(map(add, sums[depth], map(mul, vec, itertools.repeat(s))))
 
 
 def _rcl_word(letters: tuple[int, ...]) -> dict[tuple[int, ...], int]:

@@ -278,6 +278,11 @@ GOLDEN = {
     ("basis", "loop", 2, 9): "18ecbceaa408c9645e298c233e24681ca44e6d2efeb8a58183d9666caea8ed83",
     ("basis", "closure", 3, 6): "eeb3c59f40fd1e82df61c029e2efa80d755553875f7fb5f8eeef0b0e3784521e",
     ("dims", None, 3, 7): "59514b72bd9cfacef6f86c3c9b6ec0c8a8a84c2024618528bbedffd54d233a1c",
+    # recorded while the loop space was the closure-difference kernel and
+    # dims built the closure image
+    ("dims", None, 2, 10): "3dfa933353aa578b258352c2e60f683eea80842a05107e2624832d2a380dcb15",
+    ("dims", None, 4, 6): "30e44ef05d51060258dbdf21ced9d1bfb59a935672af592179e6edb361ae4d69",
+    ("basis", "loop", 3, 6): "1b526915c991052df4f0784770ccf8e7ea14d42b0c6f27c0c137f30378c2bd57",
 }
 
 

@@ -57,26 +57,26 @@ def with_block(space, content, block):
     return BlockSpace(space.orbits, {**space.blocks, content: block})
 
 
-def perturbed_rcl_row(real):
+def perturbed_rcl_block(real):
     """One entry of the closure row of 1212 perturbed: the closure no longer
     vanishes on S."""
 
-    def perturbed(w):
-        row = real(w)
-        if w == (1, 2, 1, 2):
-            row[anagrams_of((1, 1, 2, 2)).index((2, 2, 1, 1))] += 1
-        return row
+    def perturbed(content):
+        for w, row in zip(anagrams_of(content), real(content)):
+            if w == (1, 2, 1, 2):
+                row[anagrams_of((1, 1, 2, 2)).index((2, 2, 1, 1))] += 1
+            yield row
 
     return perturbed
 
 
-def doubled_rcl_row(real):
+def doubled_rcl_block(real):
     """The closure rows of content 1122 doubled: the closure still vanishes
     on S, but is no longer the identity modulo S."""
 
-    def doubled(w):
-        row = real(w)
-        return [2 * c for c in row] if sorted(w) == [1, 1, 2, 2] else row
+    def doubled(content):
+        for row in real(content):
+            yield [2 * c for c in row] if content == (1, 1, 2, 2) else row
 
     return doubled
 
@@ -240,7 +240,7 @@ class TestFreeColumnRoutes:
 
     @pytest.mark.parametrize("build", ["closure_invariants", "loop_invariants"])
     def test_premise_failure_raises(self, monkeypatch, build):
-        monkeypatch.setattr(tensor, "_rcl_row", perturbed_rcl_row(tensor._rcl_row))
+        monkeypatch.setattr(tensor, "_rcl_block", perturbed_rcl_block(tensor._rcl_block))
         sp = InvariantSpaces(2)
         with pytest.raises(CrossCheckError, match="does not vanish"):
             getattr(sp, build)(4)
@@ -251,34 +251,89 @@ class TestFreeColumnRoutes:
     def test_projection_certificate_has_teeth(self, monkeypatch, d):
         # doubling one content class keeps the closure zero on S, the image
         # and the closure-difference kernel; only the certificate sees it
-        monkeypatch.setattr(tensor, "_rcl_row", doubled_rcl_row(tensor._rcl_row))
+        monkeypatch.setattr(tensor, "_rcl_block", doubled_rcl_block(tensor._rcl_block))
         sp = InvariantSpaces(d)
         with pytest.raises(CrossCheckError, match="not the identity modulo"):
             sp._closure_table(4)
         assert 4 not in sp._closure_tables
 
     def test_route_b_keeps_pivot_rows_only(self, monkeypatch):
-        counts = []
-        real = invariants.kernel
+        kernels, certificates = [], []
+        real_kernel, real_rank = invariants.kernel, invariants.rank_at_least
 
-        def counted(d, n, rows, budget=None, columns=None):
+        def kernel_spy(d, n, rows, budget=None, columns=None):
             rows = list(rows)
             if columns is not None:
-                counts.append(len(rows))
-            return real(d, n, rows, budget, columns)
+                kernels.append((rows, columns))
+            return real_kernel(d, n, rows, budget, columns)
 
-        monkeypatch.setattr(invariants, "kernel", counted)
+        def rank_spy(rows, columns, target, budget=None):
+            certificates.append(len(rows))
+            return real_rank(rows, columns, target, budget)
+
+        monkeypatch.setattr(invariants, "kernel", kernel_spy)
+        monkeypatch.setattr(invariants, "rank_at_least", rank_spy)
         sp = InvariantSpaces(3)
         sp.loop_invariants(5)
-        s = sp.letter_shuffle_ideal(5)
-        # one kernel per canonical block, on the pivot rows of its S only
-        assert len(counts) == len(s.blocks)
+        s, brackets = sp.letter_shuffle_ideal(5), sp.bracket_zero_increment(5)
+        # one kernel per canonical block, on the rows of [V, letters]
+        # restricted to the free columns of S, and one rank certificate, on
+        # the closure-difference rows at the pivot columns of S only
+        assert len(kernels) == len(certificates) == len(s.blocks)
         every_output = 0
-        for count, (c, block) in zip(counts, s.blocks.items()):
-            assert count <= block.dim
+        for (rows, columns), count, (c, block) in zip(kernels, certificates, s.blocks.items()):
             free = invariants._non_pivots(s.orbits.words(c), block)
+            assert columns == free
+            assert rows == [
+                {k: v for k, v in row.items() if k in free} for row in brackets.blocks[c].rows
+            ]
+            assert count <= block.dim
             every_output += len(sp._closure_difference_rows(5, c, free, range(3**5)))
         assert sum(b.dim for b in s.blocks.values()) < every_output
+
+    @pytest.mark.parametrize("d, top", [(2, 9), (3, 6)])
+    def test_loop_against_closure_difference_kernel(self, d, top):
+        # the construction the loop space replaced: S plus the kernel of the
+        # closure-difference rows at the pivot columns of S, among its free
+        # columns
+        sp = spaces_for(d)
+        for n in range(1, top + 1):
+            s = sp.letter_shuffle_ideal(n)
+            for c, block in s.blocks.items():
+                free = invariants._non_pivots(s.orbits.words(c), block)
+                rows = sp._closure_difference_rows(n, c, free, set(block.pivots))
+                expected = subspace_sum(kernel(d, n, rows, None, free), block)
+                assert sp.loop_invariants(n).blocks[c] == expected, (n, c)
+
+    @pytest.mark.parametrize("d, top", [(2, 9), (3, 6), (4, 5)])
+    def test_closure_column_from_the_proof(self, d, top):
+        sp = spaces_for(d)
+        for n in range(1, top + 1):
+            assert sp.report(n).dims["closure"] == sp.closure_invariants(n).dim
+
+    def test_report_builds_no_closure_image(self, monkeypatch):
+        # the report reads the closure column off the table's proof, and
+        # certifies each loop block by a rank modulo the prime alone
+        certificates, exact = [], []
+        real_rank, real_eliminate = invariants.rank_at_least, linalg._eliminate
+
+        def rank_spy(rows, columns, target, budget=None):
+            certificates.append(target)
+            monkeypatch.setattr(
+                linalg, "_eliminate", lambda *args: exact.append(target) or real_eliminate(*args)
+            )
+            try:
+                return real_rank(rows, columns, target, budget)
+            finally:
+                monkeypatch.setattr(linalg, "_eliminate", real_eliminate)
+
+        monkeypatch.setattr(invariants, "rank_at_least", rank_spy)
+        sp = InvariantSpaces(3)
+        for n in range(1, 7):
+            sp.report(n)
+            assert ("closure", n) not in sp._memo
+        assert len(certificates) == sum(len(sp._orbits(n).canonical) for n in range(1, 7))
+        assert exact == []
 
 
 class TestProvenClosureTable:
@@ -296,8 +351,8 @@ class TestProvenClosureTable:
         "report": "report",
     }
     FAULTS = {
-        "perturbed": (perturbed_rcl_row, "does not vanish"),
-        "doubled": (doubled_rcl_row, "not the identity modulo"),
+        "perturbed": (perturbed_rcl_block, "does not vanish"),
+        "doubled": (doubled_rcl_block, "not the identity modulo"),
     }
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -305,7 +360,7 @@ class TestProvenClosureTable:
     @pytest.mark.parametrize("reader", list(READERS))
     def test_fault_raises_in_every_reader(self, monkeypatch, d, fault, reader):
         wrap, match = self.FAULTS[fault]
-        monkeypatch.setattr(tensor, "_rcl_row", wrap(tensor._rcl_row))
+        monkeypatch.setattr(tensor, "_rcl_block", wrap(tensor._rcl_block))
         sp = InvariantSpaces(d)
         with pytest.raises(CrossCheckError, match=match):
             getattr(sp, reader)(4)
@@ -502,6 +557,62 @@ class TestOneRouteChecks:
 
         self.patch_free_kernel(monkeypatch, shifted)
         self.assert_refused(sp, "loop_invariants", 4, "loop")
+
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_kernel_row_off_the_free_columns(self, monkeypatch, d):
+        # a pivot column of S added to a kernel row keeps the dimension, the
+        # bracket containment, and the pairing and the rank on the free
+        # columns; only the support of K_A sees it
+        sp = InvariantSpaces(d)
+        s = sp.letter_shuffle_ideal(4)
+
+        def moved(k, columns):
+            if not k.rows:
+                return k
+            pivots = s.blocks[all_contents.content_of(columns[0], d, 4)].pivots
+            first = dict(k.rows[0])
+            first[pivots[0]] = 1
+            return Subspace(k.d, k.n, k.pivots, (first,) + k.rows[1:])
+
+        self.patch_free_kernel(monkeypatch, moved)
+        self.assert_refused(sp, "loop_invariants", 4, "loop", "bracket complement")
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_dropped_bracket_row(self, d):
+        # [V, letters] one row short stays in V and keeps the dimension
+        # chain, as K_A grows by one; the closure difference sees K_A grow
+        sp = InvariantSpaces(d)
+        brackets = sp.bracket_zero_increment(4)
+        c = (2, 2) + (0,) * (d - 2)
+        block = brackets.blocks[c]
+        assert block.dim
+        sp._memo[("bracketV", 4)] = with_block(
+            brackets, c, Subspace(d, 4, block.pivots[:-1], block.rows[:-1])
+        )
+        self.assert_refused(sp, "loop_invariants", 4, "loop", "closure-difference kernel")
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_row_added_to_the_kernel(self, monkeypatch, d):
+        # the unit vector of a free column outside the kernel joins it
+        def grown(k, columns):
+            extra = next((f for f in columns if f not in k.pivots), None)
+            if extra is None:
+                return k
+            return Subspace(k.d, k.n, k.pivots + (extra,), k.rows + ({extra: 1},))
+
+        self.patch_free_kernel(monkeypatch, grown)
+        self.assert_refused(InvariantSpaces(d), "loop_invariants", 4, "loop")
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_closure_difference_rank_short(self, monkeypatch, d):
+        # one closure-difference row per block still pairs to zero with
+        # K_A, but its rank falls short wherever K_A leaves two free columns
+        real = InvariantSpaces._closure_difference_rows
+        monkeypatch.setattr(
+            InvariantSpaces, "_closure_difference_rows", lambda self, *args: real(self, *args)[:1]
+        )
+        self.assert_refused(InvariantSpaces(d), "loop_invariants", 6, "loop", "closure-difference kernel")
 
 
 class TestBlockChecks:
@@ -760,7 +871,7 @@ class TestClosureTable:
     @pytest.mark.parametrize("d, top", [(2, 7), (3, 5)])
     def test_overflowing_rows_stay_lists(self, monkeypatch, d, top):
         # a row whose entries do not fit array('q') keeps the list that
-        # _rcl_row returned, and every reader of the table reads it alike
+        # _rcl_block yielded, and every reader of the table reads it alike
         def overflow(typecode, values):
             raise OverflowError("signed integer is greater than maximum")
 
@@ -1065,6 +1176,20 @@ class TestBudgetInHeavyLoops:
         monkeypatch.setattr(owner, name, counted)
         return calls
 
+    @staticmethod
+    def count_closure_rows(monkeypatch):
+        """The rows that tensor._rcl_block yields from now on."""
+        rows = []
+        real = tensor._rcl_block
+
+        def counted(content):
+            for row in real(content):
+                rows.append(row)
+                yield row
+
+        monkeypatch.setattr(tensor, "_rcl_block", counted)
+        return rows
+
     CLOSURE_LOOPS = {
         "closed_rotation_span": "rclrot",
         "closure_invariants": "closure",
@@ -1078,8 +1203,9 @@ class TestBudgetInHeavyLoops:
         # it again, and a budget spent there names the space that asked
         sp = InvariantSpaces(2)
         sp._closure_table(5)
+        sp.bracket_zero_increment(5)
         sp._closure_tables.clear()
-        calls = self.count_calls(monkeypatch, tensor, "_rcl_row")
+        calls = self.count_closure_rows(monkeypatch)
         sp.budget = Budget(seconds=-1)
         with pytest.raises(BudgetExceeded) as err:
             getattr(sp, build)(5)
@@ -1091,7 +1217,7 @@ class TestBudgetInHeavyLoops:
         assert len(calls) == len(sp._closure_table(5)) > 1
 
     def test_lazy_span_input(self, monkeypatch):
-        calls = self.count_calls(monkeypatch, tensor, "_rcl_row")
+        calls = self.count_closure_rows(monkeypatch)
         sp = InvariantSpaces(2)
         sp.budget = Budget(seconds=-1)
         with pytest.raises(BudgetExceeded):
@@ -1115,6 +1241,38 @@ class TestBudgetInHeavyLoops:
         with pytest.raises(BudgetExceeded) as err:
             sp.report(4)
         assert err.value.space == ("S", 4)
+
+    @pytest.mark.parametrize("assembled", [False, True])
+    def test_evidence_after_the_spaces(self, monkeypatch, assembled):
+        # every space of the evidence is built and the block sums ignore the
+        # budget; what is left, the assembly of the closed rotation level
+        # and then each membership in it, stops on an expired budget
+        sp = InvariantSpaces(3)
+        sp.area_conjugation_algebra(4)
+        for build in ("loop_invariants", "closure_invariants", "closed_rotation_span"):
+            getattr(sp, build)(4)
+        closed = sp.closed_rotation_span(4)
+        if assembled:
+            closed.whole()
+        real = invariants.subspace_sum
+        monkeypatch.setattr(invariants, "subspace_sum", lambda a, b, budget=None: real(a, b))
+        sp.budget = Budget(seconds=-1)
+        with pytest.raises(BudgetExceeded) as err:
+            conjecture_evidence(sp, 4)
+        assert err.value.space == ("evidence", 4)
+        assert (closed._whole is not None) == assembled
+        sp.budget = Budget(seconds=1000, max_bits=100000)
+        budgeted = conjecture_evidence(sp, 4)
+        sp.budget = None
+        assert budgeted == conjecture_evidence(sp, 4)
+        assert budgeted.area_product_membership
+
+    def test_whole_level(self):
+        s = InvariantSpaces(3).letter_shuffle_ideal(3)
+        with pytest.raises(BudgetExceeded):
+            s.whole(Budget(seconds=-1))
+        assert s._whole is None
+        assert s.whole(Budget(seconds=1000)) is s.whole()
 
     def test_pbw_products(self):
         sp = InvariantSpaces(2)

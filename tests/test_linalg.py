@@ -17,6 +17,7 @@ from loopinv.linalg import (
     member_tensor,
     orthogonal,
     orthogonal_complement,
+    rank_at_least,
     span,
     span_tensors,
     subspace_sum,
@@ -265,6 +266,12 @@ class TestMembership:
         conj4 = spaces_for(2).conjugation_invariants(4)
         assert member_tensor(rotation_sum(Word((1, 2, 1, 2), 2)), conj4)
 
+    def test_budget_per_reduction(self):
+        s = span(2, 2, [{1: 1, 2: -1}])
+        with pytest.raises(BudgetExceeded):
+            member_tensor(W(2, "12") - W(2, "21"), s, Budget(seconds=-1.0))
+        assert member_tensor(W(2, "12") - W(2, "21"), s, Budget(seconds=1000))
+
     def test_area_not_conjugation_invariant(self):
         from loopinv.invariants import spaces_for
 
@@ -371,6 +378,81 @@ class TestOrthogonal:
         assert orthogonal(s, [], Budget(seconds=-1.0))
         with pytest.raises(BudgetExceeded):
             orthogonal(s, [{1: 1}], Budget(seconds=-1.0))
+
+
+class CountingBudget(Budget):
+    """A budget that never runs out and counts its checks."""
+
+    def __init__(self):
+        super().__init__()
+        self.checks = 0
+
+    def check(self, bits: int = 0) -> None:
+        self.checks += 1
+
+
+class TestRankAtLeast:
+    @staticmethod
+    def spy_exact(monkeypatch):
+        """The eliminations of the exact fallback from now on."""
+        calls = []
+        real = linalg._eliminate
+        monkeypatch.setattr(
+            linalg, "_eliminate", lambda rows, budget=None: calls.append(len(rows)) or real(rows, budget)
+        )
+        return calls
+
+    def test_full_rank(self, monkeypatch):
+        exact = self.spy_exact(monkeypatch)
+        rows = [{2: 1, 5: 3}, {5: 2, 7: -1}, {2: 4, 7: 9}]
+        for target in range(4):
+            assert rank_at_least(rows, [2, 5, 7], target)
+        assert rank_at_least([], [2, 5, 7], 0)
+        assert exact == []
+
+    def test_short_rank_falls_back(self, monkeypatch):
+        exact = self.spy_exact(monkeypatch)
+        rows = [{0: 1, 1: 2}, {0: 2, 1: 4}, {1: 1, 2: 1}]
+        assert rank_at_least(rows, [0, 1, 2], 2)
+        assert exact == []
+        assert not rank_at_least(rows, [0, 1, 2], 3)
+        assert exact == [3]
+
+    def test_small_prime_falls_back_to_the_exact_rank(self, monkeypatch):
+        # 1, 4 and 1, 1 agree modulo 3, so the rank there is 1, not 2
+        rows = [{0: 1, 1: 1}, {0: 1, 1: 4}]
+        exact = self.spy_exact(monkeypatch)
+        assert rank_at_least(rows, [0, 1], 2)
+        assert exact == []
+        monkeypatch.setattr(linalg, "_PRIME", 3)
+        assert rank_at_least(rows, [0, 1], 2)
+        assert exact == [2]
+        assert not rank_at_least(rows, [0, 1], 3)
+
+    def test_agrees_with_span(self, rng):
+        seen = set()
+        for _ in range(80):
+            size = rng.randint(1, 8)
+            columns = sorted(rng.sample(range(16), size))
+            rows = [
+                {k: rng.randint(-40000, 40000) * rng.randint(0, 1) for k in columns}
+                for _ in range(rng.randint(0, 8))
+            ]
+            rank = span(2, 4, rows).dim
+            for target in range(rank + 2):
+                expected = target <= rank
+                assert rank_at_least(rows, columns, target) == expected
+                seen.add(expected)
+        assert seen == {True, False}
+
+    def test_budget_per_row(self):
+        rows = [{0: 1}, {1: 1}, {0: 1, 1: 1}, {2: 1}]
+        budget = CountingBudget()
+        assert rank_at_least(rows, [0, 1, 2], 2, budget)
+        assert budget.checks == 2
+        with pytest.raises(BudgetExceeded):
+            rank_at_least(rows, [0, 1, 2], 2, Budget(seconds=-1.0))
+        assert rank_at_least(rows, [0, 1, 2], 0, Budget(seconds=-1.0))
 
 
 class TestBudget:

@@ -43,7 +43,7 @@ def test_imports_stdlib_only():
 
 def test_invariants_uses_three_tensor_internals():
     # anagram bookkeeping belongs in words; invariants reaches into tensor
-    # for the closure row, the word shuffle and the Lyndon polynomial only
+    # for the closure rows, the word shuffle and the Lyndon polynomial only
     path = Path(loopinv.__file__).parent / "invariants.py"
     used = {
         node.attr
@@ -52,7 +52,7 @@ def test_invariants_uses_three_tensor_internals():
         and isinstance(node.value, ast.Name)
         and node.value.id == "_tensor"
     }
-    assert used == {"_rcl_row", "_shuffle_words_into", "_lyndon_poly"}
+    assert used == {"_rcl_block", "_shuffle_words_into", "_lyndon_poly"}
 
 
 def test_no_assert_statements():

@@ -11,6 +11,7 @@ from loopinv import tensor
 from loopinv._rat import Q
 from loopinv.tensor import (
     TensorElement,
+    _rcl_block,
     _rcl_row,
     _rcl_word,
     bracket,
@@ -409,6 +410,26 @@ class TestClosures:
                     assert got == rcl_word_oracle(w)
                     expected = math.factorial(n) * rcl_oracle(W(d, w) if w else E(d))
                     assert TensorElement(d, got) == expected
+
+    @pytest.mark.parametrize("d, top", [(2, 10), (3, 7), (4, 6)])
+    def test_block_rows_against_word_rows(self, d, top):
+        # one pass over the trie of a content yields the row of every
+        # anagram, in anagram order, equal to the row of each word alone
+        for n in range(top + 1):
+            for counts in itertools.combinations_with_replacement(range(n, -1, -1), d):
+                if sum(counts) == n:
+                    content = tuple(a + 1 for a, k in enumerate(counts) for _ in range(k))
+                    rows = list(_rcl_block(content))
+                    assert rows == [_rcl_row(w) for w in anagrams_of(content)]
+                    assert all(type(row) is list for row in rows)
+
+    def test_block_rows_stream(self):
+        # the rows come one at a time, each a fresh list
+        rows = _rcl_block((1, 1, 2, 2, 3))
+        first = next(rows)
+        first[0] += 1
+        assert next(rows) == _rcl_row((1, 1, 2, 3, 2))
+        assert len(list(rows)) == len(anagrams_of((1, 1, 2, 2, 3))) - 2
 
     def test_cold_word_computes_one_row(self, monkeypatch):
         # a single word costs its own row, not the rows of its whole class
