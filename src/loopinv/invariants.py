@@ -171,7 +171,11 @@ class LieBasisElement:
 
 @dataclass(frozen=True)
 class InvariantReport:
-    """One table row: every named dimension at a fixed (d, level)."""
+    """One table row: every named dimension at a fixed (d, level).
+
+    On a row from :meth:`InvariantSpaces.report` the three checks below
+    cannot fail: the sums hold by how its columns are computed and by the
+    per-block checks of V.  They stay to reject rows built elsewhere."""
 
     d: int
     level: int
@@ -532,7 +536,7 @@ class InvariantSpaces:
             table: ClosureTable = {}
             for c in s.orbits.canonical:
                 index = s.orbits.words(c)
-                rows = _tensor._rcl_block(_letters(c))
+                rows = _tensor._rcl_block(_letters(c), anagrams(_letters(c)))
                 for k in index:
                     self._check_budget()
                     row = next(rows)

@@ -12,9 +12,9 @@ the operators the invariant pipeline needs:
   letters (dual to pairing against the straight segment that closes a
   path),
 * ``right_closure`` / ``left_closure``  the projections realizing path
-  closure algebraically, n!-scaled by counting subsequence embeddings,
-  one word at a time (``_rcl_row``) or for every anagram of a content in
-  one pass (``_rcl_block``),
+  closure algebraically, n!-scaled by counting subsequence embeddings
+  along the trie of a content's anagrams (``_rcl_block``), for one word
+  or for every anagram of a content in one pass,
 * ``lyndon_bracketing``  the Lie polynomial attached to a Lyndon word.
 
 Everything here is a pure function of immutable values.
@@ -32,7 +32,6 @@ from .words import Word, anagrams, rotations, standard_factorization
 
 # caches shared across alphabet sizes: expansions depend on letters only
 _RCL_CACHE: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-_EDGE_CACHE: dict[tuple[int, ...], tuple[tuple[int, int], ...]] = {}
 _LYNDON_POLY_CACHE: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
 
 
@@ -362,32 +361,18 @@ def closing_segment_dual(x: TensorElement) -> TensorElement:
     return TensorElement._raw(x.d, data)
 
 
-def _trie_edges(content: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """The depth-first walk of the trie of prefixes of the anagrams of a
-    sorted content, one ``(depth, letter)`` per edge, leaves in
-    lexicographic order: each anagram adds the edges below its common
-    prefix with the anagram before it.  Cached for the contents whose
-    closure is asked, with one shared tuple per (depth, letter) pair."""
-    hit = _EDGE_CACHE.get(content)
-    if hit is None:
-        n = len(content)
-        pairs = {(depth, a): (depth, a) for depth in range(n) for a in set(content)}
-        edges: list[tuple[int, int]] = []
-        prev: tuple[int, ...] = ()
-        for x in anagrams(content):
-            p = 0
-            while p < len(prev) and x[p] == prev[p]:
-                p += 1
-            edges += (pairs[depth, x[depth]] for depth in range(p, n))
-            prev = x
-        _EDGE_CACHE[content] = hit = tuple(edges)
-    return hit
+def _gather(indices: list[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """The entries of a vector at the given positions, then its last entry:
+    vectors here end in a 0, so a position -1 reads 0 and every gathered
+    vector ends in a 0 again."""
+    return itemgetter(*indices, -1)
 
 
-def _rcl_row(w: tuple[int, ...]) -> list[int]:
-    """n! times the right closure of a word w of length n, as the list of
-    its integer coefficients on the anagrams x_0 < x_1 < ... of w (the
-    order of :func:`~loopinv.words.anagrams`).
+def _rcl_block(content: tuple[int, ...], words: Iterable[tuple[int, ...]]) -> Iterator[list[int]]:
+    """n! times the right closure of each given anagram w of a sorted
+    content, one list per w in the order given, holding its integer
+    coefficients on the anagrams x_0 < x_1 < ... of the content (the order
+    of :func:`~loopinv.words.anagrams`).
 
     The right closure is the sum over all splits w = u v (u = w[:i]) of
     the shuffle of u with h(v), the signed normalized letter shuffle of v:
@@ -402,99 +387,46 @@ def _rcl_row(w: tuple[int, ...]) -> list[int]:
         n! rcl(w)[x] = sum_i s_i occ(w[:i], x),
         s_i = (-1)^(n-i) prod_a m_a(w[i:])! * n! / (n-i)!,
 
-    all integers.  One walk over x counts the embeddings of every prefix
-    of w at once: dp[i] = occ(w[:i], x[:j]) after j letters of x.  The
-    walk visits x in lexicographic order, depth first through the trie of
-    their prefixes (:func:`_trie_edges`), and keeps (dp, sum_i s_i dp[i])
-    per depth, so anagrams with a common prefix share the state.  A
-    letter a extends dp[i] by dp[i-1] for each position i of a in w
-    (descending, so each embedding grows by at most one step), which adds
-    s_i dp[i-1] to the sum; a leaf only adds the terms of its last letter,
-    copying no state.  No state is shared between words, only the trie.
-    """
-    n = len(w)
-    if not n:
-        return [1]
-    last = n - 1
-    # weights s_i and the positions of each letter in w, descending
-    falling = factorial(n)
-    s = [0] * n + [falling]
-    seen: dict[int, int] = {}
-    mult = 1
-    for i in range(n - 1, -1, -1):
-        falling //= n - i  # n! / (n - i)!
-        seen[w[i]] = seen.get(w[i], 0) + 1
-        mult *= seen[w[i]]
-        s[i] = (-1) ** (n - i) * mult * falling
-    extend: dict[int, list[tuple[int, int]]] = {a: [] for a in seen}
-    for i in range(n, 0, -1):
-        extend[w[i - 1]].append((i, s[i]))
-    dps = [[1] + [0] * n] + [None] * last
-    sums = [s[0]] + [0] * last
-    row = []
-    for depth, a in _trie_edges(tuple(sorted(w))):
-        dp = dps[depth]
-        total = sums[depth]
-        if depth == last:
-            for i, si in extend[a]:
-                total += si * dp[i - 1]
-            row.append(total)
-        else:
-            dp = dp[:]
-            for i, si in extend[a]:
-                v = dp[i - 1]
-                dp[i] += v
-                total += si * v
-            dps[depth + 1] = dp
-            sums[depth + 1] = total
-    return row
-
-
-def _gather(indices: list[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
-    """The entries of a vector at the given positions, then its last entry:
-    vectors here end in a 0, so a position -1 reads 0 and every gathered
-    vector ends in a 0 again."""
-    return itemgetter(*indices, -1)
-
-
-def _rcl_block(content: tuple[int, ...]) -> Iterator[list[int]]:
-    """n! times the right closure of every anagram w of a sorted content,
-    one :func:`_rcl_row` list per w, in the order of
-    :func:`~loopinv.words.anagrams`.
+    all integers.
 
     The nodes of the trie of prefixes of the anagrams are the words u
-    that fit in the content, its leaves the anagrams x.  With occ(u, y)
-    the number of embeddings of u in y, for trie nodes u and y,
+    that fit in the content, its leaves the anagrams x.  For trie nodes u
+    and y,
 
         occ(ua, yb) = occ(ua, y) + [a = b] occ(u, y),
 
     so the vector occ(ua, .) on the nodes of depth j is a gather of
     occ(ua, .) at depth j - 1 plus a gather of occ(u, .) there at the
-    nodes whose last letter is a.  The weight s_i of :func:`_rcl_row`
-    depends only on the content of the prefix u = w[:i], so the row of w
-    is the sum over the nodes u on its path of s(u) occ(u, .) on the
-    leaves, and the anagrams with a common prefix share that part of the
-    sum.  A depth-first walk over the trie keeps occ(u, .) and the partial
-    sum for the n nodes of the current path only, and yields each row at
-    its leaf.
+    nodes whose last letter is a.  The weight s_i depends only on the
+    content of the prefix u = w[:i], so the row of w is the sum over the
+    nodes u on its path of s(u) occ(u, .) on the leaves.  The walk keeps
+    occ(u, .) and the partial sum for the n nodes on the path of the last
+    word only, and each word recomputes them below its common prefix with
+    the word before.  That state depends only on the prefix, so the words
+    may come in any order; in anagram order they share it as a depth-first
+    walk over the trie does, and a single word walks its own path only.
     """
     n = len(content)
     if not n:
-        yield [1]
+        for _ in words:
+            yield [1]
         return
     # the nodes of each depth, in lexicographic order: the position of each
-    # node's parent one depth up, and its last letter
+    # node's parent one depth up, and its last letter (distinct anagrams
+    # differ before their end, so the prefix scan stops in range)
     parents: list[list[int]] = [[0]] + [[] for _ in range(n)]
     lasts: list[list[int]] = [[0]] + [[] for _ in range(n)]
-    prev: tuple[int, ...] = ()
-    for x in anagrams(content):
+    xs = anagrams(content)
+    prev: tuple = (None,) * n
+    for x in xs:
         p = 0
-        while p < len(prev) and x[p] == prev[p]:
+        while x[p] == prev[p]:
             p += 1
         for depth in range(p + 1, n + 1):
             parents[depth].append(len(parents[depth - 1]) - 1)
             lasts[depth].append(x[depth - 1])
         prev = x
+    leaves = {x: i for i, x in enumerate(xs)}
     by_parent = list(map(_gather, parents))
     by_letter = {
         a: [_gather([p if b == a else -1 for p, b in zip(ps, bs)]) for ps, bs in zip(parents, lasts)]
@@ -510,29 +442,29 @@ def _rcl_block(content: tuple[int, ...]) -> Iterator[list[int]]:
         return (-1) ** (n - i) * mult * (scale // factorial(n - i))
 
     # occ[i][j] is occ(u, .) at depth j (with a trailing 0) for the node u of
-    # depth i on the current path, sums[i] its partial sum on the leaves
+    # depth i on the path of the last word, sums[i] its partial sum on the leaves
     occ: list = [[(1,) * len(ps) + (0,) for ps in parents]] + [None] * (n - 1)
-    sums: list = [[weight(())] * len(parents[n])] + [None] * (n - 1)
-    path = [0] * n
-    leaf = 0
-    for depth, a in _trie_edges(content):
-        if depth == n - 1:
-            # the leaf w adds its own term: n! occ(w, .), the unit vector of w
-            row = sums[depth][:]
-            row[leaf] += scale
-            leaf += 1
-            yield row
-            continue
-        path[depth] = a
-        up, letter = occ[depth], by_letter[a]
-        vec = letter[depth + 1](up[depth])
-        down = [None] * (depth + 1) + [vec]
-        for j in range(depth + 2, n + 1):
-            vec = tuple(map(add, by_parent[j](vec), letter[j](up[j - 1])))
-            down.append(vec)
-        occ[depth + 1] = down
-        s = weight(tuple(path[: depth + 1]))
-        sums[depth + 1] = list(map(add, sums[depth], map(mul, vec, itertools.repeat(s))))
+    sums: list = [[weight(())] * len(leaves)] + [None] * (n - 1)
+    path: tuple[int, ...] = ()
+    for w in words:
+        p = 0
+        while p < len(path) and w[p] == path[p]:
+            p += 1
+        for depth in range(p, n - 1):
+            up, letter = occ[depth], by_letter[w[depth]]
+            vec = letter[depth + 1](up[depth])
+            down = [None] * (depth + 1) + [vec]
+            for j in range(depth + 2, n + 1):
+                vec = tuple(map(add, by_parent[j](vec), letter[j](up[j - 1])))
+                down.append(vec)
+            occ[depth + 1] = down
+            s = weight(w[: depth + 1])
+            sums[depth + 1] = list(map(add, sums[depth], map(mul, vec, itertools.repeat(s))))
+        path = w[: n - 1]
+        # the leaf w adds its own term: n! occ(w, .), the unit vector of w
+        row = sums[n - 1][:]
+        row[leaves[w]] += scale
+        yield row
 
 
 def _rcl_word(letters: tuple[int, ...]) -> dict[tuple[int, ...], int]:
@@ -540,8 +472,9 @@ def _rcl_word(letters: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     anagrams of the word (cached)."""
     hit = _RCL_CACHE.get(letters)
     if hit is None:
-        row = _rcl_row(letters)
-        hit = {x: c for x, c in zip(anagrams(tuple(sorted(letters))), row) if c}
+        content = tuple(sorted(letters))
+        row = next(_rcl_block(content, [letters]))
+        hit = {x: c for x, c in zip(anagrams(content), row) if c}
         _RCL_CACHE[letters] = hit
     return hit
 

@@ -61,8 +61,9 @@ def perturbed_rcl_block(real):
     """One entry of the closure row of 1212 perturbed: the closure no longer
     vanishes on S."""
 
-    def perturbed(content):
-        for w, row in zip(anagrams_of(content), real(content)):
+    def perturbed(content, words):
+        words = list(words)
+        for w, row in zip(words, real(content, words)):
             if w == (1, 2, 1, 2):
                 row[anagrams_of((1, 1, 2, 2)).index((2, 2, 1, 1))] += 1
             yield row
@@ -74,8 +75,8 @@ def doubled_rcl_block(real):
     """The closure rows of content 1122 doubled: the closure still vanishes
     on S, but is no longer the identity modulo S."""
 
-    def doubled(content):
-        for row in real(content):
+    def doubled(content, words):
+        for row in real(content, words):
             yield [2 * c for c in row] if content == (1, 1, 2, 2) else row
 
     return doubled
@@ -1182,8 +1183,8 @@ class TestBudgetInHeavyLoops:
         rows = []
         real = tensor._rcl_block
 
-        def counted(content):
-            for row in real(content):
+        def counted(content, words):
+            for row in real(content, words):
                 rows.append(row)
                 yield row
 

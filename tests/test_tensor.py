@@ -12,7 +12,6 @@ from loopinv._rat import Q
 from loopinv.tensor import (
     TensorElement,
     _rcl_block,
-    _rcl_row,
     _rcl_word,
     bracket,
     closing_segment_dual,
@@ -71,7 +70,7 @@ def anagrams_of(content):
 
 def rcl_word_oracle(letters):
     """n! rcl(w) of one word w by counting subsequence embeddings, one pass
-    over each anagram x of w (the derivation is at tensor._rcl_row)."""
+    over each anagram x of w (the derivation is at tensor._rcl_block)."""
     n = len(letters)
     fact = math.factorial(n)
     # (-1)^|v| prod m_a(v)! for the suffix v = w[i:], times n! / |v|!
@@ -398,14 +397,17 @@ class TestClosures:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_class_kernel(self, d):
         # the row of every word w up to level 6 is n! rcl(w) on the
-        # anagrams of w, in lexicographic order
+        # anagrams of w, in lexicographic order, from the whole block and
+        # from the word alone
         for n in range(7):
             for content in itertools.combinations_with_replacement(range(1, d + 1), n):
                 anagrams = anagrams_of(content)
-                for w in anagrams:
-                    row = _rcl_row(w)
+                rows = list(_rcl_block(content, anagrams))
+                assert len(rows) == len(anagrams)
+                for w, row in zip(anagrams, rows):
                     assert len(row) == len(anagrams)
                     assert all(type(c) is int for c in row)
+                    assert list(_rcl_block(content, [w])) == [row]
                     got = {x: c for x, c in zip(anagrams, row) if c}
                     assert got == rcl_word_oracle(w)
                     expected = math.factorial(n) * rcl_oracle(W(d, w) if w else E(d))
@@ -415,30 +417,59 @@ class TestClosures:
     def test_block_rows_against_word_rows(self, d, top):
         # one pass over the trie of a content yields the row of every
         # anagram, in anagram order, equal to the row of each word alone
+        # and to the embedding count of the oracle
         for n in range(top + 1):
             for counts in itertools.combinations_with_replacement(range(n, -1, -1), d):
                 if sum(counts) == n:
                     content = tuple(a + 1 for a, k in enumerate(counts) for _ in range(k))
-                    rows = list(_rcl_block(content))
-                    assert rows == [_rcl_row(w) for w in anagrams_of(content)]
+                    anagrams = anagrams_of(content)
+                    rows = list(_rcl_block(content, anagrams))
+                    assert rows == [next(_rcl_block(content, [w])) for w in anagrams]
                     assert all(type(row) is list for row in rows)
+                    for w, row in zip(anagrams, rows):
+                        assert {x: c for x, c in zip(anagrams, row) if c} == rcl_word_oracle(w)
+
+    def test_block_rows_of_any_words_in_any_order(self, rng):
+        # the state below a common prefix depends only on the prefix, so a
+        # subset of the anagrams in any order, a repeat included, yields
+        # the rows of the full block, also where words that share a prefix
+        # are not adjacent
+        for _ in range(60):
+            d, n = rng.randint(1, 4), rng.randint(0, 7)
+            content = tuple(sorted(rng.randint(1, d) for _ in range(n)))
+            anagrams = anagrams_of(content)
+            full = list(_rcl_block(content, anagrams))
+            picks = rng.sample(range(len(anagrams)), rng.randint(1, min(len(anagrams), 12)))
+            picks.append(rng.choice(picks))
+            rows = list(_rcl_block(content, [anagrams[k] for k in picks]))
+            assert rows == [full[k] for k in picks]
 
     def test_block_rows_stream(self):
         # the rows come one at a time, each a fresh list
-        rows = _rcl_block((1, 1, 2, 2, 3))
+        content = (1, 1, 2, 2, 3)
+        rows = _rcl_block(content, anagrams_of(content))
         first = next(rows)
         first[0] += 1
-        assert next(rows) == _rcl_row((1, 1, 2, 3, 2))
-        assert len(list(rows)) == len(anagrams_of((1, 1, 2, 2, 3))) - 2
+        assert next(rows) == next(_rcl_block(content, [(1, 1, 2, 3, 2)]))
+        assert len(list(rows)) == len(anagrams_of(content)) - 2
 
     def test_cold_word_computes_one_row(self, monkeypatch):
         # a single word costs its own row, not the rows of its whole class
-        calls = []
+        calls, rows = [], []
+        real = tensor._rcl_block
+
+        def spy(content, words):
+            calls.append((content, words))
+            for row in real(content, words):
+                rows.append(row)
+                yield row
+
         monkeypatch.setattr(tensor, "_RCL_CACHE", {})
-        monkeypatch.setattr(tensor, "_rcl_row", lambda w: calls.append(w) or _rcl_row(w))
+        monkeypatch.setattr(tensor, "_rcl_block", spy)
         w = (1, 2) * 5
         closed = right_closure(W(2, w))
-        assert calls == [w]
+        assert calls == [((1,) * 5 + (2,) * 5, [w])]
+        assert len(rows) == 1
         assert list(tensor._RCL_CACHE) == [w]
         assert closed == TensorElement(2, rcl_word_oracle(w)) / math.factorial(10)
 
