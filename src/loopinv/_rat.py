@@ -11,23 +11,42 @@ Q = Fraction
 BACKEND = "fraction"
 
 
+def _refuse_float(value):
+    if isinstance(value, float):
+        raise TypeError(
+            "exact rational expected, got the float %r; pass an int, a Fraction "
+            "or a string such as '1/10'" % value
+        )
+
+
 def exact(value):
     """``Q(value)`` for an int, a rational or a rational string.
 
     Floats are refused: a float is a binary approximation, and ``Q(0.1)``
     would silently store 3602879701896397/36028797018963968.
     """
-    if isinstance(value, float):
-        raise TypeError(
-            "exact rational expected, got the float %r; pass an int, a Fraction "
-            "or a string such as '1/10'" % value
-        )
+    _refuse_float(value)
     return Q(value)
 
 
+def integer(value):
+    """``int(value)`` for an int or an integer string.  A float is refused
+    as by :func:`exact`, not truncated."""
+    _refuse_float(value)
+    return int(value)
+
+
 def rational_from_string(text):
-    """Parse ``"3"`` or ``"-1/2"`` into an exact rational."""
-    return Q(text.strip())
+    """Parse ``"3"`` or ``"-1/2"`` into an exact rational.  A float is
+    refused as by :func:`exact`; anything else that is not a rational
+    string, or a zero denominator, raises ValueError."""
+    _refuse_float(text)
+    if not isinstance(text, str):
+        raise ValueError("rational string expected, got %r" % (text,))
+    try:
+        return Q(text.strip())
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % text) from None
 
 
 def rational_to_string(value):

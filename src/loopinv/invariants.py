@@ -30,8 +30,8 @@ not increase (:class:`BlockSpace`).  Every check runs on each canonical
 block: the three two-description checks above, with the number of
 necklaces and the coefficient of x^c as the closed forms of the block of
 content c; the proof that the closures are the projections along S; the
-closure image; the letter-reduced ranks; the closed loop span; the
-decomposables inside the family; and conj inside loop.  A block whose
+closure image; the letter-reduced ranks; the decomposables inside conj;
+and conj inside loop.  A block whose
 rows leave its content fails too.  A level's dimension sums orbit size
 times block dimension, and the checks on whole levels (the series
 coefficient, the dimension chains of :class:`InvariantReport`) use those
@@ -82,7 +82,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import inspect
 import itertools
 from array import array
 from dataclasses import dataclass, field
@@ -385,21 +384,17 @@ def _names_budget(key: tuple):
 
 
 def _memo(name: str):
-    """Memoize a method in ``self._memo`` under ``(name, *arguments)``, with
-    defaults bound.  A build that raises stores nothing; a BudgetExceeded is
-    named after the innermost memoized build it interrupted."""
+    """Memoize a method of the level n in ``self._memo`` under ``(name, n)``.
+    A build that raises stores nothing; a BudgetExceeded is named after the
+    innermost memoized build it interrupted."""
 
     def decorate(method):
-        signature = inspect.signature(method)
-
         @functools.wraps(method)
-        def memoized(self, *args, **kwargs):
-            bound = signature.bind(self, *args, **kwargs)
-            bound.apply_defaults()
-            key = (name, *bound.args[1:])
+        def memoized(self, n):
+            key = (name, n)
             if key not in self._memo:
                 with _names_budget(key):
-                    self._memo[key] = method(self, *args, **kwargs)
+                    self._memo[key] = method(self, n)
             return self._memo[key]
 
         return memoized
@@ -886,31 +881,10 @@ class InvariantSpaces:
                 )
         return via_rank.dim
 
-    @_memo("rclloop")
-    def closed_loop_span(self, n: int) -> BlockSpace:
-        """Right closure of the loop invariants (the loop-and-closure space)."""
-        _check_level(n)
-
-        def build(c: Content) -> Subspace:
-            rows = (self._closure_row(r, n) for r in self.loop_invariants(n).blocks[c].rows)
-            space = self._block_span(n, c, rows)
-            expected = (
-                self.zero_increment_space(n).blocks[c].dim
-                - self.bracket_zero_increment(n).blocks[c].dim
-            )
-            if space.dim != expected:
-                raise CrossCheckError(
-                    "closed loop invariants do not match the letter-reduced "
-                    "loop dimension at d=%d, n=%d, content %s" % (self.d, n, c)
-                )
-            return space
-
-        return self._blocks(n, build)
-
     @_memo("gens")
-    def minimal_generators(self, n: int, family: str = "conj") -> BlockSpace:
-        """A complement G_n of the decomposables D_n in level n of a graded
-        shuffle family A, "conj" or "loop_closure".
+    def minimal_generators(self, n: int) -> BlockSpace:
+        """A complement G_n of the decomposables D_n in level n of the
+        conjugation invariants A = conj.
 
         D_n is the span of the products of two elements of positive level,
         the sum over j of A_j ⧢ A_{n-j}.  Products with a generator span it:
@@ -931,14 +905,10 @@ class InvariantSpaces:
         them leads at a pivot of D_c.  Those rows are a canonical RREF as
         they stand, so G_c shares them with A_c.
         """
-        if family == "conj":
-            space_of = self.conjugation_invariants
-        elif family == "loop_closure":
-            space_of = self.closed_loop_span
-        else:
-            raise ValueError("unknown family %r" % family)
-        d, total = self.d, space_of(n)
-        lower = [(j, self.minimal_generators(j, family), space_of(n - j)) for j in range(1, n)]
+        d, total = self.d, self.conjugation_invariants(n)
+        lower = [
+            (j, self.minimal_generators(j), self.conjugation_invariants(n - j)) for j in range(1, n)
+        ]
 
         def products(c: Content):
             for j, gens, upper in lower:
@@ -961,11 +931,10 @@ class InvariantSpaces:
 
         return self._blocks(n, build)
 
-    @_memo("mingen")
-    def min_generator_count(self, n: int, family: str = "conj") -> int:
-        """Dimension of level n of a graded shuffle family modulo products:
-        the dimension of :meth:`minimal_generators`."""
-        return self.minimal_generators(n, family).dim
+    def min_generator_count(self, n: int) -> int:
+        """Dimension of level n of the conjugation invariants modulo
+        products: the dimension of :meth:`minimal_generators`."""
+        return self.minimal_generators(n).dim
 
     @_memo("areaconj")
     def area_conjugation_algebra(self, n: int) -> BlockSpace:

@@ -33,7 +33,7 @@ from itertools import accumulate
 from math import comb, factorial, lcm
 from typing import Sequence
 
-from ._rat import Q, exact, rational_from_string, rational_to_string
+from ._rat import Q, exact, integer, rational_from_string, rational_to_string
 from .tensor import (
     TensorElement,
     concat_truncated,
@@ -118,7 +118,7 @@ def path_to_json(path: PiecewiseLinearPath) -> dict:
 
 def path_from_json(payload) -> PiecewiseLinearPath:
     return PiecewiseLinearPath(
-        int(payload["d"]),
+        integer(payload["d"]),
         [[rational_from_string(c) for c in seg] for seg in payload["segments"]],
     )
 

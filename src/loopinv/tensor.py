@@ -27,7 +27,7 @@ from math import factorial
 from operator import add, itemgetter, mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from ._rat import Q, exact, rational_to_string
+from ._rat import Q, exact, integer, rational_to_string
 from .words import Word, anagrams, rotations, standard_factorization
 
 # caches shared across alphabet sizes: expansions depend on letters only
@@ -571,7 +571,7 @@ def tensor_to_json(x: TensorElement) -> dict:
 
 
 def tensor_from_json(payload: Mapping) -> TensorElement:
-    d = int(payload["d"])
+    d = integer(payload["d"])
     if d > 9:
         raise ValueError("digit-string words require d <= 9")
     data = {}
@@ -579,8 +579,8 @@ def tensor_from_json(payload: Mapping) -> TensorElement:
         letters = tuple(int(c) for c in term["word"])
         if letters in data:
             raise ValueError("word %r listed twice" % term["word"])
-        den = int(term["den"])
+        den = integer(term["den"])
         if not den:
             raise ValueError("zero denominator for word %r" % term["word"])
-        data[letters] = Q(int(term["num"]), den)
+        data[letters] = Q(integer(term["num"]), den)
     return TensorElement(d, data)

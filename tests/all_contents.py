@@ -22,7 +22,6 @@ METHODS = {
     "loop": "loop_invariants",
     "closure": "closure_invariants",
     "rclrot": "closed_rotation_span",
-    "rclloop": "closed_loop_span",
 }
 
 
@@ -118,18 +117,17 @@ def whole_level(sp, n, below=None):
     out["bracketV"] = span(d, n, (
         sp._bracket_row(row, n - 1, i) for row in lower.rows for i in range(d)
     ))
-    out["rclloop"] = span(d, n, (closure_row(r, d, n) for r in out["loop"].rows))
     return out
 
 
-def min_generators(sp, n, wholes, family):
-    """All-pairs decomposables of the whole levels ``wholes[j][family]``."""
+def min_generators(sp, n, wholes):
+    """All-pairs decomposables of the whole levels ``wholes[j]["conj"]``."""
     products = []
     for j in range(1, n // 2 + 1):
-        left, right = wholes[j][family].rows, wholes[n - j][family].rows
+        left, right = wholes[j]["conj"].rows, wholes[n - j]["conj"].rows
         pairs = itertools.product(left, right) if j < n - j else itertools.combinations_with_replacement(left, 2)
         products += [sp._shuffle_row(a, j, b, n - j) for a, b in pairs]
-    return wholes[n][family].dim - span(sp.d, n, products).dim
+    return wholes[n]["conj"].dim - span(sp.d, n, products).dim
 
 
 def block(sp, n, content, blocks_below=None):
@@ -154,7 +152,6 @@ def block(sp, n, content, blocks_below=None):
             below = blocks_below[lower]["V"] if blocks_below else kernel(d, 0, [])
             rows += [sp._bracket_row(row, n - 1, i) for row in below.rows]
     out["bracketV"] = span(d, n, rows)
-    out["rclloop"] = span(d, n, (closure_row(r, d, n) for r in out["loop"].rows))
     return out
 
 

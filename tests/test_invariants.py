@@ -217,12 +217,6 @@ class TestClosureSpaces:
             assert subspace_sum(closure, s).dim == 2**n
             assert intersect(closure, s).dim == 0
 
-    def test_closed_loop_span_matches_letter_reduced_dim(self):
-        for d, top in ((2, 6), (3, 4)):
-            sp = spaces_for(d)
-            for n in range(1, top + 1):
-                assert sp.closed_loop_span(n).dim == sp.letter_reduced_loop_dim(n)
-
 
 class TestFreeColumnRoutes:
     """The closure image and loop route B work on the free columns of S."""
@@ -346,7 +340,6 @@ class TestProvenClosureTable:
     READERS = {
         "closed_rotation_span": "rclrot",
         "letter_reduced_conj_dim": "lrconj",
-        "closed_loop_span": "rclloop",
         "closure_invariants": "closure",
         "loop_invariants": "loop",
         "report": "report",
@@ -662,19 +655,6 @@ class TestBlockChecks:
         assert ("lrconj", 4) not in sp._memo
 
     @pytest.mark.parametrize("d", [2, 3])
-    def test_closed_loop_span_off_the_chain(self, d):
-        # [V, letters] grown after the loop space was built
-        sp = InvariantSpaces(d)
-        sp.loop_invariants(4)
-        brackets = sp.bracket_zero_increment(4)
-        c = (4,) + (0,) * (d - 1)
-        grown = span(d, 4, brackets.blocks[c].rows + ({0: 1},))
-        sp._memo[("bracketV", 4)] = with_block(brackets, c, grown)
-        with pytest.raises(CrossCheckError, match="letter-reduced loop dimension"):
-            sp.closed_loop_span(4)
-        assert ("rclloop", 4) not in sp._memo
-
-    @pytest.mark.parametrize("d", [2, 3])
     def test_conjugation_escaping_loop(self, d):
         # every other cell of the report is built; then a row of
         # [V, letters], which pairs to a nonzero with itself, joins conj
@@ -719,9 +699,7 @@ class TestOrbits:
                 space = getattr(sp, method)(n)
                 assert space == wholes[n][name], (name, n)
                 assert space.dim == wholes[n][name].dim
-            for family, name in (("conj", "conj"), ("loop_closure", "rclloop")):
-                expected = all_contents.min_generators(sp, n, wholes, name)
-                assert sp.min_generator_count(n, family) == expected, (family, n)
+            assert sp.min_generator_count(n) == all_contents.min_generators(sp, n, wholes), n
 
     @pytest.mark.parametrize("d, top", [(3, 6), (4, 5)])
     def test_renamed_blocks_against_direct(self, d, top):
@@ -778,7 +756,7 @@ class TestOrbits:
         "conjugation_invariants", "letter_shuffle_ideal", "zero_increment_space",
         "bracket_zero_increment", "_closure_table", "loop_invariants",
         "closure_invariants", "closed_rotation_span", "letter_reduced_loop_dim",
-        "letter_reduced_conj_dim", "closed_loop_span", "min_generator_count", "report",
+        "letter_reduced_conj_dim", "min_generator_count", "report",
     ]
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -908,18 +886,13 @@ class TestMinGenerators:
         assert spaces_for(2).min_generator_count(4) == 1
         assert spaces_for(3).min_generator_count(3) == 1
 
-    FAMILIES = {"conj": "conjugation_invariants", "loop_closure": "closed_loop_span"}
-
     @pytest.mark.parametrize("d, top", [(2, 10), (3, 6)])
-    @pytest.mark.parametrize("family", list(FAMILIES))
-    def test_against_all_pairs(self, d, top, family):
+    def test_against_all_pairs(self, d, top):
         # generator products against all products of two whole-level rows
         sp = spaces_for(d)
-        space_of = getattr(sp, self.FAMILIES[family])
-        wholes = {n: {family: space_of(n)} for n in range(1, top + 1)}
+        wholes = {n: {"conj": sp.conjugation_invariants(n)} for n in range(1, top + 1)}
         for n in range(1, top + 1):
-            expected = all_contents.min_generators(sp, n, wholes, family)
-            assert sp.min_generator_count(n, family) == expected, n
+            assert sp.min_generator_count(n) == all_contents.min_generators(sp, n, wholes), n
 
     def test_products_have_a_generator_factor(self, monkeypatch):
         sp = InvariantSpaces(2)
@@ -942,10 +915,10 @@ class TestMinGenerators:
         gens = sp.minimal_generators(4)
         assert gens.dim == 1
         (c,) = [c for c, b in gens.blocks.items() if b.dim]
-        sp._memo[("gens", 4, "conj")] = with_block(gens, c, Subspace(2, 4, (), ()))
+        sp._memo[("gens", 4)] = with_block(gens, c, Subspace(2, 4, (), ()))
         wholes = {n: {"conj": sp.conjugation_invariants(n)} for n in range(1, 9)}
         assert any(
-            sp.min_generator_count(n) != all_contents.min_generators(sp, n, wholes, "conj")
+            sp.min_generator_count(n) != all_contents.min_generators(sp, n, wholes)
             for n in range(5, 9)
         )
 
@@ -957,18 +930,6 @@ class TestMinGenerators:
             for c, block in gens.blocks.items():
                 stored = dict(zip(conj.blocks[c].pivots, conj.blocks[c].rows))
                 assert all(stored[p] is row for p, row in zip(block.pivots, block.rows))
-
-    def test_loop_closure_family(self):
-        sp = spaces_for(2)
-        counts = [sp.min_generator_count(n, family="loop_closure") for n in range(1, 7)]
-        # level-2 area is the first generator; everything at level <= 6
-        # except level-6 brings nothing beyond products
-        assert counts[0] == 0 and counts[1] == 1
-        assert all(c >= 0 for c in counts)
-
-    def test_unknown_family(self):
-        with pytest.raises(ValueError):
-            spaces_for(2).min_generator_count(2, family="nope")
 
 
 class TestLieBasisElements:
@@ -1115,8 +1076,7 @@ class TestReportValidation:
         cls.patch_level_four(sp, monkeypatch, stray)
         with pytest.raises(CrossCheckError, match="escaped the family"):
             sp.min_generator_count(4)
-        assert ("mingen", 4, "conj") not in sp._memo
-        assert ("gens", 4, "conj") not in sp._memo
+        assert ("gens", 4) not in sp._memo
 
     def test_decomposables_outside_the_family_raise(self, monkeypatch):
         # unit rows stand in for the products of level 4; the second, the
@@ -1153,13 +1113,19 @@ class TestMemo:
         assert sp.zero_increment_space(4).dim == zero_increment_series_dim(2, 4)
         assert ("V", 4) in sp._memo
 
-    def test_default_family_shares_entry(self, monkeypatch):
+    def test_every_key_is_a_space_and_its_level(self):
+        # each memoized space is a function of its level alone
         sp = InvariantSpaces(2)
-        count = sp.min_generator_count(4)
-        monkeypatch.setattr(invariants, "span", None)  # a rebuild would fail
-        assert sp.min_generator_count(4, family="conj") == count
-        assert sp.min_generator_count(4, "conj") == count
-        assert sum(key[0] == "mingen" for key in sp._memo) == 1
+        for n in range(1, 6):
+            sp.report(n)
+        for n in range(1, 6):
+            conjecture_evidence(sp, n)
+        stray = [
+            key for key in sp._memo
+            if not (len(key) == 2 and isinstance(key[0], str) and isinstance(key[1], int))
+        ]
+        assert stray == []
+        assert {name for name, _ in sp._memo} >= {"report", "gens", "areaconj"}
 
 
 class TestBudgetInHeavyLoops:

@@ -64,6 +64,18 @@ class TestPath:
         assert payload == {"d": 2, "segments": [["1/2", "-3"]]}
         assert path_from_json(json.loads(json.dumps(payload))) == p
 
+    @pytest.mark.parametrize("payload, error, match", [
+        ({"d": 2.9, "segments": [["1", "0"]]}, TypeError, "float"),
+        ({"d": 2, "segments": [["1", 0.5]]}, TypeError, "float"),
+        ({"d": 2, "segments": [["1", 3]]}, ValueError, "rational string expected"),
+        ({"d": 2, "segments": [["1", "1/0"]]}, ValueError, "zero denominator"),
+    ], ids=["float-d", "float-coordinate", "int-coordinate", "zero-denominator"])
+    def test_json_rejects_inexact_coordinates(self, payload, error, match):
+        # d=2.9 used to read as 2; a number or "1/0" raised AttributeError
+        # or ZeroDivisionError
+        with pytest.raises(error, match=match):
+            path_from_json(payload)
+
 
 class TestSegmentSignature:
     def test_rejects_floats(self):

@@ -1,10 +1,12 @@
 """Static checks on the package source."""
 
 import ast
+import inspect
 import sys
 from pathlib import Path
 
 import loopinv
+from loopinv.invariants import InvariantSpaces
 
 SOURCES = sorted(Path(loopinv.__file__).parent.glob("*.py"))
 
@@ -65,3 +67,26 @@ def test_no_assert_statements():
     ]
     assert SOURCES
     assert found == []
+
+
+def test_memoized_spaces_take_the_level_alone():
+    # the memo keys a space by (name, n): a further parameter would be ignored
+    path = Path(loopinv.__file__).parent / "invariants.py"
+    (cls,) = [
+        node for node in ast.parse(path.read_text(), str(path)).body
+        if isinstance(node, ast.ClassDef) and node.name == "InvariantSpaces"
+    ]
+    memoized = [
+        node.name for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            isinstance(dec, ast.Call) and isinstance(dec.func, ast.Name) and dec.func.id == "_memo"
+            for dec in node.decorator_list
+        )
+    ]
+    assert "report" in memoized and "minimal_generators" in memoized
+    found = {
+        name: list(inspect.signature(getattr(InvariantSpaces, name).__wrapped__).parameters)
+        for name in memoized
+    }
+    assert found == {name: ["self", "n"] for name in memoized}

@@ -561,3 +561,14 @@ class TestSerialization:
         payload = {"d": 2, "terms": [{"word": "12", "num": "1", "den": "0"}]}
         with pytest.raises(ValueError, match="zero denominator"):
             tensor_from_json(payload)
+
+    @pytest.mark.parametrize("field, value", [("d", 2.7), ("num", 1.5), ("den", 2.9)])
+    def test_rejects_a_float(self, field, value):
+        # int() used to truncate: num 1.5 over den 2.9 read back as 1/2
+        payload = {"d": 2, "terms": [{"word": "12", "num": "1", "den": "2"}]}
+        if field == "d":
+            payload["d"] = value
+        else:
+            payload["terms"][0][field] = value
+        with pytest.raises(TypeError, match="float"):
+            tensor_from_json(payload)
