@@ -31,8 +31,11 @@ def exact(value):
 
 def integer(value):
     """``int(value)`` for an int or an integer string.  A float is refused
-    as by :func:`exact`, not truncated."""
+    as by :func:`exact`, not truncated, and so is a bool, which ``int``
+    would read as 0 or 1."""
     _refuse_float(value)
+    if isinstance(value, bool):
+        raise TypeError("integer expected, got the bool %r" % value)
     return int(value)
 
 

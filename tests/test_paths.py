@@ -69,10 +69,11 @@ class TestPath:
         ({"d": 2, "segments": [["1", 0.5]]}, TypeError, "float"),
         ({"d": 2, "segments": [["1", 3]]}, ValueError, "rational string expected"),
         ({"d": 2, "segments": [["1", "1/0"]]}, ValueError, "zero denominator"),
-    ], ids=["float-d", "float-coordinate", "int-coordinate", "zero-denominator"])
+        ({"d": True, "segments": [["1", "0"]]}, TypeError, "bool"),
+    ], ids=["float-d", "float-coordinate", "int-coordinate", "zero-denominator", "bool-d"])
     def test_json_rejects_inexact_coordinates(self, payload, error, match):
-        # d=2.9 used to read as 2; a number or "1/0" raised AttributeError
-        # or ZeroDivisionError
+        # d=2.9 used to read as 2 and d=true as 1; a number or "1/0" raised
+        # AttributeError or ZeroDivisionError
         with pytest.raises(error, match=match):
             path_from_json(payload)
 

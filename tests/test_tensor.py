@@ -572,3 +572,14 @@ class TestSerialization:
             payload["terms"][0][field] = value
         with pytest.raises(TypeError, match="float"):
             tensor_from_json(payload)
+
+    @pytest.mark.parametrize("field", ["d", "num", "den"])
+    def test_rejects_a_bool(self, field):
+        # bool subclasses int: "d": true used to read as d=1
+        payload = {"d": 2, "terms": [{"word": "12", "num": "1", "den": "2"}]}
+        if field == "d":
+            payload["d"] = True
+        else:
+            payload["terms"][0][field] = True
+        with pytest.raises(TypeError, match="bool"):
+            tensor_from_json(payload)
