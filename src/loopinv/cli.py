@@ -307,6 +307,9 @@ def _d_type(value: str) -> int:
     return d
 
 
+_d_type.__name__ = "int"
+
+
 def _int_at_least(low: int):
     def parse(value: str) -> int:
         number = int(value)

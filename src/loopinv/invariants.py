@@ -10,9 +10,9 @@ the other checks it by containment, pairing and dimension:
   bracketings (a PBW spanning set), checked against the letter shuffle
   ideal S, the coefficients of prod(1 - x_i) / (1 - sum x_i) and the
   generating-series coefficient of (1-q)^d / (1-dq);
-* loop invariants: the complement of [V, letters], checked to be the
-  kernel of (right closure - left closure) by pairing and by a rank lower
-  bound modulo a prime;
+* loop invariants: the complement of [V, letters], whose rows pair to
+  zero with S; checked to be the kernel of (right closure - left closure)
+  by pairing and by a rank lower bound modulo a prime;
 * closure invariants: the image of the right closure, checked against
   dim V and S;
 * letter-reduced conjugation invariants: the quotient dimension
@@ -707,27 +707,41 @@ class InvariantSpaces:
 
     @_memo("bracketV")
     def bracket_zero_increment(self, n: int) -> BlockSpace:
-        """[V at level n-1, letters], the loop-invariant constraint space.
-        Block c spans [v, i] over the rows v of the blocks of V of the
-        contents c - e_i, renamed where they are not canonical."""
+        """[V at level n-1, letters], the loop-invariant constraint space, on
+        the free columns of S.  The raw rows of block c, [v, i] over the rows
+        v of the blocks of V of the contents c - e_i (renamed where they are
+        not canonical), must pair to zero with S_c, so lie in V_c = S_c^perp
+        (the build of V checks that).  The block spans them restricted to the
+        free columns of S_c; an entry off the content is kept, and the content
+        check sees it.  Restriction is injective on V_c: a vector of V_c
+        that vanishes there pairs to zero with S_c and with those unit
+        vectors, which span the block.  So the block's dimension is dim [V,
+        letters]_c; its rows, and the renamed blocks, are not [V, letters]."""
         _check_level(n)
-        v = self.zero_increment_space(n - 1)
-        return self._blocks(n, lambda c: self._block_span(n, c, (
-            self._bracket_row(row, n - 1, i)
-            for i in range(self.d) if c[i] for row in v.block(_without(c, i))
-        )))
+        d, s, v = self.d, self.letter_shuffle_ideal(n), self.zero_increment_space(n - 1)
+
+        def build(c: Content) -> Subspace:
+            lower = [(row, n - 1, i) for i in range(d) if c[i] for row in v.block(_without(c, i))]
+            sc, pivots = s.blocks[c], set(s.blocks[c].pivots)
+            if not orthogonal(sc, itertools.starmap(self._bracket_row, lower), self.budget):
+                raise CrossCheckError("[V, letters] leaves V at d=%d, n=%d, content %s" % (d, n, c))
+            return self._block_span(n, c, (
+                {k: x for k, x in row.items() if k not in pivots}
+                for row in itertools.starmap(self._bracket_row, lower)
+            ))
+
+        return self._blocks(n, build)
 
     @_memo("loop")
     def loop_invariants(self, n: int) -> BlockSpace:
         """[V, letters]^perp, checked to be the kernel of (rcl - lcl) on each
         block.
 
-        [V, letters]_c lies in V_c = S_c^perp (checked), and a vector of
-        the block is an element of S_c plus one on the free columns of S_c.
-        So the complement of [V, letters]_c in block c is S_c plus the
-        kernel K_A, among the free columns, of the rows of [V, letters]_c
-        restricted to them; its dimension must be the number of words of
-        content c minus dim [V, letters]_c.
+        [V, letters]_c lies in V_c = S_c^perp, and a vector of the block is
+        an element of S_c plus one on the free columns of S_c.  So the
+        complement of [V, letters]_c in block c is S_c plus the kernel K_A
+        of the rows :meth:`bracket_zero_increment` stores on those columns.
+        Its dimension, N_c - dim [V, letters]_c, is rank-nullity there.
 
         The check: both closures are the projections along S (proven by the
         closure table), so the closure difference vanishes on S and maps
@@ -747,15 +761,10 @@ class InvariantSpaces:
             s = self.letter_shuffle_ideal(n).blocks[c]
             words = self._orbits(n).words(c)
             free = _non_pivots(words, s)
-            on_free = set(free)
             brackets = self.bracket_zero_increment(n).blocks[c]
-            restricted = ({k: v for k, v in row.items() if k in on_free} for row in brackets.rows)
-            k_a = kernel(d, n, restricted, self.budget, free)
+            k_a = kernel(d, n, brackets.rows, self.budget, free)
             loop = subspace_sum(k_a, s, self.budget)
-            if loop.dim != len(words) - brackets.dim or not (
-                contains(self.zero_increment_space(n).blocks[c], brackets)
-                and all(k in on_free for row in k_a.rows for k in row)
-            ):
+            if loop.dim != len(words) - brackets.dim or not set().union(*k_a.rows) <= set(free):
                 raise CrossCheckError(
                     "loop invariants disagree with the bracket complement at d=%d, n=%d, "
                     "content %s" % (d, n, c)

@@ -233,11 +233,10 @@ def _subspace(d: int, n: int, echelon) -> Subspace:
 
 
 def _int_rows(d: int, n: int, rows: Iterable[dict], budget: Budget | None, where: str):
-    """Integer rows of the nonzero raw rows ``{index: int or rational}``,
-    whose indices are range-checked and zeros dropped.  The budget is
-    checked per input, so lazily generated input is bounded too."""
+    """Yield the integer rows of the nonzero raw rows ``{index: int or
+    rational}``, one at a time, indices range-checked and zeros dropped.
+    The budget is checked per input, so lazily generated input is bounded."""
     size = d**n
-    out = []
     for v in rows:
         if budget is not None:
             budget.check()
@@ -245,8 +244,7 @@ def _int_rows(d: int, n: int, rows: Iterable[dict], budget: Budget | None, where
             raise ValueError("row index outside level of size %d in %s" % (size, where))
         entries = {k: c for k, c in v.items() if c}
         if entries:
-            out.append(_int_row(entries))
-    return out
+            yield _int_row(entries)
 
 
 def _tensor_row(x: TensorElement, d: int, n: int) -> dict[int, int]:
@@ -260,19 +258,12 @@ def _tensor_row(x: TensorElement, d: int, n: int) -> dict[int, int]:
 
 def span(d: int, n: int, rows: Iterable[dict], budget: Budget | None = None) -> Subspace:
     """Canonical RREF basis of the span of the given raw rows."""
-    return _subspace(d, n, _eliminate(_int_rows(d, n, rows, budget, "span"), budget))
+    return _subspace(d, n, _eliminate(list(_int_rows(d, n, rows, budget, "span")), budget))
 
 
 def span_tensors(d: int, n: int, elements: Iterable[TensorElement], budget: Budget | None = None) -> Subspace:
     """Canonical RREF basis of the span of elements of level n."""
-    rows = []
-    for x in elements:
-        if budget is not None:
-            budget.check()
-        row = _tensor_row(x, d, n)
-        if row:
-            rows.append(row)
-    return _subspace(d, n, _eliminate(rows, budget))
+    return span(d, n, (_tensor_row(x, d, n) for x in elements), budget)
 
 
 def _null_space(
@@ -320,7 +311,7 @@ def kernel(
     With ``columns``, the kernel among vectors supported on those word
     indices; every row must then lie on them too.
     """
-    rows = _int_rows(d, n, constraint_rows, budget, "kernel")
+    rows = list(_int_rows(d, n, constraint_rows, budget, "kernel"))
     return _null_space(d, n, _eliminate(rows, budget), budget, columns)
 
 
@@ -334,7 +325,7 @@ def rank_at_least(
     budget: Budget | None = None,
 ) -> bool:
     """Whether integer rows supported on ``columns`` have rank at least
-    ``target`` over Q.
+    ``target`` over Q; a row with an entry elsewhere raises ValueError.
 
     The rows join an echelon form modulo a prime one at a time, and the
     answer is yes as soon as its rank reaches the target: a minor that is
@@ -358,6 +349,8 @@ def rank_at_least(
             budget.check()
         kept.append(row)
         dense = [0] * width
+        if not row.keys() <= position.keys():
+            raise ValueError("rank row with an entry outside the given columns")
         for k, v in row.items():
             dense[position[k]] = v % p
         for lead in pivots:
@@ -431,7 +424,8 @@ def contains(outer: Subspace, inner: Subspace) -> bool:
 
 def orthogonal(s: Subspace, rows: Iterable[dict], budget: Budget | None = None) -> bool:
     """True iff every raw row of level s.n pairs to zero with every stored
-    row of s; the budget is checked once per row."""
+    row of s; the budget is checked once per row.  Each row is paired as
+    it is drawn, and no row is drawn after one that pairs to a nonzero."""
     by_col: dict[int, list[tuple[int, int]]] = {}
     for i, stored in enumerate(s.rows):
         for k, v in stored.items():

@@ -4,7 +4,10 @@ contents at once, and the block of any one content built directly on that
 content, with no renaming.
 
 The closure rows come from ``tensor._rcl_word`` for every word, not from
-the pipeline's table of canonical contents.
+the pipeline's table of canonical contents.  The oracle's ``bracketV``
+holds the full rows of [V, letters], where the pipeline keeps each block
+restricted to the free columns of S; tests compare the two through
+:func:`on_columns`.
 """
 
 import itertools
@@ -113,11 +116,20 @@ def whole_level(sp, n, below=None):
         "loop": kernel(d, n, closure_difference_rows(d, n, words)),
         "rclrot": span(d, n, (closure_row(sp._rotation_row(w), d, n) for w in necklaces(d, n))),
     }
-    lower = below["V"] if below else kernel(d, 0, [])
-    out["bracketV"] = span(d, n, (
-        sp._bracket_row(row, n - 1, i) for row in lower.rows for i in range(d)
-    ))
+    out["bracketV"] = span(d, n, bracket_rows(sp, n, below["V"] if below else kernel(d, 0, [])))
     return out
+
+
+def bracket_rows(sp, n, lower):
+    """[v, i] for every stored row v of ``lower``, a space of level n - 1,
+    and every letter i: the full rows of [V, letters] from a whole level."""
+    return [sp._bracket_row(row, n - 1, i) for row in lower.rows for i in range(sp.d)]
+
+
+def on_columns(rows, columns):
+    """The rows restricted to the given word indices."""
+    columns = set(columns)
+    return [{k: v for k, v in row.items() if k in columns} for row in rows]
 
 
 def min_generators(sp, n, wholes):

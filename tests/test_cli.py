@@ -120,6 +120,11 @@ class TestDims:
         with pytest.raises(SystemExit) as err:
             main(["dims", "--d", "10"])
         assert err.value.code == EXIT_BUDGET_OR_CONFIG
+        assert "d must be between 2 and 9" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as err:
+            main(["dims", "--d", "x"])
+        assert err.value.code == EXIT_BUDGET_OR_CONFIG
+        assert "argument --d: invalid int value: 'x'" in capsys.readouterr().err
 
 
 class TestNewColumnMarkers:

@@ -271,17 +271,15 @@ class TestFreeColumnRoutes:
         sp = InvariantSpaces(3)
         sp.loop_invariants(5)
         s, brackets = sp.letter_shuffle_ideal(5), sp.bracket_zero_increment(5)
-        # one kernel per canonical block, on the rows of [V, letters]
-        # restricted to the free columns of S, and one rank certificate, on
+        # one kernel per canonical block, on the stored rows of [V, letters],
+        # which lie on the free columns of S, and one rank certificate, on
         # the closure-difference rows at the pivot columns of S only
         assert len(kernels) == len(certificates) == len(s.blocks)
         every_output = 0
         for (rows, columns), count, (c, block) in zip(kernels, certificates, s.blocks.items()):
             free = invariants._non_pivots(s.orbits.words(c), block)
             assert columns == free
-            assert rows == [
-                {k: v for k, v in row.items() if k in free} for row in brackets.blocks[c].rows
-            ]
+            assert rows == list(brackets.blocks[c].rows)
             assert count <= block.dim
             every_output += len(sp._closure_difference_rows(5, c, free, range(3**5)))
         assert sum(b.dim for b in s.blocks.values()) < every_output
@@ -375,7 +373,41 @@ class TestOneRouteChecks:
             brackets = all_contents.letter_bracket_rows(sp, n)
             assert sp.conjugation_invariants(n) == kernel(d, n, brackets)
             assert sp.zero_increment_space(n) == orthogonal_complement(sp.letter_shuffle_ideal(n))
-            assert sp.loop_invariants(n) == orthogonal_complement(sp.bracket_zero_increment(n))
+            full = span(d, n, all_contents.bracket_rows(sp, n, sp.zero_increment_space(n - 1)))
+            assert sp.loop_invariants(n) == orthogonal_complement(full)
+            assert sp.bracket_zero_increment(n).dim == full.dim
+
+    @pytest.mark.parametrize("d, top", [(2, 10), (3, 7)])
+    def test_bracket_blocks_against_full_rows(self, d, top):
+        # the route the one elimination replaced: span the full rows of each
+        # block of [V, letters], then take the kernel of that echelon form
+        # restricted to the free columns of S
+        sp = spaces_for(d)
+        for n in range(1, top + 1):
+            v, s = sp.zero_increment_space(n - 1), sp.letter_shuffle_ideal(n)
+            for c, block in sp.bracket_zero_increment(n).blocks.items():
+                full = span(d, n, (
+                    sp._bracket_row(row, n - 1, i)
+                    for i in range(d) if c[i] for row in v.block(invariants._without(c, i))
+                ))
+                free = invariants._non_pivots(s.orbits.words(c), s.blocks[c])
+                restricted = all_contents.on_columns(full.rows, free)
+                k_a = kernel(d, n, restricted, None, free)
+                assert block.dim == full.dim, (n, c)
+                assert block == span(d, n, restricted), (n, c)
+                assert kernel(d, n, block.rows, None, free) == k_a, (n, c)
+                assert sp.loop_invariants(n).blocks[c] == subspace_sum(k_a, s.blocks[c]), (n, c)
+
+    def test_loop_takes_no_containment(self, monkeypatch):
+        # [V, letters] inside V is checked by its pairing with S, once
+        def refuse(*args, **kwargs):
+            raise AssertionError("contains called while building the loop space")
+
+        monkeypatch.setattr(invariants, "contains", refuse)
+        for d, top in ((2, 7), (3, 5)):
+            sp = InvariantSpaces(d)
+            for n in range(1, top + 1):
+                sp.loop_invariants(n)
 
     def test_report_takes_no_complement(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -488,32 +520,45 @@ class TestOneRouteChecks:
         sp._memo[("S", 4)] = with_block(s, c, smaller)
         self.assert_refused(sp, "zero_increment_space", 4, "V", "shuffle-ideal complement")
 
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_stray_row_in_bracket_space(self, d):
-        # the unit vector of 1111 lies outside V and grows [V, letters]
-        sp = InvariantSpaces(d)
-        brackets = sp.bracket_zero_increment(4)
-        c = (4,) + (0,) * (d - 1)
-        grown = span(d, 4, brackets.blocks[c].rows + ({0: 1},))
-        sp._memo[("bracketV", 4)] = with_block(brackets, c, grown)
-        assert sp.bracket_zero_increment(4).dim == brackets.dim + brackets.orbits.sizes[c]
-        self.assert_refused(sp, "loop_invariants", 4, "loop")
+    @staticmethod
+    def patch_bracket_rows(monkeypatch, d, c, change):
+        """Pass every raw row [v, i] of the block of content c at level 4
+        through change(row, p), p the first pivot column of that block of S."""
+        p = InvariantSpaces(d).letter_shuffle_ideal(4).blocks[c].pivots[0]
+        real = InvariantSpaces._bracket_row
+
+        def patched(self, row, n, i):
+            out = real(self, row, n, i)
+            if n == 3 and all_contents.content_of(next(iter(out)), d, 4) == c:
+                return change(out, p)
+            return out
+
+        monkeypatch.setattr(InvariantSpaces, "_bracket_row", patched)
 
     @pytest.mark.parametrize("d", [2, 3])
-    def test_bracket_row_outside_v(self, d):
-        # adding a pivot column of S to one row keeps the dimension and
-        # the pairing with the free-column kernel; only containment in V fails
+    def test_stray_row_in_bracket_space(self, monkeypatch, d):
+        # every bracket row of the block of 1112 becomes the unit vector of
+        # a pivot column of S, which lies outside V; the pairing with S
+        # refuses it before the dimension reader sees [V, letters]
+        self.patch_bracket_rows(monkeypatch, d, (3, 1) + (0,) * (d - 2), lambda row, p: {p: 1})
         sp = InvariantSpaces(d)
-        brackets = sp.bracket_zero_increment(4)
-        c = (2, 2) + (0,) * (d - 2)
-        block = brackets.blocks[c]
-        p = sp.letter_shuffle_ideal(4).blocks[c].pivots[0]
-        first = dict(block.rows[0])
-        first[p] = first.get(p, 0) + 1
-        moved = span(d, 4, (first,) + block.rows[1:])
-        assert moved.dim == block.dim
-        sp._memo[("bracketV", 4)] = with_block(brackets, c, moved)
-        self.assert_refused(sp, "loop_invariants", 4, "loop")
+        with pytest.raises(CrossCheckError, match=r"\[V, letters\] leaves V"):
+            sp.letter_reduced_loop_dim(4)
+        assert ("bracketV", 4) not in sp._memo
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_bracket_row_outside_v(self, monkeypatch, d):
+        # a pivot column of S added to each bracket row of the block of 1122
+        # keeps the rows on their content, but moves them out of V; the
+        # pairing with S refuses them before [V, letters] or the loop is stored
+        def moved(row, p):
+            row[p] = row.get(p, 0) + 1
+            return row
+
+        self.patch_bracket_rows(monkeypatch, d, (2, 2) + (0,) * (d - 2), moved)
+        sp = InvariantSpaces(d)
+        self.assert_refused(sp, "loop_invariants", 4, "loop", r"\[V, letters\] leaves V")
+        assert ("bracketV", 4) not in sp._memo
 
     @staticmethod
     def patch_free_kernel(monkeypatch, change):
@@ -697,8 +742,16 @@ class TestOrbits:
             wholes[n] = all_contents.whole_level(sp, n, wholes.get(n - 1))
             for name, method in all_contents.METHODS.items():
                 space = getattr(sp, method)(n)
-                assert space == wholes[n][name], (name, n)
-                assert space.dim == wholes[n][name].dim
+                assert space.dim == wholes[n][name].dim, (name, n)
+                if name != "bracketV":
+                    assert space == wholes[n][name], (name, n)
+            # the blocks of [V, letters] hold its rows on the free columns of S;
+            # the rows of the whole level each lie on one content
+            s, full = sp.letter_shuffle_ideal(n), wholes[n]["bracketV"]
+            for c, block in sp.bracket_zero_increment(n).blocks.items():
+                free = invariants._non_pivots(s.orbits.words(c), s.blocks[c])
+                own = [row for row in full.rows if all_contents.content_of(min(row), d, n) == c]
+                assert block == span(d, n, all_contents.on_columns(own, free)), (n, c)
             assert sp.min_generator_count(n) == all_contents.min_generators(sp, n, wholes), n
 
     @pytest.mark.parametrize("d, top", [(3, 6), (4, 5)])
@@ -712,13 +765,24 @@ class TestOrbits:
             direct[n] = {
                 c: all_contents.block(sp, n, c, direct.get(n - 1)) for c in all_contents.contents(d, n)
             }
+            s = sp.letter_shuffle_ideal(n)
             for name, method in all_contents.METHODS.items():
                 space = getattr(sp, method)(n)
                 for c in orbits.canonical:
-                    assert space.blocks[c] == direct[n][c][name], (name, n, c)
+                    # [V, letters] is held on the free columns of S, which
+                    # renaming carries onto the member's block
+                    free = invariants._non_pivots(orbits.words(c), s.blocks[c])
                     for member in orbits.members(c):
+                        expected = direct[n][member][name]
+                        if name == "bracketV":
+                            index = orbits.renaming(member)
+                            expected = span(d, n, all_contents.on_columns(
+                                expected.rows, [index[f] for f in free]
+                            ))
                         renamed = span(d, n, space.block(member))
-                        assert renamed == direct[n][member][name], (name, n, member)
+                        assert renamed == expected, (name, n, member)
+                        if member == c:
+                            assert space.blocks[c] == expected, (name, n, c)
 
     def test_report_assembles_no_level(self, monkeypatch):
         def refuse(self):

@@ -373,6 +373,16 @@ class TestOrthogonal:
         with pytest.raises(ValueError):
             orthogonal(span(2, 3, [{0: 1}]), [row])
 
+    def test_stops_at_the_first_nonzero_pairing(self):
+        # each row is paired as it is drawn: no row after the first
+        # nonzero pairing is drawn
+        def rows():
+            yield {1: 1}
+            yield {0: 1, 3: 1}
+            raise AssertionError("a row was drawn after a nonzero pairing")
+
+        assert not orthogonal(span(2, 2, [{0: 1}]), rows())
+
     def test_budget_per_row(self):
         s = span(2, 2, [{0: 1}])
         assert orthogonal(s, [], Budget(seconds=-1.0))
@@ -444,6 +454,12 @@ class TestRankAtLeast:
                 assert rank_at_least(rows, columns, target) == expected
                 seen.add(expected)
         assert seen == {True, False}
+
+    def test_row_off_the_columns(self):
+        with pytest.raises(ValueError, match="outside the given columns"):
+            rank_at_least([{5: 1}], [0, 1], 1)
+        with pytest.raises(ValueError, match="outside the given columns"):
+            rank_at_least([{0: 1}, {1: 2, 7: 1}], [0, 1], 2)
 
     def test_budget_per_row(self):
         rows = [{0: 1}, {1: 1}, {0: 1, 1: 1}, {2: 1}]
