@@ -324,7 +324,7 @@ def _int_at_least(low: int):
 def _add_budget_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget-secs", type=float, default=None,
                    help="wall-clock budget per (d, level) cell")
-    p.add_argument("--budget-bits", type=int, default=None,
+    p.add_argument("--budget-bits", type=_int_at_least(0), default=None,
                    help="largest allowed coefficient bit size during elimination")
 
 

@@ -11,12 +11,14 @@ the other checks it by containment, pairing and dimension:
   ideal S, the coefficients of prod(1 - x_i) / (1 - sum x_i) and the
   generating-series coefficient of (1-q)^d / (1-dq);
 * loop invariants: the complement of [V, letters], whose rows pair to
-  zero with S; checked to be the kernel of (right closure - left closure)
-  by pairing and by a rank lower bound modulo a prime;
+  zero with S and are eliminated once, on the free columns of S; checked
+  to be the kernel of (right closure - left closure) by pairing and by a
+  rank lower bound modulo a prime;
 * closure invariants: the image of the right closure, checked against
   dim V and S;
 * letter-reduced conjugation invariants: the quotient dimension
-  dim(conj + S) - dim S, and the rank of right-closed rotation sums;
+  dim(conj + S) - dim S, checked by the same rank lower bound on the
+  right-closed rotation sums;
 * the area/conjugation algebra of ``evidence``: B_n = conj_n + areas ⧢
   B_{n-2}, once conj is checked to be a shuffle subalgebra.
 
@@ -31,14 +33,14 @@ block: the three two-description checks above, with the number of
 necklaces and the coefficient of x^c as the closed forms of the block of
 content c; the proof that the closures are the projections along S; the
 closure image; the letter-reduced ranks; the decomposables inside conj;
-and conj inside loop.  A block whose
-rows leave its content fails too.  A level's dimension sums orbit size
-times block dimension, and the checks on whole levels (the series
-coefficient, the dimension chains of :class:`InvariantReport`) use those
-sums.  A renamed block is a basis of its content as it stands, which is
-all the spanning rows one level up need ([V, letters], the
-decomposables).  The canonical RREF of a whole level, which ``basis``,
-``evidence`` and the fuzz read, is assembled on first use.
+and conj inside loop.  A block whose rows leave its content fails too.
+A level's dimension sums orbit size times block dimension, and the
+checks on whole levels (the series coefficient, the dimension chains of
+:class:`InvariantReport`) use those sums.  A renamed block is a basis of
+its content as it stands, which is all the spanning rows one level up
+need ([V, letters], the decomposables).  The canonical RREF of a whole
+level, which ``basis``, ``evidence`` and the fuzz read, is assembled on
+first use.
 
 The n!-scaled right closure of every word of a canonical content is one
 integer table per level, built by one ``tensor._rcl_block`` pass per
@@ -54,17 +56,14 @@ so every reader of the table reads a proven closure: the closure of
 every letter shuffle generator is zero, and the closure of the unit
 vector of every free (non-pivot) column of the stored basis of S differs
 from it by a vector orthogonal to V = S^perp, so by an element of S.
-The table therefore needs V of its level.  The closures of those unit
-vectors are then a basis of the closure image: a combination of them
-that vanishes is the closure of the same combination of unit vectors,
-which then lies in S, and a vector of S is zero once its entries at the
-pivot columns of S are.  So the report reads the closure dimension off
-the table's proof as the number of free columns of S
+The table therefore needs V of its level.  The report reads the closure
+dimension off the table's proof as the number of free columns of S
 (:meth:`InvariantSpaces.closure_dim`), and builds no closure image.
 Every closure difference lies in S too, so the closure-difference kernel
 is S plus the kernel, among the free columns, of the closure-difference
 rows at the pivot columns; the loop build checks that this kernel is the
-one it built from [V, letters].
+one it built from [V, letters].  The letter-reduced conjugation check
+and the closed rotation span read the table too.
 
 Every spanning set is a stream of integer rows ``{word index: int}``
 made by four row operators (rotation sums, letter brackets, shuffles and
@@ -705,43 +704,27 @@ class InvariantSpaces:
         extend(0, content, None)
         return out
 
-    @_memo("bracketV")
-    def bracket_zero_increment(self, n: int) -> BlockSpace:
-        """[V at level n-1, letters], the loop-invariant constraint space, on
-        the free columns of S.  The raw rows of block c, [v, i] over the rows
-        v of the blocks of V of the contents c - e_i (renamed where they are
-        not canonical), must pair to zero with S_c, so lie in V_c = S_c^perp
-        (the build of V checks that).  The block spans them restricted to the
-        free columns of S_c; an entry off the content is kept, and the content
-        check sees it.  Restriction is injective on V_c: a vector of V_c
-        that vanishes there pairs to zero with S_c and with those unit
-        vectors, which span the block.  So the block's dimension is dim [V,
-        letters]_c; its rows, and the renamed blocks, are not [V, letters]."""
-        _check_level(n)
-        d, s, v = self.d, self.letter_shuffle_ideal(n), self.zero_increment_space(n - 1)
-
-        def build(c: Content) -> Subspace:
-            lower = [(row, n - 1, i) for i in range(d) if c[i] for row in v.block(_without(c, i))]
-            sc, pivots = s.blocks[c], set(s.blocks[c].pivots)
-            if not orthogonal(sc, itertools.starmap(self._bracket_row, lower), self.budget):
-                raise CrossCheckError("[V, letters] leaves V at d=%d, n=%d, content %s" % (d, n, c))
-            return self._block_span(n, c, (
-                {k: x for k, x in row.items() if k not in pivots}
-                for row in itertools.starmap(self._bracket_row, lower)
-            ))
-
-        return self._blocks(n, build)
+    def bracket_zero_increment(self, n: int) -> int:
+        """dim [V at level n-1, letters], by rank-nullity on the restricted
+        rows of :meth:`loop_invariants`: N_c - dim loop_c on each block,
+        summed with orbit sizes, and the N_c sum to d^n."""
+        return self.d**n - self.loop_invariants(n).dim
 
     @_memo("loop")
     def loop_invariants(self, n: int) -> BlockSpace:
         """[V, letters]^perp, checked to be the kernel of (rcl - lcl) on each
         block.
 
-        [V, letters]_c lies in V_c = S_c^perp, and a vector of the block is
-        an element of S_c plus one on the free columns of S_c.  So the
-        complement of [V, letters]_c in block c is S_c plus the kernel K_A
-        of the rows :meth:`bracket_zero_increment` stores on those columns.
-        Its dimension, N_c - dim [V, letters]_c, is rank-nullity there.
+        The raw rows of block c, [v, i] over the rows v of the (renamed)
+        blocks of V at level n - 1 of the contents c - e_i, must pair to
+        zero with S_c, so lie in V_c = S_c^perp (the build of V checks
+        that).  A vector of the block is an element of S_c plus one on the
+        free columns of S_c, and restriction to them is injective on V_c: a
+        vector of V_c that vanishes there pairs to zero with S_c and with
+        those unit vectors, which span the block.  So the complement of
+        [V, letters]_c is S_c plus the kernel K_A of the raw rows on the
+        free columns, in one elimination (an entry off the content is kept,
+        and the kernel refuses it).
 
         The check: both closures are the projections along S (proven by the
         closure table), so the closure difference vanishes on S and maps
@@ -755,21 +738,24 @@ class InvariantSpaces:
         the kernel of rcl - lcl on the block.
         """
         _check_level(n)
-        d = self.d
+        d, s, v = self.d, self.letter_shuffle_ideal(n), self.zero_increment_space(n - 1)
 
         def build(c: Content) -> Subspace:
-            s = self.letter_shuffle_ideal(n).blocks[c]
-            words = self._orbits(n).words(c)
-            free = _non_pivots(words, s)
-            brackets = self.bracket_zero_increment(n).blocks[c]
-            k_a = kernel(d, n, brackets.rows, self.budget, free)
-            loop = subspace_sum(k_a, s, self.budget)
-            if loop.dim != len(words) - brackets.dim or not set().union(*k_a.rows) <= set(free):
+            sc, pivots = s.blocks[c], set(s.blocks[c].pivots)
+            free = _non_pivots(s.orbits.words(c), sc)
+            lower = [(row, n - 1, i) for i in range(d) if c[i] for row in v.block(_without(c, i))]
+            if not orthogonal(sc, itertools.starmap(self._bracket_row, lower), self.budget):
+                raise CrossCheckError("[V, letters] leaves V at d=%d, n=%d, content %s" % (d, n, c))
+            k_a = kernel(d, n, (
+                {k: x for k, x in row.items() if k not in pivots}
+                for row in itertools.starmap(self._bracket_row, lower)
+            ), self.budget, free)
+            if not set().union(*k_a.rows) <= set(free):
                 raise CrossCheckError(
                     "loop invariants disagree with the bracket complement at d=%d, n=%d, "
                     "content %s" % (d, n, c)
                 )
-            rows = self._closure_difference_rows(n, c, free, set(s.pivots))
+            rows = self._closure_difference_rows(n, c, free, pivots)
             if not (
                 orthogonal(k_a, rows, self.budget)
                 and rank_at_least(rows, free, len(free) - k_a.dim, self.budget)
@@ -778,7 +764,7 @@ class InvariantSpaces:
                     "loop invariants disagree between bracket complement and "
                     "closure-difference kernel at d=%d, n=%d, content %s" % (d, n, c)
                 )
-            return loop
+            return subspace_sum(k_a, sc, self.budget)
 
         return self._blocks(n, build)
 
@@ -856,39 +842,51 @@ class InvariantSpaces:
 
     @_memo("rclrot")
     def closed_rotation_span(self, n: int) -> BlockSpace:
-        """Span of right-closed rotation sums over necklaces of length n."""
+        """Span of right-closed rotation sums over necklaces of length n,
+        for ``evidence``; its dimension must be the letter-reduced one."""
         _check_level(n)
-        return self._blocks(n, lambda c: self._block_span(n, c, (
+        closed = self._blocks(n, lambda c: self._block_span(n, c, (
             self._closure_row(self._rotation_row(w), n) for w in self._necklaces(c)
         )))
+        if closed.dim != self.letter_reduced_conj_dim(n):
+            raise CrossCheckError(
+                "closed rotation span differs from letter-reduced conj at d=%d, n=%d" % (self.d, n)
+            )
+        return closed
 
     # -- dimensions -------------------------------------------------------
 
     def letter_reduced_loop_dim(self, n: int) -> int:
         _check_level(n)
-        return self.zero_increment_space(n).dim - self.bracket_zero_increment(n).dim
+        return self.zero_increment_space(n).dim - self.bracket_zero_increment(n)
 
     @_memo("lrconj")
     def letter_reduced_conj_dim(self, n: int) -> int:
-        """dim of V modulo [T, letters], cross-checked as a closed-rotation
-        rank on each block.
+        """dim of V modulo [T, letters], checked as a closed-rotation rank on
+        each block.
 
         The bracket rows span conj^perp and V = S^perp, so the meet of V
         with the brackets is (conj + S)^perp and the quotient has dimension
-        dim(conj + S) - dim S.
+        dim(conj + S) - dim S, built block by block.  The rotation rows span
+        conj_c and rcl vanishes on S (proven by the closure table), so with
+        no computation the closed rotation rows n! rcl(rot(w)) of the
+        necklaces w of content c have rank at most dim conj_c - dim(conj_c
+        ∩ S_c), the quotient.  A rank lower bound
+        (:func:`~loopinv.linalg.rank_at_least`) shows they reach the
+        computed quotient, so that value is not too large.
         """
         s, conj = self.letter_shuffle_ideal(n), self.conjugation_invariants(n)
-        via_quotient = {
-            c: subspace_sum(conj.blocks[c], b, self.budget).dim - b.dim for c, b in s.blocks.items()
-        }
-        via_rank = self.closed_rotation_span(n)
-        for c, dim in via_quotient.items():
-            if dim != via_rank.blocks[c].dim:
+        total = 0
+        for c, size in s.orbits.sizes.items():
+            quotient = subspace_sum(conj.blocks[c], s.blocks[c], self.budget).dim - s.blocks[c].dim
+            closed = (self._closure_row(self._rotation_row(w), n) for w in self._necklaces(c))
+            if not rank_at_least(closed, s.orbits.words(c), quotient, self.budget):
                 raise CrossCheckError(
                     "letter-reduced conjugation dimension disagrees between "
                     "quotient and rank routes at d=%d, n=%d, content %s" % (self.d, n, c)
                 )
-        return via_rank.dim
+            total += size * quotient
+        return total
 
     @_memo("gens")
     def minimal_generators(self, n: int) -> BlockSpace:
@@ -981,7 +979,7 @@ class InvariantSpaces:
             "conjugation": self.conjugation_invariants(n).dim,
             "logsignature": lyndon_count(self.d, n),
             "V_n": self.zero_increment_space(n).dim,
-            "bracket_VR": self.bracket_zero_increment(n).dim,
+            "bracket_VR": self.bracket_zero_increment(n),
             "letter_reduced_conj": self.letter_reduced_conj_dim(n),
             "letter_reduced_loop": self.letter_reduced_loop_dim(n),
             "closure": self.closure_dim(n),

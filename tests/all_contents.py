@@ -4,10 +4,9 @@ contents at once, and the block of any one content built directly on that
 content, with no renaming.
 
 The closure rows come from ``tensor._rcl_word`` for every word, not from
-the pipeline's table of canonical contents.  The oracle's ``bracketV``
-holds the full rows of [V, letters], where the pipeline keeps each block
-restricted to the free columns of S; tests compare the two through
-:func:`on_columns`.
+the pipeline's table of canonical contents.  The oracle's ``bracketV`` is
+the span of the full rows of [V, letters]; the pipeline keeps only its
+dimension, so it has no entry in :data:`METHODS`.
 """
 
 import itertools
@@ -21,7 +20,6 @@ METHODS = {
     "conj": "conjugation_invariants",
     "S": "letter_shuffle_ideal",
     "V": "zero_increment_space",
-    "bracketV": "bracket_zero_increment",
     "loop": "loop_invariants",
     "closure": "closure_invariants",
     "rclrot": "closed_rotation_span",

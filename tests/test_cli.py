@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from loopinv import paths
+from loopinv import invariants, linalg, paths
 from loopinv.cli import EXIT_BUDGET_OR_CONFIG, EXIT_MATH_FAILURE, EXIT_OK, main
 from loopinv.invariants import InvariantSpaces, spaces_for
 
@@ -68,6 +68,30 @@ class TestDims:
                                "--format", "json"])
         reasons = [row["reason"] for row in json.loads(text)["rows"]]
         assert reasons == ["time budget of -1s exceeded in ('conj', %d)" % n for n in (1, 2)]
+
+    def test_exact_fallback_keeps_the_table(self, monkeypatch, capsys):
+        # modulo 3 the rank certificates fall short of their targets, and
+        # the exact rank decides: the table is the same
+        fallbacks = []
+        real_rank, real_eliminate = invariants.rank_at_least, linalg._eliminate
+
+        def rank_spy(rows, columns, target, budget=None):
+            monkeypatch.setattr(
+                linalg, "_eliminate", lambda *args: fallbacks.append(target) or real_eliminate(*args)
+            )
+            try:
+                return real_rank(rows, columns, target, budget)
+            finally:
+                monkeypatch.setattr(linalg, "_eliminate", real_eliminate)
+
+        for d, top in ((2, 8), (3, 6)):
+            argv = ["dims", "--d", str(d), "--max-level", str(top), "--format", "json"]
+            plain = run(capsys, argv)
+            monkeypatch.setattr(linalg, "_PRIME", 3)
+            monkeypatch.setattr(invariants, "rank_at_least", rank_spy)
+            assert run(capsys, argv) == plain
+            monkeypatch.undo()
+        assert fallbacks
 
     def test_table_selection(self, capsys):
         _, out = run(capsys, ["dims", "--d", "2", "--max-level", "3", "--table", "conj", "--format", "csv"])
@@ -236,6 +260,8 @@ class TestBadNumbers:
             ["fuzz", "--trials", "-5"],
             ["basis", "--space", "conj", "--n", "-1"],
             ["basis", "--space", "loop", "--n", "0"],
+            ["dims", "--max-level", "2", "--budget-bits", "-1"],
+            ["evidence", "--max-level", "2", "--budget-bits", "-1"],
         ],
     )
     def test_rejected_with_exit_two(self, argv, capsys):

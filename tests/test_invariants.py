@@ -159,8 +159,8 @@ class TestSmallTables:
 
     def test_bracket_span_of_trivial_space(self):
         sp = spaces_for(2)
-        assert sp.bracket_zero_increment(1).dim == 0
-        assert sp.bracket_zero_increment(2).dim == 0
+        assert sp.bracket_zero_increment(1) == 0
+        assert sp.bracket_zero_increment(2) == 0
 
 
 class TestLoopSpaces:
@@ -253,8 +253,9 @@ class TestFreeColumnRoutes:
         assert 4 not in sp._closure_tables
 
     def test_route_b_keeps_pivot_rows_only(self, monkeypatch):
-        kernels, certificates = [], []
+        kernels, certificates, eliminations = [], [], []
         real_kernel, real_rank = invariants.kernel, invariants.rank_at_least
+        real_eliminate = linalg._eliminate
 
         def kernel_spy(d, n, rows, budget=None, columns=None):
             rows = list(rows)
@@ -266,20 +267,33 @@ class TestFreeColumnRoutes:
             certificates.append(len(rows))
             return real_rank(rows, columns, target, budget)
 
+        sp = InvariantSpaces(3)
+        sp._closure_table(5)
+        v = sp.zero_increment_space(4)
         monkeypatch.setattr(invariants, "kernel", kernel_spy)
         monkeypatch.setattr(invariants, "rank_at_least", rank_spy)
-        sp = InvariantSpaces(3)
+        monkeypatch.setattr(
+            linalg, "_eliminate", lambda *args: eliminations.append(args) or real_eliminate(*args)
+        )
         sp.loop_invariants(5)
-        s, brackets = sp.letter_shuffle_ideal(5), sp.bracket_zero_increment(5)
-        # one kernel per canonical block, on the stored rows of [V, letters],
-        # which lie on the free columns of S, and one rank certificate, on
-        # the closure-difference rows at the pivot columns of S only
+        s = sp.letter_shuffle_ideal(5)
+        # one kernel per canonical block, on the raw rows of [V, letters]
+        # restricted to the free columns of S, and one rank certificate, on
+        # the closure-difference rows at the pivot columns of S only.  Per
+        # block, the kernel eliminates those rows and then its null vectors,
+        # and the sum with S is the third elimination: no stored space of
+        # [V, letters] is eliminated again
         assert len(kernels) == len(certificates) == len(s.blocks)
+        assert len(eliminations) == 3 * len(s.blocks)
         every_output = 0
         for (rows, columns), count, (c, block) in zip(kernels, certificates, s.blocks.items()):
             free = invariants._non_pivots(s.orbits.words(c), block)
+            raw = [
+                sp._bracket_row(row, 4, i)
+                for i in range(3) if c[i] for row in v.block(invariants._without(c, i))
+            ]
             assert columns == free
-            assert rows == list(brackets.blocks[c].rows)
+            assert rows == all_contents.on_columns(raw, free)
             assert count <= block.dim
             every_output += len(sp._closure_difference_rows(5, c, free, range(3**5)))
         assert sum(b.dim for b in s.blocks.values()) < every_output
@@ -306,7 +320,8 @@ class TestFreeColumnRoutes:
 
     def test_report_builds_no_closure_image(self, monkeypatch):
         # the report reads the closure column off the table's proof, and
-        # certifies each loop block by a rank modulo the prime alone
+        # certifies each loop block and each letter-reduced conjugation
+        # block by a rank modulo the prime alone
         certificates, exact = [], []
         real_rank, real_eliminate = invariants.rank_at_least, linalg._eliminate
 
@@ -325,8 +340,17 @@ class TestFreeColumnRoutes:
         for n in range(1, 7):
             sp.report(n)
             assert ("closure", n) not in sp._memo
-        assert len(certificates) == sum(len(sp._orbits(n).canonical) for n in range(1, 7))
+        assert len(certificates) == 2 * sum(len(sp._orbits(n).canonical) for n in range(1, 7))
         assert exact == []
+
+    def test_report_stores_no_intermediate_space(self):
+        # [V, letters] is a dimension of the loop build, and the closed
+        # rotation span is left to evidence
+        sp = InvariantSpaces(3)
+        for n in range(1, 8):
+            sp.report(n)
+            assert ("rclrot", n) not in sp._memo
+            assert not isinstance(sp._memo.get(("bracketV", n)), BlockSpace)
 
 
 class TestProvenClosureTable:
@@ -375,28 +399,29 @@ class TestOneRouteChecks:
             assert sp.zero_increment_space(n) == orthogonal_complement(sp.letter_shuffle_ideal(n))
             full = span(d, n, all_contents.bracket_rows(sp, n, sp.zero_increment_space(n - 1)))
             assert sp.loop_invariants(n) == orthogonal_complement(full)
-            assert sp.bracket_zero_increment(n).dim == full.dim
+            assert sp.bracket_zero_increment(n) == full.dim
 
     @pytest.mark.parametrize("d, top", [(2, 10), (3, 7)])
     def test_bracket_blocks_against_full_rows(self, d, top):
-        # the route the one elimination replaced: span the full rows of each
-        # block of [V, letters], then take the kernel of that echelon form
-        # restricted to the free columns of S
+        # the routes the one elimination replaced: span the full rows of
+        # each block of [V, letters], then take the kernel of that echelon
+        # form restricted to the free columns of S; and [V, letters] of the
+        # whole level, whose dimension is bracket_VR
         sp = spaces_for(d)
         for n in range(1, top + 1):
-            v, s = sp.zero_increment_space(n - 1), sp.letter_shuffle_ideal(n)
-            for c, block in sp.bracket_zero_increment(n).blocks.items():
+            v, s, loop = sp.zero_increment_space(n - 1), sp.letter_shuffle_ideal(n), sp.loop_invariants(n)
+            for c, block in s.blocks.items():
                 full = span(d, n, (
                     sp._bracket_row(row, n - 1, i)
                     for i in range(d) if c[i] for row in v.block(invariants._without(c, i))
                 ))
-                free = invariants._non_pivots(s.orbits.words(c), s.blocks[c])
-                restricted = all_contents.on_columns(full.rows, free)
-                k_a = kernel(d, n, restricted, None, free)
-                assert block.dim == full.dim, (n, c)
-                assert block == span(d, n, restricted), (n, c)
-                assert kernel(d, n, block.rows, None, free) == k_a, (n, c)
-                assert sp.loop_invariants(n).blocks[c] == subspace_sum(k_a, s.blocks[c]), (n, c)
+                words = s.orbits.words(c)
+                free = invariants._non_pivots(words, block)
+                k_a = kernel(d, n, all_contents.on_columns(full.rows, free), None, free)
+                assert loop.blocks[c] == subspace_sum(k_a, block), (n, c)
+                assert full.dim == len(words) - loop.blocks[c].dim, (n, c)
+            whole = span(d, n, all_contents.bracket_rows(sp, n, v))
+            assert sp.bracket_zero_increment(n) == whole.dim, n
 
     def test_loop_takes_no_containment(self, monkeypatch):
         # [V, letters] inside V is checked by its pairing with S, once
@@ -583,10 +608,18 @@ class TestOneRouteChecks:
         # a row of [V, letters] of the block added to a kernel row keeps
         # dim(S + K) but pairs to a nonzero with itself
         sp = InvariantSpaces(d)
-        brackets = sp.bracket_zero_increment(4)
+        v = sp.zero_increment_space(3)
 
         def shifted(k, columns):
-            rows = k.rows and brackets.blocks[all_contents.content_of(columns[0], d, 4)].rows
+            if not k.rows:
+                return k
+            c = all_contents.content_of(columns[0], d, 4)
+            rows = [
+                row for row in all_contents.on_columns((
+                    sp._bracket_row(r, 3, i)
+                    for i in range(d) if c[i] for r in v.block(invariants._without(c, i))
+                ), columns) if row
+            ]
             if not rows:
                 return k
             first = dict(k.rows[0])
@@ -618,18 +651,18 @@ class TestOneRouteChecks:
         self.assert_refused(sp, "loop_invariants", 4, "loop", "bracket complement")
 
     @pytest.mark.parametrize("d", [2, 3])
-    def test_dropped_bracket_row(self, d):
+    def test_dropped_bracket_row(self, monkeypatch, d):
         # [V, letters] one row short stays in V and keeps the dimension
         # chain, as K_A grows by one; the closure difference sees K_A grow
-        sp = InvariantSpaces(d)
-        brackets = sp.bracket_zero_increment(4)
-        c = (2, 2) + (0,) * (d - 2)
-        block = brackets.blocks[c]
-        assert block.dim
-        sp._memo[("bracketV", 4)] = with_block(
-            brackets, c, Subspace(d, 4, block.pivots[:-1], block.rows[:-1])
-        )
-        self.assert_refused(sp, "loop_invariants", 4, "loop", "closure-difference kernel")
+        real = invariants.kernel
+
+        def short(d, n, rows, budget=None, columns=None):
+            if columns is not None:
+                rows = span(d, n, rows).rows[:-1]
+            return real(d, n, rows, budget, columns)
+
+        monkeypatch.setattr(invariants, "kernel", short)
+        self.assert_refused(InvariantSpaces(d), "loop_invariants", 4, "loop", "closure-difference kernel")
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_row_added_to_the_kernel(self, monkeypatch, d):
@@ -688,16 +721,44 @@ class TestBlockChecks:
         assert ("closure", 2) not in sp._memo
 
     @pytest.mark.parametrize("d", [2, 3])
-    def test_closed_rotation_rank_short(self, d):
+    def test_closed_rotation_rank_short(self, monkeypatch, d):
+        # the certificate of the block of 1122 gets no closed rotation row,
+        # and its quotient 1 is out of reach.  Dropping one necklace's row
+        # would not do: in every block to level 6 each closed rotation row
+        # is a combination of the others
         sp = InvariantSpaces(d)
-        rank = sp.closed_rotation_span(4)
+        sp.conjugation_invariants(4)
         c = (2, 2) + (0,) * (d - 2)
-        block = rank.blocks[c]
-        assert block.dim == 1
-        sp._memo[("rclrot", 4)] = with_block(rank, c, Subspace(d, 4, (), ()))
+        real = InvariantSpaces._necklaces
+        monkeypatch.setattr(
+            InvariantSpaces, "_necklaces", lambda self, k: [] if k == c else real(self, k)
+        )
         with pytest.raises(CrossCheckError, match="quotient and rank"):
             sp.letter_reduced_conj_dim(4)
         assert ("lrconj", 4) not in sp._memo
+        monkeypatch.undo()
+        assert sp.letter_reduced_conj_dim(4) == spaces_for(d).report(4).dims["letter_reduced_conj"]
+        assert ("rclrot", 4) not in sp._memo
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_closed_rotation_span_short(self, monkeypatch, d):
+        # the first nonzero block of the span loses its last row
+        sp = InvariantSpaces(d)
+        sp.letter_reduced_conj_dim(4)
+        sp._closure_table(4)
+        real, cut = invariants.span, []
+
+        def short(*args):
+            out = real(*args)
+            if out.dim and not cut:
+                cut.append(out)
+                return Subspace(out.d, out.n, out.pivots[:-1], out.rows[:-1])
+            return out
+
+        monkeypatch.setattr(invariants, "span", short)
+        with pytest.raises(CrossCheckError, match="closed rotation span differs"):
+            sp.closed_rotation_span(4)
+        assert cut and ("rclrot", 4) not in sp._memo
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_conjugation_escaping_loop(self, d):
@@ -709,7 +770,8 @@ class TestBlockChecks:
         sp.closure_invariants(4)
         conj = sp.conjugation_invariants(4)
         c = (2, 2) + (0,) * (d - 2)
-        stray = sp.bracket_zero_increment(4).blocks[c].rows[0]
+        below = (1, 2) + (0,) * (d - 2)
+        stray = sp._bracket_row(sp.zero_increment_space(3).block(below)[0], 3, 0)
         sp._memo[("conj", 4)] = with_block(conj, c, span(d, 4, conj.blocks[c].rows + (stray,)))
         with pytest.raises(CrossCheckError, match="escape the loop"):
             sp.report(4)
@@ -741,17 +803,8 @@ class TestOrbits:
         for n in range(1, top + 1):
             wholes[n] = all_contents.whole_level(sp, n, wholes.get(n - 1))
             for name, method in all_contents.METHODS.items():
-                space = getattr(sp, method)(n)
-                assert space.dim == wholes[n][name].dim, (name, n)
-                if name != "bracketV":
-                    assert space == wholes[n][name], (name, n)
-            # the blocks of [V, letters] hold its rows on the free columns of S;
-            # the rows of the whole level each lie on one content
-            s, full = sp.letter_shuffle_ideal(n), wholes[n]["bracketV"]
-            for c, block in sp.bracket_zero_increment(n).blocks.items():
-                free = invariants._non_pivots(s.orbits.words(c), s.blocks[c])
-                own = [row for row in full.rows if all_contents.content_of(min(row), d, n) == c]
-                assert block == span(d, n, all_contents.on_columns(own, free)), (n, c)
+                assert getattr(sp, method)(n) == wholes[n][name], (name, n)
+            assert sp.bracket_zero_increment(n) == wholes[n]["bracketV"].dim, n
             assert sp.min_generator_count(n) == all_contents.min_generators(sp, n, wholes), n
 
     @pytest.mark.parametrize("d, top", [(3, 6), (4, 5)])
@@ -765,24 +818,20 @@ class TestOrbits:
             direct[n] = {
                 c: all_contents.block(sp, n, c, direct.get(n - 1)) for c in all_contents.contents(d, n)
             }
-            s = sp.letter_shuffle_ideal(n)
             for name, method in all_contents.METHODS.items():
                 space = getattr(sp, method)(n)
                 for c in orbits.canonical:
-                    # [V, letters] is held on the free columns of S, which
-                    # renaming carries onto the member's block
-                    free = invariants._non_pivots(orbits.words(c), s.blocks[c])
                     for member in orbits.members(c):
                         expected = direct[n][member][name]
-                        if name == "bracketV":
-                            index = orbits.renaming(member)
-                            expected = span(d, n, all_contents.on_columns(
-                                expected.rows, [index[f] for f in free]
-                            ))
                         renamed = span(d, n, space.block(member))
                         assert renamed == expected, (name, n, member)
                         if member == c:
                             assert space.blocks[c] == expected, (name, n, c)
+            # [V, letters] of each content, by rank-nullity on its loop block
+            loop = sp.loop_invariants(n)
+            for member in all_contents.contents(d, n):
+                words = all_contents.words_of(member, d)
+                assert len(words) - len(loop.block(member)) == direct[n][member]["bracketV"].dim
 
     def test_report_assembles_no_level(self, monkeypatch):
         def refuse(self):
@@ -1234,7 +1283,7 @@ class TestBudgetInHeavyLoops:
         # it again, and a budget spent there names the space that asked
         sp = InvariantSpaces(2)
         sp._closure_table(5)
-        sp.bracket_zero_increment(5)
+        sp.zero_increment_space(4)
         sp._closure_tables.clear()
         calls = self.count_closure_rows(monkeypatch)
         sp.budget = Budget(seconds=-1)

@@ -90,3 +90,25 @@ def test_memoized_spaces_take_the_level_alone():
         for name in memoized
     }
     assert found == {name: ["self", "n"] for name in memoized}
+
+
+def test_traced_names_exist():
+    # bench/tracing.py rebinds these names by string; a deleted one would
+    # show only as a failed child process of the benchmark
+    from loopinv import cli, invariants, linalg, paths, tensor
+
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    names = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in ast.parse(path.read_text(), str(path)).body
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id.isupper()
+    }
+    wanted = [(InvariantSpaces, name) for name in names["INVARIANT_SPACES"]]
+    wanted += [(invariants, name) for key in ("LINALG", "INVARIANTS_TO_TENSOR", "INVARIANTS_TO_WORDS")
+               for name in names[key]]
+    wanted += [(paths, name) for key in ("PATHS_TO_TENSOR", "PATHS_OWN") for name in names[key]]
+    wanted += [(cli, "fuzz_" + suite) for suite in names["FUZZ_SUITES"]]
+    wanted += [(tensor, "_rcl_word"), (tensor, "_shuffle_words_into"), (linalg, "_eliminate")]
+    assert len(wanted) > 30
+    assert [(owner.__name__, name) for owner, name in wanted if not hasattr(owner, name)] == []
