@@ -83,16 +83,16 @@ import contextlib
 import functools
 import itertools
 from array import array
-from dataclasses import dataclass, field
 from math import factorial
 from operator import add, mul
-from typing import Callable, Container, Iterable, Sequence
+from typing import Callable, Container, Iterable, NamedTuple, Sequence
 
 from .linalg import (
     Budget,
     BudgetExceeded,
     CrossCheckError,
     Subspace,
+    _modular_rank,
     contains,
     index_word,
     intersect,  # noqa: F401  (unused here; bench/tracing.py wraps this name)
@@ -139,8 +139,7 @@ def default_level_cap(d: int) -> int:
     return DEFAULT_LEVEL_CAPS.get(d, 3)
 
 
-@dataclass(frozen=True)
-class LieBasisElement:
+class LieBasisElement(NamedTuple):
     """A Lyndon word together with its bracketing expansion."""
 
     lyndon: Word
@@ -167,32 +166,39 @@ class LieBasisElement:
         return not any(middle.values())
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class _ReportRow(NamedTuple):
+    d: int
+    level: int
+    dims: dict[str, int]
+
+
+class InvariantReport(_ReportRow):
     """One table row: every named dimension at a fixed (d, level).
 
     On a row from :meth:`InvariantSpaces.report` the three checks below
     cannot fail: the sums hold by how its columns are computed and by the
     per-block checks of V.  They stay to reject rows built elsewhere."""
 
-    d: int
-    level: int
-    dims: dict[str, int]
+    __slots__ = ()
 
     COLUMNS = (
         "conjugation", "logsignature", "V_n", "bracket_VR", "letter_reduced_conj",
         "letter_reduced_loop", "closure", "loop", "S_n", "min_generators",
     )
 
-    def __post_init__(self):
-        dims = self.dims
-        size = self.d**self.level
+    def __new__(cls, d: int, level: int, dims: dict[str, int]):
         if dims["letter_reduced_loop"] != dims["V_n"] - dims["bracket_VR"]:
             raise CrossCheckError("letter-reduced loop dimension chain broken")
         if dims["closure"] != dims["V_n"]:
             raise CrossCheckError("closure dimension differs from dim V")
-        if dims["S_n"] != size - dims["V_n"]:
+        if dims["S_n"] != d**level - dims["V_n"]:
             raise CrossCheckError("S dimension complement broken")
+        return super().__new__(cls, d, level, dims)
+
+    @classmethod
+    def _make(cls, fields):
+        # _replace builds through _make: keep the checks on that route too
+        return cls(*fields)
 
 
 # ---------------------------------------------------------------------------
@@ -868,19 +874,24 @@ class InvariantSpaces:
         The bracket rows span conj^perp and V = S^perp, so the meet of V
         with the brackets is (conj + S)^perp and the quotient has dimension
         dim(conj + S) - dim S, built block by block.  The rotation rows span
-        conj_c and rcl vanishes on S (proven by the closure table), so with
-        no computation the closed rotation rows n! rcl(rot(w)) of the
-        necklaces w of content c have rank at most dim conj_c - dim(conj_c
-        ∩ S_c), the quotient.  A rank lower bound
-        (:func:`~loopinv.linalg.rank_at_least`) shows they reach the
-        computed quotient, so that value is not too large.
+        conj_c and the closure is the projection along S (proven by the
+        closure table), so the closed rotation rows n! rcl(rot(w)) of the
+        necklaces w of content c have rank dim conj_c - dim(conj_c ∩ S_c)
+        over Q, the true quotient.  One pass reduces them all modulo a prime
+        (:func:`~loopinv.linalg._modular_rank`), a lower bound on that rank:
+        above the computed quotient, the quotient is too small; below it,
+        the exact rank of the rows must equal it.
         """
         s, conj = self.letter_shuffle_ideal(n), self.conjugation_invariants(n)
         total = 0
         for c, size in s.orbits.sizes.items():
             quotient = subspace_sum(conj.blocks[c], s.blocks[c], self.budget).dim - s.blocks[c].dim
             closed = (self._closure_row(self._rotation_row(w), n) for w in self._necklaces(c))
-            if not rank_at_least(closed, s.orbits.words(c), quotient, self.budget):
+            rank, rows = _modular_rank(closed, s.orbits.words(c), None, self.budget)
+            if rank < quotient:
+                # the prime lost rank: the exact rank decides
+                rank = span(self.d, n, rows, self.budget).dim
+            if rank != quotient:
                 raise CrossCheckError(
                     "letter-reduced conjugation dimension disagrees between "
                     "quotient and rank routes at d=%d, n=%d, content %s" % (self.d, n, c)
@@ -1086,8 +1097,7 @@ def _multiply_free_factor(series: list[int], degree: int, count: int, top: int) 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RelationCheck:
+class RelationCheck(NamedTuple):
     name: str
     holds: bool
 
@@ -1200,8 +1210,7 @@ def verify_relations(d: int) -> list[RelationCheck]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConjectureEvidence:
+class ConjectureEvidence(NamedTuple):
     """Exact observations at one (d, level); reported, never asserted."""
 
     d: int
@@ -1210,7 +1219,7 @@ class ConjectureEvidence:
     s_plus_area_conj_dim: int
     loop_matches_s_plus_area_conj: bool
     closure_conj_intersection_dim: int
-    area_product_membership: tuple[tuple[str, bool], ...] = field(default_factory=tuple)
+    area_product_membership: tuple[tuple[str, bool], ...] = ()
 
 
 def _area_products(d: int, n: int) -> list[tuple[str, TensorElement]]:

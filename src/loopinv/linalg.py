@@ -18,9 +18,9 @@ A dimension identity that a result must satisfy (rank-nullity, the
 dimension formula of an intersection) is checked on every call and
 raises :class:`CrossCheckError` when it fails.
 
-:func:`rank_at_least` alone works modulo a prime, for a rank lower
-bound; where the prime falls short it takes the exact rank, so no answer
-depends on the prime.
+Ranks alone are taken modulo a prime (:func:`_modular_rank`), which
+bounds the rank over Q from below; where the prime falls short the exact
+rank decides, so no answer depends on the prime.
 """
 
 from __future__ import annotations
@@ -315,27 +315,23 @@ def kernel(
     return _null_space(d, n, _eliminate(rows, budget), budget, columns)
 
 
-# the prime of rank_at_least: below 2**15, so that every product of two
-# residues fits in one 30-bit digit of a Python int
+# the prime of the modular ranks: below 2**15, so that every product of
+# two residues fits in one 30-bit digit of a Python int
 _PRIME = 32749
 
 
-def rank_at_least(
-    rows: Iterable[dict[int, int]], columns: Sequence[int], target: int,
+def _modular_rank(
+    rows: Iterable[dict[int, int]], columns: Sequence[int], stop: int | None,
     budget: Budget | None = None,
-) -> bool:
-    """Whether integer rows supported on ``columns`` have rank at least
-    ``target`` over Q; a row with an entry elsewhere raises ValueError.
+) -> tuple[int, list[dict[int, int]]]:
+    """The rank modulo a prime of integer rows supported on ``columns``,
+    and the rows read; a row with an entry elsewhere raises ValueError.
 
-    The rows join an echelon form modulo a prime one at a time, and the
-    answer is yes as soon as its rank reaches the target: a minor that is
-    nonzero modulo p is a nonzero integer, so the rank modulo p never
-    exceeds the rank over Q.  If the rows run out first, the exact rank
-    decides, so the answer never depends on the prime.  The budget is
-    checked once per row.
+    The rows join an echelon form modulo the prime one at a time, and
+    reading stops once the rank reaches ``stop`` (None: never).  A minor
+    that is nonzero modulo p is a nonzero integer, so the rank modulo p
+    never exceeds the rank over Q.  The budget is checked once per row.
     """
-    if target <= 0:
-        return True
     p = _PRIME
     position = {k: i for i, k in enumerate(columns)}
     width = len(columns)
@@ -362,8 +358,27 @@ def rank_at_least(
             inverse = pow(dense[lead], -1, p)
             echelon[lead] = [x * inverse % p for x in dense[lead:]]
             insort(pivots, lead)
-            if len(pivots) >= target:
-                return True
+            if len(pivots) == stop:
+                break
+    return len(pivots), kept
+
+
+def rank_at_least(
+    rows: Iterable[dict[int, int]], columns: Sequence[int], target: int,
+    budget: Budget | None = None,
+) -> bool:
+    """Whether integer rows supported on ``columns`` have rank at least
+    ``target`` over Q; a row with an entry elsewhere raises ValueError.
+
+    The answer is yes as soon as the rank modulo a prime reaches the
+    target (:func:`_modular_rank`).  If the rows run out first, the exact
+    rank decides, so the answer never depends on the prime.
+    """
+    if target <= 0:
+        return True
+    rank, kept = _modular_rank(rows, columns, target, budget)
+    if rank >= target:
+        return True
     exact = [_int_row({k: v for k, v in row.items() if v}) for row in kept]
     return len(_eliminate(exact, budget)) >= target
 

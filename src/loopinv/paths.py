@@ -5,6 +5,9 @@ is the truncated concatenation product of segment exponentials (Chen's
 identity).  This module is the independent oracle for the algebraic
 invariance claims: seeded fuzz drivers compare pairings of concrete path
 signatures against the invariant bases built in :mod:`loopinv.invariants`.
+Conjugation and loop invariance are one check: BA is the product AB read
+from its second piece, as a rotated loop is its segment cycle read from
+another segment.
 
 Signatures are computed on scaled integer levels.  Let D be a common
 denominator of every increment in play.  Level k is a dense list of
@@ -27,11 +30,10 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass
 from functools import reduce
 from itertools import accumulate
 from math import comb, factorial, lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ._rat import Q, exact, integer, rational_from_string, rational_to_string
 from .tensor import (
@@ -294,8 +296,7 @@ def _pair_tensor(sig: list[list[int]], x: TensorElement, n: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FuzzReport:
+class FuzzReport(NamedTuple):
     """Outcome of one seeded fuzz suite; merged deterministically."""
 
     kind: str
@@ -313,7 +314,15 @@ class FuzzReport:
         return not self.failures
 
     def to_json(self) -> dict:
-        return {**asdict(self), "failures": list(self.failures)}
+        return {**self._asdict(), "failures": list(self.failures)}
+
+
+def _report(kind: str, d: int, level: int, trials: int, seed: int, checks: int,
+            failures: list[str], witness: str | None) -> FuzzReport:
+    """The report of one suite; ``witness`` is None for a suite that
+    searches for none, and empty for one that found none."""
+    return FuzzReport(kind, d, level, trials, seed, checks, tuple(failures),
+                      witness != "", witness or "")
 
 
 def _unit_vector(d: int, axis: int) -> tuple:
@@ -355,10 +364,43 @@ def _word_row(d: int, coefficients: dict) -> tuple[int, dict[int, int]]:
     return n, {word_index(w, d): c for w, c in coefficients.items()}
 
 
+def _rotations(pieces: list[list[list[int]]]) -> list[list[list[int]]]:
+    """Scaled levels of the product of ``pieces`` read from every start.
+
+    Entry k starts at piece k and wraps round, so entry 0 is the product
+    in order.  Each later entry is one Chen product of the suffix from
+    piece k and the prefix before it; the pieces [A, B] give AB and BA.
+    """
+    prefixes = list(accumulate(pieces, _chen))
+    # suffixes[k - 1]: piece k on
+    suffixes = list(accumulate(pieces[:0:-1], lambda tail, piece: _chen(piece, tail)))[::-1]
+    return prefixes[-1:] + [_chen(suffix, prefix) for suffix, prefix in zip(suffixes, prefixes)]
+
+
+def _agreeing(basis, sig: list[list[int]], expected: list[int], failures: list[str], describe) -> int:
+    """The number of basis rows, up to the first that does not, that pair
+    with ``sig`` to their ``expected`` values.  On a mismatch the failure
+    ``describe()`` is appended, so its paths are built only then."""
+    for count, (entry, value) in enumerate(zip(basis, expected)):
+        if _pair_row(sig, entry) != value:
+            failures.append(describe())
+            return count
+    return len(basis)
+
+
+def _moved(rotations: list[list[list[int]]], probe) -> int:
+    """The first rotation k >= 1 whose pairing with ``probe`` differs from
+    that of rotation 0, or 0 if there is none."""
+    base = _pair_row(rotations[0], probe)
+    return next((k for k in range(1, len(rotations)) if _pair_row(rotations[k], probe) != base), 0)
+
+
 def fuzz_conjugation(d: int, level: int, trials: int, seed: int) -> FuzzReport:
     """Pairings with conjugation invariants agree on AB versus BA.
 
-    Also searches the trial stream for a witness showing the signed area
+    BA is the rotation of AB that starts at its second piece, so this is
+    the two-piece case of the rotation check of :func:`fuzz_loop`.  Also
+    searches the trial stream for a witness showing the signed area
     12 - 21 (level 2) is not conjugation invariant.  For d >= 2 the
     canonical axis pair is run in addition to the ``trials`` random
     pairs, so ``trials + 1`` pairs are checked and, from level 2 on, a
@@ -380,28 +422,12 @@ def fuzz_conjugation(d: int, level: int, trials: int, seed: int) -> FuzzReport:
         pairs.append((axis_a, axis_b))
     for a, b in pairs:
         scale = _common_denominator(a.segments + b.segments)
-        sig_a = _signature_levels(d, a.segments, level, scale)
-        sig_b = _signature_levels(d, b.segments, level, scale)
-        sig_ab = _chen(sig_a, sig_b)
-        sig_ba = _chen(sig_b, sig_a)
-        for entry in basis:
-            if _pair_row(sig_ab, entry) != _pair_row(sig_ba, entry):
-                failures.append(_describe_pair(a, b, "conjugation invariance"))
-                break
-            checks += 1
-        if not witness and area is not None and _pair_row(sig_ab, area) != _pair_row(sig_ba, area):
+        sig_ab, sig_ba = _rotations([_signature_levels(d, p.segments, level, scale) for p in (a, b)])
+        checks += _agreeing(basis, sig_ba, [_pair_row(sig_ab, entry) for entry in basis], failures,
+                            lambda: _describe_pair(a, b, "conjugation invariance"))
+        if not witness and area is not None and _moved([sig_ab, sig_ba], area):
             witness = _describe_pair(a, b, "area distinguishes AB from BA")
-    return FuzzReport(
-        kind="conjugation",
-        d=d,
-        level=level,
-        trials=trials,
-        seed=seed,
-        checks=checks,
-        failures=tuple(failures),
-        witness_found=bool(witness),
-        witness=witness,
-    )
+    return _report("conjugation", d, level, trials, seed, checks, failures, witness)
 
 
 def fuzz_loop(d: int, level: int, trials: int, seed: int) -> FuzzReport:
@@ -411,10 +437,6 @@ def fuzz_loop(d: int, level: int, trials: int, seed: int) -> FuzzReport:
     rotation of its segment list, and also conjugates the loop by one
     random path.  The witness search looks for a rotation distinguishing
     the non-loop-invariant word 112.
-
-    Rotation k of a loop of m segments is the suffix from segment k
-    followed by the prefix before it, so its signature is one Chen
-    product of the suffix and prefix signatures.
     """
     basis = _invariant_rows(spaces_for(d), level, "loop")
     probe = _word_row(d, {(1, 1, 2): 1}) if d >= 2 and level >= 3 else None
@@ -427,47 +449,22 @@ def fuzz_loop(d: int, level: int, trials: int, seed: int) -> FuzzReport:
         conjugator = random_path(rng, d)
         rev_conjugator = reverse(conjugator)
         scale = _common_denominator(loop.segments + conjugator.segments)
-        segs = [_segment_levels(seg, level, scale) for seg in loop.segments]
-        m = len(segs)
-        # prefixes[k - 1]: the first k segments; suffixes[k - 1]: segment k on
-        prefixes = list(accumulate(segs, _chen))
-        suffixes = list(accumulate(segs[:0:-1], lambda tail, seg: _chen(seg, tail)))[::-1]
-        base_sig = prefixes[-1]
-        sigs = [_chen(suffix, prefix) for suffix, prefix in zip(suffixes, prefixes)]
-        sigs.append(_chen(
-            _chen(_signature_levels(d, rev_conjugator.segments, level, scale), base_sig),
+        rotations = _rotations([_segment_levels(seg, level, scale) for seg in loop.segments])
+        conjugated = _chen(
+            _chen(_signature_levels(d, rev_conjugator.segments, level, scale), rotations[0]),
             _signature_levels(d, conjugator.segments, level, scale),
-        ))
-
-        def other_path(k: int) -> PiecewiseLinearPath:
-            if k < m:
-                return loop.rotated(k)
-            return rev_conjugator.followed_by(loop).followed_by(conjugator)
-
-        base_values = [_pair_row(base_sig, entry) for entry in basis]
-        for k, sig in enumerate(sigs, 1):
-            for entry, expected in zip(basis, base_values):
-                if _pair_row(sig, entry) != expected:
-                    failures.append(_describe_pair(loop, other_path(k), "loop invariance"))
-                    break
-                checks += 1
+        )
+        expected = [_pair_row(rotations[0], entry) for entry in basis]
+        for k in range(1, len(rotations)):
+            checks += _agreeing(basis, rotations[k], expected, failures,
+                                lambda: _describe_pair(loop, loop.rotated(k), "loop invariance"))
+        checks += _agreeing(basis, conjugated, expected, failures, lambda: _describe_pair(
+            loop, rev_conjugator.followed_by(loop).followed_by(conjugator), "loop invariance"))
         if probe is not None and not witness:
-            base_probe = _pair_row(base_sig, probe)
-            for k in range(1, m):
-                if _pair_row(sigs[k - 1], probe) != base_probe:
-                    witness = _describe_pair(loop, other_path(k), "112 distinguishes rotations")
-                    break
-    return FuzzReport(
-        kind="loop",
-        d=d,
-        level=level,
-        trials=trials,
-        seed=seed,
-        checks=checks,
-        failures=tuple(failures),
-        witness_found=bool(witness),
-        witness=witness,
-    )
+            k = _moved(rotations, probe)
+            if k:
+                witness = _describe_pair(loop, loop.rotated(k), "112 distinguishes rotations")
+    return _report("loop", d, level, trials, seed, checks, failures, witness)
 
 
 def fuzz_closure(d: int, level: int, trials: int, seed: int) -> FuzzReport:
@@ -501,22 +498,9 @@ def fuzz_closure(d: int, level: int, trials: int, seed: int) -> FuzzReport:
                     _describe_pair(x, closing, "closure operator on %s" % "".join(map(str, letters)))
                 )
             checks += 2
-        for entry in basis:
-            if _pair_row(sig_x, entry) != _pair_row(sig_right, entry):
-                failures.append(_describe_pair(x, closing, "right-closure invariance"))
-                break
-            checks += 1
-    return FuzzReport(
-        kind="closure",
-        d=d,
-        level=level,
-        trials=trials,
-        seed=seed,
-        checks=checks,
-        failures=tuple(failures),
-        witness_found=True,
-        witness="",
-    )
+        checks += _agreeing(basis, sig_right, [_pair_row(sig_x, entry) for entry in basis], failures,
+                            lambda: _describe_pair(x, closing, "right-closure invariance"))
+    return _report("closure", d, level, trials, seed, checks, failures, None)
 
 
 # ---------------------------------------------------------------------------

@@ -320,10 +320,12 @@ class TestFreeColumnRoutes:
 
     def test_report_builds_no_closure_image(self, monkeypatch):
         # the report reads the closure column off the table's proof, and
-        # certifies each loop block and each letter-reduced conjugation
-        # block by a rank modulo the prime alone
-        certificates, exact = [], []
+        # certifies each loop block by a rank lower bound and each
+        # letter-reduced conjugation block by one full pass, both modulo
+        # the prime alone
+        certificates, passes, exact = [], [], []
         real_rank, real_eliminate = invariants.rank_at_least, linalg._eliminate
+        real_modular, real_span = invariants._modular_rank, invariants.span
 
         def rank_spy(rows, columns, target, budget=None):
             certificates.append(target)
@@ -335,12 +337,26 @@ class TestFreeColumnRoutes:
             finally:
                 monkeypatch.setattr(linalg, "_eliminate", real_eliminate)
 
+        def modular_spy(rows, columns, stop, budget=None):
+            rank, kept = real_modular(rows, columns, stop, budget)
+            passes.append((stop, kept))
+            return rank, kept
+
+        def span_spy(d, n, rows, budget=None):
+            if any(rows is kept for _, kept in passes):
+                exact.append(n)
+            return real_span(d, n, rows, budget)
+
         monkeypatch.setattr(invariants, "rank_at_least", rank_spy)
+        monkeypatch.setattr(invariants, "_modular_rank", modular_spy)
+        monkeypatch.setattr(invariants, "span", span_spy)
         sp = InvariantSpaces(3)
         for n in range(1, 7):
             sp.report(n)
             assert ("closure", n) not in sp._memo
-        assert len(certificates) == 2 * sum(len(sp._orbits(n).canonical) for n in range(1, 7))
+        blocks = sum(len(sp._orbits(n).canonical) for n in range(1, 7))
+        assert len(certificates) == len(passes) == blocks
+        assert all(stop is None for stop, _ in passes)
         assert exact == []
 
     def test_report_stores_no_intermediate_space(self):
@@ -739,6 +755,28 @@ class TestBlockChecks:
         monkeypatch.undo()
         assert sp.letter_reduced_conj_dim(4) == spaces_for(d).report(4).dims["letter_reduced_conj"]
         assert ("rclrot", 4) not in sp._memo
+
+    def test_quotient_short(self, monkeypatch):
+        # a sum conj_c + S_c one row short makes the quotient too small;
+        # the full modular pass over the closed rotation rows reaches the
+        # true quotient, above the computed one
+        sp = InvariantSpaces(2)
+        sp.conjugation_invariants(6)
+        sp._closure_table(6)
+        real = invariants.subspace_sum
+
+        def short(a, b, budget=None):
+            out = real(a, b, budget)
+            if out.dim > b.dim:
+                return Subspace(out.d, out.n, out.pivots[:-1], out.rows[:-1])
+            return out
+
+        monkeypatch.setattr(invariants, "subspace_sum", short)
+        with pytest.raises(CrossCheckError, match="quotient and rank"):
+            sp.letter_reduced_conj_dim(6)
+        assert ("lrconj", 6) not in sp._memo
+        monkeypatch.undo()
+        assert sp.letter_reduced_conj_dim(6) == 4
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_closed_rotation_span_short(self, monkeypatch, d):
@@ -1157,6 +1195,8 @@ class TestReportValidation:
         bad["closure"] = bad["closure"] + 1
         with pytest.raises(CrossCheckError):
             InvariantReport(2, 2, bad)
+        with pytest.raises(CrossCheckError):
+            spaces_for(2).report(2)._replace(dims=bad)
 
     def test_fresh_pipeline_reproduces_shared_one(self):
         fresh = InvariantSpaces(2)

@@ -366,13 +366,15 @@ def with_extra_row(monkeypatch, kind, entry):
     monkeypatch.setattr(paths, "_invariant_rows", patched)
 
 
-# rows that are not invariant, and the failure each driver must report
+# rows that are not invariant, the failure each driver must report, and
+# its checks and failures at d=2, level 4, 10 trials, seed 7: a check is a
+# basis row paired to its expected value, counted up to the first mismatch
 FAULTS = {
     "conjugation": ("conj", (2, {word_index((1, 2), 2): 1, word_index((2, 1), 2): -1}),
-                    fuzz_conjugation, "conjugation invariance"),
-    "loop": ("loop", (3, {word_index((1, 1, 2), 2): 1}), fuzz_loop, "loop invariance"),
+                    fuzz_conjugation, "conjugation invariance", 165, 11),
+    "loop": ("loop", (3, {word_index((1, 1, 2), 2): 1}), fuzz_loop, "loop invariance", 1229, 45),
     "closure": ("closure", (1, {word_index((1,), 2): 1}), fuzz_closure,
-                "right-closure invariance"),
+                "right-closure invariance", 150, 10),
 }
 
 
@@ -381,12 +383,13 @@ class TestFaultInjection:
 
     @pytest.mark.parametrize("name", sorted(FAULTS))
     def test_driver_reports_failure(self, name, monkeypatch):
-        kind, entry, fuzz, message = FAULTS[name]
+        kind, entry, fuzz, message, checks, failures = FAULTS[name]
         assert fuzz(2, 4, 10, seed=7).ok
         with_extra_row(monkeypatch, kind, entry)
         report = fuzz(2, 4, 10, seed=7)
         assert not report.ok
         assert all(json.loads(f)["check"] == message for f in report.failures)
+        assert (report.checks, len(report.failures), report.witness_found) == (checks, failures, True)
 
 
 class TestStaircase:

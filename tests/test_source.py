@@ -2,6 +2,8 @@
 
 import ast
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -112,3 +114,14 @@ def test_traced_names_exist():
     wanted += [(tensor, "_rcl_word"), (tensor, "_shuffle_words_into"), (linalg, "_eliminate")]
     assert len(wanted) > 30
     assert [(owner.__name__, name) for owner, name in wanted if not hasattr(owner, name)] == []
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    # every command pays for its imports at start-up: the records are
+    # NamedTuples, and dataclasses would pull in inspect, ast, dis and
+    # tokenize
+    env = {**os.environ, "PYTHONPATH": str(Path(loopinv.__file__).resolve().parents[1])}
+    probe = "import sys, loopinv.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "[]\n"
