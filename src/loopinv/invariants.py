@@ -42,28 +42,28 @@ need ([V, letters], the decomposables).  The canonical RREF of a whole
 level, which ``basis``, ``evidence`` and the fuzz read, is assembled on
 first use.
 
-The n!-scaled right closure of every word of a canonical content is one
-integer table per level, built by one ``tensor._rcl_block`` pass per
-content, in the anagram order of ``words.anagrams`` that
-:meth:`_Orbits.words` also follows.  Each row is dense on its block: an
-``array('q')`` of its coefficients, paired with the word indices of the
-block, which every row of the block shares (a row with an entry past 63
-bits stays a list).  Its readers take one block at a time and accumulate
-by position.
+The n!-scaled right closure of a level is one table with one
+:class:`_ClosureBlock` per canonical content, built by one
+``tensor._rcl_block`` pass over its anagrams, in the order of
+``words.anagrams`` that :meth:`_Orbits.words` also follows.  A block
+holds its word indices and their positions, one dense row per word (an
+``array('q')``, or a list when an entry is past 63 bits), the position
+of each word's reversal, and the free (non-pivot) columns of the stored
+basis of S_c.  Its readers read all of these by position.
 Both closures are the projections along S, and the table proves it on
 each block as it builds that block's rows, before it stores the level,
 so every reader of the table reads a proven closure: the closure of
 every letter shuffle generator is zero, and the closure of the unit
-vector of every free (non-pivot) column of the stored basis of S differs
-from it by a vector orthogonal to V = S^perp, so by an element of S.
-The table therefore needs V of its level.  The report reads the closure
-dimension off the table's proof as the number of free columns of S
-(:meth:`InvariantSpaces.closure_dim`), and builds no closure image.
-Every closure difference lies in S too, so the closure-difference kernel
-is S plus the kernel, among the free columns, of the closure-difference
-rows at the pivot columns; the loop build checks that this kernel is the
-one it built from [V, letters].  The letter-reduced conjugation check
-and the closed rotation span read the table too.
+vector of every free column differs from it by a vector orthogonal to
+V = S^perp, so by an element of S.  The table therefore needs V of its
+level.  The report reads the closure dimension off the table's proof as
+the number of free columns (:meth:`InvariantSpaces.closure_dim`), and
+builds no closure image.  Every closure difference lies in S too, so the
+closure-difference kernel is S plus the kernel, among the free columns,
+of the closure-difference rows at the pivot columns; the loop build
+checks that this kernel is the one it built from [V, letters].  The
+letter-reduced conjugation check and the closed rotation span read the
+closed rotation sums off the same blocks.
 
 Every spanning set is a stream of integer rows ``{word index: int}``
 made by four row operators (rotation sums, letter brackets, shuffles and
@@ -85,7 +85,7 @@ import itertools
 from array import array
 from math import factorial
 from operator import add, mul
-from typing import Callable, Container, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .linalg import (
     Budget,
@@ -338,36 +338,33 @@ class BlockSpace(Subspace):
     rows = property(lambda self: self.whole().rows)
 
 
-def _non_pivots(words: Iterable[int], block: Subspace) -> list[int]:
-    pivots = set(block.pivots)
-    return [f for f in words if f not in pivots]
+class _ClosureBlock:
+    """The proven n!-scaled right closure of the words of one canonical
+    content c.
 
+    ``words`` are the word indices of c in the order of
+    :func:`~loopinv.words.anagrams`, ascending, and ``position`` maps each
+    to its place there.  ``rows[p]`` is n! rcl(e_k) for k = words[p], dense
+    on ``words``: an ``array('q')``, or the list that ``_rcl_block``
+    yielded when an entry is past 63 bits; both index and iterate alike.
+    ``reverse[p]`` is the position of the reversal of words[p], and
+    ``free`` the free (non-pivot) columns of S_c, on which the proof ran.
+    """
 
-# a closure table: word index k -> (the word indices of its block, the dense
-# image of the unit vector of k on them)
-ClosureTable = dict[int, tuple[list[int], Sequence[int]]]
+    __slots__ = ("words", "position", "rows", "reverse", "free")
 
+    def __init__(self, words: list[int], position: dict[int, int], rows: list[Sequence[int]],
+                 reverse: list[int], free: list[int]):
+        self.words, self.position, self.rows, self.reverse, self.free = words, position, rows, reverse, free
 
-def _accumulate(table: ClosureTable, row: dict[int, int]) -> tuple[list[int], list[int]]:
-    """The image of an integer row under the map of ``table``, dense on the
-    word indices of the one block that holds every word of the row; a row
-    across two blocks raises ValueError."""
-    words, out = [], []
-    for i, c in row.items():
-        index, values = table[i]
-        if not words:
-            words, out = index, list(map(mul, values, itertools.repeat(c)))
-        elif index is not words:
-            raise ValueError("row spans more than one block of the closure table")
-        else:
-            out = list(map(add, out, map(mul, values, itertools.repeat(c))))
-    return words, out
-
-
-def _apply(table: ClosureTable, row: dict[int, int]) -> dict[int, int]:
-    """The image of an integer row under the map whose image of the unit
-    vector of column k is ``table[k]``."""
-    return {k: c for k, c in zip(*_accumulate(table, row)) if c}
+    def image(self, row: dict[int, int]) -> dict[int, int]:
+        """n! times the right closure of an integer row on the words of the
+        block; a word outside it raises KeyError."""
+        total = None
+        for k, c in row.items():
+            part = map(mul, self.rows[self.position[k]], itertools.repeat(c))
+            total = list(part if total is None else map(add, total, part))
+        return {k: x for k, x in zip(self.words, total or ()) if x}
 
 
 def _check_level(n: int, least: int = 1) -> None:
@@ -432,9 +429,8 @@ class InvariantSpaces:
         self.budget: Budget | None = None
         self._memo: dict = {}
         self._orbit_tables: dict[int, _Orbits] = {}
-        # level -> its proven closure table: one dense row per word of a
-        # canonical content, an array('q') unless an entry overflows it
-        self._closure_tables: dict[int, ClosureTable] = {}
+        # level -> its proven closure table, one block per canonical content
+        self._closure_tables: dict[int, dict[Content, _ClosureBlock]] = {}
 
     # -- plumbing -------------------------------------------------------
 
@@ -463,7 +459,7 @@ class InvariantSpaces:
             )
         return block
 
-    # -- integer row operators (shuffle and closure check the budget) ------
+    # -- integer row operators (shuffles and the closure table check the budget)
 
     def _rotation_row(self, w: Word) -> dict[int, int]:
         """Rotation sum of a word, with multiplicity (see rotation_sum)."""
@@ -494,25 +490,15 @@ class InvariantSpaces:
                 _tensor._shuffle_words_into(data, u, v, ca * cb)
         return {word_index(w, d): c for w, c in data.items()}
 
-    def _closure_row(self, row: dict[int, int], n: int) -> dict[int, int]:
-        """n! times the right closure of a row on level n, whose words have
-        canonical contents."""
-        self._check_budget()
-        return _apply(self._closure_table(n), row)
-
-    def _closure_table(self, n: int) -> ClosureTable:
-        """Row k is n! times the right closure of the word of index k, for
-        every word of a canonical content, proven to be the projection
-        along S.
+    def _closure_table(self, n: int) -> dict[Content, _ClosureBlock]:
+        """The n!-scaled right closure of level n, one :class:`_ClosureBlock`
+        per canonical content, each proven to be the projection along S.
 
         The right closure keeps letter content, and blocks of the other
         contents are renamed, never built, so no other word needs a row.
-        Row k is dense on its block: the list that one ``_tensor._rcl_block``
-        pass over the block yields for it, in the anagram order that
-        :meth:`_Orbits.words` also follows, packed into an ``array('q')``
-        and paired with the block's word indices, which every row of the
-        block shares.  A row with an entry past 63 bits stays the list;
-        both index and iterate alike.
+        One ``_tensor._rcl_block`` pass over a content's anagrams yields
+        its rows, each packed into an ``array('q')`` unless an entry
+        overflows it.
 
         Each block c is proven as soon as its rows are in.  The closure row
         of every letter shuffle generator ``i ⧢ u`` of content c must be
@@ -533,32 +519,39 @@ class InvariantSpaces:
         if n not in self._closure_tables:
             s, v = self.letter_shuffle_ideal(n), self.zero_increment_space(n)
             scale = factorial(n)
-            table: ClosureTable = {}
+            table: dict[Content, _ClosureBlock] = {}
             for c in s.orbits.canonical:
-                index = s.orbits.words(c)
-                rows = _tensor._rcl_block(_letters(c), anagrams(_letters(c)))
-                for k in index:
+                words, letters = s.orbits.words(c), anagrams(_letters(c))
+                generated, rows = _tensor._rcl_block(_letters(c), letters), []
+                for _ in words:
                     self._check_budget()
-                    row = next(rows)
+                    row = next(generated)
                     try:
                         row = array("q", row)
                     except OverflowError:
                         pass
-                    table[k] = (index, row)
-                if any(any(_accumulate(table, row)[1]) for row in self._letter_shuffle_rows(n, c)):
+                    rows.append(row)
+                at = {x: p for p, x in enumerate(letters)}
+                pivots = set(s.blocks[c].pivots)
+                block = _ClosureBlock(
+                    words, {k: p for p, k in enumerate(words)}, rows,
+                    [at[x[::-1]] for x in letters], [f for f in words if f not in pivots],
+                )
+                if any(map(block.image, self._letter_shuffle_rows(n, c))):
                     raise CrossCheckError(
                         "the right closure does not vanish on the letter shuffle "
                         "ideal at d=%d, n=%d, content %s" % (self.d, n, c)
                     )
                 differences = (
-                    {k: x - scale if k == f else x for k, x in zip(*table[f])}
-                    for f in _non_pivots(index, s.blocks[c])
+                    {k: x - scale if k == f else x for k, x in zip(words, rows[block.position[f]])}
+                    for f in block.free
                 )
                 if not orthogonal(v.blocks[c], differences, self.budget):
                     raise CrossCheckError(
                         "the right closure is not the identity modulo the letter "
                         "shuffle ideal at d=%d, n=%d, content %s" % (self.d, n, c)
                     )
+                table[c] = block
             self._closure_tables[n] = table
         return self._closure_tables[n]
 
@@ -748,7 +741,7 @@ class InvariantSpaces:
 
         def build(c: Content) -> Subspace:
             sc, pivots = s.blocks[c], set(s.blocks[c].pivots)
-            free = _non_pivots(s.orbits.words(c), sc)
+            free = self._closure_table(n)[c].free
             lower = [(row, n - 1, i) for i in range(d) if c[i] for row in v.block(_without(c, i))]
             if not orthogonal(sc, itertools.starmap(self._bracket_row, lower), self.budget):
                 raise CrossCheckError("[V, letters] leaves V at d=%d, n=%d, content %s" % (d, n, c))
@@ -761,7 +754,7 @@ class InvariantSpaces:
                     "loop invariants disagree with the bracket complement at d=%d, n=%d, "
                     "content %s" % (d, n, c)
                 )
-            rows = self._closure_difference_rows(n, c, free, pivots)
+            rows = self._closure_difference_rows(n, c)
             if not (
                 orthogonal(k_a, rows, self.budget)
                 and rank_at_least(rows, free, len(free) - k_a.dim, self.budget)
@@ -774,33 +767,32 @@ class InvariantSpaces:
 
         return self._blocks(n, build)
 
-    def _closure_difference_rows(
-        self, n: int, c: Content, columns: Sequence[int], outputs: Container[int]
-    ) -> list[dict[int, int]]:
+    def _closure_difference_rows(self, n: int, c: Content) -> list[dict[int, int]]:
         """Integer rows of the matrix of n! (right closure - left closure)
-        on the words of the canonical content c, restricted to the given
-        word-index columns and to the rows of the word indices in
-        ``outputs``.
+        on the block of the canonical content c: one row per pivot column
+        of S_c, restricted to the free columns of S_c.
 
         The left closure is the right closure conjugated by reversal, which
-        keeps the content, so n! lcl(e_k) is row rev(k) of the closure
-        table with its positions permuted by reversal.
+        keeps the content, so n! lcl(e_k) is the closure row of the reversal
+        of k with its positions permuted by reversal.
         """
-        table = self._closure_table(n)
-        index, words = self._orbits(n).words(c), anagrams(_letters(c))
-        position = {x: p for p, x in enumerate(words)}
-        rev = [position[x[::-1]] for x in words]
-        reverse = {k: index[q] for k, q in zip(index, rev)}
-        outs = [(p, k, rev[p]) for p, k in enumerate(index) if k in outputs]
+        block = self._closure_table(n)[c]
+        rows, position, reverse = block.rows, block.position, block.reverse
+        outs = [(position[k], reverse[position[k]]) for k in self.letter_shuffle_ideal(n).blocks[c].pivots]
         by_output: dict[int, dict[int, int]] = {}
-        for col in columns:
+        for col in block.free:
             self._check_budget()
-            right, left = table[col][1], table[reverse[col]][1]
-            for p, k, q in outs:
+            right, left = rows[position[col]], rows[reverse[position[col]]]
+            for p, q in outs:
                 v = right[p] - left[q]
                 if v:
-                    by_output.setdefault(k, {})[col] = v
+                    by_output.setdefault(p, {})[col] = v
         return list(by_output.values())
+
+    def _closed_rotations(self, n: int, c: Content):
+        """n! rcl(rot(w)) for the necklaces w of the canonical content c."""
+        block = self._closure_table(n)[c]
+        return (block.image(self._rotation_row(w)) for w in self._necklaces(c))
 
     @_memo("closure")
     def closure_invariants(self, n: int) -> BlockSpace:
@@ -815,9 +807,8 @@ class InvariantSpaces:
         d = self.d
 
         def build(c: Content) -> Subspace:
-            s = self.letter_shuffle_ideal(n).blocks[c]
-            free = _non_pivots(self._orbits(n).words(c), s)
-            image = self._block_span(n, c, (self._closure_row({f: 1}, n) for f in free))
+            s, block = self.letter_shuffle_ideal(n).blocks[c], self._closure_table(n)[c]
+            image = self._block_span(n, c, (block.image({f: 1}) for f in block.free))
             if image.dim != self.zero_increment_space(n).blocks[c].dim:
                 raise CrossCheckError(
                     "closure-invariant dimension differs from dim V at d=%d, n=%d, "
@@ -842,18 +833,15 @@ class InvariantSpaces:
         once its entries at the pivot columns of S are, it is zero.  So the
         rcl(e_f) are independent, and they span the image as rcl(S) = 0.
         """
-        self._closure_table(n)
-        s = self.letter_shuffle_ideal(n)
-        return sum(k * (len(s.orbits.words(c)) - s.blocks[c].dim) for c, k in s.orbits.sizes.items())
+        table = self._closure_table(n)
+        return sum(k * len(table[c].free) for c, k in self._orbits(n).sizes.items())
 
     @_memo("rclrot")
     def closed_rotation_span(self, n: int) -> BlockSpace:
         """Span of right-closed rotation sums over necklaces of length n,
         for ``evidence``; its dimension must be the letter-reduced one."""
         _check_level(n)
-        closed = self._blocks(n, lambda c: self._block_span(n, c, (
-            self._closure_row(self._rotation_row(w), n) for w in self._necklaces(c)
-        )))
+        closed = self._blocks(n, lambda c: self._block_span(n, c, self._closed_rotations(n, c)))
         if closed.dim != self.letter_reduced_conj_dim(n):
             raise CrossCheckError(
                 "closed rotation span differs from letter-reduced conj at d=%d, n=%d" % (self.d, n)
@@ -886,8 +874,7 @@ class InvariantSpaces:
         total = 0
         for c, size in s.orbits.sizes.items():
             quotient = subspace_sum(conj.blocks[c], s.blocks[c], self.budget).dim - s.blocks[c].dim
-            closed = (self._closure_row(self._rotation_row(w), n) for w in self._necklaces(c))
-            rank, rows = _modular_rank(closed, s.orbits.words(c), None, self.budget)
+            rank, rows = _modular_rank(self._closed_rotations(n, c), s.orbits.words(c), None, self.budget)
             if rank < quotient:
                 # the prime lost rank: the exact rank decides
                 rank = span(self.d, n, rows, self.budget).dim

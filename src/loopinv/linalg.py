@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 from bisect import insort
-from math import gcd, lcm
+from math import gcd, isnan, lcm
 from typing import Iterable, Sequence
 
 from ._rat import Q
@@ -52,10 +52,13 @@ class Budget:
 
     ``seconds`` bounds wall-clock time from construction, ``max_bits``
     bounds the bit size of any integer produced during elimination (every
-    combined row is checked when a budget is set).
+    combined row is checked when a budget is set).  A NaN ``seconds``
+    raises ValueError: it compares false, so it would bound nothing.
     """
 
     def __init__(self, seconds: float | None = None, max_bits: int | None = None):
+        if seconds is not None and isnan(seconds):
+            raise ValueError("budget seconds must be a number, not nan")
         self.seconds = seconds
         self.max_bits = max_bits
         self._start = time.monotonic()
@@ -139,13 +142,14 @@ def _strip_content(row: dict[int, int]) -> None:
 def _int_row(entries: dict[int, object]) -> dict[int, int]:
     """Clear denominators and strip the content of a nonzero sparse row.
 
-    A row of ints (the internal form) is only stripped, in place.
+    A row of ints (the internal form) is only stripped, in place.  A float
+    or a bool raises TypeError: a bool would read as the int 0 or 1.
     """
     if all(type(v) is int for v in entries.values()):
         _strip_content(entries)
         return entries
-    if any(isinstance(v, float) for v in entries.values()):
-        raise TypeError("exact coefficients expected, got a float")
+    if any(isinstance(v, (float, bool)) for v in entries.values()):
+        raise TypeError("exact coefficients expected, got a float or a bool")
     scale = lcm(*(int(v.denominator) for v in entries.values()))
     row = {k: int(v.numerator) * (scale // int(v.denominator)) for k, v in entries.items()}
     _strip_content(row)
@@ -242,7 +246,7 @@ def _int_rows(d: int, n: int, rows: Iterable[dict], budget: Budget | None, where
             budget.check()
         if v and (min(v) < 0 or max(v) >= size):
             raise ValueError("row index outside level of size %d in %s" % (size, where))
-        entries = {k: c for k, c in v.items() if c}
+        entries = {k: c for k, c in v.items() if c or c is False}
         if entries:
             yield _int_row(entries)
 

@@ -20,10 +20,13 @@ equal to ``k! * D**k`` times the true level k:
   ``Z_k[u * d**(k-j) + v] = sum_j C(k, j) X_j[u] Y_(k-j)[v]``.
 
 The fuzz drivers pair these levels with the stored integer rows of the
-invariant subspaces and compare scaled values of one level and one D, so
-no rational is formed.  :func:`path_signature` divides by ``k! * D**k``
-once at the end.  The rational route, :func:`segment_signature` folded
-with :meth:`TruncatedSignature.product`, is kept as the test oracle.
+invariant subspaces and compare scaled values of one level and one D;
+those pairings form no rational.  :func:`fuzz_closure` also pairs each
+level with the rational ``right_closure`` and ``left_closure`` of one
+random word (``_pair_tensor``), so that comparison is rational.
+:func:`path_signature` divides by ``k! * D**k`` once at the end.  The
+rational route, :func:`segment_signature` folded with
+:meth:`TruncatedSignature.product`, is kept as the test oracle.
 """
 
 from __future__ import annotations

@@ -52,8 +52,9 @@ def closure_row(row, d, n):
     return {j: c for j, c in out.items() if c}
 
 
-def closure_difference_rows(d, n, words):
-    """Rows of n! (rcl - lcl) on the given words, every output kept."""
+def closure_difference_rows(d, n, words, outputs=None):
+    """Rows of n! (rcl - lcl) on the given words, one per output word index
+    in ``outputs`` (default: every output)."""
     rev = {k: word_index(index_word(k, d, n)[::-1], d) for k in words}
     by_output = {}
     for col in words:
@@ -61,9 +62,16 @@ def closure_difference_rows(d, n, words):
         for j, v in closure_row({rev[col]: 1}, d, n).items():
             diff[rev[j]] = diff.get(rev[j], 0) - v
         for j, v in diff.items():
-            if v:
+            if v and (outputs is None or j in outputs):
                 by_output.setdefault(j, {})[col] = v
     return list(by_output.values())
+
+
+def free_columns(s, content):
+    """The word indices of a content that are no pivot of the stored block
+    of S, read off S itself."""
+    pivots = set(s.blocks[content].pivots)
+    return [k for k in words_of(content, s.d) if k not in pivots]
 
 
 def letter_bracket_rows(sp, n):

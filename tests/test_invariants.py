@@ -287,7 +287,7 @@ class TestFreeColumnRoutes:
         assert len(eliminations) == 3 * len(s.blocks)
         every_output = 0
         for (rows, columns), count, (c, block) in zip(kernels, certificates, s.blocks.items()):
-            free = invariants._non_pivots(s.orbits.words(c), block)
+            free = all_contents.free_columns(s, c)
             raw = [
                 sp._bracket_row(row, 4, i)
                 for i in range(3) if c[i] for row in v.block(invariants._without(c, i))
@@ -295,7 +295,9 @@ class TestFreeColumnRoutes:
             assert columns == free
             assert rows == all_contents.on_columns(raw, free)
             assert count <= block.dim
-            every_output += len(sp._closure_difference_rows(5, c, free, range(3**5)))
+            every_output += sum(map(bool, all_contents.on_columns(
+                all_contents.closure_difference_rows(3, 5, s.orbits.words(c)), free
+            )))
         assert sum(b.dim for b in s.blocks.values()) < every_output
 
     @pytest.mark.parametrize("d, top", [(2, 9), (3, 6)])
@@ -307,8 +309,8 @@ class TestFreeColumnRoutes:
         for n in range(1, top + 1):
             s = sp.letter_shuffle_ideal(n)
             for c, block in s.blocks.items():
-                free = invariants._non_pivots(s.orbits.words(c), block)
-                rows = sp._closure_difference_rows(n, c, free, set(block.pivots))
+                free = all_contents.free_columns(s, c)
+                rows = sp._closure_difference_rows(n, c)
                 expected = subspace_sum(kernel(d, n, rows, None, free), block)
                 assert sp.loop_invariants(n).blocks[c] == expected, (n, c)
 
@@ -432,7 +434,7 @@ class TestOneRouteChecks:
                     for i in range(d) if c[i] for row in v.block(invariants._without(c, i))
                 ))
                 words = s.orbits.words(c)
-                free = invariants._non_pivots(words, block)
+                free = all_contents.free_columns(s, c)
                 k_a = kernel(d, n, all_contents.on_columns(full.rows, free), None, free)
                 assert loop.blocks[c] == subspace_sum(k_a, block), (n, c)
                 assert full.dim == len(words) - loop.blocks[c].dim, (n, c)
@@ -723,15 +725,15 @@ class TestBlockChecks:
         # 12 + 21, of the dimension of V but inside S
         sp = InvariantSpaces(d)
         sp._closure_table(2)
-        real = InvariantSpaces._closure_row
+        real = invariants._ClosureBlock.image
 
-        def into_s(self, row, n):
-            out = real(self, row, n)
+        def into_s(self, row):
+            out = real(self, row)
             (f, one), = row.items()
-            out[f] = out.get(f, 0) - factorial(n) * one
+            out[f] = out.get(f, 0) - factorial(2) * one
             return out
 
-        monkeypatch.setattr(InvariantSpaces, "_closure_row", into_s)
+        monkeypatch.setattr(invariants._ClosureBlock, "image", into_s)
         with pytest.raises(CrossCheckError, match="do not complement"):
             sp.closure_invariants(2)
         assert ("closure", 2) not in sp._memo
@@ -948,40 +950,61 @@ class TestOrbits:
 class TestClosureTable:
     @pytest.mark.parametrize("d, top", [(3, 6), (2, 9)])
     def test_against_word_dp(self, d, top):
-        # one row per word of a canonical content, and no other; like
-        # every space, the table starts at level 1
+        # one block per canonical content, one row per word of it, and no
+        # other; like every space, the table starts at level 1
         sp = InvariantSpaces(d)
         with pytest.raises(ValueError, match="level must be at least 1, got 0$"):
             sp._closure_table(0)
         for n in range(1, top + 1):
             table = sp._closure_table(n)
-            canonical = {c for c in all_contents.contents(d, n) if list(c) == sorted(c, reverse=True)}
-            assert sorted(table) == [
-                k for k in range(d**n) if all_contents.content_of(k, d, n) in canonical
-            ]
-            blocks = {}
-            for j in range(d**n):
-                blocks.setdefault(all_contents.content_of(j, d, n), []).append(j)
-            for k, (index, row) in table.items():
+            canonical = [c for c in all_contents.contents(d, n) if list(c) == sorted(c, reverse=True)]
+            assert sorted(table) == sorted(canonical)
+            for c, block in table.items():
                 # dense on exactly the words of its block, in ascending order
-                assert index == blocks[all_contents.content_of(k, d, n)]
-                assert isinstance(row, array) and row.typecode == "q"
-                assert len(row) == len(index)
-                expected = rcl_word_oracle(index_word(k, d, n))
-                assert {j: c for j, c in zip(index, row) if c} == {
-                    word_index(x, d): c for x, c in expected.items()
-                }
+                assert block.words == all_contents.words_of(c, d)
+                assert len(block.rows) == len(block.words)
+                for k, row in zip(block.words, block.rows):
+                    assert isinstance(row, array) and row.typecode == "q"
+                    assert len(row) == len(block.words)
+                    expected = rcl_word_oracle(index_word(k, d, n))
+                    assert {j: x for j, x in zip(block.words, row) if x} == {
+                        word_index(w, d): x for w, x in expected.items()
+                    }
+
+    @pytest.mark.parametrize("d, top", [(2, 8), (3, 5)])
+    def test_block_maps(self, d, top):
+        # every map a block holds, against one derived here: the positions,
+        # the reversal, the free columns of S from a span of the whole
+        # level, and the closure-difference rows at the pivot outputs
+        sp = InvariantSpaces(d)
+        for n in range(1, top + 1):
+            pivots = set(span(d, n, all_contents.letter_shuffle_rows(sp, n)).pivots)
+            for c, block in sp._closure_table(n).items():
+                words = block.words
+                assert block.position == {k: p for p, k in enumerate(words)}
+                assert [block.reverse[q] for q in block.reverse] == list(range(len(words)))
+                assert [index_word(words[q], d, n) for q in block.reverse] == [
+                    index_word(k, d, n)[::-1] for k in words
+                ]
+                free = [k for k in words if k not in pivots]
+                assert block.free == free
+                expected = all_contents.on_columns(
+                    all_contents.closure_difference_rows(d, n, words, pivots), free
+                )
+                assert sorted(sorted(r.items()) for r in sp._closure_difference_rows(n, c)) == sorted(
+                    sorted(r.items()) for r in expected if r
+                ), (n, c)
 
     def test_rows_share_their_block_index(self):
+        # a block reads the one word list of its content that the orbits hold
         sp = InvariantSpaces(3)
-        table = sp._closure_table(4)
-        for c in sp._orbits(4).canonical:
-            index = sp._orbits(4).words(c)
-            assert all(table[k][0] is index for k in index)
+        for c, block in sp._closure_table(4).items():
+            assert block.words is sp._orbits(4).words(c)
 
     def test_dense_rows_hold_few_bytes(self):
         # a dict entry with its own int held about 68 bytes; an array('q')
-        # entry holds 8, plus one array and one pair per row
+        # entry holds 8, plus one array per row and the position and
+        # reversal of each word
         sp = InvariantSpaces(3)
         sp.letter_shuffle_ideal(6)
         sp.zero_increment_space(6)
@@ -994,7 +1017,7 @@ class TestClosureTable:
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        entries = sum(len(row) for _, row in table.values())
+        entries = sum(len(row) for block in table.values() for row in block.rows)
         assert entries == 13262
         assert held <= 16 * entries
 
@@ -1010,17 +1033,16 @@ class TestClosureTable:
         sp = InvariantSpaces(d)
         for n in range(1, top + 1):
             assert sp.report(n) == clean.report(n)
-            assert all(type(row) is list for _, row in sp._closure_table(n).values())
+            assert all(type(row) is list for block in sp._closure_table(n).values() for row in block.rows)
             for build in ("closure_invariants", "loop_invariants", "closed_rotation_span"):
                 assert getattr(sp, build)(n) == getattr(clean, build)(n)
 
-    def test_apply_refuses_a_row_across_blocks(self):
-        sp = InvariantSpaces(2)
-        table = sp._closure_table(3)
+    def test_image_refuses_a_word_outside_its_block(self):
+        block = InvariantSpaces(2)._closure_table(3)[(2, 1)]
         within = {word_index((1, 1, 2), 2): 1, word_index((2, 1, 1), 2): -1}
-        assert invariants._apply(table, within) == all_contents.closure_row(within, 2, 3)
-        with pytest.raises(ValueError, match="more than one block"):
-            invariants._apply(table, {word_index((1, 1, 1), 2): 1, word_index((1, 1, 2), 2): 1})
+        assert block.image(within) == all_contents.closure_row(within, 2, 3)
+        with pytest.raises(KeyError):
+            block.image({word_index((1, 1, 1), 2): 1, word_index((1, 1, 2), 2): 1})
 
     def test_interrupted_table_is_not_stored(self):
         sp = InvariantSpaces(2)
@@ -1334,7 +1356,7 @@ class TestBudgetInHeavyLoops:
         # the counter sees the table: without a budget it is built row by row
         sp.budget = None
         getattr(sp, build)(5)
-        assert len(calls) == len(sp._closure_table(5)) > 1
+        assert len(calls) == sum(len(b.rows) for b in sp._closure_table(5).values()) > 1
 
     def test_lazy_span_input(self, monkeypatch):
         calls = self.count_closure_rows(monkeypatch)
@@ -1345,7 +1367,7 @@ class TestBudgetInHeavyLoops:
         assert calls == []
         sp.budget = None
         sp.closed_rotation_span(6)
-        assert len(calls) == len(sp._closure_table(6)) > 1
+        assert len(calls) == sum(len(b.rows) for b in sp._closure_table(6).values()) > 1
 
     def test_names_the_space(self):
         sp = InvariantSpaces(2)
@@ -1429,10 +1451,11 @@ def _random_row(rng, d, n):
 
 
 def _random_canonical_row(rng, d, n):
-    """A random row on the words of one canonical content."""
+    """A random canonical content and a random row on its words."""
     canonical = [c for c in all_contents.contents(d, n) if list(c) == sorted(c, reverse=True)]
-    words = all_contents.words_of(rng.choice(canonical), d)
-    return {rng.choice(words): rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(3)}
+    content = rng.choice(canonical)
+    words = all_contents.words_of(content, d)
+    return content, {rng.choice(words): rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(3)}
 
 
 def _pbw_products_oracle(d, n):
@@ -1466,8 +1489,8 @@ class TestRowOperators:
             a, b = _random_row(rng, d, na), _random_row(rng, d, nb)
             ta, tb = row_tensor(d, na, a), row_tensor(d, nb, b)
             assert row_tensor(d, na + nb, sp._shuffle_row(a, na, b, nb)) == shuffle(ta, tb)
-            closable = _random_canonical_row(rng, d, na)
-            assert row_tensor(d, na, sp._closure_row(closable, na)) == factorial(na) * right_closure(
+            c, closable = _random_canonical_row(rng, d, na)
+            assert row_tensor(d, na, sp._closure_table(na)[c].image(closable)) == factorial(na) * right_closure(
                 row_tensor(d, na, closable)
             )
             i = rng.randrange(d)

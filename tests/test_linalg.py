@@ -117,6 +117,17 @@ class TestSpan:
         with pytest.raises(TypeError):
             span(2, 2, [{0: 0.5}])
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_raw_row_rejects_bools(self, value):
+        # bool subclasses int: True would read as 1 and False as a zero
+        s = span(2, 1, [{0: 1}])
+        with pytest.raises(TypeError):
+            span(2, 1, [{0: value}])
+        with pytest.raises(TypeError):
+            kernel(2, 1, [{0: value}])
+        with pytest.raises(TypeError):
+            orthogonal(s, [{0: value}])
+
     def test_rref_is_canonical(self, rng):
         # re-reducing a reduced basis reproduces it identically, and the
         # result does not depend on the order of the generators
@@ -479,6 +490,12 @@ class TestBudget:
         time.sleep(0.01)
         with pytest.raises(BudgetExceeded):
             budget.check()
+
+    def test_nan_seconds_refused(self):
+        # NaN compares false, so check() would never raise
+        with pytest.raises(ValueError, match="nan"):
+            Budget(seconds=float("nan"))
+        Budget(seconds=float("inf")).check()
 
     def test_bit_budget(self):
         with pytest.raises(BudgetExceeded):

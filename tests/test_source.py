@@ -94,18 +94,61 @@ def test_memoized_spaces_take_the_level_alone():
     assert found == {name: ["self", "n"] for name in memoized}
 
 
-def test_traced_names_exist():
-    # bench/tracing.py rebinds these names by string; a deleted one would
-    # show only as a failed child process of the benchmark
-    from loopinv import cli, invariants, linalg, paths, tensor
-
+def traced_lists():
+    """The upper-case name lists of bench/tracing.py, by list name."""
     path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
-    names = {
+    return {
         node.targets[0].id: ast.literal_eval(node.value)
         for node in ast.parse(path.read_text(), str(path)).body
         if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
         and node.targets[0].id.isupper()
     }
+
+
+def test_no_unused_imports():
+    # every name a module imports is used there, or rebound on that module
+    # by bench/tracing.py; an import kept for the tracer alone says so
+    names = traced_lists()
+    rebound = {
+        "invariants.py": {
+            name for key in ("LINALG", "INVARIANTS_TO_TENSOR", "INVARIANTS_TO_WORDS")
+            for name in names[key]
+        },
+        "paths.py": {name for key in ("PATHS_TO_TENSOR", "PATHS_OWN") for name in names[key]},
+    }
+    unused, excused, marked = [], set(), set()
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text, str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", "") == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                where = (path.name, name)
+                if "noqa: F401" in lines[alias.lineno - 1]:
+                    marked.add(where)
+                if name in used:
+                    continue
+                if name in rebound.get(path.name, ()):
+                    excused.add(where)
+                else:
+                    unused.append("%s:%d %s" % (path.name, alias.lineno, name))
+    assert len(SOURCES) > 5
+    assert unused == []
+    assert excused == marked
+
+
+def test_traced_names_exist():
+    # bench/tracing.py rebinds these names by string; a deleted one would
+    # show only as a failed child process of the benchmark
+    from loopinv import cli, invariants, linalg, paths, tensor
+
+    names = traced_lists()
     wanted = [(InvariantSpaces, name) for name in names["INVARIANT_SPACES"]]
     wanted += [(invariants, name) for key in ("LINALG", "INVARIANTS_TO_TENSOR", "INVARIANTS_TO_WORDS")
                for name in names[key]]
