@@ -63,7 +63,10 @@ closure-difference kernel is S plus the kernel, among the free columns,
 of the closure-difference rows at the pivot columns; the loop build
 checks that this kernel is the one it built from [V, letters].  The
 letter-reduced conjugation check and the closed rotation span read the
-closed rotation sums off the same blocks.
+closed rotation sums off the same blocks.  Both certificates make their
+rows from the block each time they read them and keep none: the loop
+check pairs them, both take their rank modulo a prime, and the exact
+rank reads them once more only where the prime falls short.
 
 Every spanning set is a stream of integer rows ``{word index: int}``
 made by four row operators (rotation sums, letter brackets, shuffles and
@@ -85,7 +88,7 @@ import itertools
 from array import array
 from math import factorial
 from operator import add, mul
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .linalg import (
     Budget,
@@ -100,7 +103,6 @@ from .linalg import (
     member_tensor,
     orthogonal,
     orthogonal_complement,  # noqa: F401  (unused here; bench/tracing.py wraps this name)
-    rank_at_least,
     span,
     span_tensors,  # noqa: F401  (unused here; bench/tracing.py wraps this name)
     subspace_sum,
@@ -731,10 +733,10 @@ class InvariantSpaces:
         entries at the pivot columns of S are.  Let M be the
         closure-difference rows at those pivot columns, restricted to the
         free columns.  K_A lies on the free columns and pairs to zero with
-        every row of M, so rcl = lcl on K_A; and the rank of M is at least
-        (free columns) - dim K_A (:func:`~loopinv.linalg.rank_at_least`),
-        so the kernel of M is no larger than K_A.  Together, S_c + K_A is
-        the kernel of rcl - lcl on the block.
+        every row of M, so rcl = lcl on K_A, and the rank of M is at most
+        (free columns) - dim K_A; the rank reaches that bound
+        (:meth:`_rank`), so the kernel of M is no larger than K_A.
+        Together, S_c + K_A is the kernel of rcl - lcl on the block.
         """
         _check_level(n)
         d, s, v = self.d, self.letter_shuffle_ideal(n), self.zero_increment_space(n - 1)
@@ -754,11 +756,9 @@ class InvariantSpaces:
                     "loop invariants disagree with the bracket complement at d=%d, n=%d, "
                     "content %s" % (d, n, c)
                 )
-            rows = self._closure_difference_rows(n, c)
-            if not (
-                orthogonal(k_a, rows, self.budget)
-                and rank_at_least(rows, free, len(free) - k_a.dim, self.budget)
-            ):
+            rows = functools.partial(self._closure_difference_rows, n, c)
+            target = len(free) - k_a.dim
+            if not orthogonal(k_a, rows(), self.budget) or self._rank(n, rows, free, target, target) < target:
                 raise CrossCheckError(
                     "loop invariants disagree between bracket complement and "
                     "closure-difference kernel at d=%d, n=%d, content %s" % (d, n, c)
@@ -767,10 +767,11 @@ class InvariantSpaces:
 
         return self._blocks(n, build)
 
-    def _closure_difference_rows(self, n: int, c: Content) -> list[dict[int, int]]:
+    def _closure_difference_rows(self, n: int, c: Content) -> Iterator[dict[int, int]]:
         """Integer rows of the matrix of n! (right closure - left closure)
-        on the block of the canonical content c: one row per pivot column
-        of S_c, restricted to the free columns of S_c.
+        on the block of the canonical content c, restricted to the free
+        columns of S_c: the nonzero row of each pivot column of S_c, made
+        as it is read.
 
         The left closure is the right closure conjugated by reversal, which
         keeps the content, so n! lcl(e_k) is the closure row of the reversal
@@ -778,16 +779,24 @@ class InvariantSpaces:
         """
         block = self._closure_table(n)[c]
         rows, position, reverse = block.rows, block.position, block.reverse
-        outs = [(position[k], reverse[position[k]]) for k in self.letter_shuffle_ideal(n).blocks[c].pivots]
-        by_output: dict[int, dict[int, int]] = {}
-        for col in block.free:
+        free = [(col, rows[position[col]], rows[reverse[position[col]]]) for col in block.free]
+        for k in self.letter_shuffle_ideal(n).blocks[c].pivots:
             self._check_budget()
-            right, left = rows[position[col]], rows[reverse[position[col]]]
-            for p, q in outs:
-                v = right[p] - left[q]
-                if v:
-                    by_output.setdefault(p, {})[col] = v
-        return list(by_output.values())
+            p, q = position[k], reverse[position[k]]
+            row = {col: v for col, right, left in free if (v := right[p] - left[q])}
+            if row:
+                yield row
+
+    def _rank(self, n: int, rows: Callable[[], Iterable[dict[int, int]]], columns: Sequence[int],
+              target: int, stop: int | None) -> int:
+        """The rank modulo a prime of the rows on ``columns`` that each call
+        of ``rows`` yields, read up to ``stop`` (:func:`~loopinv.linalg._modular_rank`);
+        where it falls short of ``target``, their exact rank, read again."""
+        rank = _modular_rank(rows(), columns, stop, self.budget)
+        if rank < target:
+            # the prime lost rank, or the rows have less: the exact rank decides
+            rank = span(self.d, n, rows(), self.budget).dim
+        return rank
 
     def _closed_rotations(self, n: int, c: Content):
         """n! rcl(rot(w)) for the necklaces w of the canonical content c."""
@@ -866,19 +875,16 @@ class InvariantSpaces:
         closure table), so the closed rotation rows n! rcl(rot(w)) of the
         necklaces w of content c have rank dim conj_c - dim(conj_c ∩ S_c)
         over Q, the true quotient.  One pass reduces them all modulo a prime
-        (:func:`~loopinv.linalg._modular_rank`), a lower bound on that rank:
-        above the computed quotient, the quotient is too small; below it,
-        the exact rank of the rows must equal it.
+        (:meth:`_rank`), a lower bound on that rank: above the computed
+        quotient, the quotient is too small; below it, the exact rank of
+        the rows must equal it.
         """
         s, conj = self.letter_shuffle_ideal(n), self.conjugation_invariants(n)
         total = 0
         for c, size in s.orbits.sizes.items():
             quotient = subspace_sum(conj.blocks[c], s.blocks[c], self.budget).dim - s.blocks[c].dim
-            rank, rows = _modular_rank(self._closed_rotations(n, c), s.orbits.words(c), None, self.budget)
-            if rank < quotient:
-                # the prime lost rank: the exact rank decides
-                rank = span(self.d, n, rows, self.budget).dim
-            if rank != quotient:
+            rows = functools.partial(self._closed_rotations, n, c)
+            if self._rank(n, rows, s.orbits.words(c), quotient, None) != quotient:
                 raise CrossCheckError(
                     "letter-reduced conjugation dimension disagrees between "
                     "quotient and rank routes at d=%d, n=%d, content %s" % (self.d, n, c)

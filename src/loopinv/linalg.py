@@ -18,9 +18,11 @@ A dimension identity that a result must satisfy (rank-nullity, the
 dimension formula of an intersection) is checked on every call and
 raises :class:`CrossCheckError` when it fails.
 
-Ranks alone are taken modulo a prime (:func:`_modular_rank`), which
-bounds the rank over Q from below; where the prime falls short the exact
-rank decides, so no answer depends on the prime.
+Ranks alone may be taken modulo a prime (:func:`_modular_rank`), which
+reads its rows as they stream, keeps none of them and bounds the rank
+over Q from below.  Where the prime falls short, the caller reads the
+rows again for the exact rank (:func:`span`), so no answer depends on
+the prime.
 """
 
 from __future__ import annotations
@@ -52,13 +54,16 @@ class Budget:
 
     ``seconds`` bounds wall-clock time from construction, ``max_bits``
     bounds the bit size of any integer produced during elimination (every
-    combined row is checked when a budget is set).  A NaN ``seconds``
-    raises ValueError: it compares false, so it would bound nothing.
+    combined row is checked when a budget is set).  A NaN ``seconds`` or
+    ``max_bits`` raises ValueError: it compares false, so it would bound
+    nothing.
     """
 
     def __init__(self, seconds: float | None = None, max_bits: int | None = None):
         if seconds is not None and isnan(seconds):
             raise ValueError("budget seconds must be a number, not nan")
+        if isinstance(max_bits, float) and isnan(max_bits):
+            raise ValueError("budget max_bits must be a number, not nan")
         self.seconds = seconds
         self.max_bits = max_bits
         self._start = time.monotonic()
@@ -327,19 +332,21 @@ _PRIME = 32749
 def _modular_rank(
     rows: Iterable[dict[int, int]], columns: Sequence[int], stop: int | None,
     budget: Budget | None = None,
-) -> tuple[int, list[dict[int, int]]]:
-    """The rank modulo a prime of integer rows supported on ``columns``,
-    and the rows read; a row with an entry elsewhere raises ValueError.
+) -> int:
+    """The rank modulo a prime of integer rows supported on ``columns``; a
+    row with an entry elsewhere raises ValueError.
 
-    The rows join an echelon form modulo the prime one at a time, and
-    reading stops once the rank reaches ``stop`` (None: never).  A minor
-    that is nonzero modulo p is a nonzero integer, so the rank modulo p
-    never exceeds the rank over Q.  The budget is checked once per row.
+    The rows join an echelon form modulo the prime one at a time, and no
+    row is read once the rank reaches ``stop`` (None: never), so none at
+    all for 0.  No row is kept.  A minor that is nonzero modulo p is a
+    nonzero integer, so the rank modulo p never exceeds the rank over Q.
+    The budget is checked once per row read.
     """
+    if stop == 0:
+        return 0
     p = _PRIME
     position = {k: i for i, k in enumerate(columns)}
     width = len(columns)
-    kept: list[dict[int, int]] = []
     # pivot position -> the echelon row from its pivot on, with a 1 there;
     # the row is zero before its pivot
     echelon: dict[int, list[int]] = {}
@@ -347,7 +354,6 @@ def _modular_rank(
     for row in rows:
         if budget is not None:
             budget.check()
-        kept.append(row)
         dense = [0] * width
         if not row.keys() <= position.keys():
             raise ValueError("rank row with an entry outside the given columns")
@@ -364,27 +370,7 @@ def _modular_rank(
             insort(pivots, lead)
             if len(pivots) == stop:
                 break
-    return len(pivots), kept
-
-
-def rank_at_least(
-    rows: Iterable[dict[int, int]], columns: Sequence[int], target: int,
-    budget: Budget | None = None,
-) -> bool:
-    """Whether integer rows supported on ``columns`` have rank at least
-    ``target`` over Q; a row with an entry elsewhere raises ValueError.
-
-    The answer is yes as soon as the rank modulo a prime reaches the
-    target (:func:`_modular_rank`).  If the rows run out first, the exact
-    rank decides, so the answer never depends on the prime.
-    """
-    if target <= 0:
-        return True
-    rank, kept = _modular_rank(rows, columns, target, budget)
-    if rank >= target:
-        return True
-    exact = [_int_row({k: v for k, v in row.items() if v}) for row in kept]
-    return len(_eliminate(exact, budget)) >= target
+    return len(pivots)
 
 
 def orthogonal_complement(s: Subspace, budget: Budget | None = None) -> Subspace:

@@ -70,28 +70,40 @@ class TestDims:
         assert reasons == ["time budget of -1s exceeded in ('conj', %d)" % n for n in (1, 2)]
 
     def test_exact_fallback_keeps_the_table(self, monkeypatch, capsys):
-        # modulo 3 the rank certificates fall short of their targets, and
-        # the exact rank decides: the table is the same
-        fallbacks = []
-        real_rank, real_eliminate = invariants.rank_at_least, linalg._eliminate
+        # modulo 3 the rank certificates of the loop space and of the
+        # letter-reduced conjugation column fall short of their targets, and
+        # each reads its rows again for the exact rank: the table is the same
+        fallbacks, made = [], {}
+        real_span = invariants.span
 
-        def rank_spy(rows, columns, target, budget=None):
-            monkeypatch.setattr(
-                linalg, "_eliminate", lambda *args: fallbacks.append(target) or real_eliminate(*args)
-            )
-            try:
-                return real_rank(rows, columns, target, budget)
-            finally:
-                monkeypatch.setattr(linalg, "_eliminate", real_eliminate)
+        def reader(name):
+            real = getattr(InvariantSpaces, name)
+
+            def read(self, n, c):
+                rows = real(self, n, c)
+                made[id(rows)] = name, rows
+                return rows
+
+            return read
+
+        readers = {name: reader(name) for name in ("_closure_difference_rows", "_closed_rotations")}
+
+        def span_spy(d, n, rows, budget=None):
+            name, made_rows = made.get(id(rows), (None, None))
+            if made_rows is rows:
+                fallbacks.append(name)
+            return real_span(d, n, rows, budget)
 
         for d, top in ((2, 8), (3, 6)):
             argv = ["dims", "--d", str(d), "--max-level", str(top), "--format", "json"]
             plain = run(capsys, argv)
             monkeypatch.setattr(linalg, "_PRIME", 3)
-            monkeypatch.setattr(invariants, "rank_at_least", rank_spy)
+            monkeypatch.setattr(invariants, "span", span_spy)
+            for name, read in readers.items():
+                monkeypatch.setattr(InvariantSpaces, name, read)
             assert run(capsys, argv) == plain
             monkeypatch.undo()
-        assert fallbacks
+        assert set(fallbacks) == set(readers)
 
     def test_table_selection(self, capsys):
         _, out = run(capsys, ["dims", "--d", "2", "--max-level", "3", "--table", "conj", "--format", "csv"])
@@ -262,6 +274,8 @@ class TestBadNumbers:
             ["basis", "--space", "loop", "--n", "0"],
             ["dims", "--max-level", "2", "--budget-bits", "-1"],
             ["evidence", "--max-level", "2", "--budget-bits", "-1"],
+            ["dims", "--max-level", "0"],
+            ["evidence", "--max-level", "-1"],
         ],
     )
     def test_rejected_with_exit_two(self, argv, capsys):

@@ -1,4 +1,6 @@
 import gc
+import inspect
+import itertools
 import time
 import tracemalloc
 from array import array
@@ -254,7 +256,7 @@ class TestFreeColumnRoutes:
 
     def test_route_b_keeps_pivot_rows_only(self, monkeypatch):
         kernels, certificates, eliminations = [], [], []
-        real_kernel, real_rank = invariants.kernel, invariants.rank_at_least
+        real_kernel, real_modular = invariants.kernel, invariants._modular_rank
         real_eliminate = linalg._eliminate
 
         def kernel_spy(d, n, rows, budget=None, columns=None):
@@ -263,15 +265,15 @@ class TestFreeColumnRoutes:
                 kernels.append((rows, columns))
             return real_kernel(d, n, rows, budget, columns)
 
-        def rank_spy(rows, columns, target, budget=None):
-            certificates.append(len(rows))
-            return real_rank(rows, columns, target, budget)
+        def modular_spy(rows, columns, stop, budget=None):
+            certificates.append(stop)
+            return real_modular(rows, columns, stop, budget)
 
         sp = InvariantSpaces(3)
         sp._closure_table(5)
         v = sp.zero_increment_space(4)
         monkeypatch.setattr(invariants, "kernel", kernel_spy)
-        monkeypatch.setattr(invariants, "rank_at_least", rank_spy)
+        monkeypatch.setattr(invariants, "_modular_rank", modular_spy)
         monkeypatch.setattr(
             linalg, "_eliminate", lambda *args: eliminations.append(args) or real_eliminate(*args)
         )
@@ -286,7 +288,7 @@ class TestFreeColumnRoutes:
         assert len(kernels) == len(certificates) == len(s.blocks)
         assert len(eliminations) == 3 * len(s.blocks)
         every_output = 0
-        for (rows, columns), count, (c, block) in zip(kernels, certificates, s.blocks.items()):
+        for (rows, columns), stop, (c, block) in zip(kernels, certificates, s.blocks.items()):
             free = all_contents.free_columns(s, c)
             raw = [
                 sp._bracket_row(row, 4, i)
@@ -294,11 +296,39 @@ class TestFreeColumnRoutes:
             ]
             assert columns == free
             assert rows == all_contents.on_columns(raw, free)
-            assert count <= block.dim
+            assert stop <= sum(1 for _ in sp._closure_difference_rows(5, c)) <= block.dim
             every_output += sum(map(bool, all_contents.on_columns(
                 all_contents.closure_difference_rows(3, 5, s.orbits.words(c)), free
             )))
         assert sum(b.dim for b in s.blocks.values()) < every_output
+
+    def test_certificate_reads_rows_as_they_are_made(self, monkeypatch):
+        # the closure-difference rows stream into the modular pass, which
+        # reads none after the one at which its rank reaches the target
+        passes = []
+        real_modular = invariants._modular_rank
+
+        def modular_spy(rows, columns, stop, budget=None):
+            assert inspect.isgenerator(rows)
+            read = []
+            rank = real_modular((read.append(row) or row for row in rows), columns, stop, budget)
+            passes.append((read, columns, stop, rank, sum(1 for _ in rows)))
+            return rank
+
+        sp = InvariantSpaces(3)
+        s = sp.letter_shuffle_ideal(5)
+        monkeypatch.setattr(invariants, "_modular_rank", modular_spy)
+        sp.loop_invariants(5)
+        assert len(passes) == len(s.blocks)
+        for (read, columns, stop, rank, unread), c in zip(passes, s.blocks):
+            assert inspect.isgenerator(sp._closure_difference_rows(5, c))
+            assert len(read) + unread == sum(1 for _ in sp._closure_difference_rows(5, c))
+            assert rank == stop
+            if stop:
+                assert real_modular(read[:-1], columns, None) == stop - 1
+            else:
+                assert read == []
+        assert any(unread for *_, unread in passes)
 
     @pytest.mark.parametrize("d, top", [(2, 9), (3, 6)])
     def test_loop_against_closure_difference_kernel(self, d, top):
@@ -325,41 +355,36 @@ class TestFreeColumnRoutes:
         # certifies each loop block by a rank lower bound and each
         # letter-reduced conjugation block by one full pass, both modulo
         # the prime alone
-        certificates, passes, exact = [], [], []
-        real_rank, real_eliminate = invariants.rank_at_least, linalg._eliminate
-        real_modular, real_span = invariants._modular_rank, invariants.span
-
-        def rank_spy(rows, columns, target, budget=None):
-            certificates.append(target)
-            monkeypatch.setattr(
-                linalg, "_eliminate", lambda *args: exact.append(target) or real_eliminate(*args)
-            )
-            try:
-                return real_rank(rows, columns, target, budget)
-            finally:
-                monkeypatch.setattr(linalg, "_eliminate", real_eliminate)
+        passes, readings = [], []
+        real_modular = invariants._modular_rank
 
         def modular_spy(rows, columns, stop, budget=None):
-            rank, kept = real_modular(rows, columns, stop, budget)
-            passes.append((stop, kept))
-            return rank, kept
+            passes.append(stop)
+            return real_modular(rows, columns, stop, budget)
 
-        def span_spy(d, n, rows, budget=None):
-            if any(rows is kept for _, kept in passes):
-                exact.append(n)
-            return real_span(d, n, rows, budget)
+        def reading_spy(name):
+            real = getattr(InvariantSpaces, name)
+            return lambda self, n, c: readings.append((name, n, c)) or real(self, n, c)
 
-        monkeypatch.setattr(invariants, "rank_at_least", rank_spy)
         monkeypatch.setattr(invariants, "_modular_rank", modular_spy)
-        monkeypatch.setattr(invariants, "span", span_spy)
+        for name in ("_closure_difference_rows", "_closed_rotations"):
+            monkeypatch.setattr(InvariantSpaces, name, reading_spy(name))
         sp = InvariantSpaces(3)
         for n in range(1, 7):
             sp.report(n)
             assert ("closure", n) not in sp._memo
-        blocks = sum(len(sp._orbits(n).canonical) for n in range(1, 7))
-        assert len(certificates) == len(passes) == blocks
-        assert all(stop is None for stop, _ in passes)
-        assert exact == []
+        blocks = [(n, c) for n in range(1, 7) for c in sp._orbits(n).canonical]
+        # per block, the loop certificate with its stop and the full
+        # letter-reduced pass
+        assert len(passes) == 2 * len(blocks)
+        assert passes.count(None) == len(blocks)
+        # the closure-difference rows are read by the pairing and the
+        # modular pass, the closed rotations by the modular pass alone:
+        # never again for an exact rank
+        loop = [(n, c) for name, n, c in readings if name == "_closure_difference_rows"]
+        closed = [(n, c) for name, n, c in readings if name == "_closed_rotations"]
+        assert sorted(loop) == sorted(blocks + blocks)
+        assert sorted(closed) == sorted(blocks)
 
     def test_report_stores_no_intermediate_space(self):
         # [V, letters] is a dimension of the loop build, and the closed
@@ -700,7 +725,8 @@ class TestOneRouteChecks:
         # K_A, but its rank falls short wherever K_A leaves two free columns
         real = InvariantSpaces._closure_difference_rows
         monkeypatch.setattr(
-            InvariantSpaces, "_closure_difference_rows", lambda self, *args: real(self, *args)[:1]
+            InvariantSpaces, "_closure_difference_rows",
+            lambda self, *args: itertools.islice(real(self, *args), 1),
         )
         self.assert_refused(InvariantSpaces(d), "loop_invariants", 6, "loop", "closure-difference kernel")
 

@@ -10,6 +10,7 @@ from loopinv.linalg import (
     BudgetExceeded,
     CrossCheckError,
     Subspace,
+    _modular_rank,
     contains,
     index_word,
     intersect,
@@ -17,7 +18,6 @@ from loopinv.linalg import (
     member_tensor,
     orthogonal,
     orthogonal_complement,
-    rank_at_least,
     span,
     span_tensors,
     subspace_sum,
@@ -412,74 +412,82 @@ class CountingBudget(Budget):
         self.checks += 1
 
 
-class TestRankAtLeast:
+class TestModularRank:
+    """The rank modulo the prime of rows on given columns, read up to a stop."""
+
     @staticmethod
-    def spy_exact(monkeypatch):
-        """The eliminations of the exact fallback from now on."""
-        calls = []
-        real = linalg._eliminate
-        monkeypatch.setattr(
-            linalg, "_eliminate", lambda rows, budget=None: calls.append(len(rows)) or real(rows, budget)
-        )
-        return calls
+    def counted(rows, read):
+        """The rows, appending each to ``read`` as it is drawn."""
+        return (read.append(row) or row for row in rows)
 
-    def test_full_rank(self, monkeypatch):
-        exact = self.spy_exact(monkeypatch)
+    def test_full_rank(self):
         rows = [{2: 1, 5: 3}, {5: 2, 7: -1}, {2: 4, 7: 9}]
-        for target in range(4):
-            assert rank_at_least(rows, [2, 5, 7], target)
-        assert rank_at_least([], [2, 5, 7], 0)
-        assert exact == []
+        assert _modular_rank(rows, [2, 5, 7], None) == 3
+        assert _modular_rank([], [2, 5, 7], None) == 0
+        for stop in range(1, 4):
+            read = []
+            assert _modular_rank(self.counted(rows, read), [2, 5, 7], stop) == stop
+            assert read == rows[:stop]
 
-    def test_short_rank_falls_back(self, monkeypatch):
-        exact = self.spy_exact(monkeypatch)
-        rows = [{0: 1, 1: 2}, {0: 2, 1: 4}, {1: 1, 2: 1}]
-        assert rank_at_least(rows, [0, 1, 2], 2)
-        assert exact == []
-        assert not rank_at_least(rows, [0, 1, 2], 3)
-        assert exact == [3]
+    def test_stops_at_the_row_that_reaches_the_stop(self):
+        rows = [{0: 1, 1: 2}, {0: 2, 1: 4}, {1: 1, 2: 1}, {2: 5}]
+        read = []
+        assert _modular_rank(self.counted(rows, read), [0, 1, 2], 2) == 2
+        assert read == rows[:3]
+        # a stop above the rank reads every row
+        read = []
+        assert _modular_rank(self.counted(rows[:3], read), [0, 1, 2], 3) == 2
+        assert read == rows[:3]
 
-    def test_small_prime_falls_back_to_the_exact_rank(self, monkeypatch):
+    def test_stop_zero_reads_no_row(self):
+        read = []
+        assert _modular_rank(self.counted([{0: 1}], read), [0, 1], 0) == 0
+        assert read == []
+
+    def test_small_prime_falls_short_of_the_exact_rank(self, monkeypatch):
         # 1, 4 and 1, 1 agree modulo 3, so the rank there is 1, not 2
         rows = [{0: 1, 1: 1}, {0: 1, 1: 4}]
-        exact = self.spy_exact(monkeypatch)
-        assert rank_at_least(rows, [0, 1], 2)
-        assert exact == []
+        assert _modular_rank(rows, [0, 1], None) == span(2, 1, rows).dim == 2
         monkeypatch.setattr(linalg, "_PRIME", 3)
-        assert rank_at_least(rows, [0, 1], 2)
-        assert exact == [2]
-        assert not rank_at_least(rows, [0, 1], 3)
+        assert _modular_rank(rows, [0, 1], None) == 1
+        assert _modular_rank(rows, [0, 1], 2) == 1
 
-    def test_agrees_with_span(self, rng):
+    def test_never_exceeds_the_exact_rank(self, rng, monkeypatch):
         seen = set()
-        for _ in range(80):
-            size = rng.randint(1, 8)
-            columns = sorted(rng.sample(range(16), size))
-            rows = [
-                {k: rng.randint(-40000, 40000) * rng.randint(0, 1) for k in columns}
-                for _ in range(rng.randint(0, 8))
-            ]
-            rank = span(2, 4, rows).dim
-            for target in range(rank + 2):
-                expected = target <= rank
-                assert rank_at_least(rows, columns, target) == expected
-                seen.add(expected)
+        for prime in (linalg._PRIME, 3):
+            monkeypatch.setattr(linalg, "_PRIME", prime)
+            for _ in range(80):
+                size = rng.randint(1, 8)
+                columns = sorted(rng.sample(range(16), size))
+                rows = [
+                    {k: rng.randint(-40000, 40000) * rng.randint(0, 1) for k in columns}
+                    for _ in range(rng.randint(0, 8))
+                ]
+                rank = span(2, 4, rows).dim
+                modular = _modular_rank(rows, columns, None)
+                assert modular <= rank
+                seen.add(modular == rank)
+                for stop in range(1, rank + 2):
+                    assert _modular_rank(rows, columns, stop) == min(stop, modular)
         assert seen == {True, False}
 
     def test_row_off_the_columns(self):
         with pytest.raises(ValueError, match="outside the given columns"):
-            rank_at_least([{5: 1}], [0, 1], 1)
+            _modular_rank([{5: 1}], [0, 1], None)
         with pytest.raises(ValueError, match="outside the given columns"):
-            rank_at_least([{0: 1}, {1: 2, 7: 1}], [0, 1], 2)
+            _modular_rank([{0: 1}, {1: 2, 7: 1}], [0, 1], 2)
 
     def test_budget_per_row(self):
         rows = [{0: 1}, {1: 1}, {0: 1, 1: 1}, {2: 1}]
         budget = CountingBudget()
-        assert rank_at_least(rows, [0, 1, 2], 2, budget)
+        assert _modular_rank(rows, [0, 1, 2], 2, budget) == 2
         assert budget.checks == 2
+        budget = CountingBudget()
+        assert _modular_rank(rows, [0, 1, 2], None, budget) == 3
+        assert budget.checks == 4
         with pytest.raises(BudgetExceeded):
-            rank_at_least(rows, [0, 1, 2], 2, Budget(seconds=-1.0))
-        assert rank_at_least(rows, [0, 1, 2], 0, Budget(seconds=-1.0))
+            _modular_rank(rows, [0, 1, 2], 2, Budget(seconds=-1.0))
+        assert _modular_rank(rows, [0, 1, 2], 0, Budget(seconds=-1.0)) == 0
 
 
 class TestBudget:
@@ -496,6 +504,14 @@ class TestBudget:
         with pytest.raises(ValueError, match="nan"):
             Budget(seconds=float("nan"))
         Budget(seconds=float("inf")).check()
+
+    def test_nan_max_bits_refused(self):
+        # NaN compares false, so check() would pass any size
+        with pytest.raises(ValueError, match="max_bits must be a number, not nan"):
+            Budget(max_bits=float("nan"))
+        Budget(max_bits=float("inf")).check(10**6)
+        with pytest.raises(BudgetExceeded):
+            Budget(max_bits=2**70).check(2**71)
 
     def test_bit_budget(self):
         with pytest.raises(BudgetExceeded):

@@ -44,6 +44,11 @@ class TestPath:
         p = PiecewiseLinearPath(2, [["1/10", 1], [Q(1, 3), 0]])
         assert p.segments == ((Q(1, 10), Q(1)), (Q(1, 3), Q(0)))
 
+    def test_rejects_bools(self):
+        # bool subclasses int: True used to be stored as the coordinate 1
+        with pytest.raises(TypeError, match="bool"):
+            PiecewiseLinearPath(2, [(True, 0)])
+
     def test_closing_segment(self):
         p = PiecewiseLinearPath(2, [(1, 0), (0, 1)])
         assert closing_segment(p) == (Q(-1), Q(-1))
@@ -70,7 +75,9 @@ class TestPath:
         ({"d": 2, "segments": [["1", 3]]}, ValueError, "rational string expected"),
         ({"d": 2, "segments": [["1", "1/0"]]}, ValueError, "zero denominator"),
         ({"d": True, "segments": [["1", "0"]]}, TypeError, "bool"),
-    ], ids=["float-d", "float-coordinate", "int-coordinate", "zero-denominator", "bool-d"])
+        ({"d": 2, "segments": [["1", True]]}, TypeError, "bool"),
+    ], ids=["float-d", "float-coordinate", "int-coordinate", "zero-denominator", "bool-d",
+            "bool-coordinate"])
     def test_json_rejects_inexact_coordinates(self, payload, error, match):
         # d=2.9 used to read as 2 and d=true as 1; a number or "1/0" raised
         # AttributeError or ZeroDivisionError

@@ -137,6 +137,14 @@ class TestElement:
         assert x.coefficient("1") == Q(1, 10)
         assert (x * "3/2").coefficient("2") == Q(1, 2)
 
+    def test_rejects_bools(self):
+        # bool subclasses int: True used to be stored as the coefficient 1
+        with pytest.raises(TypeError, match="bool"):
+            TensorElement(2, {(1,): True})
+        for scale in (lambda x: x * True, lambda x: False * x, lambda x: x / True):
+            with pytest.raises(TypeError, match="bool"):
+                scale(W(2, "1"))
+
     def test_arithmetic(self):
         x = W(2, "12") + 2 * W(2, "21")
         assert x.coefficient("21") == 2
