@@ -96,6 +96,7 @@ from .linalg import (
     CrossCheckError,
     Subspace,
     _modular_rank,
+    _pack,
     contains,
     index_word,
     intersect,  # noqa: F401  (unused here; bench/tracing.py wraps this name)
@@ -368,6 +369,40 @@ class _ClosureBlock:
             total = list(part if total is None else map(add, total, part))
         return {k: x for k, x in zip(self.words, total or ()) if x}
 
+    def kills(self, rows: Iterable[dict[int, int]]) -> bool:
+        """True iff n! rcl vanishes on every given integer row on the words
+        of the block; a word outside it raises KeyError.
+
+        Each closure row is one int P_p = sum_j rows[p][j] 2^(W j), so slot
+        j of sum_k g_k P_position[k] is entry j of n! rcl(g), at most sum
+        |g_k| times the largest entry m of the block in size.  W is 64, at
+        which the ``array('q')`` rows are read as stored, and widens by 64
+        bits where that bound or m needs it, so that a sum is zero exactly
+        when every slot is.
+        """
+        m = max(max(map(max, self.rows)), -min(map(min, self.rows)))
+        bits = 0
+        for row in rows:
+            need = max((sum(map(abs, row.values())) * m).bit_length(), m.bit_length() + 1)
+            if need > bits:
+                bits = -(-need // 64) * 64
+                packed = [_signed_slots(r, bits) for r in self.rows]
+            if sum(c * packed[self.position[k]] for k, c in row.items()):
+                return False
+        return True
+
+
+def _signed_slots(row: Sequence[int], bits: int) -> int:
+    """sum_j row[j] 2^(bits j) for a dense row whose entries fit signed
+    slots of ``bits`` bits.  At 64 bits an ``array('q')`` row is read from
+    its bytes, unsigned, and its signs restored at once: a slot u with its
+    top bit set stands for u - 2^64, so the row is U - 2 (U & H), H the
+    top bit of every slot."""
+    if bits > 64 or isinstance(row, list):
+        return functools.reduce(lambda acc, x: (acc << bits) + x, reversed(row), 0)
+    u = _pack(row)
+    return u - ((u & int.from_bytes((bytes(7) + b"\x80") * len(row), "little")) << 1)
+
 
 def _check_level(n: int, least: int = 1) -> None:
     if n < least:
@@ -504,8 +539,11 @@ class InvariantSpaces:
 
         Each block c is proven as soon as its rows are in.  The closure row
         of every letter shuffle generator ``i ⧢ u`` of content c must be
-        zero.  Then, for every free column f of the block of S, n! rcl(e_f)
-        - n! e_f must pair to zero with the rows of V_c, which the build of
+        zero, one packed sum per generator (:meth:`_ClosureBlock.kills`:
+        signed 64-bit slots while n times the largest entry is below 2^64).
+        Then, for every free column f of the block of S, n! rcl(e_f)
+        - n! e_f must pair to zero with the rows of V_c (packed
+        :func:`~loopinv.linalg.orthogonal`), which the build of
         V checks to be S_c^perp in the block, so it lies in S.  So rcl
         vanishes on S and rcl(x) - x lies in S for every x of a canonical
         content, and, as both commute with renaming letters, for every x:
@@ -539,7 +577,7 @@ class InvariantSpaces:
                     words, {k: p for p, k in enumerate(words)}, rows,
                     [at[x[::-1]] for x in letters], [f for f in words if f not in pivots],
                 )
-                if any(map(block.image, self._letter_shuffle_rows(n, c))):
+                if not block.kills(self._letter_shuffle_rows(n, c)):
                     raise CrossCheckError(
                         "the right closure does not vanish on the letter shuffle "
                         "ideal at d=%d, n=%d, content %s" % (self.d, n, c)
@@ -566,12 +604,22 @@ class InvariantSpaces:
         )
 
     def _letter_shuffle_rows(self, n: int, c: Content):
-        """i shuffled with u for letters i and words u of content c - e_i."""
-        lower = self._orbits(n - 1)
-        return (
-            self._shuffle_row({i: 1}, 1, {u: 1}, n - 1)
-            for i in range(self.d) if c[i] for u in lower.words(_without(c, i))
-        )
+        """i shuffled with u for letters i and words u of content c - e_i:
+        the sum over t < n of the word that puts i before the last t
+        letters of u, of index (hi d + i) d^t + lo for (hi, lo) =
+        divmod(u, d^t).  The budget is checked once per row."""
+        d, lower = self.d, self._orbits(n - 1)
+        powers = [d**t for t in range(n)]
+        for i in range(d):
+            if c[i]:
+                for u in lower.words(_without(c, i)):
+                    self._check_budget()
+                    row: dict[int, int] = {}
+                    for q in powers:
+                        hi, lo = divmod(u, q)
+                        k = (hi * d + i) * q + lo
+                        row[k] = row.get(k, 0) + 1
+                    yield row
 
     def _necklaces(self, c: Content) -> list[Word]:
         """The necklaces of content c, in lexicographic order: the anagrams
@@ -736,7 +784,10 @@ class InvariantSpaces:
         every row of M, so rcl = lcl on K_A, and the rank of M is at most
         (free columns) - dim K_A; the rank reaches that bound
         (:meth:`_rank`), so the kernel of M is no larger than K_A.
-        Together, S_c + K_A is the kernel of rcl - lcl on the block.
+        Together, S_c + K_A is the kernel of rcl - lcl on the block.  Both
+        steps run on packed rows: the pairing on the columns of K_A in
+        slots that no dot product fills, the rank on residues in 64-bit
+        slots, to which a reduction step adds less than p^2 < 2^30.
         """
         _check_level(n)
         d, s, v = self.d, self.letter_shuffle_ideal(n), self.zero_increment_space(n - 1)

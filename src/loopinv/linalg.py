@@ -23,11 +23,19 @@ reads its rows as they stream, keeps none of them and bounds the rank
 over Q from below.  Where the prime falls short, the caller reads the
 rows again for the exact rank (:func:`span`), so no answer depends on
 the prime.
+
+The dense steps pack a vector into one int, a slot of w bits per entry,
+so one big-int operation does a row's work: :func:`orthogonal` with w the
+bit length of max|stored| * max|row| * len(row), which no dot product
+reaches, and :func:`_modular_rank` with w = 64 for residues modulo p,
+where a reduction step adds less than p^2 < 2^30 to a slot.
 """
 
 from __future__ import annotations
 
+import sys
 import time
+from array import array
 from bisect import insort
 from math import gcd, isnan, lcm
 from typing import Iterable, Sequence
@@ -60,7 +68,7 @@ class Budget:
     """
 
     def __init__(self, seconds: float | None = None, max_bits: int | None = None):
-        if seconds is not None and isnan(seconds):
+        if isinstance(seconds, float) and isnan(seconds):
             raise ValueError("budget seconds must be a number, not nan")
         if isinstance(max_bits, float) and isnan(max_bits):
             raise ValueError("budget max_bits must be a number, not nan")
@@ -324,9 +332,18 @@ def kernel(
     return _null_space(d, n, _eliminate(rows, budget), budget, columns)
 
 
-# the prime of the modular ranks: below 2**15, so that every product of
-# two residues fits in one 30-bit digit of a Python int
+# the prime of the modular ranks: below 2**15, so that a reduction step
+# adds less than p**2 < 2**30 to a 64-bit slot
 _PRIME = 32749
+
+
+def _pack(values: array) -> int:
+    """The entries of an 8-byte array, read unsigned, as the 64-bit slots
+    of one int, the first lowest."""
+    if sys.byteorder == "big":
+        values = array(values.typecode, values)
+        values.byteswap()
+    return int.from_bytes(values.tobytes(), "little")
 
 
 def _modular_rank(
@@ -341,32 +358,43 @@ def _modular_rank(
     all for 0.  No row is kept.  A minor that is nonzero modulo p is a
     nonzero integer, so the rank modulo p never exceeds the rank over Q.
     The budget is checked once per row read.
+
+    A row modulo p is one int with a 64-bit slot per column.  An echelon
+    row y, with a 1 at its pivot, is stored from the pivot on as p - y, in
+    [1, p] per slot, so a reduction step is x += f * (p - y) with f the
+    slot of x at the pivot modulo p: it adds less than p^2 < 2^30 to each
+    slot, so a slot, read modulo p only to find a pivot, stays below
+    p + rank * p^2, under 2^64 for fewer than 2^33 columns.
     """
     if stop == 0:
         return 0
     p = _PRIME
     position = {k: i for i, k in enumerate(columns)}
     width = len(columns)
-    # pivot position -> the echelon row from its pivot on, with a 1 there;
-    # the row is zero before its pivot
-    echelon: dict[int, list[int]] = {}
+    # pivot position -> the packed echelon row, zero below its pivot
+    echelon: dict[int, int] = {}
     pivots: list[int] = []
     for row in rows:
         if budget is not None:
             budget.check()
-        dense = [0] * width
         if not row.keys() <= position.keys():
             raise ValueError("rank row with an entry outside the given columns")
+        dense = array("Q", bytes(8 * width))
         for k, v in row.items():
             dense[position[k]] = v % p
+        x = _pack(dense)
         for lead in pivots:
-            f = dense[lead]
+            f = ((x >> 64 * lead) & 0xFFFFFFFFFFFFFFFF) % p
             if f:
-                dense[lead:] = [(x - f * y) % p for x, y in zip(dense[lead:], echelon[lead])]
-        lead = next((i for i, x in enumerate(dense) if x), None)
+                x += f * echelon[lead]
+        slots = array("Q", x.to_bytes(8 * width, "little"))
+        if sys.byteorder == "big":
+            slots.byteswap()
+        lead = next((i for i, v in enumerate(slots) if v % p), None)
         if lead is not None:
-            inverse = pow(dense[lead], -1, p)
-            echelon[lead] = [x * inverse % p for x in dense[lead:]]
+            inverse = pow(slots[lead], -1, p)
+            tail = array("Q", [p - v * inverse % p for v in slots[lead:]])
+            echelon[lead] = _pack(tail) << 64 * lead
             insort(pivots, lead)
             if len(pivots) == stop:
                 break
@@ -430,16 +458,23 @@ def contains(outer: Subspace, inner: Subspace) -> bool:
 def orthogonal(s: Subspace, rows: Iterable[dict], budget: Budget | None = None) -> bool:
     """True iff every raw row of level s.n pairs to zero with every stored
     row of s; the budget is checked once per row.  Each row is paired as
-    it is drawn, and no row is drawn after one that pairs to a nonzero."""
-    by_col: dict[int, list[tuple[int, int]]] = {}
-    for i, stored in enumerate(s.rows):
-        for k, v in stored.items():
-            by_col.setdefault(k, []).append((i, v))
+    it is drawn, and no row is drawn after one that pairs to a nonzero.
+
+    The stored rows are packed by column, W_k = sum_i s_i[k] 2^(B i), so
+    slot i of sum_k c_k W_k is the dot product of a row c with s_i.  Each
+    is at most max|s| * max|c| * len(c) in size, below 2^B for B the bit
+    length of that bound, so the sum is zero exactly when every slot is.
+    The columns are packed again only when a row needs a wider slot.
+    """
+    s_max = max((max(map(abs, row.values())) for row in s.rows), default=0)
+    bits, packed = 0, {}
     for row in _int_rows(s.d, s.n, rows, budget, "orthogonal"):
-        dots: dict[int, int] = {}
-        for k, c in row.items():
-            for i, v in by_col.get(k, ()):
-                dots[i] = dots.get(i, 0) + c * v
-        if any(dots.values()):
+        need = (s_max * max(map(abs, row.values())) * len(row)).bit_length()
+        if need > bits:
+            bits, packed = need, {}
+            for i, stored in enumerate(s.rows):
+                for k, v in stored.items():
+                    packed[k] = packed.get(k, 0) + (v << bits * i)
+        if sum(c * packed.get(k, 0) for k, c in row.items()):
             return False
     return True

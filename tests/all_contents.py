@@ -1,7 +1,8 @@
 """Test oracles for the pipeline, which builds each level once per orbit
 of letter contents: every space of a level built from the rows of all
 contents at once, and the block of any one content built directly on that
-content, with no renaming.
+content, with no renaming.  The dense kernels of ``linalg`` and of the
+closure table have their entry-by-entry routes here too.
 
 The closure rows come from ``tensor._rcl_word`` for every word, not from
 the pipeline's table of canonical contents.  The oracle's ``bracketV`` is
@@ -10,8 +11,9 @@ dimension, so it has no entry in :data:`METHODS`.
 """
 
 import itertools
+from bisect import insort
 
-from loopinv import tensor
+from loopinv import linalg, tensor
 from loopinv.linalg import index_word, kernel, span, word_index
 from loopinv.words import lyndon_words, necklaces
 
@@ -24,6 +26,53 @@ METHODS = {
     "closure": "closure_invariants",
     "rclrot": "closed_rotation_span",
 }
+
+
+def orthogonal(s, rows):
+    """linalg.orthogonal entry by entry: each row's dot product with every
+    stored row that shares a column with it."""
+    by_col = {}
+    for i, stored in enumerate(s.rows):
+        for k, v in stored.items():
+            by_col.setdefault(k, []).append((i, v))
+    for row in linalg._int_rows(s.d, s.n, rows, None, "orthogonal"):
+        dots = {}
+        for k, c in row.items():
+            for i, v in by_col.get(k, ()):
+                dots[i] = dots.get(i, 0) + c * v
+        if any(dots.values()):
+            return False
+    return True
+
+
+def modular_rank(rows, columns, stop):
+    """linalg._modular_rank on dense lists, modulo linalg._PRIME as it is at
+    the call: each echelon row is kept from its pivot on with a 1 there."""
+    if stop == 0:
+        return 0
+    p, position = linalg._PRIME, {k: i for i, k in enumerate(columns)}
+    echelon, pivots = {}, []
+    for row in rows:
+        dense = [0] * len(columns)
+        for k, v in row.items():
+            dense[position[k]] = v % p
+        for lead in pivots:
+            f = dense[lead]
+            if f:
+                dense[lead:] = [(x - f * y) % p for x, y in zip(dense[lead:], echelon[lead])]
+        lead = next((i for i, x in enumerate(dense) if x), None)
+        if lead is not None:
+            inverse = pow(dense[lead], -1, p)
+            echelon[lead] = [x * inverse % p for x in dense[lead:]]
+            insort(pivots, lead)
+            if len(pivots) == stop:
+                break
+    return len(pivots)
+
+
+def closure_kills(block, rows):
+    """_ClosureBlock.kills by dense images: no row has a nonzero image."""
+    return not any(map(block.image, rows))
 
 
 def content_of(k, d, n):

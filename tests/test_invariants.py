@@ -955,22 +955,34 @@ class TestOrbits:
                     method(n)
 
     def test_table_shuffles_each_generator_once(self, monkeypatch):
-        # the proof of the table shuffles the letter generators of each
-        # block again, once each, and keeps none of them
+        # the proof of the table makes the letter generators of each block
+        # again, once each, as a stream it keeps none of, by index
+        # arithmetic: no general shuffle runs
         sp = InvariantSpaces(3)
         sp.zero_increment_space(5)
-        calls = []
-        real = sp._shuffle_row
-        monkeypatch.setattr(sp, "_shuffle_row", lambda *args: calls.append(args) or real(*args))
+        made, shuffles = [], []
+        real = InvariantSpaces._letter_shuffle_rows
+
+        def spy(self, n, c):
+            rows = real(self, n, c)
+            assert inspect.isgenerator(rows)
+            for row in rows:
+                made.append((c, row))
+                yield row
+
+        monkeypatch.setattr(InvariantSpaces, "_letter_shuffle_rows", spy)
+        monkeypatch.setattr(sp, "_shuffle_row", lambda *args: shuffles.append(args))
         sp._closure_table(5)
+        monkeypatch.undo()
         lower = sp._orbits(4)
-        assert calls == [
-            ({i: 1}, 1, {u: 1}, 4)
+        assert shuffles == []
+        assert made == [
+            (c, sp._shuffle_row({i: 1}, 1, {u: 1}, 4))
             for c in sp._orbits(5).canonical
             for i in range(3) if c[i]
             for u in lower.words(invariants._without(c, i))
         ]
-        assert len(calls) > len(sp._orbits(5).canonical)
+        assert len(made) > len(sp._orbits(5).canonical)
 
 
 class TestClosureTable:
@@ -1062,6 +1074,50 @@ class TestClosureTable:
             assert all(type(row) is list for block in sp._closure_table(n).values() for row in block.rows)
             for build in ("closure_invariants", "loop_invariants", "closed_rotation_span"):
                 assert getattr(sp, build)(n) == getattr(clean, build)(n)
+
+    @pytest.mark.parametrize("d, top", [(2, 7), (3, 5)])
+    def test_kills_agrees_with_the_dense_route(self, rng, d, top):
+        # combinations of generators, which the closure kills, with small
+        # and with 70-bit factors (wider slots), some with a word added
+        sp, seen = InvariantSpaces(d), set()
+        for n in range(1, top + 1):
+            for c, block in sp._closure_table(n).items():
+                generators = list(sp._letter_shuffle_rows(n, c))
+                for _ in range(8):
+                    row = {}
+                    for g in rng.sample(generators, min(3, len(generators))):
+                        bound = 2**rng.choice([3, 70])
+                        f = rng.randint(-bound, bound)
+                        for k, v in g.items():
+                            row[k] = row.get(k, 0) + f * v
+                    if rng.random() < 0.5:
+                        k = rng.choice(block.words)
+                        row[k] = row.get(k, 0) + rng.randint(1, 3)
+                    rows = [{k: v for k, v in row.items() if v}]
+                    expected = all_contents.closure_kills(block, rows)
+                    assert block.kills(rows) == expected, (n, c)
+                    seen.add(expected)
+        assert seen == {True, False}
+
+    def test_signed_slots_restore_the_signs(self, rng):
+        for _ in range(50):
+            values = [rng.choice([-2**63, 2**63 - 1, -1, 0, rng.randint(-2**63, 2**63 - 1)]) for _ in range(5)]
+            packed = sum(v << 64 * j for j, v in enumerate(values))
+            assert invariants._signed_slots(array("q", values), 64) == packed
+            assert invariants._signed_slots(values, 64) == packed
+            assert invariants._signed_slots(array("q", values), 128) == sum(v << 128 * j for j, v in enumerate(values))
+
+    def test_a_table_slot_one_bit_narrower_gives_a_false_zero(self):
+        # 4 e_0 + e_1 maps to (2^64, -1).  Its 5 generator terms times the
+        # largest entry 2^62 need 65 bits, and in 64-bit slots 4 * 2^62 -
+        # 2^64 reads zero; the block widens to 128 bits and sees the image
+        rows = [array("q", [2**62, 0]), array("q", [0, -1])]
+        block = invariants._ClosureBlock([0, 1], {0: 0, 1: 1}, rows, [0, 1], [])
+        g = {0: 4, 1: 1}
+        assert (5 * 2**62).bit_length() == 65
+        assert 4 * invariants._signed_slots(rows[0], 64) + invariants._signed_slots(rows[1], 64) == 0
+        assert not all_contents.closure_kills(block, [g])
+        assert not block.kills([g])
 
     def test_image_refuses_a_word_outside_its_block(self):
         block = InvariantSpaces(2)._closure_table(3)[(2, 1)]
@@ -1525,6 +1581,18 @@ class TestRowOperators:
         for n in range(1, 5):
             for w in necklaces(d, n):
                 assert row_tensor(d, n, sp._rotation_row(w)) == rotation_sum(w)
+
+    @pytest.mark.parametrize("d, top", [(2, 9), (3, 6)])
+    def test_letter_shuffle_rows_by_index(self, d, top):
+        # every content, not only the canonical ones
+        sp = InvariantSpaces(d)
+        for n in range(1, top + 1):
+            lower = sp._orbits(n - 1)
+            for c in all_contents.contents(d, n):
+                assert list(sp._letter_shuffle_rows(n, c)) == [
+                    sp._shuffle_row({i: 1}, 1, {u: 1}, n - 1)
+                    for i in range(d) if c[i] for u in lower.words(invariants._without(c, i))
+                ], (n, c)
 
     def test_shuffle_row_with_zero_entry(self):
         # a zero coefficient adds nothing: 0 shuffled with 0 is 2 * 00

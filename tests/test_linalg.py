@@ -2,6 +2,7 @@ from math import gcd
 
 import pytest
 
+import all_contents
 from conftest import random_homogeneous, tensor_row
 from loopinv import linalg
 from loopinv._rat import Q
@@ -394,6 +395,48 @@ class TestOrthogonal:
 
         assert not orthogonal(span(2, 2, [{0: 1}]), rows())
 
+    def test_agrees_with_the_dict_route(self, rng):
+        # stored rows with a dependent one among them, and drawn rows that
+        # grow, so that the columns are packed again for wider slots
+        seen = set()
+        for _ in range(150):
+            d, n = rng.choice([(2, 3), (2, 4), (3, 2)])
+            stored = [random_int_row(rng, d**n) for _ in range(rng.randint(1, 4))]
+            stored.append({k: -2 * v for k, v in stored[0].items()})
+            s = Subspace(d, n, [0] * len(stored), stored)
+            rows = [
+                {k: v << rng.randint(0, 80) for k, v in row.items()}
+                for row in orthogonal_complement(span(d, n, stored)).rows
+            ]
+            if rng.random() < 0.5:
+                rows.insert(rng.randint(0, len(rows)), random_int_row(rng, d**n))
+            expected = all_contents.orthogonal(s, rows)
+            assert orthogonal(s, rows) == expected
+            seen.add(expected)
+        assert seen == {True, False}
+
+    def test_a_slot_one_bit_narrower_gives_a_false_zero(self):
+        # c pairs to 4 with s_0 and to -1 with s_1.  The slot is the bit
+        # length of max|s| * max|c| * len(c) = 4, 3 bits; in 2-bit slots
+        # the columns 2 + 1 * 4 and 2 - 2 * 4 pair with c to zero
+        s = Subspace(2, 1, [0, 1], [{0: 2, 1: 2}, {0: 1, 1: -2}])
+        c = {0: 1, 1: 1}
+
+        def paired(bits):
+            return sum(
+                x * sum(row[k] << bits * i for i, row in enumerate(s.rows)) for k, x in c.items()
+            )
+
+        assert (2 * 1 * 2).bit_length() == 3
+        assert paired(2) == 0 != paired(3)
+        assert not orthogonal(s, [c])
+
+    def test_empty_space_still_checks_each_row(self):
+        with pytest.raises(ValueError):
+            orthogonal(span(2, 2, []), [{9: 1}])
+        with pytest.raises(TypeError):
+            orthogonal(span(2, 2, []), [{1: 0.5}])
+
     def test_budget_per_row(self):
         s = span(2, 2, [{0: 1}])
         assert orthogonal(s, [], Budget(seconds=-1.0))
@@ -471,6 +514,42 @@ class TestModularRank:
                     assert _modular_rank(rows, columns, stop) == min(stop, modular)
         assert seen == {True, False}
 
+    def test_agrees_with_the_dense_route(self, rng, monkeypatch):
+        # large and negative entries, and rows that are combinations of
+        # earlier ones, for every stop
+        seen = set()
+        for prime in (linalg._PRIME, 3):
+            monkeypatch.setattr(linalg, "_PRIME", prime)
+            for _ in range(60):
+                columns = sorted(rng.sample(range(40), rng.randint(1, 9)))
+                rows = [
+                    {k: rng.randint(-2**40, 2**40) for k in rng.sample(columns, rng.randint(1, len(columns)))}
+                    for _ in range(rng.randint(0, 7))
+                ]
+                for a, b in [rng.sample(rows, 2) for _ in range(rng.randint(0, 3)) if len(rows) > 1]:
+                    rows.append({k: 3 * a.get(k, 0) - b.get(k, 0) for k in a.keys() | b.keys()})
+                rng.shuffle(rows)
+                full = all_contents.modular_rank(rows, columns, None)
+                seen.add(full < len(rows))
+                for stop in [None] + list(range(len(columns) + 2)):
+                    assert _modular_rank(rows, columns, stop) == all_contents.modular_rank(rows, columns, stop)
+        assert seen == {True, False}
+
+    def test_a_slot_one_bit_narrower_gives_a_false_zero(self, monkeypatch):
+        # with p = 2^32 - 5 two reduction steps leave x + 2 p (p - 1) in
+        # slot 2, a 65-bit value for x = 2^64 mod p: it carries into slot 3,
+        # and both then read 0 modulo p, though the third row is independent
+        p = 2**32 - 5
+        monkeypatch.setattr(linalg, "_PRIME", p)
+        rows = [{0: 1, 1: p - 1, 3: p - 1}, {1: 1, 3: p - 1}, {0: p - 1, 2: 2**64 % p, 3: 1}]
+        assert (2**64 % p + 2 * p * (p - 1)).bit_length() == 65
+        assert all_contents.modular_rank(rows, range(4), None) == 3
+        assert _modular_rank(rows, range(4), None) == 2
+        # the real prime: below 2^33 steps a slot stays below p + steps * p^2
+        monkeypatch.undo()
+        assert (linalg._PRIME + 2**33 * linalg._PRIME**2).bit_length() <= 64
+        assert _modular_rank(rows, range(4), None) == all_contents.modular_rank(rows, range(4), None)
+
     def test_row_off_the_columns(self):
         with pytest.raises(ValueError, match="outside the given columns"):
             _modular_rank([{5: 1}], [0, 1], None)
@@ -512,6 +591,12 @@ class TestBudget:
         Budget(max_bits=float("inf")).check(10**6)
         with pytest.raises(BudgetExceeded):
             Budget(max_bits=2**70).check(2**71)
+
+    def test_huge_int_seconds(self):
+        # an int past the range of a float is a number, not a NaN
+        budget = Budget(seconds=10**400)
+        budget.check()
+        assert budget.seconds == 10**400
 
     def test_bit_budget(self):
         with pytest.raises(BudgetExceeded):
