@@ -19,7 +19,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 
 from .invariants import (
@@ -95,7 +94,7 @@ def cmd_dims(args) -> int:
     spaces = InvariantSpaces(args.d)
     rows = []
     any_skipped = False
-    for n in range(1, args.max_level + 1):
+    for n in range(1, (args.max_level or default_level_cap(args.d)) + 1):
         spaces.budget = _level_budget(args)
         try:
             report = spaces.report(n)
@@ -260,7 +259,7 @@ def cmd_evidence(args) -> int:
     spaces = spaces_for(args.d)
     evidence = []
     try:
-        for n in range(1, args.max_level + 1):
+        for n in range(1, (args.max_level or min(default_level_cap(args.d), 6)) + 1):
             spaces.budget = _level_budget(args)
             evidence.append(conjecture_evidence(spaces, n))
     finally:
@@ -321,8 +320,18 @@ def _int_at_least(low: int):
     return parse
 
 
+def _seconds(value: str) -> float:
+    seconds = float(value)
+    if seconds != seconds:  # NaN, the one float unequal to itself, bounds nothing
+        raise argparse.ArgumentTypeError("must be a number, not nan")
+    return seconds
+
+
+_seconds.__name__ = "float"
+
+
 def _add_budget_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget-secs", type=float, default=None,
+    p.add_argument("--budget-secs", type=_seconds, default=None,
                    help="wall-clock budget per (d, level) cell")
     p.add_argument("--budget-bits", type=_int_at_least(0), default=None,
                    help="largest allowed coefficient bit size during elimination")
@@ -338,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dims", help="dimension table per level")
     p.add_argument("--d", type=_d_type, default=2)
-    p.add_argument("--max-level", type=int, default=None)
+    p.add_argument("--max-level", type=_int_at_least(1), default=None)
     p.add_argument("--table", choices=sorted(TABLE_COLUMNS), default="all")
     p.add_argument("--workers", type=int, default=1,
                    help="accepted for compatibility; levels are computed serially")
@@ -373,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evidence", help="exact observations on the conjectures")
     p.add_argument("--d", type=_d_type, default=2)
-    p.add_argument("--max-level", type=int, default=None)
+    p.add_argument("--max-level", type=_int_at_least(1), default=None)
     _add_budget_options(p)
     p.add_argument("--format", choices=["pretty", "json"], default="pretty")
     p.add_argument("--out")
@@ -385,15 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "max_level", None) is None and hasattr(args, "max_level"):
-        args.max_level = (
-            default_level_cap(args.d) if args.command == "dims"
-            else min(default_level_cap(args.d), 6)
-        )
-    if getattr(args, "max_level", 1) < 1:
-        parser.error("--max-level must be at least 1")
-    if math.isnan(getattr(args, "budget_secs", None) or 0):
-        parser.error("--budget-secs must be a number, not nan")
     try:
         if args.out:
             # fail before any computation; append mode truncates nothing

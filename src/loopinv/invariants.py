@@ -96,7 +96,8 @@ from .linalg import (
     CrossCheckError,
     Subspace,
     _modular_rank,
-    _pack,
+    _pairs_to_zero,
+    _signed_slots,
     contains,
     index_word,
     intersect,  # noqa: F401  (unused here; bench/tracing.py wraps this name)
@@ -373,35 +374,18 @@ class _ClosureBlock:
         """True iff n! rcl vanishes on every given integer row on the words
         of the block; a word outside it raises KeyError.
 
-        Each closure row is one int P_p = sum_j rows[p][j] 2^(W j), so slot
-        j of sum_k g_k P_position[k] is entry j of n! rcl(g), at most sum
-        |g_k| times the largest entry m of the block in size.  W is 64, at
-        which the ``array('q')`` rows are read as stored, and widens by 64
-        bits where that bound or m needs it, so that a sum is zero exactly
-        when every slot is.
+        A :func:`~loopinv.linalg._pairs_to_zero` test whose P[k] is the
+        closure row of the word k packed, so that slot j of sum_k g_k P[k]
+        is entry j of n! rcl(g).  Slots are a multiple of 64 bits wide, so
+        at 64 bits the ``array('q')`` rows are read from their bytes.
         """
+
+        def pack(need: int):
+            bits = -(-need // 64) * 64 or 64
+            return bits, dict(zip(self.words, (_signed_slots(r, bits) for r in self.rows)))
+
         m = max(max(map(max, self.rows)), -min(map(min, self.rows)))
-        bits = 0
-        for row in rows:
-            need = max((sum(map(abs, row.values())) * m).bit_length(), m.bit_length() + 1)
-            if need > bits:
-                bits = -(-need // 64) * 64
-                packed = [_signed_slots(r, bits) for r in self.rows]
-            if sum(c * packed[self.position[k]] for k, c in row.items()):
-                return False
-        return True
-
-
-def _signed_slots(row: Sequence[int], bits: int) -> int:
-    """sum_j row[j] 2^(bits j) for a dense row whose entries fit signed
-    slots of ``bits`` bits.  At 64 bits an ``array('q')`` row is read from
-    its bytes, unsigned, and its signs restored at once: a slot u with its
-    top bit set stands for u - 2^64, so the row is U - 2 (U & H), H the
-    top bit of every slot."""
-    if bits > 64 or isinstance(row, list):
-        return functools.reduce(lambda acc, x: (acc << bits) + x, reversed(row), 0)
-    u = _pack(row)
-    return u - ((u & int.from_bytes((bytes(7) + b"\x80") * len(row), "little")) << 1)
+        return _pairs_to_zero(pack, m, rows)
 
 
 def _check_level(n: int, least: int = 1) -> None:
@@ -525,7 +509,7 @@ class InvariantSpaces:
             u = index_word(i, d, na)
             for v, cb in right:
                 _tensor._shuffle_words_into(data, u, v, ca * cb)
-        return {word_index(w, d): c for w, c in data.items()}
+        return {word_index(w, d): c for w, c in data.items() if c}
 
     def _closure_table(self, n: int) -> dict[Content, _ClosureBlock]:
         """The n!-scaled right closure of level n, one :class:`_ClosureBlock`
@@ -537,19 +521,19 @@ class InvariantSpaces:
         its rows, each packed into an ``array('q')`` unless an entry
         overflows it.
 
-        Each block c is proven as soon as its rows are in.  The closure row
-        of every letter shuffle generator ``i ⧢ u`` of content c must be
-        zero, one packed sum per generator (:meth:`_ClosureBlock.kills`:
-        signed 64-bit slots while n times the largest entry is below 2^64).
-        Then, for every free column f of the block of S, n! rcl(e_f)
-        - n! e_f must pair to zero with the rows of V_c (packed
-        :func:`~loopinv.linalg.orthogonal`), which the build of
-        V checks to be S_c^perp in the block, so it lies in S.  So rcl
-        vanishes on S and rcl(x) - x lies in S for every x of a canonical
-        content, and, as both commute with renaming letters, for every x:
-        rcl is the projection along S.  S is closed under reversal (the
-        reverse of ``i ⧢ u`` is ``i ⧢ reverse(u)``) and the left closure is
-        the right closure conjugated by reversal, so the same holds for it.
+        Each block c is proven as soon as its rows are in, by two packed
+        pairing tests (:func:`~loopinv.linalg._pairs_to_zero`).  The
+        closure row of every letter shuffle generator ``i ⧢ u`` of content
+        c must be zero (:meth:`_ClosureBlock.kills`).  Then, for every free
+        column f of the block of S, n! rcl(e_f) - n! e_f must pair to zero
+        with the rows of V_c (:func:`~loopinv.linalg.orthogonal`), which
+        the build of V checks to be S_c^perp in the block, so it lies in
+        S.  So rcl vanishes on S and rcl(x) - x lies in S for every x of a
+        canonical content, and, as both commute with renaming letters, for
+        every x: rcl is the projection along S.  S is closed under reversal
+        (the reverse of ``i ⧢ u`` is ``i ⧢ reverse(u)``) and the left
+        closure is the right closure conjugated by reversal, so the same
+        holds for it.
 
         The level is stored only once every block is proven, so every
         reader of the table reads a proven closure.  The table is not a

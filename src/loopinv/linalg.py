@@ -25,18 +25,22 @@ rows again for the exact rank (:func:`span`), so no answer depends on
 the prime.
 
 The dense steps pack a vector into one int, a slot of w bits per entry,
-so one big-int operation does a row's work: :func:`orthogonal` with w the
-bit length of max|stored| * max|row| * len(row), which no dot product
-reaches, and :func:`_modular_rank` with w = 64 for residues modulo p,
-where a reduction step adds less than p^2 < 2^30 to a slot.
+so one big-int operation does a row's work.  One pairing test,
+:func:`_pairs_to_zero`, serves :func:`orthogonal` and the proof of the
+closure table, with slots wider than any dot product it forms;
+:func:`_modular_rank` packs residues modulo p into 64-bit slots.  The
+slot bytes are read and written here only (:func:`_pack`,
+:func:`_signed_slots`).
 """
 
 from __future__ import annotations
 
+import functools
 import sys
 import time
 from array import array
 from bisect import insort
+from collections import defaultdict
 from math import gcd, isnan, lcm
 from typing import Iterable, Sequence
 
@@ -346,6 +350,18 @@ def _pack(values: array) -> int:
     return int.from_bytes(values.tobytes(), "little")
 
 
+def _signed_slots(row: Sequence[int], bits: int) -> int:
+    """sum_j row[j] 2^(bits j) for a dense row whose entries fit signed
+    slots of ``bits`` bits.  At 64 bits an ``array('q')`` row is read from
+    its bytes, unsigned, and its signs restored at once: a slot u with its
+    top bit set stands for u - 2^64, so the row is U - 2 (U & H), H the
+    top bit of every slot."""
+    if bits != 64 or isinstance(row, list):
+        return functools.reduce(lambda acc, x: (acc << bits) + x, reversed(row), 0)
+    u = _pack(row)
+    return u - ((u & int.from_bytes((bytes(7) + b"\x80") * len(row), "little")) << 1)
+
+
 def _modular_rank(
     rows: Iterable[dict[int, int]], columns: Sequence[int], stop: int | None,
     budget: Budget | None = None,
@@ -455,26 +471,40 @@ def contains(outer: Subspace, inner: Subspace) -> bool:
     return all(_reduces_to_zero(dict(row), by_col) for row in inner.rows)
 
 
-def orthogonal(s: Subspace, rows: Iterable[dict], budget: Budget | None = None) -> bool:
-    """True iff every raw row of level s.n pairs to zero with every stored
-    row of s; the budget is checked once per row.  Each row is paired as
-    it is drawn, and no row is drawn after one that pairs to a nonzero.
+def _pairs_to_zero(pack, largest: int, rows: Iterable[dict[int, int]]) -> bool:
+    """True iff every integer row c pairs to zero with every vector v_i of
+    a family whose entries are at most ``largest`` in size.
 
-    The stored rows are packed by column, W_k = sum_i s_i[k] 2^(B i), so
-    slot i of sum_k c_k W_k is the dot product of a row c with s_i.  Each
-    is at most max|s| * max|c| * len(c) in size, below 2^B for B the bit
-    length of that bound, so the sum is zero exactly when every slot is.
-    The columns are packed again only when a row needs a wider slot.
+    pack(b) returns a slot width B >= b and, for each column k, the int
+    P[k] = sum_i v_i[k] 2^(B i), so slot i of sum_k c_k P[k] is the dot
+    product of c with v_i, at most largest * sum_k |c_k| in size.  For b
+    the bit length of that bound every slot is below 2^B, so the sum is
+    zero exactly when every slot is: the lowest nonzero slot leaves a
+    nonzero remainder modulo the slot above it.  The family is packed
+    again only when a row needs a wider slot.  Each row is paired as it
+    is drawn, and no row is drawn after one that pairs to a nonzero.
     """
-    s_max = max((max(map(abs, row.values())) for row in s.rows), default=0)
-    bits, packed = 0, {}
-    for row in _int_rows(s.d, s.n, rows, budget, "orthogonal"):
-        need = (s_max * max(map(abs, row.values())) * len(row)).bit_length()
+    bits = -1
+    for row in rows:
+        need = (largest * sum(map(abs, row.values()))).bit_length()
         if need > bits:
-            bits, packed = need, {}
-            for i, stored in enumerate(s.rows):
-                for k, v in stored.items():
-                    packed[k] = packed.get(k, 0) + (v << bits * i)
-        if sum(c * packed.get(k, 0) for k, c in row.items()):
+            bits, packed = pack(need)
+        if sum(c * packed[k] for k, c in row.items()):
             return False
     return True
+
+
+def orthogonal(s: Subspace, rows: Iterable[dict], budget: Budget | None = None) -> bool:
+    """True iff every raw row of level s.n pairs to zero with every stored
+    row of s (:func:`_pairs_to_zero` on the stored rows packed by column,
+    a column they miss zero); the budget is checked once per row."""
+
+    def pack(bits: int):
+        columns: dict[int, int] = defaultdict(int)
+        for i, stored in enumerate(s.rows):
+            for k, v in stored.items():
+                columns[k] += v << bits * i
+        return bits, columns
+
+    largest = max((max(map(abs, row.values())) for row in s.rows), default=0)
+    return _pairs_to_zero(pack, largest, _int_rows(s.d, s.n, rows, budget, "orthogonal"))

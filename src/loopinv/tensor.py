@@ -2,6 +2,9 @@
 
 A :class:`TensorElement` is a finite linear combination of words with
 rational coefficients, stored sparsely (no zero coefficient is ever kept).
+A sum is accumulated term by term, ``data[w] = data.get(w, 0) + c``, and
+its cancelled words are dropped once, where the element (or a cached
+polynomial) is made.
 On top of the two products (concatenation and shuffle), the
 deconcatenation coproduct and the word-basis pairing, this module builds
 the operators the invariant pipeline needs:
@@ -48,14 +51,8 @@ class TensorElement:
         items = terms.items() if isinstance(terms, Mapping) else terms
         for key, value in items:
             letters = self._as_letters(key)
-            value = exact(value)
-            if value:
-                new = data.get(letters, 0) + value
-                if new:
-                    data[letters] = new
-                else:
-                    del data[letters]
-        self._terms = data
+            data[letters] = data.get(letters, 0) + exact(value)
+        self._terms = {t: c for t, c in data.items() if c}
 
     def _as_letters(self, key) -> tuple[int, ...]:
         if isinstance(key, Word):
@@ -92,6 +89,11 @@ class TensorElement:
         elt.d = d
         elt._terms = data
         return elt
+
+    @classmethod
+    def _sum(cls, d: int, data: dict) -> "TensorElement":
+        # internal: an accumulated sum, its cancelled words dropped here
+        return cls._raw(d, {t: c for t, c in data.items() if c})
 
     # -- inspection ---------------------------------------------------
 
@@ -136,12 +138,8 @@ class TensorElement:
         _check_same_alphabet(self, other)
         data = dict(self._terms)
         for t, c in other._terms.items():
-            new = data.get(t, 0) + c
-            if new:
-                data[t] = new
-            else:
-                data.pop(t, None)
-        return TensorElement._raw(self.d, data)
+            data[t] = data.get(t, 0) + c
+        return TensorElement._sum(self.d, data)
 
     def __sub__(self, other: "TensorElement") -> "TensorElement":
         return self + (-other)
@@ -219,26 +217,19 @@ def concat_truncated(a: TensorElement, b: TensorElement, n: int) -> TensorElemen
             if len(v) > room:
                 continue
             w = u + v
-            new = data.get(w, 0) + cu * cv
-            if new:
-                data[w] = new
-            else:
-                del data[w]
-    return TensorElement._raw(a.d, data)
+            data[w] = data.get(w, 0) + cu * cv
+    return TensorElement._sum(a.d, data)
 
 
 def _shuffle_words_into(data: dict, u: tuple, v: tuple, coeff) -> None:
-    """Accumulate coeff * (u shuffle v) into data."""
+    """Accumulate coeff * (u shuffle v) into data.  A word whose sum
+    cancels stays, with coefficient 0, for the caller to drop."""
     if not coeff:
         return
     n = len(u) + len(v)
     if not u or not v:
         w = u + v
-        new = data.get(w, 0) + coeff
-        if new:
-            data[w] = new
-        else:
-            del data[w]
+        data[w] = data.get(w, 0) + coeff
         return
     letters = [0] * n
     for positions in itertools.combinations(range(n), len(u)):
@@ -250,11 +241,7 @@ def _shuffle_words_into(data: dict, u: tuple, v: tuple, coeff) -> None:
         for i in range(n):
             letters[i] = next(it_u) if mark[i] else next(it_v)
         w = tuple(letters)
-        new = data.get(w, 0) + coeff
-        if new:
-            data[w] = new
-        else:
-            del data[w]
+        data[w] = data.get(w, 0) + coeff
 
 
 def shuffle(a: TensorElement, b: TensorElement) -> TensorElement:
@@ -264,7 +251,7 @@ def shuffle(a: TensorElement, b: TensorElement) -> TensorElement:
     for u, cu in a._terms.items():
         for v, cv in b._terms.items():
             _shuffle_words_into(data, u, v, cu * cv)
-    return TensorElement._raw(a.d, data)
+    return TensorElement._sum(a.d, data)
 
 
 def shuffle_power(a: TensorElement, k: int) -> TensorElement:
@@ -353,12 +340,8 @@ def closing_segment_dual(x: TensorElement) -> TensorElement:
         words = anagrams(tuple(sorted(t)))
         value = c * Q((-1) ** len(t), len(words))
         for w in words:
-            new = data.get(w, 0) + value
-            if new:
-                data[w] = new
-            else:
-                del data[w]
-    return TensorElement._raw(x.d, data)
+            data[w] = data.get(w, 0) + value
+    return TensorElement._sum(x.d, data)
 
 
 def _gather(indices: list[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
@@ -523,11 +506,8 @@ def _lyndon_poly(letters: tuple[int, ...]) -> dict[tuple[int, ...], int]:
         for v, cv in pr.items():
             c = cu * cv
             for w, s in ((u + v, c), (v + u, -c)):
-                new = data.get(w, 0) + s
-                if new:
-                    data[w] = new
-                else:
-                    del data[w]
+                data[w] = data.get(w, 0) + s
+    data = {w: c for w, c in data.items() if c}
     _LYNDON_POLY_CACHE[letters] = data
     return data
 

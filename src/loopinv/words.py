@@ -156,6 +156,8 @@ def lyndon_words(d: int, n: int) -> list[Word]:
 
 def lyndon_count(d: int, n: int) -> int:
     """Number of Lyndon words of length n over 1..d (necklace polynomial)."""
+    if d < 1 or n < 1:
+        raise ValueError("need d >= 1 and n >= 1")
     total = sum(_moebius(n // k) * d**k for k in _divisors(n))
     return total // n
 
@@ -204,6 +206,8 @@ def necklaces(d: int, n: int) -> list[Word]:
 
 def necklace_count(d: int, n: int) -> int:
     """Closed form (1/n) * sum over k | n of phi(k) * d^(n/k)."""
+    if d < 1 or n < 1:
+        raise ValueError("need d >= 1 and n >= 1")
     return sum(_euler_phi(k) * d ** (n // k) for k in _divisors(n)) // n
 
 

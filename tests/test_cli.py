@@ -289,7 +289,18 @@ class TestBadNumbers:
         with pytest.raises(SystemExit) as err:
             main(["dims", "--max-level", "2", "--budget-secs", value])
         assert err.value.code == EXIT_BUDGET_OR_CONFIG
-        assert "--budget-secs must be a number, not nan" in capsys.readouterr().err
+        assert "argument --budget-secs: must be a number, not nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["dims", "evidence"])
+    def test_bad_budget_secs_named_by_argparse(self, command, capsys):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--max-level", "2", "--budget-secs", "nan"])
+        assert err.value.code == EXIT_BUDGET_OR_CONFIG
+        assert "argument --budget-secs: must be a number, not nan" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as err:
+            main([command, "--budget-secs", "soon"])
+        assert err.value.code == EXIT_BUDGET_OR_CONFIG
+        assert "argument --budget-secs: invalid float value: 'soon'" in capsys.readouterr().err
 
 
 # sha256 of exported bases, evidence and dimension tables, recorded before elimination moved

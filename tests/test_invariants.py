@@ -1103,9 +1103,11 @@ class TestClosureTable:
         for _ in range(50):
             values = [rng.choice([-2**63, 2**63 - 1, -1, 0, rng.randint(-2**63, 2**63 - 1)]) for _ in range(5)]
             packed = sum(v << 64 * j for j, v in enumerate(values))
-            assert invariants._signed_slots(array("q", values), 64) == packed
-            assert invariants._signed_slots(values, 64) == packed
-            assert invariants._signed_slots(array("q", values), 128) == sum(v << 128 * j for j, v in enumerate(values))
+            assert linalg._signed_slots(array("q", values), 64) == packed
+            assert linalg._signed_slots(values, 64) == packed
+            assert linalg._signed_slots(array("q", values), 128) == sum(v << 128 * j for j, v in enumerate(values))
+        # a narrower slot is the width asked for, not the 64 bits of the bytes
+        assert linalg._signed_slots(array("q", [1, -1, 2]), 8) == 1 - (1 << 8) + (2 << 16)
 
     def test_a_table_slot_one_bit_narrower_gives_a_false_zero(self):
         # 4 e_0 + e_1 maps to (2^64, -1).  Its 5 generator terms times the
@@ -1115,7 +1117,7 @@ class TestClosureTable:
         block = invariants._ClosureBlock([0, 1], {0: 0, 1: 1}, rows, [0, 1], [])
         g = {0: 4, 1: 1}
         assert (5 * 2**62).bit_length() == 65
-        assert 4 * invariants._signed_slots(rows[0], 64) + invariants._signed_slots(rows[1], 64) == 0
+        assert 4 * linalg._signed_slots(rows[0], 64) + linalg._signed_slots(rows[1], 64) == 0
         assert not all_contents.closure_kills(block, [g])
         assert not block.kills([g])
 
@@ -1140,6 +1142,13 @@ class TestMinGenerators:
     def test_conjugation_family(self):
         assert spaces_for(2).min_generator_count(4) == 1
         assert spaces_for(3).min_generator_count(3) == 1
+
+    def test_shuffle_row_drops_cancelled_words(self):
+        # 1 ⧢ (12 - 21) = 2 (112 - 211): the two words 121 cancel, and the
+        # row keeps no index with coefficient 0
+        one, twelve, twenty_one = word_index((1,), 2), word_index((1, 2), 2), word_index((2, 1), 2)
+        row = InvariantSpaces(2)._shuffle_row({one: 1}, 1, {twelve: 1, twenty_one: -1}, 2)
+        assert row == {word_index((1, 1, 2), 2): 2, word_index((2, 1, 1), 2): -2}
 
     @pytest.mark.parametrize("d, top", [(2, 10), (3, 6)])
     def test_against_all_pairs(self, d, top):

@@ -417,8 +417,8 @@ class TestOrthogonal:
 
     def test_a_slot_one_bit_narrower_gives_a_false_zero(self):
         # c pairs to 4 with s_0 and to -1 with s_1.  The slot is the bit
-        # length of max|s| * max|c| * len(c) = 4, 3 bits; in 2-bit slots
-        # the columns 2 + 1 * 4 and 2 - 2 * 4 pair with c to zero
+        # length of max|s| * sum|c| = 4, 3 bits; in 2-bit slots the
+        # columns 2 + 1 * 4 and 2 - 2 * 4 pair with c to zero
         s = Subspace(2, 1, [0, 1], [{0: 2, 1: 2}, {0: 1, 1: -2}])
         c = {0: 1, 1: 1}
 

@@ -168,3 +168,18 @@ def test_cli_import_skips_dataclasses_and_inspect():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True).stdout
     assert out == "[]\n"
+
+
+def test_slot_bytes_stay_in_linalg():
+    # the byte format of a packed slot is known in one module: every other
+    # module packs through linalg's helpers
+    calls = {"to_bytes", "from_bytes", "tobytes", "byteswap"}
+    found = [
+        "%s:%d %s" % (path.name, node.lineno, node.func.attr)
+        for path in SOURCES
+        if path.name != "linalg.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in calls
+    ]
+    assert len(SOURCES) > 5
+    assert found == []

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_element, random_homogeneous
 from loopinv import tensor
@@ -111,6 +111,46 @@ elements = st.builds(
     lambda seed: random_element(random.Random(seed), d=2, max_level=3, terms=4),
     st.integers(0, 10**9),
 )
+
+
+# elements on a few short words with small integer coefficients, so that
+# sums, products and closures cancel terms often
+cancelling = st.lists(
+    st.tuples(st.lists(st.integers(1, 2), max_size=3).map(tuple), st.integers(-2, 2)), max_size=6
+).map(lambda terms: TensorElement(2, terms))
+
+
+def zero_coefficients(x):
+    return [t for t, c in x._terms.items() if not c]
+
+
+class TestSumsDropZeros:
+    # every sum accumulates first and drops its cancelled words once: no
+    # result may keep a word with coefficient 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(cancelling, cancelling)
+    @example(TensorElement(2, [("12", 1), ("12", -1)]), TensorElement(2, [("12", 1), ("21", -1)]))
+    def test_no_zero_coefficient_survives(self, a, b):
+        results = {
+            "a": a, "b": b, "a + b": a + b, "a - b": a - b, "a - a": a - a,
+            "concat": concat(a, b), "concat_truncated": concat_truncated(a, b, 3),
+            "shuffle": shuffle(a, b), "closing_segment_dual": closing_segment_dual(b),
+            "right_closure": right_closure(b), "left_closure": left_closure(b),
+        }
+        assert {name: zero_coefficients(x) for name, x in results.items() if zero_coefficients(x)} == {}
+
+    def test_cancellation_keeps_only_the_surviving_words(self):
+        assert closing_segment_dual(TensorElement(2, [("12", 1), ("21", -1)]))._terms == {}
+        assert shuffle(W(2, "1"), TensorElement(2, [("12", 1), ("21", -1)]))._terms == {
+            (1, 1, 2): 2, (2, 1, 1): -2,
+        }
+
+    @pytest.mark.parametrize("d, top", [(2, 8), (3, 5)])
+    def test_lyndon_bracketing_keeps_no_zero(self, d, top):
+        for n in range(1, top + 1):
+            for w in lyndon_words(d, n):
+                assert zero_coefficients(lyndon_bracketing(w)) == [], w
 
 
 class TestElement:

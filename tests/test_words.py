@@ -105,6 +105,13 @@ class TestLyndon:
         assert [lyndon_count(2, n) for n in range(1, 7)] == [2, 1, 2, 3, 6, 9]
         assert [lyndon_count(3, n) for n in range(1, 7)] == [3, 3, 8, 18, 48, 116]
 
+    @pytest.mark.parametrize("d,n", [(2, 0), (3, -1), (0, 3), (-1, 2), (0, 0)])
+    def test_refuses_a_level_or_alphabet_below_one(self, d, n):
+        # the count refuses what the enumeration refuses, the same way
+        for count in (lyndon_count, lyndon_words):
+            with pytest.raises(ValueError, match="need d >= 1 and n >= 1"):
+                count(d, n)
+
     def test_standard_factorization(self):
         assert standard_factorization((1, 2)) == ((1,), (2,))
         assert standard_factorization((1, 1, 2)) == ((1,), (1, 2))
@@ -153,3 +160,9 @@ class TestNecklaces:
         assert [necklace_count(3, n) for n in range(1, 7)] == [3, 6, 11, 24, 51, 130]
         assert [necklace_count(5, n) for n in range(1, 5)] == [5, 15, 45, 165]
         assert [necklace_count(6, n) for n in range(1, 5)] == [6, 21, 76, 336]
+
+    @pytest.mark.parametrize("d,n", [(2, 0), (3, -1), (0, 3), (-1, 2), (0, 0)])
+    def test_refuses_a_level_or_alphabet_below_one(self, d, n):
+        for count in (necklace_count, necklaces):
+            with pytest.raises(ValueError, match="need d >= 1 and n >= 1"):
+                count(d, n)
