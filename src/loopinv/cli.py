@@ -349,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=_d_type, default=2)
     p.add_argument("--max-level", type=_int_at_least(1), default=None)
     p.add_argument("--table", choices=sorted(TABLE_COLUMNS), default="all")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_int_at_least(1), default=1,
                    help="accepted for compatibility; levels are computed serially")
     _add_budget_options(p)
     p.add_argument("--out", help="write output to this file instead of stdout")

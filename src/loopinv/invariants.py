@@ -16,9 +16,9 @@ the other checks it by containment, pairing and dimension:
   rank lower bound modulo a prime;
 * closure invariants: the image of the right closure, checked against
   dim V and S;
-* letter-reduced conjugation invariants: the quotient dimension
-  dim(conj + S) - dim S, checked by the same rank lower bound on the
-  right-closed rotation sums;
+* letter-reduced conjugation invariants: the image of V in the cyclic
+  words T/[T, letters], the rank of the rows of V summed over rotation
+  classes, checked against the quotient dimension dim(conj + S) - dim S;
 * the area/conjugation algebra of ``evidence``: B_n = conj_n + areas ⧢
   B_{n-2}, once conj is checked to be a shuffle subalgebra.
 
@@ -61,12 +61,11 @@ the number of free columns (:meth:`InvariantSpaces.closure_dim`), and
 builds no closure image.  Every closure difference lies in S too, so the
 closure-difference kernel is S plus the kernel, among the free columns,
 of the closure-difference rows at the pivot columns; the loop build
-checks that this kernel is the one it built from [V, letters].  The
-letter-reduced conjugation check and the closed rotation span read the
-closed rotation sums off the same blocks.  Both certificates make their
-rows from the block each time they read them and keep none: the loop
-check pairs them, both take their rank modulo a prime, and the exact
-rank reads them once more only where the prime falls short.
+checks that this kernel is the one it built from [V, letters].  Its
+certificate makes these rows from the block each time it reads them and
+keeps none: it pairs them, takes their rank modulo a prime, and reads
+them once more for the exact rank only where the prime falls short.  The
+closed rotation span reads the closed rotation sums off the same blocks.
 
 Every spanning set is a stream of integer rows ``{word index: int}``
 made by four row operators (rotation sums, letter brackets, shuffles and
@@ -766,12 +765,13 @@ class InvariantSpaces:
         closure-difference rows at those pivot columns, restricted to the
         free columns.  K_A lies on the free columns and pairs to zero with
         every row of M, so rcl = lcl on K_A, and the rank of M is at most
-        (free columns) - dim K_A; the rank reaches that bound
-        (:meth:`_rank`), so the kernel of M is no larger than K_A.
-        Together, S_c + K_A is the kernel of rcl - lcl on the block.  Both
-        steps run on packed rows: the pairing on the columns of K_A in
-        slots that no dot product fills, the rank on residues in 64-bit
-        slots, to which a reduction step adds less than p^2 < 2^30.
+        (free columns) - dim K_A; the rank reaches that bound, so the
+        kernel of M is no larger than K_A.  Together, S_c + K_A is the
+        kernel of rcl - lcl on the block.  Both steps run on packed rows:
+        the pairing on the columns of K_A in slots that no dot product
+        fills, the rank modulo a prime on residues in 64-bit slots, to which
+        a reduction step adds less than p^2 < 2^30; where it falls short,
+        the exact rank of the rows, made again, decides.
         """
         _check_level(n)
         d, s, v = self.d, self.letter_shuffle_ideal(n), self.zero_increment_space(n - 1)
@@ -793,7 +793,10 @@ class InvariantSpaces:
                 )
             rows = functools.partial(self._closure_difference_rows, n, c)
             target = len(free) - k_a.dim
-            if not orthogonal(k_a, rows(), self.budget) or self._rank(n, rows, free, target, target) < target:
+            if not orthogonal(k_a, rows(), self.budget) or (
+                _modular_rank(rows(), free, target, self.budget) < target
+                and span(d, n, rows(), self.budget).dim < target
+            ):
                 raise CrossCheckError(
                     "loop invariants disagree between bracket complement and "
                     "closure-difference kernel at d=%d, n=%d, content %s" % (d, n, c)
@@ -821,22 +824,6 @@ class InvariantSpaces:
             row = {col: v for col, right, left in free if (v := right[p] - left[q])}
             if row:
                 yield row
-
-    def _rank(self, n: int, rows: Callable[[], Iterable[dict[int, int]]], columns: Sequence[int],
-              target: int, stop: int | None) -> int:
-        """The rank modulo a prime of the rows on ``columns`` that each call
-        of ``rows`` yields, read up to ``stop`` (:func:`~loopinv.linalg._modular_rank`);
-        where it falls short of ``target``, their exact rank, read again."""
-        rank = _modular_rank(rows(), columns, stop, self.budget)
-        if rank < target:
-            # the prime lost rank, or the rows have less: the exact rank decides
-            rank = span(self.d, n, rows(), self.budget).dim
-        return rank
-
-    def _closed_rotations(self, n: int, c: Content):
-        """n! rcl(rot(w)) for the necklaces w of the canonical content c."""
-        block = self._closure_table(n)[c]
-        return (block.image(self._rotation_row(w)) for w in self._necklaces(c))
 
     @_memo("closure")
     def closure_invariants(self, n: int) -> BlockSpace:
@@ -882,10 +869,16 @@ class InvariantSpaces:
 
     @_memo("rclrot")
     def closed_rotation_span(self, n: int) -> BlockSpace:
-        """Span of right-closed rotation sums over necklaces of length n,
-        for ``evidence``; its dimension must be the letter-reduced one."""
+        """Span of the closed rotation sums n! rcl(rot(w)) over necklaces w of
+        length n, for ``evidence``; rcl is the projection along S, so its
+        dimension must be the letter-reduced one, dim conj - dim(conj ∩ S)."""
         _check_level(n)
-        closed = self._blocks(n, lambda c: self._block_span(n, c, self._closed_rotations(n, c)))
+
+        def build(c: Content) -> Subspace:
+            block = self._closure_table(n)[c]
+            return self._block_span(n, c, (block.image(self._rotation_row(w)) for w in self._necklaces(c)))
+
+        closed = self._blocks(n, build)
         if closed.dim != self.letter_reduced_conj_dim(n):
             raise CrossCheckError(
                 "closed rotation span differs from letter-reduced conj at d=%d, n=%d" % (self.d, n)
@@ -900,26 +893,28 @@ class InvariantSpaces:
 
     @_memo("lrconj")
     def letter_reduced_conj_dim(self, n: int) -> int:
-        """dim of V modulo [T, letters], checked as a closed-rotation rank on
-        each block.
+        """dim of V modulo [T, letters]: the image of V in the cyclic words,
+        checked against the quotient on each block.
 
-        The bracket rows span conj^perp and V = S^perp, so the meet of V
-        with the brackets is (conj + S)^perp and the quotient has dimension
-        dim(conj + S) - dim S, built block by block.  The rotation rows span
-        conj_c and the closure is the projection along S (proven by the
-        closure table), so the closed rotation rows n! rcl(rot(w)) of the
-        necklaces w of content c have rank dim conj_c - dim(conj_c ∩ S_c)
-        over Q, the true quotient.  One pass reduces them all modulo a prime
-        (:meth:`_rank`), a lower bound on that rank: above the computed
-        quotient, the quotient is too small; below it, the exact rank of
-        the rows must equal it.
+        T/[T, letters] has one basis vector per rotation class of words, so
+        on block c the column is the rank of the rows of V_c summed over
+        rotation classes.  Each stored row of conj_c is the 0/1 indicator
+        of one class, with its pivot at the necklace, which names the class
+        of each of its words.  The bracket rows span conj^perp and V =
+        S^perp, so V_c meets [T, letters] in (conj_c + S_c)^perp, and the
+        rank must be the quotient dim(conj_c + S_c) - dim S_c, built by
+        another elimination.
         """
-        s, conj = self.letter_shuffle_ideal(n), self.conjugation_invariants(n)
+        s, conj, v = self.letter_shuffle_ideal(n), self.conjugation_invariants(n), self.zero_increment_space(n)
         total = 0
         for c, size in s.orbits.sizes.items():
             quotient = subspace_sum(conj.blocks[c], s.blocks[c], self.budget).dim - s.blocks[c].dim
-            rows = functools.partial(self._closed_rotations, n, c)
-            if self._rank(n, rows, s.orbits.words(c), quotient, None) != quotient:
+            necklace = {k: p for p, row in zip(conj.blocks[c].pivots, conj.blocks[c].rows) for k in row}
+            sums: list[dict[int, int]] = [{} for _ in v.blocks[c].rows]
+            for out, row in zip(sums, v.blocks[c].rows):
+                for k, x in row.items():
+                    out[necklace[k]] = out.get(necklace[k], 0) + x
+            if span(self.d, n, sums, self.budget).dim != quotient:
                 raise CrossCheckError(
                     "letter-reduced conjugation dimension disagrees between "
                     "quotient and rank routes at d=%d, n=%d, content %s" % (self.d, n, c)
@@ -933,15 +928,18 @@ class InvariantSpaces:
         conjugation invariants A = conj.
 
         D_n is the span of the products of two elements of positive level,
-        the sum over j of A_j ⧢ A_{n-j}.  Products with a generator span it:
-        D_n = Σ_{j=1}^{n-1} G_j ⧢ A_{n-j}, for any complements G_j of D_j
-        in A_j.  By induction on j: A_j ⧢ A_{n-j} is G_j ⧢ A_{n-j} plus
-        D_j ⧢ A_{n-j}, and D_j ⧢ A_{n-j} lies in Σ_{i<j} A_i ⧢ A_{n-i},
-        because A_i ⧢ A_{j-i} ⧢ A_{n-j} lies in A_i ⧢ A_{n-i} when A is a
-        shuffle subalgebra (the all-pairs span assumes that too).  Rows of
-        contents a and b shuffle to content a + b, so block c spans the
-        products of the rows of the (renamed) blocks of G_j at a and of
-        A_{n-j} at c - a, over every j and every sub-content a of c.
+        the sum over j of A_j ⧢ A_{n-j}; the shuffle is commutative, so
+        j <= n/2 suffices.  Products with a generator span it: D_n =
+        Σ_{j=1}^{n/2} G_j ⧢ A_{n-j}, for any complements G_j of D_j in A_j.
+        By induction on m, Σ_{j<=m} A_j ⧢ A_{n-j} = Σ_{j<=m} G_j ⧢ A_{n-j}:
+        A_m ⧢ A_{n-m} is G_m ⧢ A_{n-m} plus D_m ⧢ A_{n-m}, and
+        D_m ⧢ A_{n-m} lies in Σ_{i<m} A_i ⧢ A_{n-i}, because
+        A_i ⧢ A_{m-i} ⧢ A_{n-m} lies in A_i ⧢ A_{n-i} when A is a shuffle
+        subalgebra (the all-pairs span assumes that too).  At m = n/2 the
+        left side is D_n.  Rows of contents a and b shuffle to content
+        a + b, so block c spans the products of the rows of the (renamed)
+        blocks of G_j at a and of A_{n-j} at c - a, over every j <= n/2
+        and every sub-content a of c.
 
         D_c must lie in A_c, checked by reducing its rows against A_c; the
         complement rests on it.  The pivots of a canonical RREF are the
@@ -953,7 +951,7 @@ class InvariantSpaces:
         """
         d, total = self.d, self.conjugation_invariants(n)
         lower = [
-            (j, self.minimal_generators(j), self.conjugation_invariants(n - j)) for j in range(1, n)
+            (j, self.minimal_generators(j), self.conjugation_invariants(n - j)) for j in range(1, n // 2 + 1)
         ]
 
         def products(c: Content):

@@ -75,6 +75,15 @@ def closure_kills(block, rows):
     return not any(map(block.image, rows))
 
 
+def closed_rotation_rank(sp, n, c):
+    """The letter-reduced conjugation rank of the block of content c by the
+    route the class sums replaced: the exact rank of the closed rotation
+    sums n! rcl(rot(w)) over the necklaces w of content c."""
+    d = sp.d
+    own = [w for w in necklaces(d, n) if content_of(word_index(w.letters, d), d, n) == c]
+    return span(d, n, (closure_row(sp._rotation_row(w), d, n) for w in own)).dim
+
+
 def content_of(k, d, n):
     counts = [0] * d
     for a in index_word(k, d, n):

@@ -70,9 +70,9 @@ class TestDims:
         assert reasons == ["time budget of -1s exceeded in ('conj', %d)" % n for n in (1, 2)]
 
     def test_exact_fallback_keeps_the_table(self, monkeypatch, capsys):
-        # modulo 3 the rank certificates of the loop space and of the
-        # letter-reduced conjugation column fall short of their targets, and
-        # each reads its rows again for the exact rank: the table is the same
+        # modulo 3 the rank certificate of the loop space falls short of its
+        # target and reads its rows again for the exact rank: the table is
+        # the same
         fallbacks, made = [], {}
         real_span = invariants.span
 
@@ -86,7 +86,7 @@ class TestDims:
 
             return read
 
-        readers = {name: reader(name) for name in ("_closure_difference_rows", "_closed_rotations")}
+        readers = {name: reader(name) for name in ("_closure_difference_rows",)}
 
         def span_spy(d, n, rows, budget=None):
             name, made_rows = made.get(id(rows), (None, None))
@@ -276,6 +276,8 @@ class TestBadNumbers:
             ["evidence", "--max-level", "2", "--budget-bits", "-1"],
             ["dims", "--max-level", "0"],
             ["evidence", "--max-level", "-1"],
+            ["dims", "--workers", "0"],
+            ["dims", "--workers", "-4"],
         ],
     )
     def test_rejected_with_exit_two(self, argv, capsys):

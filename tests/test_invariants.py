@@ -49,7 +49,7 @@ from loopinv.tensor import (
     rotation_sum,
     shuffle,
 )
-from loopinv.words import Word, content_necklace_count, lyndon_words, necklaces
+from loopinv.words import Word, content_necklace_count, lyndon_words, min_rotation, necklaces
 
 W = TensorElement.word
 
@@ -351,40 +351,35 @@ class TestFreeColumnRoutes:
             assert sp.report(n).dims["closure"] == sp.closure_invariants(n).dim
 
     def test_report_builds_no_closure_image(self, monkeypatch):
-        # the report reads the closure column off the table's proof, and
-        # certifies each loop block by a rank lower bound and each
-        # letter-reduced conjugation block by one full pass, both modulo
-        # the prime alone
-        passes, readings = [], []
+        # the report reads the closure column off the table's proof and
+        # certifies each loop block by a rank lower bound modulo the prime
+        # alone; no closed row, rotation sum or other, is ever made
+        passes, readings, images = [], [], []
         real_modular = invariants._modular_rank
+        real_rows = InvariantSpaces._closure_difference_rows
 
         def modular_spy(rows, columns, stop, budget=None):
             passes.append(stop)
             return real_modular(rows, columns, stop, budget)
 
-        def reading_spy(name):
-            real = getattr(InvariantSpaces, name)
-            return lambda self, n, c: readings.append((name, n, c)) or real(self, n, c)
-
         monkeypatch.setattr(invariants, "_modular_rank", modular_spy)
-        for name in ("_closure_difference_rows", "_closed_rotations"):
-            monkeypatch.setattr(InvariantSpaces, name, reading_spy(name))
+        monkeypatch.setattr(
+            InvariantSpaces, "_closure_difference_rows",
+            lambda self, n, c: readings.append((n, c)) or real_rows(self, n, c),
+        )
+        monkeypatch.setattr(invariants._ClosureBlock, "image", lambda *args: images.append(args))
         sp = InvariantSpaces(3)
         for n in range(1, 7):
             sp.report(n)
             assert ("closure", n) not in sp._memo
         blocks = [(n, c) for n in range(1, 7) for c in sp._orbits(n).canonical]
-        # per block, the loop certificate with its stop and the full
-        # letter-reduced pass
-        assert len(passes) == 2 * len(blocks)
-        assert passes.count(None) == len(blocks)
+        # per block, the loop certificate with its stop, and no other pass
+        assert len(passes) == len(blocks)
+        assert None not in passes
         # the closure-difference rows are read by the pairing and the
-        # modular pass, the closed rotations by the modular pass alone:
-        # never again for an exact rank
-        loop = [(n, c) for name, n, c in readings if name == "_closure_difference_rows"]
-        closed = [(n, c) for name, n, c in readings if name == "_closed_rotations"]
-        assert sorted(loop) == sorted(blocks + blocks)
-        assert sorted(closed) == sorted(blocks)
+        # modular pass: never again for an exact rank
+        assert sorted(readings) == sorted(blocks + blocks)
+        assert images == []
 
     def test_report_stores_no_intermediate_space(self):
         # [V, letters] is a dimension of the loop build, and the closed
@@ -404,7 +399,6 @@ class TestProvenClosureTable:
 
     READERS = {
         "closed_rotation_span": "rclrot",
-        "letter_reduced_conj_dim": "lrconj",
         "closure_invariants": "closure",
         "loop_invariants": "loop",
         "report": "report",
@@ -425,6 +419,18 @@ class TestProvenClosureTable:
             getattr(sp, reader)(4)
         assert 4 not in sp._closure_tables
         assert (self.READERS[reader], 4) not in sp._memo
+
+    def test_letter_reduced_conj_reads_no_table(self, monkeypatch):
+        # the column sums the rows of V over rotation classes, so a fault of
+        # the closure rows never reaches it, and no table is built
+        expected = {d: spaces_for(d).report(4).dims["letter_reduced_conj"] for d in (2, 3)}
+        for wrap, _ in self.FAULTS.values():
+            monkeypatch.setattr(tensor, "_rcl_block", wrap(tensor._rcl_block))
+            for d in (2, 3):
+                sp = InvariantSpaces(d)
+                assert sp.letter_reduced_conj_dim(4) == expected[d]
+                assert 4 not in sp._closure_tables
+            monkeypatch.undo()
 
 
 class TestOneRouteChecks:
@@ -765,32 +771,39 @@ class TestBlockChecks:
         assert ("closure", 2) not in sp._memo
 
     @pytest.mark.parametrize("d", [2, 3])
-    def test_closed_rotation_rank_short(self, monkeypatch, d):
-        # the certificate of the block of 1122 gets no closed rotation row,
-        # and its quotient 1 is out of reach.  Dropping one necklace's row
-        # would not do: in every block to level 6 each closed rotation row
-        # is a combination of the others
+    def test_class_sum_rank_short(self, monkeypatch, d):
+        # the span of the class sums of V loses a row in the first block
+        # where they have rank, so its rank falls short of the quotient.
+        # Dropping one row of V would not do: the two rows of V at 1122
+        # have proportional class sums.  With conj, S and V built, the
+        # class sums are the only span of this module that runs
         sp = InvariantSpaces(d)
         sp.conjugation_invariants(4)
-        c = (2, 2) + (0,) * (d - 2)
-        real = InvariantSpaces._necklaces
-        monkeypatch.setattr(
-            InvariantSpaces, "_necklaces", lambda self, k: [] if k == c else real(self, k)
-        )
+        sp.zero_increment_space(4)
+        real, cut = invariants.span, []
+
+        def short(*args):
+            out = real(*args)
+            if out.dim and not cut:
+                cut.append(out)
+                return Subspace(out.d, out.n, out.pivots[:-1], out.rows[:-1])
+            return out
+
+        monkeypatch.setattr(invariants, "span", short)
         with pytest.raises(CrossCheckError, match="quotient and rank"):
             sp.letter_reduced_conj_dim(4)
-        assert ("lrconj", 4) not in sp._memo
+        assert cut and ("lrconj", 4) not in sp._memo
         monkeypatch.undo()
         assert sp.letter_reduced_conj_dim(4) == spaces_for(d).report(4).dims["letter_reduced_conj"]
-        assert ("rclrot", 4) not in sp._memo
+        assert ("rclrot", 4) not in sp._memo and 4 not in sp._closure_tables
 
     def test_quotient_short(self, monkeypatch):
         # a sum conj_c + S_c one row short makes the quotient too small;
-        # the full modular pass over the closed rotation rows reaches the
-        # true quotient, above the computed one
+        # the rank of the class sums of V stays the true quotient, above
+        # the computed one
         sp = InvariantSpaces(2)
         sp.conjugation_invariants(6)
-        sp._closure_table(6)
+        sp.zero_increment_space(6)
         real = invariants.subspace_sum
 
         def short(a, b, budget=None):
@@ -1169,6 +1182,8 @@ class TestMinGenerators:
         # all pairs of rows of the blocks take 118 products
         assert 0 < len(calls) <= 57
         for a, na, b, nb in calls:
+            # the shuffle is commutative: each unordered pair of levels once
+            assert na <= nb
             assert a in sp.minimal_generators(na).block(all_contents.content_of(min(a), 2, na))
             assert b in sp.conjugation_invariants(nb).block(all_contents.content_of(min(b), 2, nb))
 
@@ -1635,6 +1650,28 @@ class TestRowOperators:
             v = sp.zero_increment_space(n)
             brackets = span(d, n, all_contents.letter_bracket_rows(sp, n))
             assert v.dim - intersect(brackets, v).dim == sp.letter_reduced_conj_dim(n)
+
+    @pytest.mark.parametrize("d, top", [(2, 9), (3, 6), (4, 5)])
+    def test_letter_reduced_conj_against_closed_rotations(self, d, top):
+        # the route the class sums replaced: on each canonical block, the
+        # rank of the closed rotation sums, from closure rows of its own,
+        # against the rank of the rows of V summed over rotation classes,
+        # each class named by its smallest rotation
+        sp = spaces_for(d)
+        for n in range(1, top + 1):
+            v, total = sp.zero_increment_space(n), 0
+            for c, size in v.orbits.sizes.items():
+                sums = []
+                for row in v.blocks[c].rows:
+                    out = {}
+                    for k, x in row.items():
+                        necklace = word_index(min_rotation(index_word(k, d, n)), d)
+                        out[necklace] = out.get(necklace, 0) + x
+                    sums.append(out)
+                rank = span(d, n, sums).dim
+                assert rank == all_contents.closed_rotation_rank(sp, n, c), (n, c)
+                total += size * rank
+            assert total == sp.letter_reduced_conj_dim(n), n
 
 
 class TestIntegerPipeline:
