@@ -7,13 +7,13 @@ the other checks it by containment, pairing and dimension:
   checked against the letter-bracket constraints ``<[q, i], x> = 0`` and
   the number of necklaces;
 * the zero-increment space V: the span of products of non-letter Lyndon
-  bracketings (a PBW spanning set), checked against the letter shuffle
-  ideal S, the coefficients of prod(1 - x_i) / (1 - sum x_i) and the
-  generating-series coefficient of (1-q)^d / (1-dq);
+  bracketings (a PBW spanning set), checked against prod(1 - x_i) /
+  (1 - sum x_i), the series (1-q)^d / (1-dq) and the letter shuffle
+  generators, proving that one per leading word spans their ideal S;
 * loop invariants: the complement of [V, letters], whose rows pair to
-  zero with S and are eliminated once, on the free columns of S; checked
-  to be the kernel of (right closure - left closure) by pairing and by a
-  rank lower bound modulo a prime;
+  zero with those generators and are eliminated once, on the free columns
+  of S; checked to be the kernel of (right closure - left closure) by
+  pairing and by a rank lower bound modulo a prime;
 * closure invariants: the image of the right closure, checked against
   dim V and S;
 * letter-reduced conjugation invariants: the image of V in the cyclic
@@ -53,7 +53,7 @@ basis of S_c.  Its readers read all of these by position.
 Both closures are the projections along S, and the table proves it on
 each block as it builds that block's rows, before it stores the level,
 so every reader of the table reads a proven closure: the closure of
-every letter shuffle generator is zero, and the closure of the unit
+every generator that spans S is zero, and the closure of the unit
 vector of every free column differs from it by a vector orthogonal to
 V = S^perp, so by an element of S.  The table therefore needs V of its
 level.  The report reads the closure dimension off the table's proof as
@@ -387,6 +387,14 @@ class _ClosureBlock:
         return _pairs_to_zero(pack, m, rows)
 
 
+def _one_per_leading_word(rows: Iterable[dict[int, int]]) -> list[dict[int, int]]:
+    """The first of the nonzero rows with each smallest word, in order."""
+    chosen: dict[int, dict[int, int]] = {}
+    for row in rows:
+        chosen.setdefault(min(row), row)
+    return list(chosen.values())
+
+
 def _check_level(n: int, least: int = 1) -> None:
     if n < least:
         raise ValueError("level must be at least %d, got %d" % (least, n))
@@ -522,9 +530,10 @@ class InvariantSpaces:
 
         Each block c is proven as soon as its rows are in, by two packed
         pairing tests (:func:`~loopinv.linalg._pairs_to_zero`).  The
-        closure row of every letter shuffle generator ``i ⧢ u`` of content
-        c must be zero (:meth:`_ClosureBlock.kills`).  Then, for every free
-        column f of the block of S, n! rcl(e_f) - n! e_f must pair to zero
+        closure row of the generators ``i ⧢ u`` of content c, one per
+        smallest word, which the build of V proves to span S_c, must be
+        zero (:meth:`_ClosureBlock.kills`).  Then, for every free column f
+        of the block of S, n! rcl(e_f) - n! e_f must pair to zero
         with the rows of V_c (:func:`~loopinv.linalg.orthogonal`), which
         the build of V checks to be S_c^perp in the block, so it lies in
         S.  So rcl vanishes on S and rcl(x) - x lies in S for every x of a
@@ -560,7 +569,7 @@ class InvariantSpaces:
                     words, {k: p for p, k in enumerate(words)}, rows,
                     [at[x[::-1]] for x in letters], [f for f in words if f not in pivots],
                 )
-                if not block.kills(self._letter_shuffle_rows(n, c)):
+                if not block.kills(_one_per_leading_word(self._letter_shuffle_rows(n, c))):
                     raise CrossCheckError(
                         "the right closure does not vanish on the letter shuffle "
                         "ideal at d=%d, n=%d, content %s" % (self.d, n, c)
@@ -569,7 +578,7 @@ class InvariantSpaces:
                     {k: x - scale if k == f else x for k, x in zip(words, rows[block.position[f]])}
                     for f in block.free
                 )
-                if not orthogonal(v.blocks[c], differences, self.budget):
+                if not orthogonal(self.d, n, v.blocks[c].rows, differences, self.budget):
                     raise CrossCheckError(
                         "the right closure is not the identity modulo the letter "
                         "shuffle ideal at d=%d, n=%d, content %s" % (self.d, n, c)
@@ -634,7 +643,7 @@ class InvariantSpaces:
                 )
             brackets = list(self._letter_bracket_rows(n, c))
             rank = span(d, n, brackets, self.budget).dim
-            if r.dim != len(orbits.words(c)) - rank or not orthogonal(r, brackets, self.budget):
+            if r.dim != len(orbits.words(c)) - rank or not orthogonal(d, n, r.rows, brackets, self.budget):
                 raise CrossCheckError(
                     "conjugation invariants disagree between rotation span and "
                     "bracket kernel at d=%d, n=%d, content %s" % (d, n, c)
@@ -645,22 +654,27 @@ class InvariantSpaces:
 
     @_memo("S")
     def letter_shuffle_ideal(self, n: int) -> BlockSpace:
-        """Degree-n part of the shuffle ideal generated by the letters."""
+        """Degree-n part of the shuffle ideal generated by the letters: the
+        span of one generator ``i ⧢ u`` per smallest word, once V proves
+        that they span it, so the elimination only substitutes back."""
         _check_level(n)
-        return self._blocks(n, lambda c: self._block_span(n, c, self._letter_shuffle_rows(n, c)))
+        self.zero_increment_space(n)
+        return self._blocks(n, lambda c: self._block_span(
+            n, c, _one_per_leading_word(self._letter_shuffle_rows(n, c))))
 
     @_memo("V")
     def zero_increment_space(self, n: int) -> BlockSpace:
         """The level-n span of zero-increment grouplike elements: the PBW span
         P.  On each block c, dim P_c is the coefficient of x^c in
-        prod(1 - x_i) / (1 - sum x_i) and the number of words of content c
-        minus dim S_c, and P_c pairs to zero with the rows of S_c; dim P
-        must match the generating series."""
+        prod(1 - x_i) / (1 - sum x_i) and N_c - k, for k generators i ⧢ u
+        with distinct smallest words, so independent, and P_c pairs to
+        zero with every generator: so dim S_c <= k, those k span S_c and
+        P_c = S_c^perp.  dim P must match the generating series."""
         _check_level(n, 0)
         if n == 0:
             return self._blocks(0, lambda c: kernel(self.d, 0, [], self.budget))
-        d, s = self.d, self.letter_shuffle_ideal(n)
-        factors = self._pbw_factors(n, s.orbits.canonical)
+        d, orbits = self.d, self._orbits(n)
+        factors = self._pbw_factors(n, orbits.canonical)
 
         def build(c: Content) -> Subspace:
             p = self._block_span(n, c, self._pbw_products(c, factors))
@@ -671,8 +685,9 @@ class InvariantSpaces:
                     "prod(1 - x_i) / (1 - sum x_i) at d=%d, n=%d, content %s: %d != %d"
                     % (d, n, c, p.dim, expected)
                 )
-            sc = s.blocks[c]
-            if p.dim != len(s.orbits.words(c)) - sc.dim or not orthogonal(p, sc.rows, self.budget):
+            generators = list(self._letter_shuffle_rows(n, c))
+            count = len(_one_per_leading_word(generators))
+            if p.dim != len(orbits.words(c)) - count or not orthogonal(d, n, p.rows, generators, self.budget):
                 raise CrossCheckError(
                     "zero-increment space disagrees between shuffle-ideal "
                     "complement and PBW span at d=%d, n=%d, content %s" % (d, n, c)
@@ -710,30 +725,31 @@ class InvariantSpaces:
         """Integer rows of the concatenation products of non-letter Lyndon
         bracketings of one letter content.
 
-        One product per weakly increasing (in the order of ``factors``,
-        from :meth:`_pbw_factors`) tuple of factors whose contents sum to
-        ``content``; a branch whose contents no longer fit is pruned.
-        Concatenating words u and v of lengths |u| and |v| maps their
-        indices to index(u) * d**|v| + index(v).
+        One product per non-increasing (in the order of ``factors``, from
+        :meth:`_pbw_factors`) tuple l_1 >= ... >= l_k of factors whose
+        contents sum to ``content``, so its smallest word l_1 ... l_k is
+        its own Lyndon factorisation and no two products share it.  A
+        branch whose contents no longer fit is pruned.  Concatenating
+        words u and v maps their indices to index(u) * d**|v| + index(v).
         """
         basis = [f for f in factors if _fits(f[0], content)]
         out: list[dict[int, int]] = []
 
-        def extend(start: int, remaining: Content, acc: dict[int, int] | None):
+        def extend(stop: int, remaining: Content, acc: dict[int, int] | None):
             self._check_budget()
             if not any(remaining):
                 out.append(acc)
                 return
-            for i in range(start, len(basis)):
+            for i in range(stop):
                 wc, shift, poly = basis[i]
                 if not _fits(wc, remaining):
                     continue
                 nxt = poly if acc is None else {
                     a * shift + b: ca * cb for a, ca in acc.items() for b, cb in poly.items()
                 }
-                extend(i, tuple(y - x for x, y in zip(wc, remaining)), nxt)
+                extend(i + 1, tuple(y - x for x, y in zip(wc, remaining)), nxt)
 
-        extend(0, content, None)
+        extend(len(basis), content, None)
         return out
 
     def bracket_zero_increment(self, n: int) -> int:
@@ -749,9 +765,10 @@ class InvariantSpaces:
 
         The raw rows of block c, [v, i] over the rows v of the (renamed)
         blocks of V at level n - 1 of the contents c - e_i, must pair to
-        zero with S_c, so lie in V_c = S_c^perp (the build of V checks
-        that).  A vector of the block is an element of S_c plus one on the
-        free columns of S_c, and restriction to them is injective on V_c: a
+        zero with the generators of S_c, one per smallest word, so lie in
+        V_c = S_c^perp (the build of V checks that they span S_c).  A
+        vector of the block is an element of S_c plus one on the free
+        columns of S_c, and restriction to them is injective on V_c: a
         vector of V_c that vanishes there pairs to zero with S_c and with
         those unit vectors, which span the block.  So the complement of
         [V, letters]_c is S_c plus the kernel K_A of the raw rows on the
@@ -780,7 +797,8 @@ class InvariantSpaces:
             sc, pivots = s.blocks[c], set(s.blocks[c].pivots)
             free = self._closure_table(n)[c].free
             lower = [(row, n - 1, i) for i in range(d) if c[i] for row in v.block(_without(c, i))]
-            if not orthogonal(sc, itertools.starmap(self._bracket_row, lower), self.budget):
+            generators = _one_per_leading_word(self._letter_shuffle_rows(n, c))
+            if not orthogonal(d, n, generators, itertools.starmap(self._bracket_row, lower), self.budget):
                 raise CrossCheckError("[V, letters] leaves V at d=%d, n=%d, content %s" % (d, n, c))
             k_a = kernel(d, n, (
                 {k: x for k, x in row.items() if k not in pivots}
@@ -793,7 +811,7 @@ class InvariantSpaces:
                 )
             rows = functools.partial(self._closure_difference_rows, n, c)
             target = len(free) - k_a.dim
-            if not orthogonal(k_a, rows(), self.budget) or (
+            if not orthogonal(d, n, k_a.rows, rows(), self.budget) or (
                 _modular_rank(rows(), free, target, self.budget) < target
                 and span(d, n, rows(), self.budget).dim < target
             ):

@@ -494,17 +494,18 @@ def _pairs_to_zero(pack, largest: int, rows: Iterable[dict[int, int]]) -> bool:
     return True
 
 
-def orthogonal(s: Subspace, rows: Iterable[dict], budget: Budget | None = None) -> bool:
-    """True iff every raw row of level s.n pairs to zero with every stored
-    row of s (:func:`_pairs_to_zero` on the stored rows packed by column,
-    a column they miss zero); the budget is checked once per row."""
+def orthogonal(d: int, n: int, family: Sequence[dict[int, int]], rows: Iterable[dict],
+               budget: Budget | None = None) -> bool:
+    """True iff every raw row of level n pairs to zero with every integer
+    row of ``family`` (:func:`_pairs_to_zero` on the family packed by
+    column, a column it misses zero); the budget is checked once per row."""
 
     def pack(bits: int):
         columns: dict[int, int] = defaultdict(int)
-        for i, stored in enumerate(s.rows):
+        for i, stored in enumerate(family):
             for k, v in stored.items():
                 columns[k] += v << bits * i
         return bits, columns
 
-    largest = max((max(map(abs, row.values())) for row in s.rows), default=0)
-    return _pairs_to_zero(pack, largest, _int_rows(s.d, s.n, rows, budget, "orthogonal"))
+    largest = max((max(map(abs, row.values())) for row in family), default=0)
+    return _pairs_to_zero(pack, largest, _int_rows(d, n, rows, budget, "orthogonal"))

@@ -28,14 +28,14 @@ METHODS = {
 }
 
 
-def orthogonal(s, rows):
+def orthogonal(d, n, family, rows):
     """linalg.orthogonal entry by entry: each row's dot product with every
-    stored row that shares a column with it."""
+    row of the family that shares a column with it."""
     by_col = {}
-    for i, stored in enumerate(s.rows):
+    for i, stored in enumerate(family):
         for k, v in stored.items():
             by_col.setdefault(k, []).append((i, v))
-    for row in linalg._int_rows(s.d, s.n, rows, None, "orthogonal"):
+    for row in linalg._int_rows(d, n, rows, None, "orthogonal"):
         dots = {}
         for k, c in row.items():
             for i, v in by_col.get(k, ()):
@@ -146,26 +146,31 @@ def letter_shuffle_rows(sp, n):
 
 def pbw_products(d, n):
     """Concatenated integer Lyndon polynomials of every content, one row per
-    weakly increasing tuple of non-letter Lyndon words of total length n."""
+    non-increasing tuple of non-letter Lyndon words of total length n."""
     basis = sorted(w.letters for k in range(2, n + 1) for w in lyndon_words(d, k))
     polys = {w: {word_index(u, d): c for u, c in tensor._lyndon_poly(w).items()} for w in basis}
     out = []
 
-    def extend(start, remaining, acc):
+    def extend(stop, remaining, acc):
         if remaining == 0:
             out.append(acc)
             return
-        for i in range(start, len(basis)):
+        for i in range(stop):
             w = basis[i]
             if len(w) <= remaining:
                 poly, shift = polys[w], d ** len(w)
                 nxt = poly if acc is None else {
                     a * shift + b: ca * cb for a, ca in acc.items() for b, cb in poly.items()
                 }
-                extend(i, remaining - len(w), nxt)
+                extend(i + 1, remaining - len(w), nxt)
 
-    extend(0, n, None)
+    extend(len(basis), n, None)
     return out
+
+
+def letter_shuffle_block(sp, n, content):
+    """The block of S of one content: the RREF of all its generators."""
+    return span(sp.d, n, sp._letter_shuffle_rows(n, content))
 
 
 def whole_level(sp, n, below=None):
@@ -215,7 +220,7 @@ def block(sp, n, content, blocks_below=None):
     own = [w for w in necklaces(d, n) if content_of(word_index(w.letters, d), d, n) == content]
     out = {
         "conj": span(d, n, map(sp._rotation_row, own)),
-        "S": span(d, n, sp._letter_shuffle_rows(n, content)),
+        "S": letter_shuffle_block(sp, n, content),
         "V": span(d, n, sp._pbw_products(content, sp._pbw_factors(n, [content]))),
         "closure": span(d, n, (closure_row({k: 1}, d, n) for k in words)),
         "loop": kernel(d, n, closure_difference_rows(d, n, words), None, words),

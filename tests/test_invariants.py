@@ -583,16 +583,32 @@ class TestOneRouteChecks:
         )
 
     @pytest.mark.parametrize("d", [2, 3])
-    def test_shuffle_ideal_missing_a_row(self, d):
-        # P still pairs to zero with S and matches the closed form, but
-        # S^perp is now larger than P in the block of 1122
+    def test_chosen_generator_dropped(self, monkeypatch, d):
+        # P still pairs to zero with every generator and matches the closed
+        # form, but the generators kept, one per smallest word less one,
+        # fall one short of S in the first block that has one; S builds V
+        # first, so neither is stored
+        real = invariants._one_per_leading_word
+        monkeypatch.setattr(invariants, "_one_per_leading_word", lambda rows: real(rows)[:-1])
         sp = InvariantSpaces(d)
-        s = sp.letter_shuffle_ideal(4)
-        c = (2, 2) + (0,) * (d - 2)
-        block = s.blocks[c]
-        smaller = Subspace(d, 4, block.pivots[:-1], block.rows[:-1])
-        sp._memo[("S", 4)] = with_block(s, c, smaller)
-        self.assert_refused(sp, "zero_increment_space", 4, "V", "shuffle-ideal complement")
+        self.assert_refused(sp, "letter_shuffle_ideal", 4, "V", "shuffle-ideal complement")
+        assert sp._memo == {}
+
+    @pytest.mark.parametrize("d, top", [(2, 10), (3, 7), (4, 5)])
+    def test_leading_words_are_the_pivots(self, d, top):
+        # on every canonical block: the generators i ⧢ u kept, one per
+        # smallest word, lead at the pivots of the RREF of all generators,
+        # and the PBW products lead at distinct words, the pivots of V
+        sp = spaces_for(d)
+        for n in range(1, top + 1):
+            v = sp.zero_increment_space(n)
+            factors = sp._pbw_factors(n, v.orbits.canonical)
+            for c in v.orbits.canonical:
+                kept = invariants._one_per_leading_word(sp._letter_shuffle_rows(n, c))
+                s = all_contents.letter_shuffle_block(sp, n, c)
+                assert sorted(map(min, kept)) == list(s.pivots), (n, c)
+                products = sp._pbw_products(c, factors)
+                assert sorted(map(min, products)) == list(v.blocks[c].pivots), (n, c)
 
     @staticmethod
     def patch_bracket_rows(monkeypatch, d, c, change):
@@ -775,11 +791,11 @@ class TestBlockChecks:
         # the span of the class sums of V loses a row in the first block
         # where they have rank, so its rank falls short of the quotient.
         # Dropping one row of V would not do: the two rows of V at 1122
-        # have proportional class sums.  With conj, S and V built, the
-        # class sums are the only span of this module that runs
+        # have proportional class sums.  With conj, S and V built (S builds
+        # V), the class sums are the only span of this module that runs
         sp = InvariantSpaces(d)
         sp.conjugation_invariants(4)
-        sp.zero_increment_space(4)
+        sp.letter_shuffle_ideal(4)
         real, cut = invariants.span, []
 
         def short(*args):
@@ -972,7 +988,7 @@ class TestOrbits:
         # again, once each, as a stream it keeps none of, by index
         # arithmetic: no general shuffle runs
         sp = InvariantSpaces(3)
-        sp.zero_increment_space(5)
+        sp.letter_shuffle_ideal(5)
         made, shuffles = [], []
         real = InvariantSpaces._letter_shuffle_rows
 
@@ -1408,6 +1424,13 @@ class TestMemo:
         assert stray == []
         assert {name for name, _ in sp._memo} >= {"report", "gens", "areaconj"}
 
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_shuffle_ideal_stores_its_certificate(self, n):
+        # V proves the generators of S span it, so S is built after V
+        sp = InvariantSpaces(3)
+        sp.letter_shuffle_ideal(n)
+        assert list(sp._memo) == [("V", n), ("S", n)]
+
 
 class TestBudgetInHeavyLoops:
     """An expired budget stops each row-building loop before elimination."""
@@ -1488,7 +1511,7 @@ class TestBudgetInHeavyLoops:
         sp.budget = Budget(seconds=-1)
         with pytest.raises(BudgetExceeded) as err:
             sp.report(4)
-        assert err.value.space == ("S", 4)
+        assert err.value.space == ("V", 4)
 
     @pytest.mark.parametrize("assembled", [False, True])
     def test_evidence_after_the_spaces(self, monkeypatch, assembled):
@@ -1570,17 +1593,17 @@ def _pbw_products_oracle(d, n):
     basis = sorted((w for k in range(2, n + 1) for w in lyndon_words(d, k)), key=lambda w: w.letters)
     out = []
 
-    def extend(start, remaining, acc):
+    def extend(stop, remaining, acc):
         if remaining == 0:
             out.append(acc)
             return
-        for i in range(start, len(basis)):
+        for i in range(stop):
             w = basis[i]
             if len(w.letters) <= remaining:
                 poly = lyndon_bracketing(w)
-                extend(i, remaining - len(w.letters), poly if acc is None else concat(acc, poly))
+                extend(i + 1, remaining - len(w.letters), poly if acc is None else concat(acc, poly))
 
-    extend(0, n, None)
+    extend(len(basis), n, None)
     return out
 
 

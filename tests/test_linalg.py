@@ -127,7 +127,7 @@ class TestSpan:
         with pytest.raises(TypeError):
             kernel(2, 1, [{0: value}])
         with pytest.raises(TypeError):
-            orthogonal(s, [{0: value}])
+            orthogonal(2, 1, s.rows, [{0: value}])
 
     def test_rref_is_canonical(self, rng):
         # re-reducing a reduced basis reproduces it identically, and the
@@ -368,22 +368,22 @@ class TestOrthogonal:
                 rows.append(random_int_row(rng, d**n))
             before = [dict(r) for r in rows]
             expected = self.double_loop(s, rows)
-            assert orthogonal(s, rows) == expected
+            assert orthogonal(d, n, s.rows, rows) == expected
             assert rows == before
             seen.add(expected)
         assert seen == {True, False}
 
     def test_one_pair_that_is_not_orthogonal(self):
-        s = span(2, 2, [{0: 1, 1: 2}])
-        assert orthogonal(s, [{0: -2, 1: 1}, {2: 5}])
-        assert not orthogonal(s, [{0: -2, 1: 1}, {1: 1, 3: 1}])
-        assert orthogonal(span(2, 2, []), [{1: 1}])
-        assert orthogonal(s, [])
+        s = [{0: 1, 1: 2}]
+        assert orthogonal(2, 2, s, [{0: -2, 1: 1}, {2: 5}])
+        assert not orthogonal(2, 2, s, [{0: -2, 1: 1}, {1: 1, 3: 1}])
+        assert orthogonal(2, 2, [], [{1: 1}])
+        assert orthogonal(2, 2, s, [])
 
     @pytest.mark.parametrize("row", [{8: 1}, {-1: 1}, {0: 1, 20: 2}])
     def test_shape_mismatch(self, row):
         with pytest.raises(ValueError):
-            orthogonal(span(2, 3, [{0: 1}]), [row])
+            orthogonal(2, 3, [{0: 1}], [row])
 
     def test_stops_at_the_first_nonzero_pairing(self):
         # each row is paired as it is drawn: no row after the first
@@ -393,25 +393,24 @@ class TestOrthogonal:
             yield {0: 1, 3: 1}
             raise AssertionError("a row was drawn after a nonzero pairing")
 
-        assert not orthogonal(span(2, 2, [{0: 1}]), rows())
+        assert not orthogonal(2, 2, [{0: 1}], rows())
 
     def test_agrees_with_the_dict_route(self, rng):
-        # stored rows with a dependent one among them, and drawn rows that
+        # a family with a dependent row among them, and drawn rows that
         # grow, so that the columns are packed again for wider slots
         seen = set()
         for _ in range(150):
             d, n = rng.choice([(2, 3), (2, 4), (3, 2)])
             stored = [random_int_row(rng, d**n) for _ in range(rng.randint(1, 4))]
             stored.append({k: -2 * v for k, v in stored[0].items()})
-            s = Subspace(d, n, [0] * len(stored), stored)
             rows = [
                 {k: v << rng.randint(0, 80) for k, v in row.items()}
                 for row in orthogonal_complement(span(d, n, stored)).rows
             ]
             if rng.random() < 0.5:
                 rows.insert(rng.randint(0, len(rows)), random_int_row(rng, d**n))
-            expected = all_contents.orthogonal(s, rows)
-            assert orthogonal(s, rows) == expected
+            expected = all_contents.orthogonal(d, n, stored, rows)
+            assert orthogonal(d, n, stored, rows) == expected
             seen.add(expected)
         assert seen == {True, False}
 
@@ -419,29 +418,29 @@ class TestOrthogonal:
         # c pairs to 4 with s_0 and to -1 with s_1.  The slot is the bit
         # length of max|s| * sum|c| = 4, 3 bits; in 2-bit slots the
         # columns 2 + 1 * 4 and 2 - 2 * 4 pair with c to zero
-        s = Subspace(2, 1, [0, 1], [{0: 2, 1: 2}, {0: 1, 1: -2}])
+        s = [{0: 2, 1: 2}, {0: 1, 1: -2}]
         c = {0: 1, 1: 1}
 
         def paired(bits):
             return sum(
-                x * sum(row[k] << bits * i for i, row in enumerate(s.rows)) for k, x in c.items()
+                x * sum(row[k] << bits * i for i, row in enumerate(s)) for k, x in c.items()
             )
 
         assert (2 * 1 * 2).bit_length() == 3
         assert paired(2) == 0 != paired(3)
-        assert not orthogonal(s, [c])
+        assert not orthogonal(2, 1, s, [c])
 
     def test_empty_space_still_checks_each_row(self):
         with pytest.raises(ValueError):
-            orthogonal(span(2, 2, []), [{9: 1}])
+            orthogonal(2, 2, [], [{9: 1}])
         with pytest.raises(TypeError):
-            orthogonal(span(2, 2, []), [{1: 0.5}])
+            orthogonal(2, 2, [], [{1: 0.5}])
 
     def test_budget_per_row(self):
-        s = span(2, 2, [{0: 1}])
-        assert orthogonal(s, [], Budget(seconds=-1.0))
+        s = [{0: 1}]
+        assert orthogonal(2, 2, s, [], Budget(seconds=-1.0))
         with pytest.raises(BudgetExceeded):
-            orthogonal(s, [{1: 1}], Budget(seconds=-1.0))
+            orthogonal(2, 2, s, [{1: 1}], Budget(seconds=-1.0))
 
 
 class CountingBudget(Budget):

@@ -183,3 +183,18 @@ def test_slot_bytes_stay_in_linalg():
     ]
     assert len(SOURCES) > 5
     assert found == []
+
+
+def test_zero_increment_space_reads_no_shuffle_ideal():
+    # V certifies S: its build makes the letter shuffle generators itself,
+    # and S, built from them, is built after V and never before it
+    path = Path(loopinv.__file__).parent / "invariants.py"
+    (cls,) = [
+        node for node in ast.parse(path.read_text(), str(path)).body
+        if isinstance(node, ast.ClassDef) and node.name == "InvariantSpaces"
+    ]
+    (build,) = [node for node in cls.body if getattr(node, "name", None) == "zero_increment_space"]
+    names = {node.attr for node in ast.walk(build) if isinstance(node, ast.Attribute)}
+    names |= {node.id for node in ast.walk(build) if isinstance(node, ast.Name)}
+    assert "_letter_shuffle_rows" in names
+    assert names.isdisjoint({"letter_shuffle_ideal", "space"})
