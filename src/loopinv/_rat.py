@@ -28,8 +28,11 @@ def exact(value):
 
     Floats are refused: a float is a binary approximation, and ``Q(0.1)``
     would silently store 3602879701896397/36028797018963968.  So are
-    bools, which ``Q`` reads as 0 or 1.
+    bools, which ``Q`` reads as 0 or 1.  A ``Fraction`` itself, not a
+    subclass, is returned unchanged.
     """
+    if type(value) is Fraction:
+        return value
     _refuse_inexact(value)
     return Q(value)
 

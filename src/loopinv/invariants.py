@@ -48,8 +48,9 @@ The n!-scaled right closure of a level is one table with one
 ``words.anagrams`` that :meth:`_Orbits.words` also follows.  A block
 holds its word indices and their positions, one dense row per word (an
 ``array('q')``, or a list when an entry is past 63 bits), the position
-of each word's reversal, and the free (non-pivot) columns of the stored
-basis of S_c.  Its readers read all of these by position.
+of each word's reversal, the free (non-pivot) columns of the stored
+basis of S_c, and the largest magnitude of an entry, which bounds the
+slots of its packed proof.  Its readers read all of these by position.
 Both closures are the projections along S, and the table proves it on
 each block as it builds that block's rows, before it stores the level,
 so every reader of the table reads a proven closure: the closure of
@@ -350,15 +351,17 @@ class _ClosureBlock:
     to its place there.  ``rows[p]`` is n! rcl(e_k) for k = words[p], dense
     on ``words``: an ``array('q')``, or the list that ``_rcl_block``
     yielded when an entry is past 63 bits; both index and iterate alike.
-    ``reverse[p]`` is the position of the reversal of words[p], and
-    ``free`` the free (non-pivot) columns of S_c, on which the proof ran.
+    ``reverse[p]`` is the position of the reversal of words[p], ``free``
+    the free (non-pivot) columns of S_c, on which the proof ran, and
+    ``largest`` the largest magnitude of an entry of ``rows``.
     """
 
-    __slots__ = ("words", "position", "rows", "reverse", "free")
+    __slots__ = ("words", "position", "rows", "reverse", "free", "largest")
 
     def __init__(self, words: list[int], position: dict[int, int], rows: list[Sequence[int]],
-                 reverse: list[int], free: list[int]):
+                 reverse: list[int], free: list[int], largest: int):
         self.words, self.position, self.rows, self.reverse, self.free = words, position, rows, reverse, free
+        self.largest = largest
 
     def image(self, row: dict[int, int]) -> dict[int, int]:
         """n! times the right closure of an integer row on the words of the
@@ -376,15 +379,15 @@ class _ClosureBlock:
         A :func:`~loopinv.linalg._pairs_to_zero` test whose P[k] is the
         closure row of the word k packed, so that slot j of sum_k g_k P[k]
         is entry j of n! rcl(g).  Slots are a multiple of 64 bits wide, so
-        at 64 bits the ``array('q')`` rows are read from their bytes.
+        at 64 bits the ``array('q')`` rows are read from their bytes.  The
+        slot width is bounded by ``largest``, noted as the rows were made.
         """
 
         def pack(need: int):
             bits = -(-need // 64) * 64 or 64
             return bits, dict(zip(self.words, (_signed_slots(r, bits) for r in self.rows)))
 
-        m = max(max(map(max, self.rows)), -min(map(min, self.rows)))
-        return _pairs_to_zero(pack, m, rows)
+        return _pairs_to_zero(pack, self.largest, rows)
 
 
 def _one_per_leading_word(rows: Iterable[dict[int, int]]) -> list[dict[int, int]]:
@@ -526,7 +529,8 @@ class InvariantSpaces:
         contents are renamed, never built, so no other word needs a row.
         One ``_tensor._rcl_block`` pass over a content's anagrams yields
         its rows, each packed into an ``array('q')`` unless an entry
-        overflows it.
+        overflows it; the largest magnitude is noted from the yielded
+        lists, before packing.
 
         Each block c is proven as soon as its rows are in, by two packed
         pairing tests (:func:`~loopinv.linalg._pairs_to_zero`).  The
@@ -554,10 +558,11 @@ class InvariantSpaces:
             table: dict[Content, _ClosureBlock] = {}
             for c in s.orbits.canonical:
                 words, letters = s.orbits.words(c), anagrams(_letters(c))
-                generated, rows = _tensor._rcl_block(_letters(c), letters), []
+                generated, rows, largest = _tensor._rcl_block(_letters(c), letters), [], 0
                 for _ in words:
                     self._check_budget()
                     row = next(generated)
+                    largest = max(largest, max(map(abs, row)))
                     try:
                         row = array("q", row)
                     except OverflowError:
@@ -567,7 +572,7 @@ class InvariantSpaces:
                 pivots = set(s.blocks[c].pivots)
                 block = _ClosureBlock(
                     words, {k: p for p, k in enumerate(words)}, rows,
-                    [at[x[::-1]] for x in letters], [f for f in words if f not in pivots],
+                    [at[x[::-1]] for x in letters], [f for f in words if f not in pivots], largest,
                 )
                 if not block.kills(_one_per_leading_word(self._letter_shuffle_rows(n, c))):
                     raise CrossCheckError(

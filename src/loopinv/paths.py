@@ -22,8 +22,11 @@ equal to ``k! * D**k`` times the true level k:
 The fuzz drivers pair these levels with the stored integer rows of the
 invariant subspaces and compare scaled values of one level and one D;
 those pairings form no rational.  :func:`fuzz_closure` also pairs each
-level with the rational ``right_closure`` and ``left_closure`` of one
-random word (``_pair_tensor``), so that comparison is rational.
+level with the ``right_closure`` and ``left_closure`` of one random word.
+It reads the closures of each distinct word once per call, as integer
+rows scaled by the lcm L of their denominators (``_scaled_row``), and
+compares each pairing with L times the value of the closed path, so that
+comparison forms no rational either.
 :func:`path_signature` divides by ``k! * D**k`` once at the end.  The
 rational route, :func:`segment_signature` folded with
 :meth:`TruncatedSignature.product`, is kept as the test oracle.
@@ -286,12 +289,14 @@ def _pair_row(sig: list[list[int]], entry: tuple[int, dict[int, int]]) -> int:
     return sum(values[i] * c for i, c in row.items())
 
 
-def _pair_tensor(sig: list[list[int]], x: TensorElement, n: int):
-    """Scaled pairing with an element x of level n."""
+def _scaled_row(x: TensorElement, n: int) -> tuple[int, tuple[int, dict[int, int]]]:
+    """``(L, (n, row))``: the integer row of L times an element x of level
+    n, where L is the lcm of the denominators of its coefficients."""
     if not x.is_homogeneous(n):
         raise ValueError("element is not homogeneous of level %d" % n)
-    values = sig[n]
-    return sum(values[word_index(w.letters, x.d)] * c for w, c in x.items())
+    terms = list(x.items())
+    scale = lcm(*(c.denominator for _, c in terms))
+    return scale, (n, {word_index(w.letters, x.d): c.numerator * (scale // c.denominator) for w, c in terms})
 
 
 # ---------------------------------------------------------------------------
@@ -477,11 +482,18 @@ def fuzz_closure(d: int, level: int, trials: int, seed: int) -> FuzzReport:
     <sig(X), rcl(w)> = <sig(X R_X), w> and the left mirror image, and
     every basis element of the closure invariants is checked to pair
     equally before and after closing.
+
+    Both closures of a word are computed once per call, on its first
+    draw, and kept as integer rows scaled by the lcm L of their
+    denominators; the check is the identity above multiplied by L, so
+    it is exact and integer.
     """
     basis = _invariant_rows(spaces_for(d), level, "closure")
     rng = random.Random(seed)
     checks = 0
     failures: list[str] = []
+    # letters -> (index, scaled right closure, scaled left closure)
+    closures: dict[tuple[int, ...], tuple] = {}
     for _ in range(trials):
         x = random_path(rng, d)
         closing = PiecewiseLinearPath(d, [closing_segment(x)])
@@ -492,10 +504,13 @@ def fuzz_closure(d: int, level: int, trials: int, seed: int) -> FuzzReport:
         sig_left = _chen(sig_closing, sig_x)
         for k in range(1, level + 1):
             letters = tuple(rng.randint(1, d) for _ in range(k))
-            w = TensorElement.word(d, letters)
-            i = word_index(letters, d)
-            ok_right = _pair_tensor(sig_x, right_closure(w), k) == sig_right[k][i]
-            ok_left = _pair_tensor(sig_x, left_closure(w), k) == sig_left[k][i]
+            if letters not in closures:
+                w = TensorElement.word(d, letters)
+                closures[letters] = (word_index(letters, d), _scaled_row(right_closure(w), k),
+                                     _scaled_row(left_closure(w), k))
+            i, (scale_right, right), (scale_left, left) = closures[letters]
+            ok_right = _pair_row(sig_x, right) == scale_right * sig_right[k][i]
+            ok_left = _pair_row(sig_x, left) == scale_left * sig_left[k][i]
             if not (ok_right and ok_left):
                 failures.append(
                     _describe_pair(x, closing, "closure operator on %s" % "".join(map(str, letters)))

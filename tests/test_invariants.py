@@ -1143,7 +1143,7 @@ class TestClosureTable:
         # largest entry 2^62 need 65 bits, and in 64-bit slots 4 * 2^62 -
         # 2^64 reads zero; the block widens to 128 bits and sees the image
         rows = [array("q", [2**62, 0]), array("q", [0, -1])]
-        block = invariants._ClosureBlock([0, 1], {0: 0, 1: 1}, rows, [0, 1], [])
+        block = invariants._ClosureBlock([0, 1], {0: 0, 1: 1}, rows, [0, 1], [], 2**62)
         g = {0: 4, 1: 1}
         assert (5 * 2**62).bit_length() == 65
         assert 4 * linalg._signed_slots(rows[0], 64) + linalg._signed_slots(rows[1], 64) == 0

@@ -1,4 +1,5 @@
 import json
+import re
 from functools import reduce
 from math import factorial
 
@@ -397,6 +398,32 @@ class TestFaultInjection:
         assert not report.ok
         assert all(json.loads(f)["check"] == message for f in report.failures)
         assert (report.checks, len(report.failures), report.witness_found) == (checks, failures, True)
+
+    # checks and failures of fuzz_closure(2, 4, 10, seed=7) with one closure
+    # operator replaced: the identity on every word fails all 40 word
+    # checks, the identity on the word 12 alone the 2 trials that draw it
+    @pytest.mark.parametrize("operator", ["right_closure", "left_closure"])
+    @pytest.mark.parametrize("faulty, failures, check", [
+        pytest.param(lambda w: True, 40, "closure operator on [12]+", id="every-word"),
+        pytest.param(lambda w: w == W(2, "12"), 2, "closure operator on 12", id="word-12"),
+    ])
+    def test_closure_operator_fault(self, monkeypatch, operator, faulty, failures, check):
+        real = getattr(paths, operator)
+        monkeypatch.setattr(paths, operator, lambda x: x if faulty(x) else real(x))
+        report = fuzz_closure(2, 4, 10, seed=7)
+        assert (report.checks, len(report.failures)) == (150, failures)
+        assert all(re.fullmatch(check, json.loads(f)["check"]) for f in report.failures)
+
+    def test_closure_operators_run_once_per_distinct_word(self, monkeypatch):
+        # 200 trials draw 800 words, 30 of them distinct
+        calls = {"right_closure": 0, "left_closure": 0}
+        for name in calls:
+            def counted(x, name=name, real=getattr(paths, name)):
+                calls[name] += 1
+                return real(x)
+            monkeypatch.setattr(paths, name, counted)
+        assert fuzz_closure(2, 4, 200, 1000).ok
+        assert calls == {"right_closure": 30, "left_closure": 30}
 
 
 class TestStaircase:
