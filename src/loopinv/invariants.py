@@ -63,10 +63,11 @@ builds no closure image.  Every closure difference lies in S too, so the
 closure-difference kernel is S plus the kernel, among the free columns,
 of the closure-difference rows at the pivot columns; the loop build
 checks that this kernel is the one it built from [V, letters].  Its
-certificate makes these rows from the block each time it reads them and
-keeps none: it pairs them, takes their rank modulo a prime, and reads
-them once more for the exact rank only where the prime falls short.  The
-closed rotation span reads the closed rotation sums off the same blocks.
+certificate makes these rows from the block, dense on the free columns,
+each time it reads them, and keeps none: it pairs them, takes their rank
+modulo a prime, and reads them once more for the exact rank only where
+the prime falls short.  The closed rotation span reads the closed
+rotation sums off the same blocks.
 
 Every spanning set is a stream of integer rows ``{word index: int}``
 made by four row operators (rotation sums, letter brackets, shuffles and
@@ -86,8 +87,9 @@ import contextlib
 import functools
 import itertools
 from array import array
+from bisect import bisect_left
 from math import factorial
-from operator import add, mul
+from operator import add, itemgetter, le, mul, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .linalg import (
@@ -96,7 +98,9 @@ from .linalg import (
     CrossCheckError,
     Subspace,
     _modular_rank,
+    _packed_by_column,
     _pairs_to_zero,
+    _reduces_to_zero,
     _signed_slots,
     contains,
     index_word,
@@ -229,7 +233,7 @@ def _without(content: Content, i: int) -> Content:
 
 def _fits(inner: Content, outer: Content) -> bool:
     """Whether every letter count of ``inner`` is at most that of ``outer``."""
-    return all(x <= y for x, y in zip(inner, outer))
+    return all(map(le, inner, outer))
 
 
 def _canonical(content: Content) -> Content:
@@ -389,6 +393,29 @@ class _ClosureBlock:
 
         return _pairs_to_zero(pack, self.largest, rows)
 
+    def fixes_free_columns(self, family: Sequence[dict[int, int]], scale: int,
+                           budget: Budget | None = None) -> bool:
+        """True iff, for every free column f, rows[f] - scale e_f pairs to
+        zero with every integer row of ``family``, which lies on the words
+        of the block; the budget is checked once per free column.
+
+        One :func:`~loopinv.linalg._pairs_to_zero` test on dense rows: the
+        family is packed by block position, and each difference is a copy
+        of the stored row of f with ``scale`` taken off at its place.
+        """
+        pack, largest = _packed_by_column(family, self.position)
+
+        def differences():
+            for f in self.free:
+                if budget is not None:
+                    budget.check()
+                p = self.position[f]
+                row = list(self.rows[p])
+                row[p] -= scale
+                yield row
+
+        return _pairs_to_zero(pack, largest, differences())
+
 
 def _one_per_leading_word(rows: Iterable[dict[int, int]]) -> list[dict[int, int]]:
     """The first of the nonzero rows with each smallest word, in order."""
@@ -537,12 +564,14 @@ class InvariantSpaces:
         closure row of the generators ``i ⧢ u`` of content c, one per
         smallest word, which the build of V proves to span S_c, must be
         zero (:meth:`_ClosureBlock.kills`).  Then, for every free column f
-        of the block of S, n! rcl(e_f) - n! e_f must pair to zero
-        with the rows of V_c (:func:`~loopinv.linalg.orthogonal`), which
-        the build of V checks to be S_c^perp in the block, so it lies in
-        S.  So rcl vanishes on S and rcl(x) - x lies in S for every x of a
-        canonical content, and, as both commute with renaming letters, for
-        every x: rcl is the projection along S.  S is closed under reversal
+        of the block of S, n! rcl(e_f) - n! e_f must pair to zero with the
+        rows of V_c (:meth:`_ClosureBlock.fixes_free_columns`: the stored
+        dense row of f, read as it is stored, against V_c packed by block
+        position, so no row becomes a dict), which the build of V checks
+        to be S_c^perp in the block, so it lies in S.  So rcl vanishes on
+        S and rcl(x) - x lies in S for every x of a canonical content,
+        and, as both commute with renaming letters, for every x: rcl is
+        the projection along S.  S is closed under reversal
         (the reverse of ``i ⧢ u`` is ``i ⧢ reverse(u)``) and the left
         closure is the right closure conjugated by reversal, so the same
         holds for it.
@@ -579,11 +608,7 @@ class InvariantSpaces:
                         "the right closure does not vanish on the letter shuffle "
                         "ideal at d=%d, n=%d, content %s" % (self.d, n, c)
                     )
-                differences = (
-                    {k: x - scale if k == f else x for k, x in zip(words, rows[block.position[f]])}
-                    for f in block.free
-                )
-                if not orthogonal(self.d, n, v.blocks[c].rows, differences, self.budget):
+                if not block.fixes_free_columns(v.blocks[c].rows, scale, self.budget):
                     raise CrossCheckError(
                         "the right closure is not the identity modulo the letter "
                         "shuffle ideal at d=%d, n=%d, content %s" % (self.d, n, c)
@@ -739,20 +764,26 @@ class InvariantSpaces:
         """
         basis = [f for f in factors if _fits(f[0], content)]
         out: list[dict[int, int]] = []
+        # remaining content -> the ascending positions in basis of the
+        # factors that fit it, found among those that fit the content it
+        # was first reached from
+        fitting: dict[Content, list[int]] = {content: list(range(len(basis)))}
 
         def extend(stop: int, remaining: Content, acc: dict[int, int] | None):
             self._check_budget()
             if not any(remaining):
                 out.append(acc)
                 return
-            for i in range(stop):
+            fits = fitting[remaining]
+            for i in fits[: bisect_left(fits, stop)]:
                 wc, shift, poly = basis[i]
-                if not _fits(wc, remaining):
-                    continue
                 nxt = poly if acc is None else {
                     a * shift + b: ca * cb for a, ca in acc.items() for b, cb in poly.items()
                 }
-                extend(i + 1, tuple(y - x for x, y in zip(wc, remaining)), nxt)
+                rest = tuple(y - x for x, y in zip(wc, remaining))
+                if rest not in fitting:
+                    fitting[rest] = [j for j in fits if _fits(basis[j][0], rest)]
+                extend(i + 1, rest, nxt)
 
         extend(len(basis), content, None)
         return out
@@ -789,11 +820,13 @@ class InvariantSpaces:
         every row of M, so rcl = lcl on K_A, and the rank of M is at most
         (free columns) - dim K_A; the rank reaches that bound, so the
         kernel of M is no larger than K_A.  Together, S_c + K_A is the
-        kernel of rcl - lcl on the block.  Both steps run on packed rows:
-        the pairing on the columns of K_A in slots that no dot product
-        fills, the rank modulo a prime on residues in 64-bit slots, to which
-        a reduction step adds less than p^2 < 2^30; where it falls short,
-        the exact rank of the rows, made again, decides.
+        kernel of rcl - lcl on the block.  Both steps read the dense rows
+        of M that :meth:`_closure_difference_rows` makes, one entry per free
+        column: the pairing against K_A packed by free position, in slots
+        that no dot product fills, and the rank modulo a prime on residues
+        in 64-bit slots, to which a reduction step adds less than p^2 <
+        2^30.  Where the prime falls short, the rows are made again and
+        turned into dicts for the exact rank, which decides.
         """
         _check_level(n)
         d, s, v = self.d, self.letter_shuffle_ideal(n), self.zero_increment_space(n - 1)
@@ -816,9 +849,11 @@ class InvariantSpaces:
                 )
             rows = functools.partial(self._closure_difference_rows, n, c)
             target = len(free) - k_a.dim
-            if not orthogonal(d, n, k_a.rows, rows(), self.budget) or (
+            pack, largest = _packed_by_column(k_a.rows, {f: j for j, f in enumerate(free)})
+            if not _pairs_to_zero(pack, largest, rows()) or (
                 _modular_rank(rows(), free, target, self.budget) < target
-                and span(d, n, rows(), self.budget).dim < target
+                and span(d, n, ({f: x for f, x in zip(free, row) if x} for row in rows()),
+                         self.budget).dim < target
             ):
                 raise CrossCheckError(
                     "loop invariants disagree between bracket complement and "
@@ -828,24 +863,39 @@ class InvariantSpaces:
 
         return self._blocks(n, build)
 
-    def _closure_difference_rows(self, n: int, c: Content) -> Iterator[dict[int, int]]:
-        """Integer rows of the matrix of n! (right closure - left closure)
-        on the block of the canonical content c, restricted to the free
-        columns of S_c: the nonzero row of each pivot column of S_c, made
-        as it is read.
+    def _closure_difference_rows(self, n: int, c: Content) -> Iterator[tuple[int, ...]]:
+        """The nonzero rows of M, the matrix of n! (right closure - left
+        closure) on the block of the canonical content c at the pivot
+        columns of S_c, restricted to the free columns of S_c: dense, one
+        entry per column of ``free`` of the block, in its order.
 
         The left closure is the right closure conjugated by reversal, which
         keeps the content, so n! lcl(e_k) is the closure row of the reversal
-        of k with its positions permuted by reversal.
+        of k with its positions permuted by reversal.  So column f of M is
+        one gather of the stored row of f at the pivot positions minus one
+        of the row of its reversal at their reversals, and a transpose
+        turns the columns into rows.  The budget is checked once per column
+        and once per row.
         """
         block = self._closure_table(n)[c]
         rows, position, reverse = block.rows, block.position, block.reverse
-        free = [(col, rows[position[col]], rows[reverse[position[col]]]) for col in block.free]
-        for k in self.letter_shuffle_ideal(n).blocks[c].pivots:
+        at = [position[k] for k in self.letter_shuffle_ideal(n).blocks[c].pivots]
+        if not at:
+            return
+
+        def gather(positions: list[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+            get = itemgetter(*positions)  # a lone position gets its entry bare
+            return get if len(positions) > 1 else lambda row: (get(row),)
+
+        right, left = gather(at), gather([reverse[p] for p in at])
+        columns = []
+        for f in block.free:
             self._check_budget()
-            p, q = position[k], reverse[position[k]]
-            row = {col: v for col, right, left in free if (v := right[p] - left[q])}
-            if row:
+            p = position[f]
+            columns.append(map(sub, right(rows[p]), left(rows[reverse[p]])))
+        for row in zip(*columns):
+            self._check_budget()
+            if any(row):
                 yield row
 
     @_memo("closure")
@@ -925,25 +975,45 @@ class InvariantSpaces:
         of one class, with its pivot at the necklace, which names the class
         of each of its words.  The bracket rows span conj^perp and V =
         S^perp, so V_c meets [T, letters] in (conj_c + S_c)^perp, and the
-        rank must be the quotient dim(conj_c + S_c) - dim S_c, built by
-        another elimination.
+        rank must be the quotient dim(conj_c + S_c) - dim S_c, the rank of
+        the rows of conj_c reduced against the stored S_c
+        (:meth:`_quotient_dim`).
         """
         s, conj, v = self.letter_shuffle_ideal(n), self.conjugation_invariants(n), self.zero_increment_space(n)
         total = 0
         for c, size in s.orbits.sizes.items():
-            quotient = subspace_sum(conj.blocks[c], s.blocks[c], self.budget).dim - s.blocks[c].dim
             necklace = {k: p for p, row in zip(conj.blocks[c].pivots, conj.blocks[c].rows) for k in row}
             sums: list[dict[int, int]] = [{} for _ in v.blocks[c].rows]
             for out, row in zip(sums, v.blocks[c].rows):
                 for k, x in row.items():
                     out[necklace[k]] = out.get(necklace[k], 0) + x
-            if span(self.d, n, sums, self.budget).dim != quotient:
+            rank = span(self.d, n, sums, self.budget).dim
+            quotient = self._quotient_dim(n, c)
+            if rank != quotient:
                 raise CrossCheckError(
                     "letter-reduced conjugation dimension disagrees between "
                     "quotient and rank routes at d=%d, n=%d, content %s" % (self.d, n, c)
                 )
             total += size * quotient
         return total
+
+    def _quotient_dim(self, n: int, c: Content) -> int:
+        """dim(conj_c + S_c) - dim S_c on the block of the canonical content
+        c: each row of conj_c is reduced against the stored canonical RREF
+        of S_c, one pass over the pivot columns it hits, and the quotient is
+        the exact rank of the remainders, which lie on the free columns of
+        S_c.  The budget is checked once per row of conj_c."""
+        s = self.letter_shuffle_ideal(n).blocks[c]
+        by_col = dict(zip(s.pivots, s.rows))
+
+        def remainder(row: dict[int, int]) -> dict[int, int]:
+            self._check_budget()
+            row = dict(row)
+            _reduces_to_zero(row, by_col)
+            return row
+
+        conj = self.conjugation_invariants(n).blocks[c]
+        return span(self.d, n, map(remainder, conj.rows), self.budget).dim
 
     @_memo("gens")
     def minimal_generators(self, n: int) -> BlockSpace:

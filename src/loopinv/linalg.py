@@ -19,18 +19,20 @@ dimension formula of an intersection) is checked on every call and
 raises :class:`CrossCheckError` when it fails.
 
 Ranks alone may be taken modulo a prime (:func:`_modular_rank`), which
-reads its rows as they stream, keeps none of them and bounds the rank
-over Q from below.  Where the prime falls short, the caller reads the
-rows again for the exact rank (:func:`span`), so no answer depends on
-the prime.
+reads its rows, sparse or dense, as they stream, keeps none of them and
+bounds the rank over Q from below.  Where the prime falls short, the
+caller reads the rows again for the exact rank (:func:`span`), so no
+answer depends on the prime.
 
 The dense steps pack a vector into one int, a slot of w bits per entry,
 so one big-int operation does a row's work.  One pairing test,
-:func:`_pairs_to_zero`, serves :func:`orthogonal` and the proof of the
-closure table, with slots wider than any dot product it forms;
-:func:`_modular_rank` packs residues modulo p into 64-bit slots.  The
-slot bytes are read and written here only (:func:`_pack`,
-:func:`_signed_slots`).
+:func:`_pairs_to_zero`, serves :func:`orthogonal`, the proof of the
+closure table and the loop certificate, with slots wider than any dot
+product it forms: a sparse row is read against the family packed by
+column, a dense row against it packed by position
+(:func:`_packed_by_column`).  :func:`_modular_rank` packs residues
+modulo p into 64-bit slots.  The slot bytes are read and written here
+only (:func:`_pack`, :func:`_signed_slots`).
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from array import array
 from bisect import insort
 from collections import defaultdict
 from math import gcd, isnan, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from ._rat import Q
@@ -363,11 +366,13 @@ def _signed_slots(row: Sequence[int], bits: int) -> int:
 
 
 def _modular_rank(
-    rows: Iterable[dict[int, int]], columns: Sequence[int], stop: int | None,
+    rows: Iterable[dict[int, int] | Sequence[int]], columns: Sequence[int], stop: int | None,
     budget: Budget | None = None,
 ) -> int:
-    """The rank modulo a prime of integer rows supported on ``columns``; a
-    row with an entry elsewhere raises ValueError.
+    """The rank modulo a prime of integer rows on ``columns``: a dict
+    {column: entry}, whose entry at a column elsewhere raises ValueError,
+    or a dense sequence with one entry per column, in their order, whose
+    other length raises ValueError.
 
     The rows join an echelon form modulo the prime one at a time, and no
     row is read once the rank reaches ``stop`` (None: never), so none at
@@ -393,11 +398,16 @@ def _modular_rank(
     for row in rows:
         if budget is not None:
             budget.check()
-        if not row.keys() <= position.keys():
-            raise ValueError("rank row with an entry outside the given columns")
-        dense = array("Q", bytes(8 * width))
-        for k, v in row.items():
-            dense[position[k]] = v % p
+        if isinstance(row, dict):
+            if not row.keys() <= position.keys():
+                raise ValueError("rank row with an entry outside the given columns")
+            dense = array("Q", bytes(8 * width))
+            for k, v in row.items():
+                dense[position[k]] = v % p
+        elif len(row) != width:
+            raise ValueError("dense rank row of %d entries for %d columns" % (len(row), width))
+        else:
+            dense = array("Q", map(p.__rmod__, row))
         x = _pack(dense)
         for lead in pivots:
             f = ((x >> 64 * lead) & 0xFFFFFFFFFFFFFFFF) % p
@@ -471,41 +481,60 @@ def contains(outer: Subspace, inner: Subspace) -> bool:
     return all(_reduces_to_zero(dict(row), by_col) for row in inner.rows)
 
 
-def _pairs_to_zero(pack, largest: int, rows: Iterable[dict[int, int]]) -> bool:
+def _pairs_to_zero(pack, largest: int, rows: Iterable) -> bool:
     """True iff every integer row c pairs to zero with every vector v_i of
     a family whose entries are at most ``largest`` in size.
 
-    pack(b) returns a slot width B >= b and, for each column k, the int
+    pack(b) returns a slot width B >= b and the family packed by column,
     P[k] = sum_i v_i[k] 2^(B i), so slot i of sum_k c_k P[k] is the dot
     product of c with v_i, at most largest * sum_k |c_k| in size.  For b
     the bit length of that bound every slot is below 2^B, so the sum is
     zero exactly when every slot is: the lowest nonzero slot leaves a
     nonzero remainder modulo the slot above it.  The family is packed
-    again only when a row needs a wider slot.  Each row is paired as it
-    is drawn, and no row is drawn after one that pairs to a nonzero.
+    again only when a row needs a wider slot.  A row is a dict {k: c_k}
+    read against P keyed by column, or a dense sequence read against the
+    list P position by position, which must have its length (else
+    ValueError).  Each row is paired as it is drawn, and no row is drawn
+    after one that pairs to a nonzero.
     """
     bits = -1
     for row in rows:
-        need = (largest * sum(map(abs, row.values()))).bit_length()
+        dense = not isinstance(row, dict)
+        need = (largest * sum(map(abs, row if dense else row.values()))).bit_length()
         if need > bits:
             bits, packed = pack(need)
-        if sum(c * packed[k] for k, c in row.items()):
+        if dense:
+            if len(row) != len(packed):
+                raise ValueError("dense row of %d entries against %d columns" % (len(row), len(packed)))
+            paired = sum(map(mul, row, packed))
+        else:
+            paired = sum(c * packed[k] for k, c in row.items())
+        if paired:
             return False
     return True
+
+
+def _packed_by_column(family: Sequence[dict[int, int]], position: dict[int, int] | None = None):
+    """The pack function and the largest entry size that
+    :func:`_pairs_to_zero` reads for the integer rows of ``family``: P[k]
+    keyed by column k, a column the family misses zero, or, given the
+    position of every column of the family, a list by position."""
+    largest = max((max(map(abs, row.values())) for row in family), default=0)
+
+    def pack(bits: int):
+        columns = defaultdict(int) if position is None else [0] * len(position)
+        for i, stored in enumerate(family):
+            for k, v in stored.items():
+                columns[k if position is None else position[k]] += v << bits * i
+        return bits, columns
+
+    return pack, largest
 
 
 def orthogonal(d: int, n: int, family: Sequence[dict[int, int]], rows: Iterable[dict],
                budget: Budget | None = None) -> bool:
     """True iff every raw row of level n pairs to zero with every integer
     row of ``family`` (:func:`_pairs_to_zero` on the family packed by
-    column, a column it misses zero); the budget is checked once per row."""
-
-    def pack(bits: int):
-        columns: dict[int, int] = defaultdict(int)
-        for i, stored in enumerate(family):
-            for k, v in stored.items():
-                columns[k] += v << bits * i
-        return bits, columns
-
-    largest = max((max(map(abs, row.values())) for row in family), default=0)
+    column); the budget is checked once per row."""
+    pack, largest = _packed_by_column(family)
     return _pairs_to_zero(pack, largest, _int_rows(d, n, rows, budget, "orthogonal"))

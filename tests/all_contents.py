@@ -70,6 +70,40 @@ def modular_rank(rows, columns, stop):
     return len(pivots)
 
 
+def fixes_free_columns(d, n, block, family, scale):
+    """_ClosureBlock.fixes_free_columns by the sparse route it replaced:
+    each stored row of a free column f minus scale e_f as a dict over the
+    block, paired with the family through linalg.orthogonal."""
+    differences = (
+        {k: x - scale if k == f else x for k, x in zip(block.words, block.rows[block.position[f]])}
+        for f in block.free
+    )
+    return linalg.orthogonal(d, n, family, differences)
+
+
+def pivot_difference_rows(sp, n, c):
+    """The closure-difference rows of InvariantSpaces._closure_difference_rows
+    by the route they replaced: per pivot column of S_c, its nonzero row of
+    n! (rcl - lcl) on the free columns, as a dict."""
+    block = sp._closure_table(n)[c]
+    rows, position, reverse = block.rows, block.position, block.reverse
+    free = [(col, rows[position[col]], rows[reverse[position[col]]]) for col in block.free]
+    out = []
+    for k in sp.letter_shuffle_ideal(n).blocks[c].pivots:
+        p, q = position[k], reverse[position[k]]
+        row = {col: v for col, right, left in free if (v := right[p] - left[q])}
+        if row:
+            out.append(row)
+    return out
+
+
+def quotient_dim(sp, n, c):
+    """dim(conj_c + S_c) - dim S_c by the route InvariantSpaces._quotient_dim
+    replaced: the sum of the two stored blocks eliminated together."""
+    s = sp.letter_shuffle_ideal(n).blocks[c]
+    return linalg.subspace_sum(sp.conjugation_invariants(n).blocks[c], s).dim - s.dim
+
+
 def closure_kills(block, rows):
     """_ClosureBlock.kills by dense images: no row has a nonzero image."""
     return not any(map(block.image, rows))
@@ -123,6 +157,12 @@ def closure_difference_rows(d, n, words, outputs=None):
             if v and (outputs is None or j in outputs):
                 by_output.setdefault(j, {})[col] = v
     return list(by_output.values())
+
+
+def as_dicts(rows, columns):
+    """Dense rows, one entry per given column in its order, as integer rows
+    {column: entry} without zeros."""
+    return [{k: x for k, x in zip(columns, row) if x} for row in rows]
 
 
 def free_columns(s, content):

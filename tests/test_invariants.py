@@ -11,6 +11,7 @@ import pytest
 
 import all_contents
 from conftest import row_tensor
+from test_linalg import CountingBudget
 from test_tensor import anagrams_of, rcl_word_oracle
 from loopinv.invariants import (
     BlockSpace,
@@ -340,7 +341,7 @@ class TestFreeColumnRoutes:
             s = sp.letter_shuffle_ideal(n)
             for c, block in s.blocks.items():
                 free = all_contents.free_columns(s, c)
-                rows = sp._closure_difference_rows(n, c)
+                rows = all_contents.as_dicts(sp._closure_difference_rows(n, c), free)
                 expected = subspace_sum(kernel(d, n, rows, None, free), block)
                 assert sp.loop_invariants(n).blocks[c] == expected, (n, c)
 
@@ -389,6 +390,29 @@ class TestFreeColumnRoutes:
             sp.report(n)
             assert ("rclrot", n) not in sp._memo
             assert not isinstance(sp._memo.get(("bracketV", n)), BlockSpace)
+
+
+class TestDenseCertificateRoutes:
+    """Proof step 2 of the closure table, the rows of M and the quotient of
+    the letter-reduced check read the stored blocks as they are stored; the
+    sparse routes they replaced agree with them block by block."""
+
+    @pytest.mark.parametrize("d, top", [(2, 9), (3, 7), (4, 5)])
+    def test_against_the_replaced_routes(self, d, top):
+        sp, verdicts = spaces_for(d), set()
+        for n in range(1, top + 1):
+            v = sp.zero_increment_space(n)
+            for c, block in sp._closure_table(n).items():
+                # the proof at the true scale n!, and one off it, where a
+                # free column's difference keeps its own unit vector
+                for scale in (factorial(n), factorial(n) + 1):
+                    verdict = block.fixes_free_columns(v.blocks[c].rows, scale)
+                    assert verdict == all_contents.fixes_free_columns(d, n, block, v.blocks[c].rows, scale)
+                    verdicts.add(verdict)
+                made = all_contents.as_dicts(sp._closure_difference_rows(n, c), block.free)
+                assert made == all_contents.pivot_difference_rows(sp, n, c), (n, c)
+                assert sp._quotient_dim(n, c) == all_contents.quotient_dim(sp, n, c), (n, c)
+        assert verdicts == {True, False}
 
 
 class TestProvenClosureTable:
@@ -814,21 +838,23 @@ class TestBlockChecks:
         assert ("rclrot", 4) not in sp._memo and 4 not in sp._closure_tables
 
     def test_quotient_short(self, monkeypatch):
-        # a sum conj_c + S_c one row short makes the quotient too small;
-        # the rank of the class sums of V stays the true quotient, above
-        # the computed one
+        # a span of the remainders of conj_c modulo S_c one row short makes
+        # the quotient too small; the rank of the class sums of V stays the
+        # true quotient, above the computed one
         sp = InvariantSpaces(2)
         sp.conjugation_invariants(6)
         sp.zero_increment_space(6)
-        real = invariants.subspace_sum
+        real, real_span = InvariantSpaces._quotient_dim, invariants.span
 
-        def short(a, b, budget=None):
-            out = real(a, b, budget)
-            if out.dim > b.dim:
-                return Subspace(out.d, out.n, out.pivots[:-1], out.rows[:-1])
-            return out
+        def cut(out):
+            return Subspace(out.d, out.n, out.pivots[:-1], out.rows[:-1]) if out.dim else out
 
-        monkeypatch.setattr(invariants, "subspace_sum", short)
+        def short(self, n, c):
+            with monkeypatch.context() as inside:
+                inside.setattr(invariants, "span", lambda *args: cut(real_span(*args)))
+                return real(self, n, c)
+
+        monkeypatch.setattr(InvariantSpaces, "_quotient_dim", short)
         with pytest.raises(CrossCheckError, match="quotient and rank"):
             sp.letter_reduced_conj_dim(6)
         assert ("lrconj", 6) not in sp._memo
@@ -1058,7 +1084,8 @@ class TestClosureTable:
                 expected = all_contents.on_columns(
                     all_contents.closure_difference_rows(d, n, words, pivots), free
                 )
-                assert sorted(sorted(r.items()) for r in sp._closure_difference_rows(n, c)) == sorted(
+                made = all_contents.as_dicts(sp._closure_difference_rows(n, c), free)
+                assert sorted(sorted(r.items()) for r in made) == sorted(
                     sorted(r.items()) for r in expected if r
                 ), (n, c)
 
@@ -1544,6 +1571,28 @@ class TestBudgetInHeavyLoops:
             s.whole(Budget(seconds=-1))
         assert s._whole is None
         assert s.whole(Budget(seconds=1000)) is s.whole()
+
+    def test_dense_certificates(self):
+        # proof step 2 checks the budget once per free column, and the rows
+        # of M, which the loop certificate reads, once per row
+        sp = InvariantSpaces(3)
+        sp.loop_invariants(5)
+        v, s = sp.zero_increment_space(5), sp.letter_shuffle_ideal(5)
+        for c, block in sp._closure_table(5).items():
+            budget = CountingBudget()
+            assert block.fixes_free_columns(v.blocks[c].rows, factorial(5), budget)
+            assert budget.checks >= len(block.free)
+            sp.budget = CountingBudget()
+            rows = list(sp._closure_difference_rows(5, c))
+            # a row of M per pivot of S_c, zero or not, once M has a column
+            assert sp.budget.checks >= len(s.blocks[c].pivots) * bool(block.free) >= len(rows)
+            if block.free:
+                with pytest.raises(BudgetExceeded):
+                    block.fixes_free_columns(v.blocks[c].rows, factorial(5), Budget(seconds=-1))
+                sp.budget = Budget(seconds=-1)
+                with pytest.raises(BudgetExceeded):
+                    next(sp._closure_difference_rows(5, c))
+            sp.budget = None
 
     def test_pbw_products(self):
         sp = InvariantSpaces(2)

@@ -1,3 +1,4 @@
+from array import array
 from math import gcd
 
 import pytest
@@ -430,6 +431,49 @@ class TestOrthogonal:
         assert paired(2) == 0 != paired(3)
         assert not orthogonal(2, 1, s, [c])
 
+    def test_a_dense_slot_one_bit_narrower_gives_a_false_zero(self):
+        # the case above read densely, against the family packed by
+        # position: 3-bit slots, the stated width, see the pairing to 4;
+        # a pack one bit narrower than asked reads zero
+        s = [{0: 2, 1: 2}, {0: 1, 1: -2}]
+        pack, largest = linalg._packed_by_column(s, {0: 0, 1: 1})
+        c = array("q", [1, 1])
+        assert largest == 2 and (largest * sum(c)).bit_length() == 3
+        assert not linalg._pairs_to_zero(pack, largest, [c])
+        assert linalg._pairs_to_zero(lambda need: pack(need - 1), largest, [c])
+
+    def test_dense_rows_agree_with_the_dict_route(self, rng):
+        # the same rows, dense by position and sparse by column, against
+        # the family packed each way; rows that grow make a wider pack
+        seen = set()
+        for _ in range(150):
+            size = rng.randint(1, 9)
+            columns = sorted(rng.sample(range(40), size))
+            position = {k: j for j, k in enumerate(columns)}
+            family = [
+                {k: rng.randint(-5, 5) for k in rng.sample(columns, rng.randint(1, size))}
+                for _ in range(rng.randint(1, 4))
+            ]
+            family = [row for row in ({k: v for k, v in r.items() if v} for r in family) if row]
+            rows = [
+                [row.get(k, 0) << rng.randint(0, 80) for k in columns]
+                for row in kernel(2, 6, family, None, columns).rows
+            ]
+            if rng.random() < 0.5 or not rows:
+                rows.insert(rng.randint(0, len(rows)), [rng.randint(-3, 3) for _ in columns])
+            sparse = [{k: x for k, x in zip(columns, row) if x} for row in rows]
+            expected = all_contents.orthogonal(2, 6, family, sparse)
+            dense = linalg._pairs_to_zero(*linalg._packed_by_column(family, position), rows)
+            assert dense == linalg._pairs_to_zero(*linalg._packed_by_column(family), sparse) == expected
+            seen.add(expected)
+        assert seen == {True, False}
+
+    def test_dense_row_of_another_length(self):
+        pack, largest = linalg._packed_by_column([{0: 1}], {0: 0, 1: 1})
+        for row in ([0], [0, 0, 0]):
+            with pytest.raises(ValueError, match="dense row of %d entries against 2 columns" % len(row)):
+                linalg._pairs_to_zero(pack, largest, [row])
+
     def test_empty_space_still_checks_each_row(self):
         with pytest.raises(ValueError):
             orthogonal(2, 2, [], [{9: 1}])
@@ -554,6 +598,31 @@ class TestModularRank:
             _modular_rank([{5: 1}], [0, 1], None)
         with pytest.raises(ValueError, match="outside the given columns"):
             _modular_rank([{0: 1}, {1: 2, 7: 1}], [0, 1], 2)
+
+    def test_dense_rows(self, rng):
+        # the rows of test_full_rank and a dependent one, dense on the
+        # columns in their order, as array('q'), list or tuple
+        columns = [2, 5, 7]
+        rows = [{2: 1, 5: 3}, {5: 2, 7: -1}, {2: 4, 7: 9}, {2: 1, 5: 5, 7: -1}]
+        dense = [[row.get(k, 0) for k in columns] for row in rows]
+        assert _modular_rank([array("q", r) for r in dense], columns, None) == 3
+        assert _modular_rank(map(tuple, dense), columns, None) == 3
+        assert _modular_rank([dense[0], dense[1], dense[3]], columns, None) == 2
+        for stop in range(1, 4):
+            read = []
+            assert _modular_rank(self.counted(dense, read), columns, stop) == stop
+            assert read == dense[:stop]
+        for _ in range(40):
+            columns = sorted(rng.sample(range(30), rng.randint(1, 7)))
+            rows = [[rng.randint(-2**40, 2**40) * rng.randint(0, 1) for _ in columns] for _ in range(rng.randint(0, 6))]
+            sparse = [{k: x for k, x in zip(columns, r) if x} for r in rows]
+            assert _modular_rank(rows, columns, None) == _modular_rank(sparse, columns, None) == span(2, 5, sparse).dim
+
+    def test_dense_row_of_the_wrong_width(self):
+        with pytest.raises(ValueError, match="dense rank row of 2 entries for 3 columns"):
+            _modular_rank([[1, 0]], [0, 1, 2], None)
+        with pytest.raises(ValueError, match="dense rank row of 4 entries for 3 columns"):
+            _modular_rank([(1, 0, 0), array("q", [0, 1, 0, 0])], [0, 1, 2], None)
 
     def test_budget_per_row(self):
         rows = [{0: 1}, {1: 1}, {0: 1, 1: 1}, {2: 1}]
