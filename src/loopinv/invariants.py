@@ -289,21 +289,20 @@ class BlockSpace(Subspace):
     ``blocks[c]`` is the block of the canonical content c: a canonical
     RREF :class:`~loopinv.linalg.Subspace` of the level whose rows lie on
     the words of content c.  The block of any other content is the block
-    of its canonical content with the letters renamed (:meth:`block`), so
-    :attr:`dim` sums orbit size times block dimension.  ``pivots`` and
-    ``rows`` are the canonical RREF of the whole level, assembled on first
-    use: each renamed block is eliminated once more, because renaming
-    reorders its columns, and all blocks, whose columns are disjoint, are
-    merged by pivot.
+    of its canonical content with the letters renamed, on every call of
+    :meth:`block`, so :attr:`dim` sums orbit size times block dimension.
+    ``pivots`` and ``rows`` are the canonical RREF of the whole level,
+    assembled on first use: each renamed block is eliminated once more,
+    because renaming reorders its columns, and all blocks, whose columns
+    are disjoint, are merged by pivot.
     """
 
-    __slots__ = ("orbits", "blocks", "_renamed", "_whole")
+    __slots__ = ("orbits", "blocks", "_whole")
 
     def __init__(self, orbits: _Orbits, blocks: dict[Content, Subspace]):
         self.d, self.n = orbits.d, orbits.n
         self.orbits = orbits
         self.blocks = blocks
-        self._renamed: dict[Content, tuple[dict[int, int], ...]] = {}
         self._whole: Subspace | None = None
 
     @property
@@ -314,13 +313,10 @@ class BlockSpace(Subspace):
         """The rows of a basis of the block of any content of the level."""
         if content in self.blocks:
             return self.blocks[content].rows
-        if content not in self._renamed:
-            index = self.orbits.renaming(content)
-            self._renamed[content] = tuple(
-                {index[k]: v for k, v in row.items()}
-                for row in self.blocks[_canonical(content)].rows
-            )
-        return self._renamed[content]
+        index = self.orbits.renaming(content)
+        return tuple(
+            {index[k]: v for k, v in row.items()} for row in self.blocks[_canonical(content)].rows
+        )
 
     def whole(self, budget: Budget | None = None) -> Subspace:
         """The canonical RREF of the whole level; the budget is checked once
@@ -851,7 +847,7 @@ class InvariantSpaces:
             target = len(free) - k_a.dim
             pack, largest = _packed_by_column(k_a.rows, {f: j for j, f in enumerate(free)})
             if not _pairs_to_zero(pack, largest, rows()) or (
-                _modular_rank(rows(), free, target, self.budget) < target
+                _modular_rank(rows(), len(free), target, self.budget) < target
                 and span(d, n, ({f: x for f, x in zip(free, row) if x} for row in rows()),
                          self.budget).dim < target
             ):

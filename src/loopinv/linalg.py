@@ -19,10 +19,10 @@ dimension formula of an intersection) is checked on every call and
 raises :class:`CrossCheckError` when it fails.
 
 Ranks alone may be taken modulo a prime (:func:`_modular_rank`), which
-reads its rows, sparse or dense, as they stream, keeps none of them and
-bounds the rank over Q from below.  Where the prime falls short, the
-caller reads the rows again for the exact rank (:func:`span`), so no
-answer depends on the prime.
+reads its dense rows as they stream, keeps none of them and bounds the
+rank over Q from below.  Where the prime falls short, the caller reads
+the rows again for the exact rank (:func:`span`), so no answer depends
+on the prime.
 
 The dense steps pack a vector into one int, a slot of w bits per entry,
 so one big-int operation does a row's work.  One pairing test,
@@ -69,16 +69,19 @@ class Budget:
 
     ``seconds`` bounds wall-clock time from construction, ``max_bits``
     bounds the bit size of any integer produced during elimination (every
-    combined row is checked when a budget is set).  A NaN ``seconds`` or
-    ``max_bits`` raises ValueError: it compares false, so it would bound
-    nothing.
+    combined row is checked when a budget is set).  Either is None or an
+    int or float: a bool or anything else raises TypeError, and a NaN,
+    which compares false and so would bound nothing, raises ValueError.
     """
 
     def __init__(self, seconds: float | None = None, max_bits: int | None = None):
-        if isinstance(seconds, float) and isnan(seconds):
-            raise ValueError("budget seconds must be a number, not nan")
-        if isinstance(max_bits, float) and isnan(max_bits):
-            raise ValueError("budget max_bits must be a number, not nan")
+        for name, value in (("seconds", seconds), ("max_bits", max_bits)):
+            if value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise TypeError("budget %s must be an int or a float, got %r" % (name, value))
+            if isinstance(value, float) and isnan(value):
+                raise ValueError("budget %s must be a number, not nan" % name)
         self.seconds = seconds
         self.max_bits = max_bits
         self._start = time.monotonic()
@@ -366,13 +369,10 @@ def _signed_slots(row: Sequence[int], bits: int) -> int:
 
 
 def _modular_rank(
-    rows: Iterable[dict[int, int] | Sequence[int]], columns: Sequence[int], stop: int | None,
-    budget: Budget | None = None,
+    rows: Iterable[Sequence[int]], width: int, stop: int | None, budget: Budget | None = None,
 ) -> int:
-    """The rank modulo a prime of integer rows on ``columns``: a dict
-    {column: entry}, whose entry at a column elsewhere raises ValueError,
-    or a dense sequence with one entry per column, in their order, whose
-    other length raises ValueError.
+    """The rank modulo a prime of dense integer rows of ``width`` entries;
+    a row of another length raises ValueError.
 
     The rows join an echelon form modulo the prime one at a time, and no
     row is read once the rank reaches ``stop`` (None: never), so none at
@@ -390,25 +390,15 @@ def _modular_rank(
     if stop == 0:
         return 0
     p = _PRIME
-    position = {k: i for i, k in enumerate(columns)}
-    width = len(columns)
     # pivot position -> the packed echelon row, zero below its pivot
     echelon: dict[int, int] = {}
     pivots: list[int] = []
     for row in rows:
         if budget is not None:
             budget.check()
-        if isinstance(row, dict):
-            if not row.keys() <= position.keys():
-                raise ValueError("rank row with an entry outside the given columns")
-            dense = array("Q", bytes(8 * width))
-            for k, v in row.items():
-                dense[position[k]] = v % p
-        elif len(row) != width:
+        if len(row) != width:
             raise ValueError("dense rank row of %d entries for %d columns" % (len(row), width))
-        else:
-            dense = array("Q", map(p.__rmod__, row))
-        x = _pack(dense)
+        x = _pack(array("Q", map(p.__rmod__, row)))
         for lead in pivots:
             f = ((x >> 64 * lead) & 0xFFFFFFFFFFFFFFFF) % p
             if f:

@@ -14,6 +14,8 @@ import itertools
 from math import factorial, gcd, isqrt
 from typing import Iterator, Sequence
 
+from ._rat import integer
+
 
 class Word:
     """An immutable word over the alphabet {1, ..., d}.
@@ -28,7 +30,7 @@ class Word:
     def __init__(self, letters: Sequence[int], d: int):
         if d < 1:
             raise ValueError("alphabet size must be at least 1, got %r" % (d,))
-        letters = tuple(int(a) for a in letters)
+        letters = tuple(map(integer, letters))
         for a in letters:
             if not 1 <= a <= d:
                 raise ValueError("letter %r outside alphabet 1..%d" % (a, d))

@@ -45,17 +45,15 @@ def orthogonal(d, n, family, rows):
     return True
 
 
-def modular_rank(rows, columns, stop):
-    """linalg._modular_rank on dense lists, modulo linalg._PRIME as it is at
-    the call: each echelon row is kept from its pivot on with a 1 there."""
+def modular_rank(rows, stop):
+    """linalg._modular_rank on lists, modulo linalg._PRIME as it is at the
+    call: each echelon row is kept from its pivot on with a 1 there."""
     if stop == 0:
         return 0
-    p, position = linalg._PRIME, {k: i for i, k in enumerate(columns)}
+    p = linalg._PRIME
     echelon, pivots = {}, []
     for row in rows:
-        dense = [0] * len(columns)
-        for k, v in row.items():
-            dense[position[k]] = v % p
+        dense = [x % p for x in row]
         for lead in pivots:
             f = dense[lead]
             if f:

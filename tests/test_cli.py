@@ -343,6 +343,11 @@ GOLDEN = {
     ("dims", None, 2, 10): "3dfa933353aa578b258352c2e60f683eea80842a05107e2624832d2a380dcb15",
     ("dims", None, 4, 6): "30e44ef05d51060258dbdf21ced9d1bfb59a935672af592179e6edb361ae4d69",
     ("basis", "loop", 3, 6): "1b526915c991052df4f0784770ccf8e7ea14d42b0c6f27c0c137f30378c2bd57",
+    # the other spaces of the same level, recorded while renamed blocks
+    # were cached
+    ("basis", "conj", 3, 6): "8381df14110764ca8f731aee3354a725a5fecf05d6fc34161519c0e3550042ed",
+    ("basis", "S", 3, 6): "c2c39ae69e3206d28d05fe0acc6fbe579009ea837001ec739e5375434c184481",
+    ("basis", "V", 3, 6): "28912a1490ce6ee2e61d39ff4590ebf9d72756a3ef5eb96ff71844bc86578fdf",
 }
 
 

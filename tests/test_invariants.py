@@ -266,9 +266,9 @@ class TestFreeColumnRoutes:
                 kernels.append((rows, columns))
             return real_kernel(d, n, rows, budget, columns)
 
-        def modular_spy(rows, columns, stop, budget=None):
+        def modular_spy(rows, width, stop, budget=None):
             certificates.append(stop)
-            return real_modular(rows, columns, stop, budget)
+            return real_modular(rows, width, stop, budget)
 
         sp = InvariantSpaces(3)
         sp._closure_table(5)
@@ -309,11 +309,11 @@ class TestFreeColumnRoutes:
         passes = []
         real_modular = invariants._modular_rank
 
-        def modular_spy(rows, columns, stop, budget=None):
+        def modular_spy(rows, width, stop, budget=None):
             assert inspect.isgenerator(rows)
             read = []
-            rank = real_modular((read.append(row) or row for row in rows), columns, stop, budget)
-            passes.append((read, columns, stop, rank, sum(1 for _ in rows)))
+            rank = real_modular((read.append(row) or row for row in rows), width, stop, budget)
+            passes.append((read, width, stop, rank, sum(1 for _ in rows)))
             return rank
 
         sp = InvariantSpaces(3)
@@ -321,12 +321,12 @@ class TestFreeColumnRoutes:
         monkeypatch.setattr(invariants, "_modular_rank", modular_spy)
         sp.loop_invariants(5)
         assert len(passes) == len(s.blocks)
-        for (read, columns, stop, rank, unread), c in zip(passes, s.blocks):
+        for (read, width, stop, rank, unread), c in zip(passes, s.blocks):
             assert inspect.isgenerator(sp._closure_difference_rows(5, c))
             assert len(read) + unread == sum(1 for _ in sp._closure_difference_rows(5, c))
             assert rank == stop
             if stop:
-                assert real_modular(read[:-1], columns, None) == stop - 1
+                assert real_modular(read[:-1], width, None) == stop - 1
             else:
                 assert read == []
         assert any(unread for *_, unread in passes)
@@ -359,9 +359,9 @@ class TestFreeColumnRoutes:
         real_modular = invariants._modular_rank
         real_rows = InvariantSpaces._closure_difference_rows
 
-        def modular_spy(rows, columns, stop, budget=None):
+        def modular_spy(rows, width, stop, budget=None):
             passes.append(stop)
-            return real_modular(rows, columns, stop, budget)
+            return real_modular(rows, width, stop, budget)
 
         monkeypatch.setattr(invariants, "_modular_rank", modular_spy)
         monkeypatch.setattr(
@@ -964,12 +964,18 @@ class TestOrbits:
             for n in range(1, top + 1):
                 sp.report(n)
 
-    def test_whole_level_losing_a_row_raises(self):
+    def test_whole_level_losing_a_row_raises(self, monkeypatch):
         # a renamed block one row short: the assembled level falls below
         # the sum of its block dimensions
         s = InvariantSpaces(2).letter_shuffle_ideal(4)
         assert s.block((1, 3))
-        s._renamed[(1, 3)] = s.block((1, 3))[:-1]
+        real = BlockSpace.block
+
+        def short(self, content):
+            rows = real(self, content)
+            return rows[:-1] if content == (1, 3) else rows
+
+        monkeypatch.setattr(BlockSpace, "block", short)
         with pytest.raises(CrossCheckError, match="lost a row"):
             s.whole()
 

@@ -499,7 +499,7 @@ class CountingBudget(Budget):
 
 
 class TestModularRank:
-    """The rank modulo the prime of rows on given columns, read up to a stop."""
+    """The rank modulo the prime of dense rows of a given width, read up to a stop."""
 
     @staticmethod
     def counted(rows, read):
@@ -507,36 +507,36 @@ class TestModularRank:
         return (read.append(row) or row for row in rows)
 
     def test_full_rank(self):
-        rows = [{2: 1, 5: 3}, {5: 2, 7: -1}, {2: 4, 7: 9}]
-        assert _modular_rank(rows, [2, 5, 7], None) == 3
-        assert _modular_rank([], [2, 5, 7], None) == 0
+        rows = [[1, 3, 0], [0, 2, -1], [4, 0, 9]]
+        assert _modular_rank(rows, 3, None) == 3
+        assert _modular_rank([], 3, None) == 0
         for stop in range(1, 4):
             read = []
-            assert _modular_rank(self.counted(rows, read), [2, 5, 7], stop) == stop
+            assert _modular_rank(self.counted(rows, read), 3, stop) == stop
             assert read == rows[:stop]
 
     def test_stops_at_the_row_that_reaches_the_stop(self):
-        rows = [{0: 1, 1: 2}, {0: 2, 1: 4}, {1: 1, 2: 1}, {2: 5}]
+        rows = [[1, 2, 0], [2, 4, 0], [0, 1, 1], [0, 0, 5]]
         read = []
-        assert _modular_rank(self.counted(rows, read), [0, 1, 2], 2) == 2
+        assert _modular_rank(self.counted(rows, read), 3, 2) == 2
         assert read == rows[:3]
         # a stop above the rank reads every row
         read = []
-        assert _modular_rank(self.counted(rows[:3], read), [0, 1, 2], 3) == 2
+        assert _modular_rank(self.counted(rows[:3], read), 3, 3) == 2
         assert read == rows[:3]
 
     def test_stop_zero_reads_no_row(self):
         read = []
-        assert _modular_rank(self.counted([{0: 1}], read), [0, 1], 0) == 0
+        assert _modular_rank(self.counted([[1, 0]], read), 2, 0) == 0
         assert read == []
 
     def test_small_prime_falls_short_of_the_exact_rank(self, monkeypatch):
         # 1, 4 and 1, 1 agree modulo 3, so the rank there is 1, not 2
-        rows = [{0: 1, 1: 1}, {0: 1, 1: 4}]
-        assert _modular_rank(rows, [0, 1], None) == span(2, 1, rows).dim == 2
+        rows = [[1, 1], [1, 4]]
+        assert _modular_rank(rows, 2, None) == span(2, 1, all_contents.as_dicts(rows, range(2))).dim == 2
         monkeypatch.setattr(linalg, "_PRIME", 3)
-        assert _modular_rank(rows, [0, 1], None) == 1
-        assert _modular_rank(rows, [0, 1], 2) == 1
+        assert _modular_rank(rows, 2, None) == 1
+        assert _modular_rank(rows, 2, 2) == 1
 
     def test_never_exceeds_the_exact_rank(self, rng, monkeypatch):
         seen = set()
@@ -546,36 +546,36 @@ class TestModularRank:
                 size = rng.randint(1, 8)
                 columns = sorted(rng.sample(range(16), size))
                 rows = [
-                    {k: rng.randint(-40000, 40000) * rng.randint(0, 1) for k in columns}
+                    [rng.randint(-40000, 40000) * rng.randint(0, 1) for _ in columns]
                     for _ in range(rng.randint(0, 8))
                 ]
-                rank = span(2, 4, rows).dim
-                modular = _modular_rank(rows, columns, None)
+                rank = span(2, 4, all_contents.as_dicts(rows, columns)).dim
+                modular = _modular_rank(rows, size, None)
                 assert modular <= rank
                 seen.add(modular == rank)
                 for stop in range(1, rank + 2):
-                    assert _modular_rank(rows, columns, stop) == min(stop, modular)
+                    assert _modular_rank(rows, size, stop) == min(stop, modular)
         assert seen == {True, False}
 
     def test_agrees_with_the_dense_route(self, rng, monkeypatch):
-        # large and negative entries, and rows that are combinations of
-        # earlier ones, for every stop
+        # large and negative entries, zeros, and rows that are combinations
+        # of earlier ones, for every stop
         seen = set()
         for prime in (linalg._PRIME, 3):
             monkeypatch.setattr(linalg, "_PRIME", prime)
             for _ in range(60):
-                columns = sorted(rng.sample(range(40), rng.randint(1, 9)))
+                width = rng.randint(1, 9)
                 rows = [
-                    {k: rng.randint(-2**40, 2**40) for k in rng.sample(columns, rng.randint(1, len(columns)))}
+                    [rng.randint(-2**40, 2**40) * rng.randint(0, 1) for _ in range(width)]
                     for _ in range(rng.randint(0, 7))
                 ]
                 for a, b in [rng.sample(rows, 2) for _ in range(rng.randint(0, 3)) if len(rows) > 1]:
-                    rows.append({k: 3 * a.get(k, 0) - b.get(k, 0) for k in a.keys() | b.keys()})
+                    rows.append([3 * x - y for x, y in zip(a, b)])
                 rng.shuffle(rows)
-                full = all_contents.modular_rank(rows, columns, None)
+                full = all_contents.modular_rank(rows, None)
                 seen.add(full < len(rows))
-                for stop in [None] + list(range(len(columns) + 2)):
-                    assert _modular_rank(rows, columns, stop) == all_contents.modular_rank(rows, columns, stop)
+                for stop in [None] + list(range(width + 2)):
+                    assert _modular_rank(rows, width, stop) == all_contents.modular_rank(rows, stop)
         assert seen == {True, False}
 
     def test_a_slot_one_bit_narrower_gives_a_false_zero(self, monkeypatch):
@@ -584,57 +584,49 @@ class TestModularRank:
         # and both then read 0 modulo p, though the third row is independent
         p = 2**32 - 5
         monkeypatch.setattr(linalg, "_PRIME", p)
-        rows = [{0: 1, 1: p - 1, 3: p - 1}, {1: 1, 3: p - 1}, {0: p - 1, 2: 2**64 % p, 3: 1}]
+        rows = [[1, p - 1, 0, p - 1], [0, 1, 0, p - 1], [p - 1, 0, 2**64 % p, 1]]
         assert (2**64 % p + 2 * p * (p - 1)).bit_length() == 65
-        assert all_contents.modular_rank(rows, range(4), None) == 3
-        assert _modular_rank(rows, range(4), None) == 2
+        assert all_contents.modular_rank(rows, None) == 3
+        assert _modular_rank(rows, 4, None) == 2
         # the real prime: below 2^33 steps a slot stays below p + steps * p^2
         monkeypatch.undo()
         assert (linalg._PRIME + 2**33 * linalg._PRIME**2).bit_length() <= 64
-        assert _modular_rank(rows, range(4), None) == all_contents.modular_rank(rows, range(4), None)
-
-    def test_row_off_the_columns(self):
-        with pytest.raises(ValueError, match="outside the given columns"):
-            _modular_rank([{5: 1}], [0, 1], None)
-        with pytest.raises(ValueError, match="outside the given columns"):
-            _modular_rank([{0: 1}, {1: 2, 7: 1}], [0, 1], 2)
+        assert _modular_rank(rows, 4, None) == all_contents.modular_rank(rows, None)
 
     def test_dense_rows(self, rng):
-        # the rows of test_full_rank and a dependent one, dense on the
-        # columns in their order, as array('q'), list or tuple
-        columns = [2, 5, 7]
-        rows = [{2: 1, 5: 3}, {5: 2, 7: -1}, {2: 4, 7: 9}, {2: 1, 5: 5, 7: -1}]
-        dense = [[row.get(k, 0) for k in columns] for row in rows]
-        assert _modular_rank([array("q", r) for r in dense], columns, None) == 3
-        assert _modular_rank(map(tuple, dense), columns, None) == 3
-        assert _modular_rank([dense[0], dense[1], dense[3]], columns, None) == 2
+        # the rows of test_full_rank and a dependent one, as array('q'),
+        # list or tuple
+        dense = [[1, 3, 0], [0, 2, -1], [4, 0, 9], [1, 5, -1]]
+        assert _modular_rank([array("q", r) for r in dense], 3, None) == 3
+        assert _modular_rank(map(tuple, dense), 3, None) == 3
+        assert _modular_rank([dense[0], dense[1], dense[3]], 3, None) == 2
         for stop in range(1, 4):
             read = []
-            assert _modular_rank(self.counted(dense, read), columns, stop) == stop
+            assert _modular_rank(self.counted(dense, read), 3, stop) == stop
             assert read == dense[:stop]
         for _ in range(40):
-            columns = sorted(rng.sample(range(30), rng.randint(1, 7)))
-            rows = [[rng.randint(-2**40, 2**40) * rng.randint(0, 1) for _ in columns] for _ in range(rng.randint(0, 6))]
-            sparse = [{k: x for k, x in zip(columns, r) if x} for r in rows]
-            assert _modular_rank(rows, columns, None) == _modular_rank(sparse, columns, None) == span(2, 5, sparse).dim
+            width = rng.randint(1, 7)
+            rows = [[rng.randint(-2**40, 2**40) * rng.randint(0, 1) for _ in range(width)]
+                    for _ in range(rng.randint(0, 6))]
+            assert _modular_rank(rows, width, None) == span(2, 5, all_contents.as_dicts(rows, range(width))).dim
 
     def test_dense_row_of_the_wrong_width(self):
         with pytest.raises(ValueError, match="dense rank row of 2 entries for 3 columns"):
-            _modular_rank([[1, 0]], [0, 1, 2], None)
+            _modular_rank([[1, 0]], 3, None)
         with pytest.raises(ValueError, match="dense rank row of 4 entries for 3 columns"):
-            _modular_rank([(1, 0, 0), array("q", [0, 1, 0, 0])], [0, 1, 2], None)
+            _modular_rank([(1, 0, 0), array("q", [0, 1, 0, 0])], 3, None)
 
     def test_budget_per_row(self):
-        rows = [{0: 1}, {1: 1}, {0: 1, 1: 1}, {2: 1}]
+        rows = [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]]
         budget = CountingBudget()
-        assert _modular_rank(rows, [0, 1, 2], 2, budget) == 2
+        assert _modular_rank(rows, 3, 2, budget) == 2
         assert budget.checks == 2
         budget = CountingBudget()
-        assert _modular_rank(rows, [0, 1, 2], None, budget) == 3
+        assert _modular_rank(rows, 3, None, budget) == 3
         assert budget.checks == 4
         with pytest.raises(BudgetExceeded):
-            _modular_rank(rows, [0, 1, 2], 2, Budget(seconds=-1.0))
-        assert _modular_rank(rows, [0, 1, 2], 0, Budget(seconds=-1.0)) == 0
+            _modular_rank(rows, 3, 2, Budget(seconds=-1.0))
+        assert _modular_rank(rows, 3, 0, Budget(seconds=-1.0)) == 0
 
 
 class TestBudget:
@@ -659,6 +651,16 @@ class TestBudget:
         Budget(max_bits=float("inf")).check(10**6)
         with pytest.raises(BudgetExceeded):
             Budget(max_bits=2**70).check(2**71)
+
+    def test_bool_or_non_number_refused(self):
+        # False would refuse every elimination and True be a 1 s budget; a
+        # string would fail only at the first check inside a heavy loop
+        for bad in (False, True, "5", Q(1, 2), [1]):
+            with pytest.raises(TypeError, match="must be an int or a float"):
+                Budget(seconds=bad)
+            with pytest.raises(TypeError, match="must be an int or a float"):
+                Budget(max_bits=bad)
+        Budget(seconds=5, max_bits=8.0).check(8)
 
     def test_huge_int_seconds(self):
         # an int past the range of a float is a number, not a NaN

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import loopinv
-from loopinv.invariants import InvariantSpaces
+from loopinv.invariants import BlockSpace, InvariantSpaces
 
 SOURCES = sorted(Path(loopinv.__file__).parent.glob("*.py"))
 
@@ -198,3 +198,22 @@ def test_zero_increment_space_reads_no_shuffle_ideal():
     names |= {node.id for node in ast.walk(build) if isinstance(node, ast.Name)}
     assert "_letter_shuffle_rows" in names
     assert names.isdisjoint({"letter_shuffle_ideal", "space"})
+
+
+def test_renamed_blocks_and_sparse_rank_rows_stay_deleted():
+    # a block of a non-canonical content is renamed on every call, and the
+    # modular rank reads dense rows for its one caller: neither a cache of
+    # renamed blocks nor a second row form measurably paid for itself, so
+    # bringing one back needs a new measurement
+    assert BlockSpace.__slots__ == ("orbits", "blocks", "_whole")
+    callers = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_modular_rank"
+    ]
+    assert len(callers) == 1 and callers[0].startswith("invariants.py:"), callers
+    assert list(inspect.signature(loopinv.linalg._modular_rank).parameters) == [
+        "rows", "width", "stop", "budget"
+    ]

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from loopinv.tensor import TensorElement
 from loopinv.words import (
     Word,
     all_words,
@@ -43,6 +44,15 @@ class TestWord:
         assert len(Word((), 3)) == 0
         assert str(Word((1, 4, 3), 4)) == "143"
         assert str(Word((), 2)) == "e"
+
+    def test_letters_are_exact_integers(self):
+        # int() would truncate 1.9 to 1 and read True as 1
+        for letters in ((1.9, 2), (True, 2), (1, 2.0)):
+            with pytest.raises(TypeError):
+                Word(letters, 2)
+        with pytest.raises(TypeError):
+            TensorElement(2, {(1.5, 2): 1})
+        assert Word(("1", 2), 2) == Word((1, 2), 2)
 
     def test_from_string(self):
         assert Word.from_string("143", 4).letters == (1, 4, 3)
