@@ -42,36 +42,34 @@ need ([V, letters], the decomposables).  The canonical RREF of a whole
 level, which ``basis``, ``evidence`` and the fuzz read, is assembled on
 first use.
 
-The n!-scaled right closure of a level is one table with one
-:class:`_ClosureBlock` per canonical content, built by one
-``tensor._rcl_block`` pass over its anagrams, in the order of
-``words.anagrams`` that :meth:`_Orbits.words` also follows.  A block
-holds its word indices and their positions, one dense row per word (an
+The n!-scaled right closure of one canonical content is a
+:class:`_ClosureBlock`, made by one ``tensor._rcl_block`` pass over its
+anagrams, in the order of ``words.anagrams`` that :meth:`_Orbits.words`
+also follows: word indices and positions, one dense row per word (an
 ``array('q')``, or a list when an entry is past 63 bits), the position
 of each word's reversal, the free (non-pivot) columns of the stored
 basis of S_c, and the largest magnitude of an entry, which bounds the
-slots of its packed proof.  Its readers read all of these by position.
-Both closures are the projections along S, and the table proves it on
-each block as it builds that block's rows, before it stores the level,
-so every reader of the table reads a proven closure: the closure of
-every generator that spans S is zero, and the closure of the unit
-vector of every free column differs from it by a vector orthogonal to
-V = S^perp, so by an element of S.  The table therefore needs V of its
-level.  The report reads the closure dimension off the table's proof as
-the number of free columns (:meth:`InvariantSpaces.closure_dim`), and
-builds no closure image.  Every closure difference lies in S too, so the
-closure-difference kernel is S plus the kernel, among the free columns,
-of the closure-difference rows at the pivot columns; the loop build
-checks that this kernel is the one it built from [V, letters].  Its
-certificate makes these rows from the block, dense on the free columns,
-each time it reads them, and keeps none: it pairs them, takes their rank
-modulo a prime, and reads them once more for the exact rank only where
-the prime falls short.  The closed rotation span reads the closed
-rotation sums off the same blocks.
+slots of its packed proof, all read by position.  Both closures are the
+projections along S, and each block is proven so before its reader gets
+it: the closure of every generator that spans S is zero, and the closure
+of the unit vector of every free column differs from it by a vector
+orthogonal to V = S^perp, so by an element of S.  A block is built,
+proven, read and dropped inside the build of one block of the space that
+reads it, and the pipeline keeps none, so the loop build, the closure
+image and the closed rotation span each build their own.  The report
+reads the closure dimension off the loop build's proof as the number of
+free columns (:meth:`InvariantSpaces.closure_dim`), and builds no closure
+image.  Every closure difference lies in S too, so the closure-difference
+kernel is S plus the kernel, among the free columns, of the
+closure-difference rows at the pivot columns; the loop build checks that
+this kernel is the one it built from [V, letters].  Its certificate makes
+these rows from the block, dense on the free columns, each time it reads
+them, and keeps none: it pairs them, takes their rank modulo a prime, and
+reads them once more for the exact rank only where the prime falls short.
 
 Every spanning set is a stream of integer rows ``{word index: int}``
 made by four row operators (rotation sums, letter brackets, shuffles and
-the closure table), so building a table forms no rational.
+the closure blocks), so building a table forms no rational.
 Rationals appear only where a basis leaves as a tensor element, in
 :func:`verify_relations` and in the conjecture-evidence memberships.
 
@@ -92,6 +90,7 @@ from math import factorial
 from operator import add, itemgetter, le, mul, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
+from ._rat import integer
 from .linalg import (
     Budget,
     BudgetExceeded,
@@ -353,7 +352,9 @@ class _ClosureBlock:
     yielded when an entry is past 63 bits; both index and iterate alike.
     ``reverse[p]`` is the position of the reversal of words[p], ``free``
     the free (non-pivot) columns of S_c, on which the proof ran, and
-    ``largest`` the largest magnitude of an entry of ``rows``.
+    ``largest`` the largest magnitude of an entry of ``rows``.  Made and
+    proven by :meth:`InvariantSpaces._closure_block` for one reader, which
+    drops it once read.
     """
 
     __slots__ = ("words", "position", "rows", "reverse", "free", "largest")
@@ -477,14 +478,13 @@ class InvariantSpaces:
     }
 
     def __init__(self, d: int):
+        d = integer(d)
         if d < 1:
             raise ValueError("alphabet size must be at least 1")
         self.d = d
         self.budget: Budget | None = None
         self._memo: dict = {}
         self._orbit_tables: dict[int, _Orbits] = {}
-        # level -> its proven closure table, one block per canonical content
-        self._closure_tables: dict[int, dict[Content, _ClosureBlock]] = {}
 
     # -- plumbing -------------------------------------------------------
 
@@ -513,7 +513,7 @@ class InvariantSpaces:
             )
         return block
 
-    # -- integer row operators (shuffles and the closure table check the budget)
+    # -- integer row operators (shuffles and the closure blocks check the budget)
 
     def _rotation_row(self, w: Word) -> dict[int, int]:
         """Rotation sum of a word, with multiplicity (see rotation_sum)."""
@@ -544,18 +544,18 @@ class InvariantSpaces:
                 _tensor._shuffle_words_into(data, u, v, ca * cb)
         return {word_index(w, d): c for w, c in data.items() if c}
 
-    def _closure_table(self, n: int) -> dict[Content, _ClosureBlock]:
-        """The n!-scaled right closure of level n, one :class:`_ClosureBlock`
-        per canonical content, each proven to be the projection along S.
+    def _closure_block(self, n: int, c: Content) -> _ClosureBlock:
+        """The n!-scaled right closure of the words of the canonical content
+        c of level n, proven to be the projection along S there.
 
-        The right closure keeps letter content, and blocks of the other
+        The right closure keeps letter content, and the blocks of the other
         contents are renamed, never built, so no other word needs a row.
-        One ``_tensor._rcl_block`` pass over a content's anagrams yields
-        its rows, each packed into an ``array('q')`` unless an entry
-        overflows it; the largest magnitude is noted from the yielded
-        lists, before packing.
+        One ``_tensor._rcl_block`` pass over the anagrams of c yields its
+        rows, each packed into an ``array('q')`` unless an entry overflows
+        it; the largest magnitude is noted from the yielded lists, before
+        packing.
 
-        Each block c is proven as soon as its rows are in, by two packed
+        The block is proven as soon as its rows are in, by two packed
         pairing tests (:func:`~loopinv.linalg._pairs_to_zero`).  The
         closure row of the generators ``i ⧢ u`` of content c, one per
         smallest word, which the build of V proves to span S_c, must be
@@ -572,46 +572,39 @@ class InvariantSpaces:
         closure is the right closure conjugated by reversal, so the same
         holds for it.
 
-        The level is stored only once every block is proven, so every
-        reader of the table reads a proven closure.  The table is not a
-        memoized space: a budget that interrupts it stores nothing and
-        names the space that asked.
+        Only the caller, which drops it once read, holds the proven block:
+        no attribute of the pipeline does.  It is not a memoized space: a
+        budget that interrupts it names the space that asked.
         """
-        if n not in self._closure_tables:
-            s, v = self.letter_shuffle_ideal(n), self.zero_increment_space(n)
-            scale = factorial(n)
-            table: dict[Content, _ClosureBlock] = {}
-            for c in s.orbits.canonical:
-                words, letters = s.orbits.words(c), anagrams(_letters(c))
-                generated, rows, largest = _tensor._rcl_block(_letters(c), letters), [], 0
-                for _ in words:
-                    self._check_budget()
-                    row = next(generated)
-                    largest = max(largest, max(map(abs, row)))
-                    try:
-                        row = array("q", row)
-                    except OverflowError:
-                        pass
-                    rows.append(row)
-                at = {x: p for p, x in enumerate(letters)}
-                pivots = set(s.blocks[c].pivots)
-                block = _ClosureBlock(
-                    words, {k: p for p, k in enumerate(words)}, rows,
-                    [at[x[::-1]] for x in letters], [f for f in words if f not in pivots], largest,
-                )
-                if not block.kills(_one_per_leading_word(self._letter_shuffle_rows(n, c))):
-                    raise CrossCheckError(
-                        "the right closure does not vanish on the letter shuffle "
-                        "ideal at d=%d, n=%d, content %s" % (self.d, n, c)
-                    )
-                if not block.fixes_free_columns(v.blocks[c].rows, scale, self.budget):
-                    raise CrossCheckError(
-                        "the right closure is not the identity modulo the letter "
-                        "shuffle ideal at d=%d, n=%d, content %s" % (self.d, n, c)
-                    )
-                table[c] = block
-            self._closure_tables[n] = table
-        return self._closure_tables[n]
+        s, v = self.letter_shuffle_ideal(n), self.zero_increment_space(n)
+        words, letters = s.orbits.words(c), anagrams(_letters(c))
+        generated, rows, largest = _tensor._rcl_block(_letters(c), letters), [], 0
+        for _ in words:
+            self._check_budget()
+            row = next(generated)
+            largest = max(largest, max(map(abs, row)))
+            try:
+                row = array("q", row)
+            except OverflowError:
+                pass
+            rows.append(row)
+        at = {x: p for p, x in enumerate(letters)}
+        pivots = set(s.blocks[c].pivots)
+        block = _ClosureBlock(
+            words, {k: p for p, k in enumerate(words)}, rows,
+            [at[x[::-1]] for x in letters], [f for f in words if f not in pivots], largest,
+        )
+        if not block.kills(_one_per_leading_word(self._letter_shuffle_rows(n, c))):
+            raise CrossCheckError(
+                "the right closure does not vanish on the letter shuffle "
+                "ideal at d=%d, n=%d, content %s" % (self.d, n, c)
+            )
+        if not block.fixes_free_columns(v.blocks[c].rows, factorial(n), self.budget):
+            raise CrossCheckError(
+                "the right closure is not the identity modulo the letter "
+                "shuffle ideal at d=%d, n=%d, content %s" % (self.d, n, c)
+            )
+        return block
 
     def _letter_bracket_rows(self, n: int, c: Content):
         """[q, i] for letters i and words q of content c - e_i."""
@@ -807,8 +800,8 @@ class InvariantSpaces:
         free columns, in one elimination (an entry off the content is kept,
         and the kernel refuses it).
 
-        The check: both closures are the projections along S (proven by the
-        closure table), so the closure difference vanishes on S and maps
+        The check: both closures are the projections along S (proven on the
+        closure block of c), so the closure difference vanishes on S and maps
         every vector into S, where a vector is zero exactly when its
         entries at the pivot columns of S are.  Let M be the
         closure-difference rows at those pivot columns, restricted to the
@@ -828,8 +821,8 @@ class InvariantSpaces:
         d, s, v = self.d, self.letter_shuffle_ideal(n), self.zero_increment_space(n - 1)
 
         def build(c: Content) -> Subspace:
-            sc, pivots = s.blocks[c], set(s.blocks[c].pivots)
-            free = self._closure_table(n)[c].free
+            sc, pivots, block = s.blocks[c], set(s.blocks[c].pivots), self._closure_block(n, c)
+            free = block.free
             lower = [(row, n - 1, i) for i in range(d) if c[i] for row in v.block(_without(c, i))]
             generators = _one_per_leading_word(self._letter_shuffle_rows(n, c))
             if not orthogonal(d, n, generators, itertools.starmap(self._bracket_row, lower), self.budget):
@@ -843,7 +836,7 @@ class InvariantSpaces:
                     "loop invariants disagree with the bracket complement at d=%d, n=%d, "
                     "content %s" % (d, n, c)
                 )
-            rows = functools.partial(self._closure_difference_rows, n, c)
+            rows = functools.partial(self._closure_difference_rows, n, c, block)
             target = len(free) - k_a.dim
             pack, largest = _packed_by_column(k_a.rows, {f: j for j, f in enumerate(free)})
             if not _pairs_to_zero(pack, largest, rows()) or (
@@ -859,11 +852,11 @@ class InvariantSpaces:
 
         return self._blocks(n, build)
 
-    def _closure_difference_rows(self, n: int, c: Content) -> Iterator[tuple[int, ...]]:
+    def _closure_difference_rows(self, n: int, c: Content, block: _ClosureBlock) -> Iterator[tuple[int, ...]]:
         """The nonzero rows of M, the matrix of n! (right closure - left
-        closure) on the block of the canonical content c at the pivot
-        columns of S_c, restricted to the free columns of S_c: dense, one
-        entry per column of ``free`` of the block, in its order.
+        closure) on the proven closure block of the canonical content c at
+        the pivot columns of S_c, restricted to the free columns of S_c:
+        dense, one entry per column of ``free`` of the block, in its order.
 
         The left closure is the right closure conjugated by reversal, which
         keeps the content, so n! lcl(e_k) is the closure row of the reversal
@@ -873,7 +866,6 @@ class InvariantSpaces:
         turns the columns into rows.  The budget is checked once per column
         and once per row.
         """
-        block = self._closure_table(n)[c]
         rows, position, reverse = block.rows, block.position, block.reverse
         at = [position[k] for k in self.letter_shuffle_ideal(n).blocks[c].pivots]
         if not at:
@@ -907,7 +899,7 @@ class InvariantSpaces:
         d = self.d
 
         def build(c: Content) -> Subspace:
-            s, block = self.letter_shuffle_ideal(n).blocks[c], self._closure_table(n)[c]
+            s, block = self.letter_shuffle_ideal(n).blocks[c], self._closure_block(n, c)
             image = self._block_span(n, c, (block.image({f: 1}) for f in block.free))
             if image.dim != self.zero_increment_space(n).blocks[c].dim:
                 raise CrossCheckError(
@@ -924,17 +916,18 @@ class InvariantSpaces:
         return self._blocks(n, build)
 
     def closure_dim(self, n: int) -> int:
-        """dim of the closure image on level n, read off the proof of the
-        closure table: the number of free columns of S, block by block.
+        """dim of the closure image on level n, read off the proof that the
+        loop build runs on each closure block of the level, which it drops:
+        orbit size times the free columns of S_c, summed, is d^n - dim S.
 
-        The table proves rcl(S) = 0 and rcl(e_f) - e_f in S for every free
+        The proof shows rcl(S) = 0 and rcl(e_f) - e_f in S for every free
         column f of S_c.  If a combination of the rcl(e_f) is zero, the
         same combination of the e_f lies in S, and as a vector of S is zero
         once its entries at the pivot columns of S are, it is zero.  So the
         rcl(e_f) are independent, and they span the image as rcl(S) = 0.
         """
-        table = self._closure_table(n)
-        return sum(k * len(table[c].free) for c, k in self._orbits(n).sizes.items())
+        self.loop_invariants(n)
+        return self.d**n - self.letter_shuffle_ideal(n).dim
 
     @_memo("rclrot")
     def closed_rotation_span(self, n: int) -> BlockSpace:
@@ -944,7 +937,7 @@ class InvariantSpaces:
         _check_level(n)
 
         def build(c: Content) -> Subspace:
-            block = self._closure_table(n)[c]
+            block = self._closure_block(n, c)
             return self._block_span(n, c, (block.image(self._rotation_row(w)) for w in self._necklaces(c)))
 
         closed = self._blocks(n, build)

@@ -62,6 +62,7 @@ class PiecewiseLinearPath:
     __slots__ = ("d", "segments")
 
     def __init__(self, d: int, segments: Sequence[Sequence]):
+        d = integer(d)
         if d < 1:
             raise ValueError("dimension must be at least 1")
         segs = []

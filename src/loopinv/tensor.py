@@ -44,6 +44,7 @@ class TensorElement:
     __slots__ = ("d", "_terms")
 
     def __init__(self, d: int, terms: Mapping | Iterable = ()):
+        d = integer(d)
         if d < 1:
             raise ValueError("alphabet size must be at least 1")
         self.d = d

@@ -28,6 +28,7 @@ class Word:
     __slots__ = ("letters", "d", "_hash")
 
     def __init__(self, letters: Sequence[int], d: int):
+        d = integer(d)
         if d < 1:
             raise ValueError("alphabet size must be at least 1, got %r" % (d,))
         letters = tuple(map(integer, letters))
@@ -138,6 +139,7 @@ def lyndon_words(d: int, n: int) -> list[Word]:
     Duval's generation of the length-at-most-n Lyndon sequence, filtered
     to exact length n.
     """
+    d = integer(d)
     if d < 1 or n < 1:
         raise ValueError("need d >= 1 and n >= 1")
     out = []
@@ -186,6 +188,7 @@ def necklaces(d: int, n: int) -> list[Word]:
     Representatives are the lexicographically smallest rotations, produced
     in lexicographic order by the classic prenecklace generation (FKM).
     """
+    d = integer(d)
     if d < 1 or n < 1:
         raise ValueError("need d >= 1 and n >= 1")
     out: list[Word] = []

@@ -2,12 +2,12 @@
 of letter contents: every space of a level built from the rows of all
 contents at once, and the block of any one content built directly on that
 content, with no renaming.  The dense kernels of ``linalg`` and of the
-closure table have their entry-by-entry routes here too.
+closure blocks have their entry-by-entry routes here too.
 
 The closure rows come from ``tensor._rcl_word`` for every word, not from
-the pipeline's table of canonical contents.  The oracle's ``bracketV`` is
-the span of the full rows of [V, letters]; the pipeline keeps only its
-dimension, so it has no entry in :data:`METHODS`.
+the pipeline's closure blocks of canonical contents.  The oracle's
+``bracketV`` is the span of the full rows of [V, letters]; the pipeline
+keeps only its dimension, so it has no entry in :data:`METHODS`.
 """
 
 import itertools
@@ -79,11 +79,17 @@ def fixes_free_columns(d, n, block, family, scale):
     return linalg.orthogonal(d, n, family, differences)
 
 
-def pivot_difference_rows(sp, n, c):
+def closure_table(sp, n):
+    """Every proven closure block of level n, by canonical content: the
+    whole-level table that the pipeline, which builds each block for one
+    reader and drops it, never holds."""
+    return {c: sp._closure_block(n, c) for c in sp._orbits(n).canonical}
+
+
+def pivot_difference_rows(sp, n, c, block):
     """The closure-difference rows of InvariantSpaces._closure_difference_rows
     by the route they replaced: per pivot column of S_c, its nonzero row of
-    n! (rcl - lcl) on the free columns, as a dict."""
-    block = sp._closure_table(n)[c]
+    n! (rcl - lcl) on the free columns of the closure block, as a dict."""
     rows, position, reverse = block.rows, block.position, block.reverse
     free = [(col, rows[position[col]], rows[reverse[position[col]]]) for col in block.free]
     out = []

@@ -79,8 +79,8 @@ class TestDims:
         def reader(name):
             real = getattr(InvariantSpaces, name)
 
-            def read(self, n, c):
-                for row in real(self, n, c):
+            def read(self, n, c, block):
+                for row in real(self, n, c, block):
                     if spanning:
                         fallbacks.append(name)
                     yield row
@@ -348,6 +348,12 @@ GOLDEN = {
     ("basis", "conj", 3, 6): "8381df14110764ca8f731aee3354a725a5fecf05d6fc34161519c0e3550042ed",
     ("basis", "S", 3, 6): "c2c39ae69e3206d28d05fe0acc6fbe579009ea837001ec739e5375434c184481",
     ("basis", "V", 3, 6): "28912a1490ce6ee2e61d39ff4590ebf9d72756a3ef5eb96ff71844bc86578fdf",
+    # readers that build their own closure blocks, recorded while a whole
+    # level's closure table was kept for the life of the pipeline; d=2
+    # level 8 holds the closed-rotation memberships at levels 4, 6 and 8
+    ("evidence", None, 2, 8): "2275461e4514e8d6c9aa083573cd3c04976bb9e3e46b5d300f9af6798a7cf112",
+    ("evidence", None, 3, 7): "ed49ff7a02c8fa35335447805d5d572e08c80eafc75db4b632c75cdb695eb24e",
+    ("basis", "closure", 2, 9): "793af4063d72ee6f3a625de18e450de28f907e458156d934922b06d7df4bfeb5",
 }
 
 

@@ -55,6 +55,12 @@ from loopinv.words import Word, content_necklace_count, lyndon_words, min_rotati
 W = TensorElement.word
 
 
+def live_closure_blocks():
+    """The ids of the closure blocks still alive after a full collection."""
+    gc.collect()
+    return {id(o) for o in gc.get_objects() if type(o) is invariants._ClosureBlock}
+
+
 def with_block(space, content, block):
     """The BlockSpace with the block of one canonical content replaced."""
     return BlockSpace(space.orbits, {**space.blocks, content: block})
@@ -242,7 +248,6 @@ class TestFreeColumnRoutes:
         sp = InvariantSpaces(2)
         with pytest.raises(CrossCheckError, match="does not vanish"):
             getattr(sp, build)(4)
-        assert 4 not in sp._closure_tables
         assert (TestProvenClosureTable.READERS[build], 4) not in sp._memo
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -252,8 +257,7 @@ class TestFreeColumnRoutes:
         monkeypatch.setattr(tensor, "_rcl_block", doubled_rcl_block(tensor._rcl_block))
         sp = InvariantSpaces(d)
         with pytest.raises(CrossCheckError, match="not the identity modulo"):
-            sp._closure_table(4)
-        assert 4 not in sp._closure_tables
+            all_contents.closure_table(sp, 4)
 
     def test_route_b_keeps_pivot_rows_only(self, monkeypatch):
         kernels, certificates, eliminations = [], [], []
@@ -271,7 +275,7 @@ class TestFreeColumnRoutes:
             return real_modular(rows, width, stop, budget)
 
         sp = InvariantSpaces(3)
-        sp._closure_table(5)
+        sp.letter_shuffle_ideal(5)
         v = sp.zero_increment_space(4)
         monkeypatch.setattr(invariants, "kernel", kernel_spy)
         monkeypatch.setattr(invariants, "_modular_rank", modular_spy)
@@ -297,7 +301,8 @@ class TestFreeColumnRoutes:
             ]
             assert columns == free
             assert rows == all_contents.on_columns(raw, free)
-            assert stop <= sum(1 for _ in sp._closure_difference_rows(5, c)) <= block.dim
+            made = sp._closure_difference_rows(5, c, sp._closure_block(5, c))
+            assert stop <= sum(1 for _ in made) <= block.dim
             every_output += sum(map(bool, all_contents.on_columns(
                 all_contents.closure_difference_rows(3, 5, s.orbits.words(c)), free
             )))
@@ -322,8 +327,9 @@ class TestFreeColumnRoutes:
         sp.loop_invariants(5)
         assert len(passes) == len(s.blocks)
         for (read, width, stop, rank, unread), c in zip(passes, s.blocks):
-            assert inspect.isgenerator(sp._closure_difference_rows(5, c))
-            assert len(read) + unread == sum(1 for _ in sp._closure_difference_rows(5, c))
+            made = sp._closure_difference_rows(5, c, sp._closure_block(5, c))
+            assert inspect.isgenerator(made)
+            assert len(read) + unread == sum(1 for _ in made)
             assert rank == stop
             if stop:
                 assert real_modular(read[:-1], width, None) == stop - 1
@@ -341,7 +347,7 @@ class TestFreeColumnRoutes:
             s = sp.letter_shuffle_ideal(n)
             for c, block in s.blocks.items():
                 free = all_contents.free_columns(s, c)
-                rows = all_contents.as_dicts(sp._closure_difference_rows(n, c), free)
+                rows = all_contents.as_dicts(sp._closure_difference_rows(n, c, sp._closure_block(n, c)), free)
                 expected = subspace_sum(kernel(d, n, rows, None, free), block)
                 assert sp.loop_invariants(n).blocks[c] == expected, (n, c)
 
@@ -352,7 +358,7 @@ class TestFreeColumnRoutes:
             assert sp.report(n).dims["closure"] == sp.closure_invariants(n).dim
 
     def test_report_builds_no_closure_image(self, monkeypatch):
-        # the report reads the closure column off the table's proof and
+        # the report reads the closure column off the loop build's proof and
         # certifies each loop block by a rank lower bound modulo the prime
         # alone; no closed row, rotation sum or other, is ever made
         passes, readings, images = [], [], []
@@ -366,7 +372,7 @@ class TestFreeColumnRoutes:
         monkeypatch.setattr(invariants, "_modular_rank", modular_spy)
         monkeypatch.setattr(
             InvariantSpaces, "_closure_difference_rows",
-            lambda self, n, c: readings.append((n, c)) or real_rows(self, n, c),
+            lambda self, n, c, block: readings.append((n, c)) or real_rows(self, n, c, block),
         )
         monkeypatch.setattr(invariants._ClosureBlock, "image", lambda *args: images.append(args))
         sp = InvariantSpaces(3)
@@ -393,7 +399,7 @@ class TestFreeColumnRoutes:
 
 
 class TestDenseCertificateRoutes:
-    """Proof step 2 of the closure table, the rows of M and the quotient of
+    """Proof step 2 of a closure block, the rows of M and the quotient of
     the letter-reduced check read the stored blocks as they are stored; the
     sparse routes they replaced agree with them block by block."""
 
@@ -402,24 +408,23 @@ class TestDenseCertificateRoutes:
         sp, verdicts = spaces_for(d), set()
         for n in range(1, top + 1):
             v = sp.zero_increment_space(n)
-            for c, block in sp._closure_table(n).items():
+            for c, block in all_contents.closure_table(sp, n).items():
                 # the proof at the true scale n!, and one off it, where a
                 # free column's difference keeps its own unit vector
                 for scale in (factorial(n), factorial(n) + 1):
                     verdict = block.fixes_free_columns(v.blocks[c].rows, scale)
                     assert verdict == all_contents.fixes_free_columns(d, n, block, v.blocks[c].rows, scale)
                     verdicts.add(verdict)
-                made = all_contents.as_dicts(sp._closure_difference_rows(n, c), block.free)
-                assert made == all_contents.pivot_difference_rows(sp, n, c), (n, c)
+                made = all_contents.as_dicts(sp._closure_difference_rows(n, c, block), block.free)
+                assert made == all_contents.pivot_difference_rows(sp, n, c, block), (n, c)
                 assert sp._quotient_dim(n, c) == all_contents.quotient_dim(sp, n, c), (n, c)
         assert verdicts == {True, False}
 
 
 class TestProvenClosureTable:
-    """The closure table proves the projection along S before it stores a
-    level, so each fault of the closure rows raises on a fresh pipeline in
-    whichever space reads the table first, and stores neither the table
-    nor that space."""
+    """Each closure block is proven to be the projection along S before its
+    reader gets it, so each fault of the closure rows raises on a fresh
+    pipeline in whichever space reads the level first, and stores nothing."""
 
     READERS = {
         "closed_rotation_span": "rclrot",
@@ -441,7 +446,6 @@ class TestProvenClosureTable:
         sp = InvariantSpaces(d)
         with pytest.raises(CrossCheckError, match=match):
             getattr(sp, reader)(4)
-        assert 4 not in sp._closure_tables
         assert (self.READERS[reader], 4) not in sp._memo
 
     def test_letter_reduced_conj_reads_no_table(self, monkeypatch):
@@ -453,7 +457,6 @@ class TestProvenClosureTable:
             for d in (2, 3):
                 sp = InvariantSpaces(d)
                 assert sp.letter_reduced_conj_dim(4) == expected[d]
-                assert 4 not in sp._closure_tables
             monkeypatch.undo()
 
 
@@ -796,7 +799,6 @@ class TestBlockChecks:
         # n! rcl(e_f) - n! e_f lies in S: at level 2 the image becomes
         # 12 + 21, of the dimension of V but inside S
         sp = InvariantSpaces(d)
-        sp._closure_table(2)
         real = invariants._ClosureBlock.image
 
         def into_s(self, row):
@@ -835,7 +837,7 @@ class TestBlockChecks:
         assert cut and ("lrconj", 4) not in sp._memo
         monkeypatch.undo()
         assert sp.letter_reduced_conj_dim(4) == spaces_for(d).report(4).dims["letter_reduced_conj"]
-        assert ("rclrot", 4) not in sp._memo and 4 not in sp._closure_tables
+        assert ("rclrot", 4) not in sp._memo
 
     def test_quotient_short(self, monkeypatch):
         # a span of the remainders of conj_c modulo S_c one row short makes
@@ -866,7 +868,6 @@ class TestBlockChecks:
         # the first nonzero block of the span loses its last row
         sp = InvariantSpaces(d)
         sp.letter_reduced_conj_dim(4)
-        sp._closure_table(4)
         real, cut = invariants.span, []
 
         def short(*args):
@@ -994,8 +995,8 @@ class TestOrbits:
 
     LEVEL_METHODS = [
         "conjugation_invariants", "letter_shuffle_ideal", "zero_increment_space",
-        "bracket_zero_increment", "_closure_table", "loop_invariants",
-        "closure_invariants", "closed_rotation_span", "letter_reduced_loop_dim",
+        "bracket_zero_increment", "loop_invariants", "closure_invariants",
+        "closure_dim", "closed_rotation_span", "letter_reduced_loop_dim",
         "letter_reduced_conj_dim", "min_generator_count", "report",
     ]
 
@@ -1006,8 +1007,10 @@ class TestOrbits:
         sp = InvariantSpaces(d)
         assert sp.space("V", 0).dim == 1
         assert sp.space("V", 0).rows == ({0: 1},)
-        for name in self.LEVEL_METHODS:
-            method = getattr(sp, name)
+        methods = {name: getattr(sp, name) for name in self.LEVEL_METHODS}
+        # a closure block of the level's one content with no letter
+        methods["_closure_block"] = lambda n: sp._closure_block(n, (0,) * d)
+        for name, method in methods.items():
             for n in (0, -1):
                 if (name, n) == ("zero_increment_space", 0):
                     continue
@@ -1016,7 +1019,7 @@ class TestOrbits:
                     method(n)
 
     def test_table_shuffles_each_generator_once(self, monkeypatch):
-        # the proof of the table makes the letter generators of each block
+        # the proof of each block makes the letter generators of the block
         # again, once each, as a stream it keeps none of, by index
         # arithmetic: no general shuffle runs
         sp = InvariantSpaces(3)
@@ -1033,7 +1036,7 @@ class TestOrbits:
 
         monkeypatch.setattr(InvariantSpaces, "_letter_shuffle_rows", spy)
         monkeypatch.setattr(sp, "_shuffle_row", lambda *args: shuffles.append(args))
-        sp._closure_table(5)
+        all_contents.closure_table(sp, 5)
         monkeypatch.undo()
         lower = sp._orbits(4)
         assert shuffles == []
@@ -1050,12 +1053,12 @@ class TestClosureTable:
     @pytest.mark.parametrize("d, top", [(3, 6), (2, 9)])
     def test_against_word_dp(self, d, top):
         # one block per canonical content, one row per word of it, and no
-        # other; like every space, the table starts at level 1
+        # other; like every space, the blocks start at level 1
         sp = InvariantSpaces(d)
         with pytest.raises(ValueError, match="level must be at least 1, got 0$"):
-            sp._closure_table(0)
+            sp._closure_block(0, (0,) * d)
         for n in range(1, top + 1):
-            table = sp._closure_table(n)
+            table = all_contents.closure_table(sp, n)
             canonical = [c for c in all_contents.contents(d, n) if list(c) == sorted(c, reverse=True)]
             assert sorted(table) == sorted(canonical)
             for c, block in table.items():
@@ -1078,7 +1081,7 @@ class TestClosureTable:
         sp = InvariantSpaces(d)
         for n in range(1, top + 1):
             pivots = set(span(d, n, all_contents.letter_shuffle_rows(sp, n)).pivots)
-            for c, block in sp._closure_table(n).items():
+            for c, block in all_contents.closure_table(sp, n).items():
                 words = block.words
                 assert block.position == {k: p for p, k in enumerate(words)}
                 assert [block.reverse[q] for q in block.reverse] == list(range(len(words)))
@@ -1090,7 +1093,7 @@ class TestClosureTable:
                 expected = all_contents.on_columns(
                     all_contents.closure_difference_rows(d, n, words, pivots), free
                 )
-                made = all_contents.as_dicts(sp._closure_difference_rows(n, c), free)
+                made = all_contents.as_dicts(sp._closure_difference_rows(n, c, block), free)
                 assert sorted(sorted(r.items()) for r in made) == sorted(
                     sorted(r.items()) for r in expected if r
                 ), (n, c)
@@ -1098,7 +1101,7 @@ class TestClosureTable:
     def test_rows_share_their_block_index(self):
         # a block reads the one word list of its content that the orbits hold
         sp = InvariantSpaces(3)
-        for c, block in sp._closure_table(4).items():
+        for c, block in all_contents.closure_table(sp, 4).items():
             assert block.words is sp._orbits(4).words(c)
 
     def test_dense_rows_hold_few_bytes(self):
@@ -1112,7 +1115,7 @@ class TestClosureTable:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            table = sp._closure_table(6)
+            table = all_contents.closure_table(sp, 6)
             gc.collect()
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
@@ -1124,7 +1127,7 @@ class TestClosureTable:
     @pytest.mark.parametrize("d, top", [(2, 7), (3, 5)])
     def test_overflowing_rows_stay_lists(self, monkeypatch, d, top):
         # a row whose entries do not fit array('q') keeps the list that
-        # _rcl_block yielded, and every reader of the table reads it alike
+        # _rcl_block yielded, and every reader of a block reads it alike
         def overflow(typecode, values):
             raise OverflowError("signed integer is greater than maximum")
 
@@ -1133,7 +1136,8 @@ class TestClosureTable:
         sp = InvariantSpaces(d)
         for n in range(1, top + 1):
             assert sp.report(n) == clean.report(n)
-            assert all(type(row) is list for block in sp._closure_table(n).values() for row in block.rows)
+            table = all_contents.closure_table(sp, n)
+            assert all(type(row) is list for block in table.values() for row in block.rows)
             for build in ("closure_invariants", "loop_invariants", "closed_rotation_span"):
                 assert getattr(sp, build)(n) == getattr(clean, build)(n)
 
@@ -1143,7 +1147,7 @@ class TestClosureTable:
         # and with 70-bit factors (wider slots), some with a word added
         sp, seen = InvariantSpaces(d), set()
         for n in range(1, top + 1):
-            for c, block in sp._closure_table(n).items():
+            for c, block in all_contents.closure_table(sp, n).items():
                 generators = list(sp._letter_shuffle_rows(n, c))
                 for _ in range(8):
                     row = {}
@@ -1184,20 +1188,80 @@ class TestClosureTable:
         assert not block.kills([g])
 
     def test_image_refuses_a_word_outside_its_block(self):
-        block = InvariantSpaces(2)._closure_table(3)[(2, 1)]
+        block = InvariantSpaces(2)._closure_block(3, (2, 1))
         within = {word_index((1, 1, 2), 2): 1, word_index((2, 1, 1), 2): -1}
         assert block.image(within) == all_contents.closure_row(within, 2, 3)
         with pytest.raises(KeyError):
             block.image({word_index((1, 1, 1), 2): 1, word_index((1, 1, 2), 2): 1})
 
     def test_interrupted_table_is_not_stored(self):
-        sp = InvariantSpaces(2)
-        sp.budget = Budget(seconds=-1)
-        with pytest.raises(BudgetExceeded):
-            sp._closure_table(4)
-        assert sp._closure_tables == {}
-        sp.budget = None
-        assert sp._closure_table(4) is sp._closure_table(4)
+        # a budget that runs out at each of its checks in turn: while the
+        # rows are made, in proof step 1 and in proof step 2.  No block
+        # outlives the interruption, and the next build equals a fresh one
+        class Expiring(Budget):
+            def __init__(self, checks):
+                super().__init__()
+                self.left = checks
+
+            def check(self, bits=0):
+                self.left -= 1
+                if self.left < 0:
+                    raise BudgetExceeded("budget spent")
+
+        def fields(block):
+            return [getattr(block, k) for k in block.__slots__]
+
+        fresh = InvariantSpaces(2)._closure_block(4, (2, 2))
+        alive = live_closure_blocks()
+        counted = InvariantSpaces(2)
+        counted.letter_shuffle_ideal(4)
+        counted.budget = CountingBudget()
+        counted._closure_block(4, (2, 2))
+        assert counted.budget.checks > len(fresh.words) + len(fresh.free)
+        for checks in range(counted.budget.checks):
+            sp = InvariantSpaces(2)
+            sp.letter_shuffle_ideal(4)
+            sp.budget = Expiring(checks)
+            with pytest.raises(BudgetExceeded):
+                sp._closure_block(4, (2, 2))
+            assert live_closure_blocks() == alive
+            sp.budget = None
+            assert fields(sp._closure_block(4, (2, 2))) == fields(fresh)
+
+
+class TestClosureBlockLifetime:
+    """Each reader builds each closure block once per build of its space,
+    reads it and drops it: the pipeline holds no closure rows."""
+
+    def test_report_leaves_no_block_alive(self):
+        # a whole table kept for the life of the pipeline would hold the 7
+        # blocks of level 6 here
+        alive = live_closure_blocks()
+        sp = InvariantSpaces(3)
+        sp.report(6)
+        assert live_closure_blocks() == alive
+        assert sorted(vars(sp)) == ["_memo", "_orbit_tables", "budget", "d"]
+
+    def test_report_builds_each_block_once(self, monkeypatch):
+        # the loop build proves each block and hands it to its certificate;
+        # the closure column is read off that proof, not off another build
+        built = []
+        real = InvariantSpaces._closure_block
+        monkeypatch.setattr(
+            InvariantSpaces, "_closure_block", lambda self, n, c: built.append((n, c)) or real(self, n, c)
+        )
+        sp = InvariantSpaces(3)
+        for n in range(1, 8):
+            sp.report(n)
+        assert sorted(built) == sorted((n, c) for n in range(1, 8) for c in sp._orbits(n).canonical)
+        assert len(built) == 30
+
+    @pytest.mark.parametrize("d, top", [(2, 8), (3, 6)])
+    def test_closure_dim_on_a_fresh_pipeline(self, d, top):
+        for n in range(1, top + 1):
+            sp = InvariantSpaces(d)
+            assert sp.closure_dim(n) == spaces_for(d).report(n).dims["closure"]
+            assert ("loop", n) in sp._memo
 
 
 class TestMinGenerators:
@@ -1503,22 +1567,21 @@ class TestBudgetInHeavyLoops:
     @pytest.mark.parametrize("build", list(CLOSURE_LOOPS))
     def test_closure_table(self, monkeypatch, build):
         # every input but the closure rows of the space itself is built;
-        # the closure table is dropped, so the build has to make and prove
-        # it again, and a budget spent there names the space that asked
+        # no closure block is kept, so the build makes and proves its own,
+        # and a budget spent there names the space that asked
         sp = InvariantSpaces(2)
-        sp._closure_table(5)
+        sp.letter_shuffle_ideal(5)
         sp.zero_increment_space(4)
-        sp._closure_tables.clear()
         calls = self.count_closure_rows(monkeypatch)
         sp.budget = Budget(seconds=-1)
         with pytest.raises(BudgetExceeded) as err:
             getattr(sp, build)(5)
         assert err.value.space == (self.CLOSURE_LOOPS[build], 5)
         assert calls == []
-        # the counter sees the table: without a budget it is built row by row
+        # the counter sees the blocks: without a budget they are built row by row
         sp.budget = None
         getattr(sp, build)(5)
-        assert len(calls) == sum(len(b.rows) for b in sp._closure_table(5).values()) > 1
+        assert len(calls) == sum(len(b.rows) for b in all_contents.closure_table(sp, 5).values()) > 1
 
     def test_lazy_span_input(self, monkeypatch):
         calls = self.count_closure_rows(monkeypatch)
@@ -1529,7 +1592,7 @@ class TestBudgetInHeavyLoops:
         assert calls == []
         sp.budget = None
         sp.closed_rotation_span(6)
-        assert len(calls) == sum(len(b.rows) for b in sp._closure_table(6).values()) > 1
+        assert len(calls) == sum(len(b.rows) for b in all_contents.closure_table(sp, 6).values()) > 1
 
     def test_names_the_space(self):
         sp = InvariantSpaces(2)
@@ -1584,12 +1647,12 @@ class TestBudgetInHeavyLoops:
         sp = InvariantSpaces(3)
         sp.loop_invariants(5)
         v, s = sp.zero_increment_space(5), sp.letter_shuffle_ideal(5)
-        for c, block in sp._closure_table(5).items():
+        for c, block in all_contents.closure_table(sp, 5).items():
             budget = CountingBudget()
             assert block.fixes_free_columns(v.blocks[c].rows, factorial(5), budget)
             assert budget.checks >= len(block.free)
             sp.budget = CountingBudget()
-            rows = list(sp._closure_difference_rows(5, c))
+            rows = list(sp._closure_difference_rows(5, c, block))
             # a row of M per pivot of S_c, zero or not, once M has a column
             assert sp.budget.checks >= len(s.blocks[c].pivots) * bool(block.free) >= len(rows)
             if block.free:
@@ -1597,7 +1660,7 @@ class TestBudgetInHeavyLoops:
                     block.fixes_free_columns(v.blocks[c].rows, factorial(5), Budget(seconds=-1))
                 sp.budget = Budget(seconds=-1)
                 with pytest.raises(BudgetExceeded):
-                    next(sp._closure_difference_rows(5, c))
+                    next(sp._closure_difference_rows(5, c, block))
             sp.budget = None
 
     def test_pbw_products(self):
@@ -1674,7 +1737,7 @@ class TestRowOperators:
             ta, tb = row_tensor(d, na, a), row_tensor(d, nb, b)
             assert row_tensor(d, na + nb, sp._shuffle_row(a, na, b, nb)) == shuffle(ta, tb)
             c, closable = _random_canonical_row(rng, d, na)
-            assert row_tensor(d, na, sp._closure_table(na)[c].image(closable)) == factorial(na) * right_closure(
+            assert row_tensor(d, na, sp._closure_block(na, c).image(closable)) == factorial(na) * right_closure(
                 row_tensor(d, na, closable)
             )
             i = rng.randrange(d)

@@ -2,6 +2,8 @@ import itertools
 
 import pytest
 
+from loopinv.invariants import InvariantSpaces
+from loopinv.paths import PiecewiseLinearPath
 from loopinv.tensor import TensorElement
 from loopinv.words import (
     Word,
@@ -53,6 +55,23 @@ class TestWord:
         with pytest.raises(TypeError):
             TensorElement(2, {(1.5, 2): 1})
         assert Word(("1", 2), 2) == Word((1, 2), 2)
+
+    def test_alphabet_size_is_an_exact_integer(self):
+        # a float alphabet was a 2.5-letter one, and True read as d=1; each
+        # is refused up front, by the exact-integer reader, before the
+        # check of d >= 1 could call 0.5 too small
+        refused = "exact .* expected, got the (float|bool)"
+        for d in (2.5, 2.0, 0.5, True):
+            for make in (
+                lambda: Word((1,), d),
+                lambda: TensorElement(d, {(1,): 1}),
+                lambda: InvariantSpaces(d),
+                lambda: PiecewiseLinearPath(d, [[1] * int(d)]),
+                lambda: lyndon_words(d, 3),
+                lambda: necklaces(d, 2),
+            ):
+                with pytest.raises(TypeError, match=refused):
+                    make()
 
     def test_from_string(self):
         assert Word.from_string("143", 4).letters == (1, 4, 3)
