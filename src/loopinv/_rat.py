@@ -6,6 +6,7 @@ anywhere.  Rationals are ``fractions.Fraction`` from the standard library.
 """
 
 from fractions import Fraction
+from numbers import Rational
 
 Q = Fraction
 BACKEND = "fraction"
@@ -38,9 +39,14 @@ def exact(value):
 
 
 def integer(value):
-    """``int(value)`` for an int or an integer string.  A float or a bool
-    is refused as by :func:`exact`, not truncated or read as 0 or 1."""
+    """``int(value)`` for an int, an integral rational or an integer
+    string.  Any other number (a float, a bool, a Decimal) is refused as by
+    :func:`exact`, and a non-integral rational raises ValueError."""
     _refuse_inexact(value)
+    if not isinstance(value, (Rational, str)):
+        raise TypeError("exact integer expected, got %r" % (value,))
+    if isinstance(value, Rational) and value.denominator != 1:
+        raise ValueError("integer expected, got the rational %s" % value)
     return int(value)
 
 

@@ -3,9 +3,9 @@
 Where the theory describes a space twice, one description builds it and
 the other checks it by containment, pairing and dimension:
 
-* conjugation invariants: the span of rotation sums over necklaces,
-  checked against the letter-bracket constraints ``<[q, i], x> = 0`` and
-  the number of necklaces;
+* conjugation invariants: the rotation classes written down, checked
+  against the letter-bracket constraints ``<[q, i], x> = 0`` and the
+  number of necklaces;
 * the zero-increment space V: the span of products of non-letter Lyndon
   bracketings (a PBW spanning set), checked against prod(1 - x_i) /
   (1 - sum x_i), the series (1-q)^d / (1-dq) and the letter shuffle
@@ -18,7 +18,9 @@ the other checks it by containment, pairing and dimension:
   dim V and S;
 * letter-reduced conjugation invariants: the image of V in the cyclic
   words T/[T, letters], the rank of the rows of V summed over rotation
-  classes, checked against the quotient dimension dim(conj + S) - dim S;
+  classes, checked against the quotient dimension dim(conj + S) - dim S,
+  the rank of conj reduced against the stored S, as is every dimension
+  of a sum but the loop build's (:meth:`InvariantSpaces._quotient_dim`);
 * the area/conjugation algebra of ``evidence``: B_n = conj_n + areas ⧢
   B_{n-2}, once conj is checked to be a shuffle subalgebra.
 
@@ -68,8 +70,8 @@ them, and keeps none: it pairs them, takes their rank modulo a prime, and
 reads them once more for the exact rank only where the prime falls short.
 
 Every spanning set is a stream of integer rows ``{word index: int}``
-made by four row operators (rotation sums, letter brackets, shuffles and
-the closure blocks), so building a table forms no rational.
+made by three row operators (letter brackets, shuffles and the closure
+blocks), so building a table forms no rational.
 Rationals appear only where a basis leaves as a tensor element, in
 :func:`verify_relations` and in the conjecture-evidence memberships.
 
@@ -136,6 +138,8 @@ from . import tensor as _tensor
 
 # letter counts (c_1, ..., c_d) of a word
 Content = tuple[int, ...]
+
+_LEAVES_CONTENT = "a row of the block of content %s leaves its content at d=%d, n=%d"
 
 
 # default level caps giving desk-scale exact runs
@@ -507,21 +511,10 @@ class InvariantSpaces:
         block = span(self.d, n, rows, self.budget)
         words = set(self._orbits(n).words(c))
         if any(k not in words for row in block.rows for k in row):
-            raise CrossCheckError(
-                "a row of the block of content %s leaves its content at d=%d, n=%d"
-                % (c, self.d, n)
-            )
+            raise CrossCheckError(_LEAVES_CONTENT % (c, self.d, n))
         return block
 
     # -- integer row operators (shuffles and the closure blocks check the budget)
-
-    def _rotation_row(self, w: Word) -> dict[int, int]:
-        """Rotation sum of a word, with multiplicity (see rotation_sum)."""
-        row: dict[int, int] = {}
-        for rot in rotations(w.letters):
-            j = word_index(rot, self.d)
-            row[j] = row.get(j, 0) + 1
-        return row
 
     def _bracket_row(self, row: dict[int, int], n: int, i: int) -> dict[int, int]:
         """[row, letter i + 1] on level n + 1, for a row on level n."""
@@ -632,12 +625,6 @@ class InvariantSpaces:
                         row[k] = row.get(k, 0) + 1
                     yield row
 
-    def _necklaces(self, c: Content) -> list[Word]:
-        """The necklaces of content c, in lexicographic order: the anagrams
-        of c that are their own smallest rotation."""
-        self._check_budget()
-        return [Word(x, self.d) for x in anagrams(_letters(c)) if x == min_rotation(x)]
-
     # -- spaces -----------------------------------------------------------
 
     def space(self, name: str, n: int) -> Subspace:
@@ -646,14 +633,23 @@ class InvariantSpaces:
 
     @_memo("conj")
     def conjugation_invariants(self, n: int) -> BlockSpace:
-        """Rotation-sum span R.  On each block c: dim R_c is the number of
-        necklaces of content c and the number of words of content c minus
-        the rank of the bracket rows, which pair to zero with R_c."""
+        """Rotation-sum span R, written down: the canonical RREF of block c
+        has a row per necklace w of content c, in lexicographic order, 1 at
+        each rotation of w, with its pivot at w, the smallest word of its
+        class; a rotation off the words of c fails.  On each block: dim R_c
+        is the number of necklaces and N_c minus the rank of the bracket
+        rows, which pair to zero with R_c.  The budget is checked per block."""
         _check_level(n)
         d, orbits = self.d, self._orbits(n)
 
         def build(c: Content) -> Subspace:
-            r = self._block_span(n, c, map(self._rotation_row, self._necklaces(c)))
+            self._check_budget()
+            index = dict(zip(anagrams(_letters(c)), orbits.words(c)))
+            try:
+                rows = [{index[y]: 1 for y in rotations(x)} for x in index if x == min_rotation(x)]
+            except KeyError:
+                raise CrossCheckError(_LEAVES_CONTENT % (c, d, n)) from None
+            r = Subspace(d, n, map(min, rows), rows)
             expected = content_necklace_count(c)
             if r.dim != expected:
                 raise CrossCheckError(
@@ -892,8 +888,8 @@ class InvariantSpaces:
 
         The closure vanishes on S, so the image of block c is spanned by
         the closures of the unit vectors of the free columns of S_c.  Its
-        dimension must match dim V_c, and together with S_c it must fill
-        the block (the closure is a projection along S).
+        dimension must match dim V_c, and with S_c it must fill the block
+        (the closure is a projection along S), by :meth:`_quotient_dim`.
         """
         _check_level(n)
         d = self.d
@@ -906,7 +902,7 @@ class InvariantSpaces:
                     "closure-invariant dimension differs from dim V at d=%d, n=%d, "
                     "content %s" % (d, n, c)
                 )
-            if subspace_sum(image, s, self.budget).dim != len(self._orbits(n).words(c)):
+            if s.dim + self._quotient_dim(s, image.rows) != len(self._orbits(n).words(c)):
                 raise CrossCheckError(
                     "closure image and letter shuffle ideal do not complement "
                     "each other at d=%d, n=%d, content %s" % (d, n, c)
@@ -931,14 +927,14 @@ class InvariantSpaces:
 
     @_memo("rclrot")
     def closed_rotation_span(self, n: int) -> BlockSpace:
-        """Span of the closed rotation sums n! rcl(rot(w)) over necklaces w of
-        length n, for ``evidence``; rcl is the projection along S, so its
+        """Span of n! rcl(x) over the stored rows x of conj, the rotation
+        classes, for ``evidence``; rcl is the projection along S, so its
         dimension must be the letter-reduced one, dim conj - dim(conj ∩ S)."""
         _check_level(n)
+        conj = self.conjugation_invariants(n)
 
         def build(c: Content) -> Subspace:
-            block = self._closure_block(n, c)
-            return self._block_span(n, c, (block.image(self._rotation_row(w)) for w in self._necklaces(c)))
+            return self._block_span(n, c, map(self._closure_block(n, c).image, conj.blocks[c].rows))
 
         closed = self._blocks(n, build)
         if closed.dim != self.letter_reduced_conj_dim(n):
@@ -960,13 +956,12 @@ class InvariantSpaces:
 
         T/[T, letters] has one basis vector per rotation class of words, so
         on block c the column is the rank of the rows of V_c summed over
-        rotation classes.  Each stored row of conj_c is the 0/1 indicator
-        of one class, with its pivot at the necklace, which names the class
-        of each of its words.  The bracket rows span conj^perp and V =
-        S^perp, so V_c meets [T, letters] in (conj_c + S_c)^perp, and the
-        rank must be the quotient dim(conj_c + S_c) - dim S_c, the rank of
-        the rows of conj_c reduced against the stored S_c
-        (:meth:`_quotient_dim`).
+        rotation classes.  Each stored row of conj_c is written down as the
+        0/1 indicator of one class, with its pivot at the necklace, which
+        names the class of each of its words.  The bracket rows span
+        conj^perp and V = S^perp, so V_c meets [T, letters] in (conj_c +
+        S_c)^perp, and the rank must be the quotient dim(conj_c + S_c) -
+        dim S_c, :meth:`_quotient_dim` of S_c and the rows of conj_c.
         """
         s, conj, v = self.letter_shuffle_ideal(n), self.conjugation_invariants(n), self.zero_increment_space(n)
         total = 0
@@ -977,7 +972,7 @@ class InvariantSpaces:
                 for k, x in row.items():
                     out[necklace[k]] = out.get(necklace[k], 0) + x
             rank = span(self.d, n, sums, self.budget).dim
-            quotient = self._quotient_dim(n, c)
+            quotient = self._quotient_dim(s.blocks[c], conj.blocks[c].rows)
             if rank != quotient:
                 raise CrossCheckError(
                     "letter-reduced conjugation dimension disagrees between "
@@ -986,23 +981,19 @@ class InvariantSpaces:
             total += size * quotient
         return total
 
-    def _quotient_dim(self, n: int, c: Content) -> int:
-        """dim(conj_c + S_c) - dim S_c on the block of the canonical content
-        c: each row of conj_c is reduced against the stored canonical RREF
-        of S_c, one pass over the pivot columns it hits, and the quotient is
-        the exact rank of the remainders, which lie on the free columns of
-        S_c.  The budget is checked once per row of conj_c."""
-        s = self.letter_shuffle_ideal(n).blocks[c]
-        by_col = dict(zip(s.pivots, s.rows))
+    def _quotient_dim(self, base: Subspace, rows: Iterable[dict[int, int]]) -> int:
+        """dim(base + span(rows)) - dim base, for a block stored as a canonical
+        RREF and integer rows of its level: the exact rank of the rows
+        reduced against the stored base, one pass over the pivots each hits.
+        The budget is checked once per row, as the span reads it."""
+        by_col = dict(zip(base.pivots, base.rows))
 
         def remainder(row: dict[int, int]) -> dict[int, int]:
-            self._check_budget()
             row = dict(row)
             _reduces_to_zero(row, by_col)
             return row
 
-        conj = self.conjugation_invariants(n).blocks[c]
-        return span(self.d, n, map(remainder, conj.rows), self.budget).dim
+        return span(base.d, base.n, map(remainder, rows), self.budget).dim
 
     @_memo("gens")
     def minimal_generators(self, n: int) -> BlockSpace:
@@ -1343,20 +1334,21 @@ def _area_products(d: int, n: int) -> list[tuple[str, TensorElement]]:
 
 
 def conjecture_evidence(spaces: InvariantSpaces, n: int) -> ConjectureEvidence:
-    """Dimension comparisons and membership observations at level n.  Sums
-    are taken block by block, and dim(C ∩ R) = dim C + dim R - dim(C + R).
-    A budget spent outside the memoized spaces is named ("evidence", n)."""
+    """Dimension comparisons and membership observations at level n, each
+    sum a quotient per block (:meth:`InvariantSpaces._quotient_dim`): dim(S
+    + B) - dim S, and dim(C + R) - dim C = dim R - dim(C ∩ R).  A budget
+    spent outside the memoized spaces is named ("evidence", n)."""
     d, budget = spaces.d, spaces.budget
 
-    def sum_dim(a: BlockSpace, b: BlockSpace) -> int:
-        return sum(k * subspace_sum(a.blocks[c], b.blocks[c], budget).dim for c, k in a.orbits.sizes.items())
+    def quotient(a: BlockSpace, b: BlockSpace) -> int:
+        return sum(k * spaces._quotient_dim(a.blocks[c], b.blocks[c].rows) for c, k in a.orbits.sizes.items())
 
     with _names_budget(("evidence", n)):
         algebra = spaces.area_conjugation_algebra(n)
-        loop_dim = spaces.loop_invariants(n).dim
-        s_plus = sum_dim(spaces.letter_shuffle_ideal(n), algebra)
+        loop_dim, s = spaces.loop_invariants(n).dim, spaces.letter_shuffle_ideal(n)
+        s_plus = s.dim + quotient(s, algebra)
         closure, conj = spaces.closure_invariants(n), spaces.conjugation_invariants(n)
-        meet = closure.dim + conj.dim - sum_dim(closure, conj)
+        meet = conj.dim - quotient(closure, conj)
         products = _area_products(d, n)
         if products:
             closed = spaces.closed_rotation_span(n).whole(budget)

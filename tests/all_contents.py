@@ -2,7 +2,9 @@
 of letter contents: every space of a level built from the rows of all
 contents at once, and the block of any one content built directly on that
 content, with no renaming.  The dense kernels of ``linalg`` and of the
-closure blocks have their entry-by-entry routes here too.
+closure blocks have their entry-by-entry routes here too, and so do the
+routes the pipeline replaced: conj as the span of rotation sums, and a
+dimension of a sum as the dimension of the eliminated sum.
 
 The closure rows come from ``tensor._rcl_word`` for every word, not from
 the pipeline's closure blocks of canonical contents.  The oracle's
@@ -15,7 +17,7 @@ from bisect import insort
 
 from loopinv import linalg, tensor
 from loopinv.linalg import index_word, kernel, span, word_index
-from loopinv.words import lyndon_words, necklaces
+from loopinv.words import lyndon_words, necklaces, rotations
 
 # oracle space name -> InvariantSpaces method
 METHODS = {
@@ -101,11 +103,22 @@ def pivot_difference_rows(sp, n, c, block):
     return out
 
 
-def quotient_dim(sp, n, c):
-    """dim(conj_c + S_c) - dim S_c by the route InvariantSpaces._quotient_dim
-    replaced: the sum of the two stored blocks eliminated together."""
-    s = sp.letter_shuffle_ideal(n).blocks[c]
-    return linalg.subspace_sum(sp.conjugation_invariants(n).blocks[c], s).dim - s.dim
+def rotation_row(d, w):
+    """Rotation sum of a word as an integer row, with multiplicity (see
+    tensor.rotation_sum): the row InvariantSpaces wrote per necklace before
+    it wrote down the rotation classes."""
+    row = {}
+    for rot in rotations(w.letters):
+        j = word_index(rot, d)
+        row[j] = row.get(j, 0) + 1
+    return row
+
+
+def quotient_dim(base, rows):
+    """dim(base + span(rows)) - dim base by the route
+    InvariantSpaces._quotient_dim replaced: base and the span of the rows
+    eliminated together by linalg.subspace_sum."""
+    return linalg.subspace_sum(base, span(base.d, base.n, rows)).dim - base.dim
 
 
 def closure_kills(block, rows):
@@ -119,7 +132,7 @@ def closed_rotation_rank(sp, n, c):
     sums n! rcl(rot(w)) over the necklaces w of content c."""
     d = sp.d
     own = [w for w in necklaces(d, n) if content_of(word_index(w.letters, d), d, n) == c]
-    return span(d, n, (closure_row(sp._rotation_row(w), d, n) for w in own)).dim
+    return span(d, n, (closure_row(rotation_row(d, w), d, n) for w in own)).dim
 
 
 def content_of(k, d, n):
@@ -222,12 +235,12 @@ def whole_level(sp, n, below=None):
     ``below`` is this function's result at level n - 1, for [V, letters]."""
     d, words = sp.d, range(sp.d**n)
     out = {
-        "conj": span(d, n, map(sp._rotation_row, necklaces(d, n))),
+        "conj": span(d, n, (rotation_row(d, w) for w in necklaces(d, n))),
         "S": span(d, n, letter_shuffle_rows(sp, n)),
         "V": span(d, n, pbw_products(d, n)),
         "closure": span(d, n, (closure_row({k: 1}, d, n) for k in words)),
         "loop": kernel(d, n, closure_difference_rows(d, n, words)),
-        "rclrot": span(d, n, (closure_row(sp._rotation_row(w), d, n) for w in necklaces(d, n))),
+        "rclrot": span(d, n, (closure_row(rotation_row(d, w), d, n) for w in necklaces(d, n))),
     }
     out["bracketV"] = span(d, n, bracket_rows(sp, n, below["V"] if below else kernel(d, 0, [])))
     return out
@@ -263,12 +276,12 @@ def block(sp, n, content, blocks_below=None):
     words = words_of(content, d)
     own = [w for w in necklaces(d, n) if content_of(word_index(w.letters, d), d, n) == content]
     out = {
-        "conj": span(d, n, map(sp._rotation_row, own)),
+        "conj": span(d, n, (rotation_row(d, w) for w in own)),
         "S": letter_shuffle_block(sp, n, content),
         "V": span(d, n, sp._pbw_products(content, sp._pbw_factors(n, [content]))),
         "closure": span(d, n, (closure_row({k: 1}, d, n) for k in words)),
         "loop": kernel(d, n, closure_difference_rows(d, n, words), None, words),
-        "rclrot": span(d, n, (closure_row(sp._rotation_row(w), d, n) for w in own)),
+        "rclrot": span(d, n, (closure_row(rotation_row(d, w), d, n) for w in own)),
     }
     rows = []
     for i in range(d):

@@ -354,6 +354,12 @@ GOLDEN = {
     ("evidence", None, 2, 8): "2275461e4514e8d6c9aa083573cd3c04976bb9e3e46b5d300f9af6798a7cf112",
     ("evidence", None, 3, 7): "ed49ff7a02c8fa35335447805d5d572e08c80eafc75db4b632c75cdb695eb24e",
     ("basis", "closure", 2, 9): "793af4063d72ee6f3a625de18e450de28f907e458156d934922b06d7df4bfeb5",
+    # conj blocks of the widest orbits, and the evidence sums, recorded
+    # while conj was the span of its rotation sums and each sum was
+    # eliminated whole
+    ("basis", "conj", 4, 6): "8a13404fe9579749df762d138445086ba910687e29fe3dd2a8d08792fcedc623",
+    ("basis", "conj", 5, 6): "099b7be464bad8c98991ca01c5112845a41f82bbc4ce0dfc0894cc37b8de7adc",
+    ("evidence", None, 4, 6): "02ee7b044f4ee52821c231062c8356d06d0deb28cb2608c6158494bf0b041640",
 }
 
 

@@ -50,7 +50,14 @@ from loopinv.tensor import (
     rotation_sum,
     shuffle,
 )
-from loopinv.words import Word, content_necklace_count, lyndon_words, min_rotation, necklaces
+from loopinv.words import (
+    Word,
+    content_necklace_count,
+    lyndon_words,
+    min_rotation,
+    necklaces,
+    repetition_count,
+)
 
 W = TensorElement.word
 
@@ -417,8 +424,32 @@ class TestDenseCertificateRoutes:
                     verdicts.add(verdict)
                 made = all_contents.as_dicts(sp._closure_difference_rows(n, c, block), block.free)
                 assert made == all_contents.pivot_difference_rows(sp, n, c, block), (n, c)
-                assert sp._quotient_dim(n, c) == all_contents.quotient_dim(sp, n, c), (n, c)
         assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("d, top", [(2, 9), (3, 7), (4, 5)])
+    def test_quotients_against_the_eliminated_sums(self, d, top):
+        # every reader of _quotient_dim against the route it replaced, the
+        # sum of the two blocks eliminated by subspace_sum, block by block:
+        # the letter-reduced quotient, the closure fill check and the two
+        # sums of the evidence, whose totals follow
+        sp = spaces_for(d)
+        for n in range(1, top + 1):
+            s, conj = sp.letter_shuffle_ideal(n), sp.conjugation_invariants(n)
+            closure, algebra = sp.closure_invariants(n), sp.area_conjugation_algebra(n)
+            sums = {}
+            for name, base, rows in (("lrconj", s, conj), ("fill", s, closure), ("S + B", s, algebra),
+                                     ("closure + conj", closure, conj)):
+                total = 0
+                for c, size in s.orbits.sizes.items():
+                    quotient = sp._quotient_dim(base.blocks[c], rows.blocks[c].rows)
+                    assert quotient == all_contents.quotient_dim(base.blocks[c], rows.blocks[c].rows), (n, c)
+                    total += size * quotient
+                sums[name] = base.dim + total
+            assert sums["lrconj"] - s.dim == sp.letter_reduced_conj_dim(n)
+            assert sums["fill"] == d**n
+            evidence = conjecture_evidence(sp, n)
+            assert evidence.s_plus_area_conj_dim == sums["S + B"]
+            assert evidence.closure_conj_intersection_dim == closure.dim + conj.dim - sums["closure + conj"]
 
 
 class TestProvenClosureTable:
@@ -499,6 +530,19 @@ class TestOneRouteChecks:
             whole = span(d, n, all_contents.bracket_rows(sp, n, v))
             assert sp.bracket_zero_increment(n) == whole.dim, n
 
+    @pytest.mark.parametrize("d, top", [(2, 10), (3, 7), (4, 6), (5, 5)])
+    def test_written_down_conj_against_rotation_span(self, d, top):
+        # the route the written-down rotation classes replaced: each
+        # canonical block of conj is the span of the rotation sums of the
+        # necklaces of its content
+        sp = spaces_for(d)
+        for n in range(1, top + 1):
+            own = {}
+            for w in necklaces(d, n):
+                own.setdefault(all_contents.content_of(word_index(w.letters, d), d, n), []).append(w)
+            for c, block in sp.conjugation_invariants(n).blocks.items():
+                assert block == span(d, n, (all_contents.rotation_row(d, w) for w in own[c])), (n, c)
+
     def test_loop_takes_no_containment(self, monkeypatch):
         # [V, letters] inside V is checked by its pairing with S, once
         def refuse(*args, **kwargs):
@@ -527,48 +571,32 @@ class TestOneRouteChecks:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_perturbed_rotation_row(self, monkeypatch, d):
-        # 2 * 1112 + 1121 + 1211 + 2111 keeps the dimension of its block
-        # but leaves the bracket kernel
-        real = InvariantSpaces._rotation_row
-        target = Word((1, 1, 1, 2), d)
-
-        def perturbed(self, w):
-            row = real(self, w)
-            if w == target:
-                row[1] += 1
-            return row
-
-        monkeypatch.setattr(InvariantSpaces, "_rotation_row", perturbed)
+        # 1112 + 1121 + 1211, the class of 1112 without 2111, keeps the
+        # dimension of its block but leaves the bracket kernel
+        real = invariants.rotations
+        monkeypatch.setattr(
+            invariants, "rotations", lambda x: real(x)[:-1] if x == (1, 1, 1, 2) else real(x)
+        )
         self.assert_refused(
             InvariantSpaces(d), "conjugation_invariants", 4, "conj", "rotation span and bracket"
         )
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_rotation_row_leaving_its_content(self, monkeypatch, d):
-        # 4 * 1111 + 1112 pairs to zero with the bracket rows of 1111's
-        # block; only the content of its rows sees it
-        real = InvariantSpaces._rotation_row
-        target = necklaces(d, 4)[0]
-
-        def perturbed(self, w):
-            row = real(self, w)
-            if w == target:
-                row[1] = 1
-            return row
-
-        monkeypatch.setattr(InvariantSpaces, "_rotation_row", perturbed)
+        # 1111 + 1112 pairs to zero with the bracket rows of 1111's block;
+        # only the words of its block see that 1112 leaves it
+        real = invariants.rotations
+        monkeypatch.setattr(
+            invariants, "rotations", lambda x: real(x) + [(1, 1, 1, 2)] if x == (1,) * 4 else real(x)
+        )
         self.assert_refused(InvariantSpaces(d), "conjugation_invariants", 4, "conj", "leaves its content")
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_dropped_necklace(self, monkeypatch, d):
         # every row stays in the bracket kernel, but the block of 1111 is
         # empty where the necklace count is 1
-        real = InvariantSpaces._necklaces
-
-        def dropped(self, c):
-            return [w for w in real(self, c) if w.letters != (1, 1, 1, 1)]
-
-        monkeypatch.setattr(InvariantSpaces, "_necklaces", dropped)
+        real = invariants.min_rotation
+        monkeypatch.setattr(invariants, "min_rotation", lambda x: () if x == (1,) * 4 else real(x))
         self.assert_refused(InvariantSpaces(d), "conjugation_invariants", 4, "conj", "necklace count")
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -851,10 +879,10 @@ class TestBlockChecks:
         def cut(out):
             return Subspace(out.d, out.n, out.pivots[:-1], out.rows[:-1]) if out.dim else out
 
-        def short(self, n, c):
+        def short(self, base, rows):
             with monkeypatch.context() as inside:
                 inside.setattr(invariants, "span", lambda *args: cut(real_span(*args)))
-                return real(self, n, c)
+                return real(self, base, rows)
 
         monkeypatch.setattr(InvariantSpaces, "_quotient_dim", short)
         with pytest.raises(CrossCheckError, match="quotient and rank"):
@@ -1572,6 +1600,7 @@ class TestBudgetInHeavyLoops:
         sp = InvariantSpaces(2)
         sp.letter_shuffle_ideal(5)
         sp.zero_increment_space(4)
+        sp.conjugation_invariants(5)
         calls = self.count_closure_rows(monkeypatch)
         sp.budget = Budget(seconds=-1)
         with pytest.raises(BudgetExceeded) as err:
@@ -1612,8 +1641,9 @@ class TestBudgetInHeavyLoops:
     @pytest.mark.parametrize("assembled", [False, True])
     def test_evidence_after_the_spaces(self, monkeypatch, assembled):
         # every space of the evidence is built and the block sums ignore the
-        # budget; what is left, the assembly of the closed rotation level
-        # and then each membership in it, stops on an expired budget
+        # budget (test_quotient_readers has them); what is left, the
+        # assembly of the closed rotation level and then each membership in
+        # it, stops on an expired budget
         sp = InvariantSpaces(3)
         sp.area_conjugation_algebra(4)
         for build in ("loop_invariants", "closure_invariants", "closed_rotation_span"):
@@ -1621,8 +1651,16 @@ class TestBudgetInHeavyLoops:
         closed = sp.closed_rotation_span(4)
         if assembled:
             closed.whole()
-        real = invariants.subspace_sum
-        monkeypatch.setattr(invariants, "subspace_sum", lambda a, b, budget=None: real(a, b))
+        real = InvariantSpaces._quotient_dim
+
+        def unbudgeted(self, base, rows):
+            budget, self.budget = self.budget, None
+            try:
+                return real(self, base, rows)
+            finally:
+                self.budget = budget
+
+        monkeypatch.setattr(InvariantSpaces, "_quotient_dim", unbudgeted)
         sp.budget = Budget(seconds=-1)
         with pytest.raises(BudgetExceeded) as err:
             conjecture_evidence(sp, 4)
@@ -1633,6 +1671,64 @@ class TestBudgetInHeavyLoops:
         sp.budget = None
         assert budgeted == conjecture_evidence(sp, 4)
         assert budgeted.area_product_membership
+
+    # reader -> the build that runs it, and the space of its stored base
+    QUOTIENT_READERS = {"closure fill": ("closure", "S"), "S + B": ("evidence", "S"),
+                        "closure + conj": ("evidence", "closure")}
+
+    @pytest.mark.parametrize("reader", list(QUOTIENT_READERS))
+    def test_quotient_readers(self, monkeypatch, reader):
+        # the closure fill check and the two sums of the evidence reduce
+        # their rows through _quotient_dim: at least one budget check per
+        # row, and a budget that runs out there stops the reader
+        build, base_space = self.QUOTIENT_READERS[reader]
+        real = InvariantSpaces._quotient_dim
+
+        def pipeline():
+            sp = InvariantSpaces(3)
+            sp.area_conjugation_algebra(4)
+            sp.loop_invariants(4)
+            if build == "evidence":
+                sp.closure_invariants(4)
+            return sp, {id(b) for b in sp.space(base_space, 4).blocks.values()}
+
+        def run(sp):
+            return sp.closure_invariants(4) if build == "closure" else conjecture_evidence(sp, 4)
+
+        (sp, bases), (fresh, fresh_bases) = pipeline(), pipeline()
+        calls = []
+
+        def counted(self, base, rows):
+            rows, before = list(rows), self.budget.checks
+            out = real(self, base, rows)
+            if id(base) in bases:
+                calls.append((len(rows), self.budget.checks - before))
+            return out
+
+        monkeypatch.setattr(InvariantSpaces, "_quotient_dim", counted)
+        sp.budget = CountingBudget()
+        run(sp)
+        assert sum(rows for rows, _ in calls) > 0
+        assert all(checks >= rows for rows, checks in calls), calls
+        sp, stopped = fresh, []
+
+        def running_out(self, base, rows):
+            rows = list(rows)
+            if id(base) in fresh_bases and rows:
+                self.budget = Budget(seconds=-1)
+            try:
+                return real(self, base, rows)
+            except BudgetExceeded:
+                stopped.append(id(base))
+                raise
+
+        monkeypatch.setattr(InvariantSpaces, "_quotient_dim", running_out)
+        with pytest.raises(BudgetExceeded) as err:
+            run(sp)
+        assert err.value.space == (build, 4)
+        assert stopped and set(stopped) <= fresh_bases
+        assert ("closure", 4) in sp._memo or build == "closure"
+        assert ("closure", 4) not in sp._memo or build == "evidence"
 
     def test_whole_level(self):
         s = InvariantSpaces(3).letter_shuffle_ideal(3)
@@ -1744,8 +1840,11 @@ class TestRowOperators:
             letter = TensorElement.word(d, (i + 1,))
             assert row_tensor(d, na + 1, sp._bracket_row(a, na, i)) == bracket(ta, letter)
         for n in range(1, 5):
+            conj = sp.conjugation_invariants(n)
+            rows = dict(zip(conj.pivots, conj.rows))
             for w in necklaces(d, n):
-                assert row_tensor(d, n, sp._rotation_row(w)) == rotation_sum(w)
+                row = rows[word_index(w.letters, d)]
+                assert repetition_count(w.letters) * row_tensor(d, n, row) == rotation_sum(w)
 
     @pytest.mark.parametrize("d, top", [(2, 9), (3, 6)])
     def test_letter_shuffle_rows_by_index(self, d, top):

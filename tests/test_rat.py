@@ -1,9 +1,12 @@
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from loopinv._rat import exact
+from loopinv._rat import exact, integer
+from loopinv.invariants import InvariantSpaces
+from loopinv.words import Word
 
 
 class TestExact:
@@ -29,3 +32,35 @@ class TestExact:
             result = exact(value)
             assert type(result) is Fraction
             assert result == expected
+
+
+class TestInteger:
+    def test_reads_ints_integral_rationals_and_integer_strings(self):
+        # the JSON readers pass "3"
+        for value in (3, Fraction(6, 2), "3", " 3 "):
+            result = integer(value)
+            assert type(result) is int
+            assert result == 3
+
+    def test_refuses_a_non_integral_rational(self):
+        # int() would truncate 3/2 to 1
+        for make in (
+            lambda: integer(Fraction(3, 2)),
+            lambda: Word((Fraction(3, 2),), 2),
+            lambda: InvariantSpaces(Fraction(5, 2)),
+        ):
+            with pytest.raises(ValueError, match="^integer expected, got the rational [35]/2$"):
+                make()
+
+    def test_refuses_a_decimal_as_a_float(self):
+        # int() would truncate 2.7 to 2; an integral Decimal is refused too
+        for make in (
+            lambda: integer(Decimal("3")),
+            lambda: Word((1,), Decimal("2.7")),
+            lambda: Word((Decimal("1"),), 2),
+        ):
+            with pytest.raises(TypeError, match="^exact integer expected, got Decimal"):
+                make()
+        for value in (2.0, True):
+            with pytest.raises(TypeError, match="^exact .* expected, got the (float|bool)"):
+                integer(value)

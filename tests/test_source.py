@@ -225,3 +225,21 @@ def test_pipeline_holds_no_closure_table():
     # level 10, so keeping one again needs a new measurement
     assert sorted(vars(InvariantSpaces(2))) == ["_memo", "_orbit_tables", "budget", "d"]
     assert not hasattr(InvariantSpaces, "_closure_table")
+
+
+def test_one_quotient_route_and_written_down_rotation_classes():
+    # every dimension of a sum in invariants reduces rows against a stored
+    # canonical RREF (_quotient_dim); only the loop build, which keeps the
+    # RREF of S_c + K_A, eliminates a sum.  conj is written down as its
+    # rotation classes, so no rotation-sum row is made and spanned
+    path = Path(loopinv.__file__).parent / "invariants.py"
+    tree = ast.parse(path.read_text(), str(path))
+    sums = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "subspace_sum"
+    ]
+    assert len(sums) == 1, sums
+    assert list(inspect.signature(InvariantSpaces._quotient_dim).parameters) == ["self", "base", "rows"]
+    assert not hasattr(InvariantSpaces, "_rotation_row")
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "sum_dim" not in defined and "_quotient_dim" in defined
