@@ -21,8 +21,9 @@ the other checks it by containment, pairing and dimension:
   classes, checked against the quotient dimension dim(conj + S) - dim S,
   the rank of conj reduced against the stored S, as is every dimension
   of a sum but the loop build's (:meth:`InvariantSpaces._quotient_dim`);
-* the area/conjugation algebra of ``evidence``: B_n = conj_n + areas ⧢
-  B_{n-2}, once conj is checked to be a shuffle subalgebra.
+* the area/conjugation algebra of ``evidence``: B_n = conj_n + V_2 ⧢
+  B_{n-2}, V_2 being spanned by the areas [i, j], once conj is checked to
+  be a shuffle subalgebra.
 
 Orbits and blocks.  Every row operator below keeps the letter content of
 a word (its letter counts) and commutes with renaming letters.  So every
@@ -40,9 +41,9 @@ A level's dimension sums orbit size times block dimension, and the
 checks on whole levels (the series coefficient, the dimension chains of
 :class:`InvariantReport`) use those sums.  A renamed block is a basis of
 its content as it stands, which is all the spanning rows one level up
-need ([V, letters], the decomposables).  The canonical RREF of a whole
-level, which ``basis``, ``evidence`` and the fuzz read, is assembled on
-first use.
+need ([V, letters], the decomposables, the area products).  The
+canonical RREF of a whole level, which ``basis`` and the fuzz read, is
+assembled on first use.
 
 The n!-scaled right closure of one canonical content is a
 :class:`_ClosureBlock`, made by one ``tensor._rcl_block`` pass over its
@@ -71,9 +72,9 @@ reads them once more for the exact rank only where the prime falls short.
 
 Every spanning set is a stream of integer rows ``{word index: int}``
 made by three row operators (letter brackets, shuffles and the closure
-blocks), so building a table forms no rational.
-Rationals appear only where a basis leaves as a tensor element, in
-:func:`verify_relations` and in the conjecture-evidence memberships.
+blocks), so building a table or the conjecture evidence forms no
+rational.  Rationals appear only where a basis leaves as a tensor
+element, and in :func:`verify_relations`.
 
 A failed cross-check raises :class:`~loopinv.linalg.CrossCheckError`
 (re-exported here); budget overruns
@@ -107,7 +108,6 @@ from .linalg import (
     index_word,
     intersect,  # noqa: F401  (unused here; bench/tracing.py wraps this name)
     kernel,
-    member_tensor,
     orthogonal,
     orthogonal_complement,  # noqa: F401  (unused here; bench/tracing.py wraps this name)
     span,
@@ -243,11 +243,6 @@ def _canonical(content: Content) -> Content:
     return tuple(sorted(content, reverse=True))
 
 
-def _sub_contents(content: Content, j: int) -> list[Content]:
-    """The contents of length j that fit inside ``content``."""
-    return [a for a in itertools.product(*(range(k + 1) for k in content)) if sum(a) == j]
-
-
 class _Orbits:
     """The letter contents of one level, in orbits under letter permutations.
 
@@ -295,9 +290,7 @@ class BlockSpace(Subspace):
     of its canonical content with the letters renamed, on every call of
     :meth:`block`, so :attr:`dim` sums orbit size times block dimension.
     ``pivots`` and ``rows`` are the canonical RREF of the whole level,
-    assembled on first use: each renamed block is eliminated once more,
-    because renaming reorders its columns, and all blocks, whose columns
-    are disjoint, are merged by pivot.
+    assembled on first use (:meth:`whole`).
     """
 
     __slots__ = ("orbits", "blocks", "_whole")
@@ -321,16 +314,18 @@ class BlockSpace(Subspace):
             {index[k]: v for k, v in row.items()} for row in self.blocks[_canonical(content)].rows
         )
 
-    def whole(self, budget: Budget | None = None) -> Subspace:
-        """The canonical RREF of the whole level; the budget is checked once
-        per row of each renamed block."""
+    def whole(self) -> Subspace:
+        """The canonical RREF of the whole level, for the readers of whole
+        levels, ``basis`` and the fuzz: each renamed block is eliminated
+        once more, because renaming reorders its columns, and all blocks,
+        whose columns are disjoint, are merged by pivot."""
         if self._whole is None:
             pairs: list[tuple[int, dict[int, int]]] = []
             for c, b in self.blocks.items():
                 pairs += zip(b.pivots, b.rows)
                 for member in self.orbits.members(c):
                     if member != c:
-                        renamed = span(self.d, self.n, self.block(member), budget)
+                        renamed = span(self.d, self.n, self.block(member))
                         pairs += zip(renamed.pivots, renamed.rows)
             pairs.sort(key=lambda pair: pair[0])
             whole = Subspace(self.d, self.n, [p for p, _ in pairs], [r for _, r in pairs])
@@ -536,6 +531,16 @@ class InvariantSpaces:
             for v, cb in right:
                 _tensor._shuffle_words_into(data, u, v, ca * cb)
         return {word_index(w, d): c for w, c in data.items() if c}
+
+    def _shuffle_products(self, n: int, c: Content, left: BlockSpace, j: int,
+                          right: BlockSpace) -> Iterator[dict[int, int]]:
+        """x ⧢ y on level n for the rows x of the (renamed) block of
+        ``left``, a space of level j, at each content a of size j inside c,
+        and the rows y of the block of ``right`` at c - a."""
+        for a in itertools.product(*(range(k + 1) for k in c)):
+            if sum(a) == j and (rows := left.block(a)):
+                pairs = itertools.product(rows, right.block(tuple(map(sub, c, a))))
+                yield from (self._shuffle_row(x, j, y, n - j) for x, y in pairs)
 
     def _closure_block(self, n: int, c: Content) -> _ClosureBlock:
         """The n!-scaled right closure of the words of the canonical content
@@ -1010,9 +1015,8 @@ class InvariantSpaces:
         A_i ⧢ A_{m-i} ⧢ A_{n-m} lies in A_i ⧢ A_{n-i} when A is a shuffle
         subalgebra (the all-pairs span assumes that too).  At m = n/2 the
         left side is D_n.  Rows of contents a and b shuffle to content
-        a + b, so block c spans the products of the rows of the (renamed)
-        blocks of G_j at a and of A_{n-j} at c - a, over every j <= n/2
-        and every sub-content a of c.
+        a + b, so block c spans :meth:`_shuffle_products` of G_j and
+        A_{n-j} at c, over every j <= n/2.
 
         D_c must lie in A_c, checked by reducing its rows against A_c; the
         complement rests on it.  The pivots of a canonical RREF are the
@@ -1027,17 +1031,9 @@ class InvariantSpaces:
             (j, self.minimal_generators(j), self.conjugation_invariants(n - j)) for j in range(1, n // 2 + 1)
         ]
 
-        def products(c: Content):
-            for j, gens, upper in lower:
-                for a in _sub_contents(c, j):
-                    left = gens.block(a)
-                    if left:
-                        right = upper.block(tuple(x - y for x, y in zip(c, a)))
-                        for x, y in itertools.product(left, right):
-                            yield self._shuffle_row(x, j, y, n - j)
-
         def build(c: Content) -> Subspace:
-            block, decomposables = total.blocks[c], span(d, n, products(c), self.budget)
+            products = itertools.chain.from_iterable(self._shuffle_products(n, c, g, j, a) for j, g, a in lower)
+            block, decomposables = total.blocks[c], span(d, n, products, self.budget)
             if not contains(block, decomposables):
                 raise CrossCheckError(
                     "decomposables escaped the family at d=%d, n=%d, content %s" % (d, n, c)
@@ -1056,29 +1052,24 @@ class InvariantSpaces:
     @_memo("areaconj")
     def area_conjugation_algebra(self, n: int) -> BlockSpace:
         """Level n of the shuffle algebra B generated by the areas [i, j] and
-        the conjugation invariants: B_n = conj_n + Σ_{i<j} [i, j] ⧢ B_{n-2}.
+        the conjugation invariants: B_n = conj_n + V_2 ⧢ B_{n-2}.
 
         A product of generators with an area is that area shuffled with a
         product in B_{n-2}; one of conjugation invariants alone lies in
         conj_n, as conj is a shuffle subalgebra (:meth:`minimal_generators`
-        checks it first, up to level n).  [i, j] has content e_i + e_j and
-        renaming letters maps the areas to ± areas, so block c spans conj_c
-        and [i, j] ⧢ the (renamed) block of B_{n-2} at c - e_i - e_j.
+        checks it first, up to level n).  V_2, the degree-2 part of the free
+        Lie algebra, is spanned by the areas, and its block at e_i + e_j,
+        i < j, is the one row [i, j]; so block c spans conj_c and
+        :meth:`_shuffle_products` of V_2 and B_{n-2} at c, area first.
         """
         _check_level(n, 0)
         if n == 0:
             return self._blocks(0, lambda c: kernel(self.d, 0, [], self.budget))
         self.minimal_generators(n)
         conj, lower = self.conjugation_invariants(n), n > 1 and self.area_conjugation_algebra(n - 2)
-
-        def rows(c: Content):
-            yield from conj.blocks[c].rows
-            for i, j in itertools.combinations(range(self.d), 2):
-                if c[i] and c[j]:
-                    for r in lower.block(_without(_without(c, i), j)):
-                        yield self._shuffle_row(self._bracket_row({i: 1}, 1, j), 2, r, n - 2)
-
-        return self._blocks(n, lambda c: self._block_span(n, c, rows(c)))
+        areas = self.zero_increment_space(2)
+        return self._blocks(n, lambda c: self._block_span(n, c, itertools.chain(
+            conj.blocks[c].rows, self._shuffle_products(n, c, areas, 2, lower))))
 
     # -- reports ----------------------------------------------------------
 
@@ -1321,27 +1312,39 @@ class ConjectureEvidence(NamedTuple):
     area_product_membership: tuple[tuple[str, bool], ...] = ()
 
 
-def _area_products(d: int, n: int) -> list[tuple[str, TensorElement]]:
+def _area_products(spaces: InvariantSpaces, n: int) -> Iterator[tuple[str, dict[int, int]]]:
+    """The label and integer row of each product of n/2 areas [i, j], i <
+    j, at an even level n >= 4: each area in turn, first operand, is
+    shuffled with the product of those before it, from the empty word.
+    Each shuffle checks the budget."""
     if n % 2 or n < 4:
-        return []
-    areas = [
-        ((i, j), _area(d, i, j)) for i in range(1, d + 1) for j in range(i + 1, d + 1)
-    ]
-    return [
-        ("*".join("area%d%d" % pair for pair, _ in combo), _shuffle_all([elt for _, elt in combo]))
-        for combo in itertools.combinations_with_replacement(areas, n // 2)
-    ]
+        return
+    d = spaces.d
+    areas = [((i + 1, j + 1), spaces._bracket_row({i: 1}, 1, j)) for i, j in itertools.combinations(range(d), 2)]
+    for combo in itertools.combinations_with_replacement(areas, n // 2):
+        row: dict[int, int] = {0: 1}
+        for k, (_, area) in enumerate(combo):
+            row = spaces._shuffle_row(area, 2, row, 2 * k)
+        yield "*".join("area%d%d" % pair for pair, _ in combo), row
 
 
 def conjecture_evidence(spaces: InvariantSpaces, n: int) -> ConjectureEvidence:
     """Dimension comparisons and membership observations at level n, each
     sum a quotient per block (:meth:`InvariantSpaces._quotient_dim`): dim(S
-    + B) - dim S, and dim(C + R) - dim C = dim R - dim(C ∩ R).  A budget
+    + B) - dim S, and dim(C + R) - dim C = dim R - dim(C ∩ R).  Each area
+    product, of content c, is renamed onto the canonical content of c and
+    reduced against that one block of the closed rotation span.  A budget
     spent outside the memoized spaces is named ("evidence", n)."""
-    d, budget = spaces.d, spaces.budget
+    d = spaces.d
 
     def quotient(a: BlockSpace, b: BlockSpace) -> int:
         return sum(k * spaces._quotient_dim(a.blocks[c], b.blocks[c].rows) for c, k in a.orbits.sizes.items())
+
+    def closed(row: dict[int, int]) -> bool:
+        c, rotations_closed = _content(index_word(min(row), d, n), d), spaces.closed_rotation_span(n)
+        back = {k: x for x, k in rotations_closed.orbits.renaming(c).items()}
+        block = rotations_closed.blocks[_canonical(c)]
+        return _reduces_to_zero({back[k]: x for k, x in row.items()}, dict(zip(block.pivots, block.rows)))
 
     with _names_budget(("evidence", n)):
         algebra = spaces.area_conjugation_algebra(n)
@@ -1349,12 +1352,7 @@ def conjecture_evidence(spaces: InvariantSpaces, n: int) -> ConjectureEvidence:
         s_plus = s.dim + quotient(s, algebra)
         closure, conj = spaces.closure_invariants(n), spaces.conjugation_invariants(n)
         meet = conj.dim - quotient(closure, conj)
-        products = _area_products(d, n)
-        if products:
-            closed = spaces.closed_rotation_span(n).whole(budget)
-        membership = tuple(
-            (label, member_tensor(element, closed, budget)) for label, element in products
-        )
+        membership = tuple((label, closed(row)) for label, row in _area_products(spaces, n))
     return ConjectureEvidence(
         d=d,
         level=n,

@@ -43,6 +43,7 @@ import time
 from array import array
 from bisect import insort
 from collections import defaultdict
+from heapq import heapify, heappop, heappush
 from math import gcd, isnan, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -213,14 +214,20 @@ def _eliminate(rows: list[dict[int, int]], budget: Budget | None = None):
     the echelon rows, a backward sweep clears pivot columns above and
     makes each pivot positive, so the output is the canonical reduced form
     sorted by pivot column.  The input rows are consumed.
+
+    The open leading columns are kept in a heap as well.  A row combined
+    at col leads past it, as col cancels and the pivot row has no entry
+    before it, so every key pushed is larger than every key popped.
     """
     buckets: dict[int, list[dict[int, int]]] = {}
     for r in rows:
         if r:
             buckets.setdefault(min(r), []).append(r)
+    heap = list(buckets)
+    heapify(heap)
     echelon: list[tuple[int, dict[int, int]]] = []
-    while buckets:
-        col = min(buckets)
+    while heap:
+        col = heappop(heap)
         group = buckets.pop(col)
         best = 0
         best_mag = abs(group[0][col])
@@ -236,7 +243,10 @@ def _eliminate(rows: list[dict[int, int]], budget: Budget | None = None):
             if r:
                 if budget is not None:
                     _check_bits(r, budget)
-                buckets.setdefault(min(r), []).append(r)
+                lead = min(r)
+                if lead not in buckets:
+                    heappush(heap, lead)
+                buckets.setdefault(lead, []).append(r)
         echelon.append((col, pivot_row))
     # Backward sweep.  Finished rows contain no pivot columns besides
     # their own, so eliminating the hits found up front is complete.

@@ -3,8 +3,10 @@ of letter contents: every space of a level built from the rows of all
 contents at once, and the block of any one content built directly on that
 content, with no renaming.  The dense kernels of ``linalg`` and of the
 closure blocks have their entry-by-entry routes here too, and so do the
-routes the pipeline replaced: conj as the span of rotation sums, and a
-dimension of a sum as the dimension of the eliminated sum.
+routes the pipeline replaced: conj as the span of rotation sums, a
+dimension of a sum as the dimension of the eliminated sum, and each area
+product of the evidence as a rational tensor element tested in a whole
+level.
 
 The closure rows come from ``tensor._rcl_word`` for every word, not from
 the pipeline's closure blocks of canonical contents.  The oracle's
@@ -15,7 +17,7 @@ keeps only its dimension, so it has no entry in :data:`METHODS`.
 import itertools
 from bisect import insort
 
-from loopinv import linalg, tensor
+from loopinv import invariants, linalg, tensor
 from loopinv.linalg import index_word, kernel, span, word_index
 from loopinv.words import lyndon_words, necklaces, rotations
 
@@ -310,3 +312,20 @@ def area_conjugation_algebra(sp, top):
                 elements.extend(sp._shuffle_row(g, j, b, k - j) for b in parts[k - j].rows)
         parts[k] = span(d, k, elements)
     return parts
+
+
+def area_product_membership(sp, n):
+    """conjecture_evidence's memberships by the route they replaced: each
+    product of n/2 areas ij - ji, i < j, a Fraction tensor element shuffled
+    by tensor.shuffle, tested by linalg.member_tensor in the whole level of
+    the closed rotation span, assembled by BlockSpace.whole."""
+    if n % 2 or n < 4:
+        return ()
+    d = sp.d
+    areas = [((i, j), invariants._area(d, i, j)) for i in range(1, d + 1) for j in range(i + 1, d + 1)]
+    closed = sp.closed_rotation_span(n).whole()
+    return tuple(
+        ("*".join("area%d%d" % pair for pair, _ in combo),
+         linalg.member_tensor(invariants._shuffle_all([x for _, x in combo]), closed))
+        for combo in itertools.combinations_with_replacement(areas, n // 2)
+    )

@@ -360,6 +360,10 @@ GOLDEN = {
     ("basis", "conj", 4, 6): "8a13404fe9579749df762d138445086ba910687e29fe3dd2a8d08792fcedc623",
     ("basis", "conj", 5, 6): "099b7be464bad8c98991ca01c5112845a41f82bbc4ce0dfc0894cc37b8de7adc",
     ("evidence", None, 4, 6): "02ee7b044f4ee52821c231062c8356d06d0deb28cb2608c6158494bf0b041640",
+    # area products on non-canonical contents, recorded while each was a
+    # rational tensor element tested in the assembled whole level
+    ("evidence", None, 5, 6): "0e136b4d46da80fe71f57ad72daf73366c6ab442ae30fd2b7253abc9908b359c",
+    ("evidence", None, 6, 5): "213081bb8eadc3a4d3dd54814f6a707af9a022884681be622f344b27b4f0470c",
 }
 
 

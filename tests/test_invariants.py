@@ -1417,6 +1417,16 @@ class TestEvidence:
         for n in range(1, top + 1):
             assert sp.area_conjugation_algebra(n) == expected[n], n
 
+    @pytest.mark.parametrize("d, top", [(2, 10), (3, 8), (4, 6), (5, 6), (6, 5)])
+    def test_memberships_against_whole_level_tensors(self, d, top):
+        # each integer product, reduced against its one canonical block,
+        # against the Fraction product tested in the assembled whole level
+        sp = spaces_for(d)
+        for n in range(1, top + 1):
+            found = conjecture_evidence(sp, n).area_product_membership
+            assert found == all_contents.area_product_membership(sp, n), n
+            assert bool(found) == (n % 2 == 0 and n >= 4), n
+
     def test_every_area_product_is_reported(self):
         # the 15 areas of six letters have 120 products of two
         ev = conjecture_evidence(spaces_for(6), 4)
@@ -1641,9 +1651,10 @@ class TestBudgetInHeavyLoops:
     @pytest.mark.parametrize("assembled", [False, True])
     def test_evidence_after_the_spaces(self, monkeypatch, assembled):
         # every space of the evidence is built and the block sums ignore the
-        # budget (test_quotient_readers has them); what is left, the
-        # assembly of the closed rotation level and then each membership in
-        # it, stops on an expired budget
+        # budget (test_quotient_readers has them); what is left, the area
+        # products, stops on an expired budget.  The memberships read the
+        # blocks of the closed rotation span, never its whole level, which
+        # neither stops nor is assembled by the evidence
         sp = InvariantSpaces(3)
         sp.area_conjugation_algebra(4)
         for build in ("loop_invariants", "closure_invariants", "closed_rotation_span"):
@@ -1671,6 +1682,34 @@ class TestBudgetInHeavyLoops:
         sp.budget = None
         assert budgeted == conjecture_evidence(sp, 4)
         assert budgeted.area_product_membership
+        assert (closed._whole is not None) == assembled
+
+    def test_area_products(self, monkeypatch):
+        # with every space built and the block sums unbudgeted, a spent
+        # budget stops the products of areas: each shuffle checks it, so
+        # not one pair of words is shuffled
+        sp = InvariantSpaces(4)
+        conjecture_evidence(sp, 6)
+        real = InvariantSpaces._quotient_dim
+
+        def unbudgeted(self, base, rows):
+            budget, self.budget = self.budget, None
+            try:
+                return real(self, base, rows)
+            finally:
+                self.budget = budget
+
+        monkeypatch.setattr(InvariantSpaces, "_quotient_dim", unbudgeted)
+        pairs = self.count_calls(monkeypatch, tensor, "_shuffle_words_into")
+        sp.budget = Budget(seconds=-1)
+        with pytest.raises(BudgetExceeded) as err:
+            conjecture_evidence(sp, 6)
+        assert err.value.space == ("evidence", 6)
+        assert pairs == []
+        # the counter sees the products: without a budget there are 56
+        sp.budget = None
+        assert len(conjecture_evidence(sp, 6).area_product_membership) == 56
+        assert pairs
 
     # reader -> the build that runs it, and the space of its stored base
     QUOTIENT_READERS = {"closure fill": ("closure", "S"), "S + B": ("evidence", "S"),
@@ -1731,11 +1770,12 @@ class TestBudgetInHeavyLoops:
         assert ("closure", 4) not in sp._memo or build == "evidence"
 
     def test_whole_level(self):
+        # a whole level is assembled once, for its readers, basis and the
+        # fuzz, and takes no budget (test_source pins that): no build of
+        # the pipeline reads one
         s = InvariantSpaces(3).letter_shuffle_ideal(3)
-        with pytest.raises(BudgetExceeded):
-            s.whole(Budget(seconds=-1))
         assert s._whole is None
-        assert s.whole(Budget(seconds=1000)) is s.whole()
+        assert s.rows is s.whole().rows and s.whole() is s._whole
 
     def test_dense_certificates(self):
         # proof step 2 checks the budget once per free column, and the rows
@@ -1845,6 +1885,21 @@ class TestRowOperators:
             for w in necklaces(d, n):
                 row = rows[word_index(w.letters, d)]
                 assert repetition_count(w.letters) * row_tensor(d, n, row) == rotation_sum(w)
+
+    def test_shuffle_products_against_whole_levels(self):
+        # the walk over sub-contents against every product of two rows of
+        # whole levels that lands on the content: as many products, with
+        # the same span (renamed blocks are bases, not the whole RREF rows)
+        sp = spaces_for(3)
+        conj3 = sp.conjugation_invariants(3)
+        for left, j, right, n in [(sp.zero_increment_space(2), 2, conj3, 5), (conj3, 3, conj3, 6)]:
+            products = [sp._shuffle_row(x, j, y, n - j) for x in left.rows for y in right.rows]
+            for c in sp._orbits(n).canonical:
+                walked = list(sp._shuffle_products(n, c, left, j, right))
+                words = set(sp._orbits(n).words(c))
+                whole = [row for row in products if min(row) in words]
+                assert len(walked) == len(whole), c
+                assert span(3, n, walked) == span(3, n, whole), c
 
     @pytest.mark.parametrize("d, top", [(2, 9), (3, 6)])
     def test_letter_shuffle_rows_by_index(self, d, top):

@@ -158,6 +158,29 @@ class TestSpan:
                 assert v[pivot] == 1 and min(v) == pivot
                 assert all(pivot not in w for w in basis if w is not v)
 
+    def test_next_pivot_from_a_heap(self):
+        # rows leading at r distinct columns: a scan of the open columns
+        # for each pivot compares about r^2 / 2 keys, a heap about r log r;
+        # rows combined at a column lead past it and are pushed once
+        compared = []
+
+        class Column(int):
+            def __lt__(self, other):
+                compared.append(None)
+                return int.__lt__(self, other)
+
+        r = 3000
+        rows = [{Column(k): 1} for k in reversed(range(r))]
+        assert [col for col, _ in linalg._eliminate(rows)] == list(range(r))
+        assert len(compared) < 4 * r * r.bit_length()
+        compared.clear()
+        rows = [{Column(k): 1, Column(k + 1): 1} for k in range(0, r, 2)]
+        rows += [{Column(k): 2, Column(k + 1): 1} for k in range(0, r, 2)]
+        echelon = linalg._eliminate(rows)
+        assert [col for col, _ in echelon] == list(range(r))
+        assert all(row == {col: 1} for col, row in echelon)
+        assert len(compared) < 8 * r * r.bit_length()
+
 
 class TestKernel:
     def test_single_constraint(self):

@@ -243,3 +243,29 @@ def test_one_quotient_route_and_written_down_rotation_classes():
     assert not hasattr(InvariantSpaces, "_rotation_row")
     defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     assert "sum_dim" not in defined and "_quotient_dim" in defined
+
+
+def test_evidence_on_integer_rows_and_one_shuffle_product_walk():
+    # the evidence shuffles integer rows and reads each product's one
+    # canonical block: no rational tensor element and no whole level.
+    # The shuffle products of the spaces come from one walk over the
+    # sub-contents, which the decomposables and the area algebra share
+    path = Path(loopinv.__file__).parent / "invariants.py"
+    tree = ast.parse(path.read_text(), str(path))
+
+    def names(node):
+        return {getattr(x, "id", getattr(x, "attr", None)) for x in ast.walk(node)}
+
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("conjecture_evidence", "_area_products"):
+        assert names(functions[name]).isdisjoint({"whole", "member_tensor", "_area", "_shuffle_all"}), name
+    assert list(inspect.signature(BlockSpace.whole).parameters) == ["self"]
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "member_tensor" not in imported
+    (cls,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "InvariantSpaces"]
+    methods = [node for node in cls.body if isinstance(node, ast.FunctionDef)]
+    assert {m.name for m in methods if "_shuffle_row" in names(m) - {m.name}} == {"_shuffle_products"}
+    assert {m.name for m in methods if "_shuffle_products" in names(m) - {m.name}} == {
+        "minimal_generators", "area_conjugation_algebra"
+    }
+    assert "_sub_contents" not in functions
